@@ -5,6 +5,7 @@ PSD cone (symmetric matrices stored row-major with all d*d entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,21 @@ class ConeSpec:
             if self.side is None or self.side * self.side != self.ambient_dim:
                 raise InputError("psd cone requires ambient_dim == side**2")
 
+    @cached_property
+    def coefficient_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(B, B^-1) when every vector has unique cone coefficients: x = B a
+        with a = B^-1 x, the columns of B being the generators, so x lies in
+        the cone iff a >= 0. Defined for the orthant (B = I) and simplicial
+        ray cones; None otherwise. Computed once per cone."""
+        if self.kind == NONNEG:
+            eye = np.eye(self.ambient_dim)
+            return eye, eye
+        if self.kind == RAYS:
+            G = self.generators
+            if G.shape[0] == G.shape[1] and abs(np.linalg.det(G)) > 1e-12:
+                return G.T, np.linalg.inv(G.T)
+        return None
+
 
 def nonneg_orthant(n: int) -> ConeSpec:
     return ConeSpec(NONNEG, n)
@@ -63,9 +79,11 @@ def generator_matrix(cone: ConeSpec) -> np.ndarray:
 
 
 def as_matrix(cone: ConeSpec, x: np.ndarray) -> np.ndarray:
-    """Reshape a flattened psd-cone element and validate symmetry."""
+    """Reshape a flattened psd-cone element, or each row of a stack of them,
+    to a d x d matrix and validate symmetry."""
+    x = np.asarray(x, dtype=float)
     d = cone.side
-    return check_symmetric(np.asarray(x, dtype=float).reshape(d, d), rel_tol=1e-9)
+    return check_symmetric(x.reshape(x.shape[:-1] + (d, d)), rel_tol=1e-9)
 
 
 def _check_dim(cone: ConeSpec, x) -> np.ndarray:

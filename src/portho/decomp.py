@@ -37,23 +37,23 @@ class Decomposition:
     ortho_verdict: OrthoVerdict | None = None
 
 
-def _aggregate(space: SpaceSpec, u1: np.ndarray, u2: np.ndarray, p: float) -> float:
-    n1, n2 = norm(space, u1), norm(space, u2)
+def p_aggregate(a: float, b: float, p: float) -> float:
+    """The lp(2) norm of the pair (a, b): (a^p + b^p)^(1/p), or max at p = inf."""
     if math.isinf(p):
-        return max(n1, n2)
-    return float((n1**p + n2**p) ** (1.0 / p))
+        return max(a, b)
+    return float((a**p + b**p) ** (1.0 / p))
 
 
-def _coordinate_like(space: SpaceSpec):
-    """Generator matrix when the cone is a coordinate-style lattice cone
-    (the orthant, or a simplicial ray cone)."""
-    if space.cone.kind == _c.NONNEG:
-        return np.eye(space.dim)
-    if space.cone.kind == _c.RAYS:
-        G = space.cone.generators
-        if G.shape[0] == G.shape[1] and abs(np.linalg.det(G)) > 1e-12:
-            return G.T  # columns are the generators
-    return None
+def _spectral_parts(space: SpaceSpec, v: np.ndarray):
+    """Positive and negative parts of a symmetric matrix by its spectrum,
+    with eigenvalues below 1e-10 of the spectral radius set to zero."""
+    dec = eigen_sym(_c.as_matrix(space.cone, v))
+    cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-300)
+    lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
+    Q = dec.eigenvectors
+    v1 = (Q.T * np.clip(lam, 0.0, None)) @ Q
+    v2 = (Q.T * np.clip(-lam, 0.0, None)) @ Q
+    return v1.ravel(), v2.ravel()
 
 
 def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decomposition:
@@ -76,9 +76,10 @@ def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decom
 
 
 def _decompose_lp(space: SpaceSpec, v: np.ndarray, p: float, nv: float) -> Decomposition:
-    B = _coordinate_like(space)
-    if B is None:
+    basis = space.cone.coefficient_basis
+    if basis is None:
         return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
+    B = basis[0]
     if math.isinf(p) and space.norm.kind not in (SUP, ORDER_UNIT, LP):
         return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
     n = space.dim
@@ -114,7 +115,8 @@ def _decompose_lp(space: SpaceSpec, v: np.ndarray, p: float, nv: float) -> Decom
             raise InputError("decomposition LP infeasible: v outside the span of the cone")
         a, b = out.argument[:m], out.argument[m : 2 * m]
     u1, u2 = B @ a, B @ b
-    return Decomposition(u1, u2, p, _aggregate(space, u1, u2, p), "optimal")
+    agg = p_aggregate(norm(space, u1), norm(space, u2), p)
+    return Decomposition(u1, u2, p, agg, "optimal")
 
 
 def _decompose_gradient(
@@ -155,32 +157,27 @@ def _decompose_gradient(
                 break
             step *= 0.5
         u2 = np.clip(a - v, 0.0, None)
-        if _aggregate(space, v + u2, u2, p) <= nv + epsilon:
+        if p_aggregate(norm(space, v + u2), norm(space, u2), p) <= nv + epsilon:
             status = "approximate"
             break
     # snap the iterate onto the cone: u2 clipped, u1 = v + u2 (coordinatewise
     # nonnegative because a >= 0), so reconstruction is exact
     u2 = np.clip(a - v, 0.0, None)
     u1 = v + u2
-    return Decomposition(u1, u2, p, _aggregate(space, u1, u2, p), status)
+    agg = p_aggregate(norm(space, u1), norm(space, u2), p)
+    return Decomposition(u1, u2, p, agg, status)
 
 
 def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     v = np.asarray(v, dtype=float)
     if space.norm.kind == "spectral":
-        M = _c.as_matrix(space.cone, v)
-        dec = eigen_sym(M)
-        cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]))
-        lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
-        Q = dec.eigenvectors
-        v1 = (Q.T * np.clip(lam, 0.0, None)) @ Q
-        v2 = (Q.T * np.clip(-lam, 0.0, None)) @ Q
-        v1, v2 = v1.ravel(), v2.ravel()
+        v1, v2 = _spectral_parts(space, v)
     else:
-        B = _coordinate_like(space)
-        if B is None:
+        basis = space.cone.coefficient_basis
+        if basis is None:
             return Decomposition(v, np.zeros_like(v), INF, math.nan, "unsupported")
-        c = np.linalg.solve(B, v) if space.cone.kind == _c.RAYS else v
+        B, Binv = basis
+        c = Binv @ v
         v1 = B @ np.clip(c, 0.0, None)
         v2 = B @ np.clip(-c, 0.0, None)
     verdict = None
@@ -190,7 +187,8 @@ def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
         and np.abs(v2).max() > 0.0
     ):
         verdict = p_orthogonal_numeric(space, v1, v2, INF)
-    return Decomposition(v1, v2, INF, _aggregate(space, v1, v2, INF), "optimal", verdict)
+    agg = p_aggregate(norm(space, v1), norm(space, v2), INF)
+    return Decomposition(v1, v2, INF, agg, "optimal", verdict)
 
 
 def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
@@ -202,13 +200,7 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
         raise InputError("dual decomposition requires an infinity-smooth space")
 
     if space.norm.kind == "spectral":
-        d = space.cone.side
-        dec = eigen_sym(_c.as_matrix(space.cone, f))
-        cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-300)
-        lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
-        Q = dec.eigenvectors
-        f1 = ((Q.T * np.clip(lam, 0.0, None)) @ Q).ravel()
-        f2 = ((Q.T * np.clip(-lam, 0.0, None)) @ Q).ravel()
+        f1, f2 = _spectral_parts(space, f)
     elif space.cone.kind == _c.NONNEG and space.norm.kind in (SUP, LP):
         # dual norm is l1: minimize total mass over f = f1 - f2, f1, f2 >= 0
         n = space.dim

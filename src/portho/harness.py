@@ -3,9 +3,14 @@ each structural property of p-orthogonality into a pass/fail report.
 
 Every suite draws from its own deterministic stream derived from (seed,
 suite name), so reports are reproducible and independent of execution order.
-Checks built on the scanned two-dimensional restricted ball use a floor
-tolerance of 1e-4 (the boundary is sampled at 720 directions); all other
-checks run at the caller's tolerance.
+Samplers build positive elements from cone coefficients
+(`ConeSpec.coefficient_basis`) and the order unit (`spaces.order_unit`); a
+sampler that finds no valid sample in _MAX_DRAWS draws raises InputError.
+Orthogonality is decided by the grid decider `ortho.verdict_from_norm`. The
+checks on the two-dimensional restricted ball hand it
+`RestrictedBall.dual_values` as the row oracle and floor the tolerance at
+1e-4 (the ball's boundary is sampled at 720 directions); all other checks
+run at the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones as _c
-from .decomp import dual_one_orth_decompose, embed_to_lp, opt_decompose
+from .decomp import dual_one_orth_decompose, embed_to_lp, opt_decompose, p_aggregate
 from .errors import InputError
 from .ortho import OrthoConfig, p_orthogonal_exact, p_orthogonal_numeric, verdict_from_norm
 from .spaces import (
@@ -34,6 +39,7 @@ from .spaces import (
     dual_norm,
     lp_space,
     norm,
+    order_unit,
     order_unit_space,
     spectral_space,
     sup_space,
@@ -42,6 +48,7 @@ from .support import crust_probe, positive_support
 
 INF = math.inf
 _SCAN_TOL = 1e-4  # floor tolerance for restricted-ball (scanned) checks
+_MAX_DRAWS = 1000  # sampler retries before a space counts as unsampleable
 
 
 @dataclass(frozen=True)
@@ -85,27 +92,6 @@ def sample_vector(space: SpaceSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=space.dim)
 
 
-def _coeff_basis(space: SpaceSpec):
-    """Columns generate the cone for lattice-like coordinate families."""
-    if space.cone.kind == _c.NONNEG:
-        return np.eye(space.dim)
-    if space.cone.kind == _c.RAYS:
-        G = space.cone.generators
-        if G.shape[0] == G.shape[1] and abs(np.linalg.det(G)) > 1e-12:
-            return G.T
-    return None
-
-
-def _order_unit_vector(space: SpaceSpec):
-    if space.norm.kind == ORDER_UNIT:
-        return space.norm.unit
-    if space.norm.kind == SUP:
-        return np.ones(space.dim)
-    if space.norm.kind == SPECTRAL:
-        return np.eye(space.cone.side).ravel()
-    return None
-
-
 def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
     """A positive pair of one of three textures: disjointly supported
     (orthogonal by construction), generic overlapping, or the canonical
@@ -124,7 +110,7 @@ def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
         else:
             u2 = np.eye(d) - (Q * (lam1 / lam1.max())) @ Q.T
         return ((Q * lam1) @ Q.T).ravel(), np.asarray(u2).ravel()
-    B = _coeff_basis(space)
+    B = space.cone.coefficient_basis[0]
     n = B.shape[1]
     if mode == 1:
         a = rng.exponential(size=n) * (rng.random(size=n) < 0.7)
@@ -146,13 +132,16 @@ def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
 
 
 def _orthogonal_positive_pair(space: SpaceSpec, rng: np.random.Generator):
-    while True:
+    for _ in range(_MAX_DRAWS):
         u1, u2 = _sample_positive_pair(space, rng)
         n1, n2 = norm(space, u1), norm(space, u2)
         if n1 == 0.0 or n2 == 0.0:
             continue
         if abs(norm(space, u1 / n1 + u2 / n2) - 1.0) <= 1e-9:
             return u1, u2
+    raise InputError(
+        f"no inf-orthogonal positive pair in {_MAX_DRAWS} draws on {space.describe()}"
+    )
 
 
 def _support_min_cross(space: SpaceSpec, u1, u2):
@@ -169,24 +158,17 @@ def _support_min_cross(space: SpaceSpec, u1, u2):
         q = Qt @ R[:, 0]
         f = np.outer(q, q).ravel()
         return f, float(f @ np.asarray(u1)), float(f @ np.asarray(u2))
-    B = _coeff_basis(space)
-    e = _order_unit_vector(space)
-    a = np.linalg.solve(B, np.asarray(u1, dtype=float))
-    b = np.linalg.solve(B, np.asarray(u2, dtype=float))
-    s = np.linalg.solve(B, e)  # coefficients of the unit; norm = max a_i / s_i
+    Binv = space.cone.coefficient_basis[1]
+    a = Binv @ np.asarray(u1, dtype=float)
+    b = Binv @ np.asarray(u2, dtype=float)
+    s = Binv @ order_unit(space)  # coefficients of the unit; norm = max a_i / s_i
     ratios = a / s
     top = np.flatnonzero(ratios >= ratios.max() - 1e-12 * (1.0 + abs(ratios.max())))
     j = top[np.argmin(b[top] / s[top])]
     beta = np.zeros(len(a))
     beta[j] = 1.0 / s[j]
-    f = np.linalg.solve(B.T, beta)
+    f = Binv.T @ beta
     return f, float(f @ u1), float(f @ u2)
-
-
-def _p_aggregate(x: float, y: float, p: float) -> float:
-    if math.isinf(p):
-        return max(x, y)
-    return float((x**p + y**p) ** (1.0 / p))
 
 
 def _dual_split(space: SpaceSpec, f: np.ndarray):
@@ -275,7 +257,7 @@ def _suite_def22_op1(space, rng, tol):
     a = sample_cone(space, rng)
     b = sample_cone(space, rng)
     v = sample_vector(space, rng)
-    rhs = _p_aggregate(norm(space, v - a), norm(space, v + b), space.p_class)
+    rhs = p_aggregate(norm(space, v - a), norm(space, v + b), space.p_class)
     gap = norm(space, v) - rhs
     if gap > tol * (1.0 + rhs):
         return _cx("interval_norm_bound", gap, a=a, b=b, v=v)
@@ -308,7 +290,7 @@ def _suite_duality(exact: bool):
         f = sample_vector(space, rng)
         f1, f2 = _dual_split(space, f)
         q = conjugate(space.p_class)
-        agg = _p_aggregate(dual_norm(space, f1), dual_norm(space, f2), q)
+        agg = p_aggregate(dual_norm(space, f1), dual_norm(space, f2), q)
         nf = dual_norm(space, f)
         gap = agg - nf if not exact else abs(agg - nf)
         if gap > tol * (1.0 + nf):
@@ -333,14 +315,14 @@ def _suite_prop25(space, rng, tol, samples):
         alpha = rng.normal(size=m)
         v = emb.synthesize(alpha)
         # interval norm bound within the span
-        rhs = _p_aggregate(norm(space, v - a), norm(space, v + b), p)
+        rhs = p_aggregate(norm(space, v - a), norm(space, v + b), p)
         if norm(space, v) - rhs > tol * (1.0 + rhs):
             cxs.append(_cx("span_interval_bound", norm(space, v) - rhs, alpha=alpha))
             continue
         # exact positive decomposition from the coefficient split
         u1 = emb.synthesize(np.clip(alpha, 0.0, None))
         u2 = emb.synthesize(np.clip(-alpha, 0.0, None))
-        agg = _p_aggregate(norm(space, u1), norm(space, u2), p)
+        agg = p_aggregate(norm(space, u1), norm(space, u2), p)
         if abs(agg - norm(space, v)) > tol * (1.0 + agg):
             cxs.append(_cx("span_decomposition", agg - norm(space, v), alpha=alpha))
             continue
@@ -463,7 +445,7 @@ def _suite_rem34(space, rng, tol):
 
 @_per_sample
 def _suite_cor38(space, rng, tol):
-    e = _order_unit_vector(space)
+    e = order_unit(space)
     u1, u2 = _sample_positive_pair(space, rng)
     n1, n2 = norm(space, u1), norm(space, u2)
     if n1 < 1e-9 or n2 < 1e-9:
@@ -476,7 +458,7 @@ def _suite_cor38(space, rng, tol):
 
 
 def _sample_faced_cone_element(space, rng, force_face: bool):
-    B = _coeff_basis(space)
+    B = space.cone.coefficient_basis[0]
     n = B.shape[1]
     a = rng.uniform(0.1, 1.2, size=n)
     if force_face:
@@ -487,7 +469,7 @@ def _sample_faced_cone_element(space, rng, force_face: bool):
 
 @_per_sample
 def _suite_cor310(space, rng, tol):
-    e = _order_unit_vector(space)
+    e = order_unit(space)
     u = _sample_faced_cone_element(space, rng, force_face=rng.random() < 0.5)
     nu = norm(space, u)
     partner = e - u / nu
@@ -511,13 +493,13 @@ def _suite_cor310(space, rng, tol):
 
 @_per_sample
 def _suite_rem311(space, rng, tol):
-    e = _order_unit_vector(space)
+    e = order_unit(space)
     u = _sample_faced_cone_element(space, rng, force_face=True)
     nu = norm(space, u)
     greatest = e - u / nu
     # candidate partner, biased toward the face where u vanishes
-    B = _coeff_basis(space)
-    a = np.linalg.solve(B, u)
+    B, Binv = space.cone.coefficient_basis
+    a = Binv @ u
     w = rng.exponential(size=len(a)) * np.where(a <= 1e-12, 1.0, 0.05)
     if w.max() == 0.0:
         return None
@@ -538,7 +520,7 @@ def _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol):
     g1 = np.array([f1 @ (u1 / n1), f1 @ (u2 / n2)])
     g2 = np.array([f2 @ (u1 / n1), f2 @ (u2 / n2)])
     cfg = OrthoConfig(tol=max(tol, _SCAN_TOL))
-    return verdict_from_norm(lambda c: ball.dual_value(c[0], c[1]), g1, g2, INF, cfg)
+    return verdict_from_norm(ball.dual_values, g1, g2, INF, cfg)
 
 
 @_per_sample
@@ -572,7 +554,7 @@ def _suite_rem42(space, rng, tol):
     ball = RestrictedBall(space, u1 / n1, u2 / n2)
     g1 = np.array([f1 @ (u1 / n1), f1 @ (u2 / n2)])
     g2 = np.array([f2 @ (u1 / n1), f2 @ (u2 / n2)])
-    gap = abs(ball.dual_value(*(g1 + g2)) - 1.0)
+    gap = abs(float(ball.dual_values((g1 + g2)[None])[0]) - 1.0)
     if gap > _SCAN_TOL:
         return _cx("restricted_sum_norm", gap, u1=u1, u2=u2)
     if not _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol).is_orthogonal:
@@ -668,19 +650,19 @@ def _is_lattice(space: SpaceSpec) -> bool:
     return (
         space.norm.kind == SPECTRAL
         or space.cone.kind == _c.NONNEG
-        or _coeff_basis(space) is not None
+        or space.cone.coefficient_basis is not None
     )
 
 
 def _is_order_unit_like(space: SpaceSpec) -> bool:
-    return math.isinf(space.p_class) and _order_unit_vector(space) is not None
+    return math.isinf(space.p_class) and order_unit(space) is not None
 
 
 def _is_polyhedral_order_unit(space: SpaceSpec) -> bool:
     return (
         math.isinf(space.p_class)
         and space.norm.kind in (SUP, ORDER_UNIT)
-        and _coeff_basis(space) is not None
+        and space.cone.coefficient_basis is not None
     )
 
 
@@ -771,6 +753,8 @@ def run_suite(
 ) -> SuiteReport:
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}")
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     if space is None:
         space = default_families()[DEFAULT_FAMILY[suite]]
     body, supports = SUITES[suite]

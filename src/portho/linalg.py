@@ -1,8 +1,9 @@
 """Dense kernels everything else is built on: a two-phase simplex LP solver
-with Bland's anti-cycling rule and a cyclic-Jacobi symmetric eigensolver.
+with Bland's anti-cycling rule, and the symmetric eigensolver (a validated
+wrapper over LAPACK's, via np.linalg.eigh).
 
-Both are deliberately self-contained; the problems here are tiny (dim <= ~50)
-and determinism matters more than speed.
+The simplex solver is deliberately self-contained; the problems here are tiny
+(dim <= ~50) and determinism matters more than speed.
 """
 
 from __future__ import annotations
@@ -222,49 +223,20 @@ class SpectralDecomposition:
 
 
 def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """Return the symmetric part of a square matrix, or of each matrix in a
+    stack along the leading axes; raise InputError when any one is asymmetric
+    beyond rel_tol * max(1, its largest entry)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InputError("matrix must be square")
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > rel_tol * scale:
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if np.any(np.abs(M - Mt).max(axis=(-2, -1)) > rel_tol * scale):
         raise InputError("matrix is not symmetric")
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + Mt)
 
 
-def eigen_sym(M: np.ndarray, tol: float = 1e-12) -> SpectralDecomposition:
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius mass drops
-    below tol * ||M||_F."""
-    A = check_symmetric(M).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    norm_f = np.linalg.norm(A)
-    if norm_f == 0.0:
-        return SpectralDecomposition(np.zeros(n), V)
-    threshold = tol * norm_f
-    for _ in range(100):  # sweeps; tiny matrices converge in a handful
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 0.1 * threshold / max(1, n):
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                cth = 1.0 / np.sqrt(t * t + 1.0)
-                sth = t * cth
-                G = np.array([[cth, sth], [-sth, cth]])
-                idx = [p, q]
-                A[idx, :] = G.T @ A[idx, :]
-                A[:, idx] = A[:, idx] @ G
-                V[idx, :] = G.T @ V[idx, :]
-    eigvals = np.diag(A).copy()
-    order = np.argsort(-eigvals)
-    return SpectralDecomposition(eigvals[order], V[order])
+def eigen_sym(M: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    lam, Q = np.linalg.eigh(check_symmetric(M))
+    return SpectralDecomposition(lam[::-1], Q.T[::-1])

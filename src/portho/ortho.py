@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .spaces import SpaceSpec, dual_norm, norm
+from .spaces import SpaceSpec, batch_dual_norms, batch_norms, norm
 
 INF = math.inf
 
@@ -48,26 +48,24 @@ class OrthoVerdict:
         return self.verdict == "orthogonal"
 
 
-def _residual(norm_fn, x, y, p: float, k: float, nx: float, ny: float) -> float:
-    # normalizer includes the |k| term so the tolerance is scale-stable
-    # across the whole scalar grid
-    if math.isinf(p):
-        lhs = norm_fn(x + k * y)
-        rhs = max(nx, abs(k) * ny)
-        return abs(lhs - rhs) / (1.0 + nx + abs(k) * ny)
-    lhs = norm_fn(x + k * y) ** p
-    rhs = nx**p + abs(k) ** p * ny**p
-    return abs(lhs - rhs) / (1.0 + rhs)
+# entries of the k-grid matrix x + k y handed to the row oracle at once: one
+# block holds the whole grid at small dimension and bounds memory at large
+_BLOCK_ENTRIES = 2**15
 
 
-def verdict_from_norm(norm_fn, x, y, p: float, cfg: OrthoConfig | None = None) -> OrthoVerdict:
-    """Grid semi-decision of x perp_p y against an arbitrary norm oracle."""
+def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) -> OrthoVerdict:
+    """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
+    returns the norms of the rows of W."""
     if p < 1:
         raise InputError("invalid exponent")
     cfg = cfg or OrthoConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nx, ny = norm_fn(x), norm_fn(y)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InputError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputError("x and y must have finite entries")
+    nx, ny = (float(v) for v in norms_fn(np.stack([x, y])))
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
         return OrthoVerdict("orthogonal", 0.0, 0.0, cfg.k_grid)
@@ -82,27 +80,40 @@ def verdict_from_norm(norm_fn, x, y, p: float, cfg: OrthoConfig | None = None) -
         for t in ts:
             ks.add(r * t)
             ks.add(-r * t)
-    worst, witness = 0.0, 0.0
-    # scan small scalars first so ties report the least-magnitude witness
-    for k in sorted(ks, key=lambda k: (abs(k), k)):
-        r = _residual(norm_fn, x, y, p, k, nx, ny)
-        if r > worst:
-            worst, witness = r, k
+    # small scalars first, so the first argmax is the least-magnitude witness
+    k = np.array(sorted(ks, key=lambda k: (abs(k), k)))
+    rows = max(1, _BLOCK_ENTRIES // x.size)
+    lhs = np.concatenate(
+        [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
+    )
+    # the normalizer includes the |k| term so the tolerance is scale-stable
+    # across the whole scalar grid
+    ak = np.abs(k)
+    if math.isinf(p):
+        res = np.abs(lhs - np.maximum(nx, ak * ny)) / (1.0 + nx + ak * ny)
+    else:
+        rhs = nx**p + ak**p * ny**p
+        res = np.abs(lhs**p - rhs) / (1.0 + rhs)
+    # a residual lost to overflow (inf - inf at large |k|) shows no violation;
+    # argmax would otherwise stop at the NaN
+    res[np.isnan(res)] = 0.0
+    i = int(np.argmax(res))
+    worst = float(res[i])
     verdict = "orthogonal" if worst <= cfg.tol else "not_orthogonal"
-    return OrthoVerdict(verdict, worst, witness, tuple(sorted(ks)))
+    return OrthoVerdict(verdict, worst, float(k[i]), tuple(sorted(ks)))
 
 
 def p_orthogonal_numeric(
     space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None
 ) -> OrthoVerdict:
-    return verdict_from_norm(lambda v: norm(space, v), x, y, p, cfg)
+    return verdict_from_norm(lambda W: batch_norms(space, W), x, y, p, cfg)
 
 
 def dual_p_orthogonal_numeric(
     space: SpaceSpec, f, g, p: float, cfg: OrthoConfig | None = None
 ) -> OrthoVerdict:
-    """Same decision taken in the dual: the norm oracle is dual_norm."""
-    return verdict_from_norm(lambda v: dual_norm(space, v), f, g, p, cfg)
+    """Same decision taken in the dual: the row oracle is batch_dual_norms."""
+    return verdict_from_norm(lambda F: batch_dual_norms(space, F), f, g, p, cfg)
 
 
 def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:

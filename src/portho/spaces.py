@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, SpecError
-from .linalg import DEFAULT_TOL, LpProblem, check_symmetric, eigen_sym, solve_lp
+from .linalg import LpProblem, eigen_sym, solve_lp
 
 INF = math.inf
 
@@ -155,19 +155,6 @@ def _weights(space: SpaceSpec) -> np.ndarray:
     return w if w is not None else np.ones(space.dim)
 
 
-def _simplicial_inverse(cone: _c.ConeSpec) -> np.ndarray | None:
-    """For a square, nonsingular generator matrix return Ginv with
-    coefficients a = Ginv @ x for x = G^T a. None otherwise."""
-    if cone.kind != _c.RAYS:
-        return None
-    G = cone.generators
-    if G.shape[0] != G.shape[1]:
-        return None
-    if abs(np.linalg.det(G)) < 1e-12:
-        return None
-    return np.linalg.inv(G.T)
-
-
 def _check_vec(space: SpaceSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (space.dim,):
@@ -175,48 +162,104 @@ def _check_vec(space: SpaceSpec, x) -> np.ndarray:
     return x
 
 
-def _eigvals(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    # eigenvalues only; decomposition paths that need eigenvectors use the
-    # Jacobi kernel in linalg, which is cross-validated against this routine
-    M = _c.as_matrix(space.cone, x)
-    if not np.array_equal(M, M.T):
-        M = check_symmetric(M)
-    return np.linalg.eigvalsh(M)[::-1]
+def _check_rows(space: SpaceSpec, W) -> np.ndarray:
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != space.dim:
+        raise InputError(f"rows have shape {W.shape}, expected (n, {space.dim})")
+    return W
+
+
+def order_unit(space: SpaceSpec) -> np.ndarray | None:
+    """The order unit e whose order-unit norm is the space's norm: the given
+    unit, ones for the sup norm over the orthant, the identity matrix for the
+    spectral norm. None for the other families."""
+    kind = space.norm.kind
+    if kind == ORDER_UNIT:
+        return space.norm.unit
+    if kind == SUP and space.cone.kind == _c.NONNEG:
+        return np.ones(space.dim)
+    if kind == SPECTRAL:
+        return np.eye(space.cone.side).ravel()
+    return None
 
 
 # ---------------------------------------------------------------------------
-# norm
+# norm and dual norm: each family's closed form lives in the row oracles
+# batch_norms / batch_dual_norms; norm and dual_norm evaluate a single row.
+# On a non-simplicial ray cone the order-unit and base norms (and the
+# order-unit dual norm) cost one LP per row.
 
 
 def norm(space: SpaceSpec, x) -> float:
-    x = _check_vec(space, x)
-    kind = space.norm.kind
-    if kind == LP:
-        p = space.norm.p
-        if math.isinf(p):
-            return float(np.abs(x).max())
-        return float(np.sum(_weights(space) * np.abs(x) ** p) ** (1.0 / p))
-    if kind == SUP:
-        return float(np.abs(x).max())
-    if kind == SPECTRAL:
-        return float(np.abs(_eigvals(space, x)).max())
-    if kind == ORDER_UNIT:
-        return _order_unit_norm(space, x)
-    return _base_norm(space, x)
+    return float(batch_norms(space, _check_vec(space, x)[None])[0])
 
 
-def _order_unit_norm(space: SpaceSpec, x: np.ndarray) -> float:
-    e = space.norm.unit
+def dual_norm(space: SpaceSpec, f) -> float:
+    return float(batch_dual_norms(space, _check_vec(space, f)[None])[0])
+
+
+def batch_norms(space: SpaceSpec, W) -> np.ndarray:
+    """Norms of the rows of W."""
+    W = _check_rows(space, W)
+    nk = space.norm
     cone = space.cone
+    if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
+        return np.abs(W).max(axis=1)
+    if nk.kind == LP:
+        return np.sum(_weights(space) * np.abs(W) ** nk.p, axis=1) ** (1.0 / nk.p)
+    if nk.kind == SPECTRAL:
+        return np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, W))).max(axis=1)
+    if nk.kind == ORDER_UNIT:
+        # max_i |a_i(x)| / a_i(e) over the cone coefficients a
+        if cone.kind == _c.NONNEG:
+            return np.max(np.abs(W) / nk.unit, axis=1)
+        if cone.coefficient_basis is not None:
+            Binv = cone.coefficient_basis[1]
+            return np.max(np.abs(W @ Binv.T) / (Binv @ nk.unit), axis=1)
+        return np.array([_order_unit_norm_lp(space, w) for w in W])
+    # base: sum_i phi(g_i) |a_i(x)| over the cone coefficients a
     if cone.kind == _c.NONNEG:
-        return float(np.max(np.abs(x) / e))
-    Ginv = _simplicial_inverse(cone)
-    if Ginv is not None:
-        a_e = Ginv @ e
-        a_x = Ginv @ x
-        return float(np.max(np.abs(a_x) / a_e))
-    # LP: min k s.t. ke - x = G^T s, ke + x = G^T t, s,t >= 0, k >= 0
-    G = cone.generators
+        return np.sum(nk.phi * np.abs(W), axis=1)
+    if cone.coefficient_basis is not None:
+        Binv = cone.coefficient_basis[1]
+        return np.sum((cone.generators @ nk.phi) * np.abs(W @ Binv.T), axis=1)
+    return np.array([_base_norm_lp(space, w) for w in W])
+
+
+def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
+    """Dual norms of the rows of F (functionals act by the dot product)."""
+    F = _check_rows(space, F)
+    nk = space.norm
+    cone = space.cone
+    if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
+        return np.sum(np.abs(F), axis=1)
+    if nk.kind == LP:
+        w = _weights(space)
+        if nk.p == 1.0:
+            return np.max(np.abs(F) / w, axis=1)
+        q = conjugate(nk.p)
+        return np.sum(w ** (1.0 - q) * np.abs(F) ** q, axis=1) ** (1.0 / q)
+    if nk.kind == SPECTRAL:
+        return np.sum(np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, F))), axis=1)
+    if nk.kind == BASE:
+        # max_i |f(g_i)| / phi(g_i)
+        if cone.kind == _c.NONNEG:
+            return np.max(np.abs(F) / nk.phi, axis=1)
+        G = cone.generators
+        return np.max(np.abs(F @ G.T) / (G @ nk.phi), axis=1)
+    # order unit: sum_i |f(g_i)| a_i(e)
+    if cone.kind == _c.NONNEG:
+        return np.sum(np.abs(F) * nk.unit, axis=1)
+    if cone.coefficient_basis is not None:
+        B, Binv = cone.coefficient_basis
+        return np.sum(np.abs(F @ B) * (Binv @ nk.unit), axis=1)
+    return np.array([_order_unit_dual_lp(space, f)[0] for f in F])
+
+
+def _order_unit_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
+    # min k s.t. ke - x = G^T s, ke + x = G^T t, s,t >= 0, k >= 0
+    e = space.norm.unit
+    G = space.cone.generators
     m, n = G.shape
     nv = 1 + 2 * m  # k, s, t
     obj = np.zeros(nv)
@@ -237,19 +280,11 @@ def _order_unit_norm(space: SpaceSpec, x: np.ndarray) -> float:
     return float(out.argument[0])
 
 
-def _base_norm(space: SpaceSpec, x: np.ndarray) -> float:
-    phi = space.norm.phi
-    cone = space.cone
-    if cone.kind == _c.NONNEG:
-        return float(np.sum(phi * np.abs(x)))
-    Ginv = _simplicial_inverse(cone)
-    if Ginv is not None:
-        a = Ginv @ x
-        return float(np.sum((cone.generators @ phi) * np.abs(a)))
-    # LP: min sum_i (s_i + t_i) phi(g_i) s.t. G^T (s - t) = x, s,t >= 0
-    G = cone.generators
-    m, n = G.shape
-    gphi = G @ phi
+def _base_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
+    # min sum_i (s_i + t_i) phi(g_i) s.t. G^T (s - t) = x, s,t >= 0
+    G = space.cone.generators
+    n = G.shape[1]
+    gphi = G @ space.norm.phi
     obj = -np.concatenate([gphi, gphi])
     eq = [(np.concatenate([G[:, j], -G[:, j]]), x[j]) for j in range(n)]
     out = solve_lp(LpProblem(objective=obj, eq=eq))
@@ -258,51 +293,11 @@ def _base_norm(space: SpaceSpec, x: np.ndarray) -> float:
     return float(-out.optimum)
 
 
-# ---------------------------------------------------------------------------
-# dual norm
-
-
-def dual_norm(space: SpaceSpec, f) -> float:
-    f = _check_vec(space, f)
-    kind = space.norm.kind
-    if kind == LP:
-        p = space.norm.p
-        w = _weights(space)
-        if math.isinf(p):
-            return float(np.sum(np.abs(f)))
-        if p == 1.0:
-            return float(np.max(np.abs(f) / w))
-        q = conjugate(p)
-        return float(np.sum(w ** (1.0 - q) * np.abs(f) ** q) ** (1.0 / q))
-    if kind == SUP:
-        return float(np.sum(np.abs(f)))
-    if kind == SPECTRAL:
-        return float(np.sum(np.abs(_eigvals(space, f))))
-    if kind == BASE:
-        G = _c.generator_matrix(space.cone)
-        return float(np.max(np.abs(G @ f) / (G @ space.norm.phi)))
-    return _order_unit_dual_norm(space, f)[0]
-
-
-def _order_unit_dual_norm(space: SpaceSpec, f: np.ndarray):
-    """Returns (value, argmax x on the unit ball)."""
+def _order_unit_dual_lp(space: SpaceSpec, f: np.ndarray):
+    """Returns (dual norm of f, an argmax x on the unit ball)."""
+    # max f.x s.t. e - x = G^T s, e + x = G^T t, s,t >= 0, x free
     e = space.norm.unit
-    cone = space.cone
-    if cone.kind == _c.NONNEG:
-        x = np.sign(f)
-        x[x == 0.0] = 1.0
-        x = x * e
-        return float(np.sum(np.abs(f) * e)), x
-    Ginv = _simplicial_inverse(cone)
-    if Ginv is not None:
-        a_e = Ginv @ e
-        gf = cone.generators @ f
-        s = np.sign(gf)
-        s[s == 0.0] = 1.0
-        x = cone.generators.T @ (s * a_e)
-        return float(np.sum(np.abs(gf) * a_e)), x
-    # LP: max f.x s.t. e - x = G^T s, e + x = G^T t, s,t >= 0, x free
-    G = cone.generators
+    G = space.cone.generators
     m, n = G.shape
     nv = n + 2 * m
     obj = np.zeros(nv)
@@ -360,49 +355,19 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
         j = int(np.argmax(ratios))
         g = G[j]
         return float(np.sign(g @ f)) * g / float(g @ space.norm.phi)
-    return _order_unit_dual_norm(space, f)[1]
-
-
-# ---------------------------------------------------------------------------
-# batched norms (performance path; must agree with norm())
-
-
-def batch_norms(space: SpaceSpec, W: np.ndarray) -> np.ndarray:
-    """Norms of the rows of W. Semantically identical to looping norm()."""
-    W = np.asarray(W, dtype=float)
-    kind = space.norm.kind
-    if kind == LP:
-        p = space.norm.p
-        if math.isinf(p):
-            return np.abs(W).max(axis=1)
-        return np.sum(_weights(space) * np.abs(W) ** p, axis=1) ** (1.0 / p)
-    if kind == SUP:
-        return np.abs(W).max(axis=1)
-    if kind == SPECTRAL:
-        d = space.cone.side
-        M = W.reshape(-1, d, d)
-        M = 0.5 * (M + np.transpose(M, (0, 2, 1)))
-        return np.abs(np.linalg.eigvalsh(M)).max(axis=1)
+    # order unit: a vertex of the order interval [-e, e]
+    e = space.norm.unit
     cone = space.cone
-    if kind == ORDER_UNIT:
-        e = space.norm.unit
-        if cone.kind == _c.NONNEG:
-            return np.max(np.abs(W) / e, axis=1)
-        Ginv = _simplicial_inverse(cone)
-        if Ginv is not None:
-            a_e = Ginv @ e
-            A = W @ Ginv.T
-            return np.max(np.abs(A) / a_e, axis=1)
-    if kind == BASE:
-        phi = space.norm.phi
-        if cone.kind == _c.NONNEG:
-            return np.sum(phi * np.abs(W), axis=1)
-        Ginv = _simplicial_inverse(cone)
-        if Ginv is not None:
-            gphi = cone.generators @ phi
-            A = W @ Ginv.T
-            return np.sum(gphi * np.abs(A), axis=1)
-    return np.array([norm(space, w) for w in W])
+    if cone.kind == _c.NONNEG:
+        s = np.sign(f)
+        s[s == 0.0] = 1.0
+        return s * e
+    if cone.coefficient_basis is not None:
+        B, Binv = cone.coefficient_basis
+        s = np.sign(f @ B)
+        s[s == 0.0] = 1.0
+        return B @ (s * (Binv @ e))
+    return _order_unit_dual_lp(space, f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +439,8 @@ class RestrictedBall:
         norms = batch_norms(space, W)
         self.boundary = np.stack([cs, sn], axis=1) / norms[:, None]
 
-    def dual_value(self, alpha1: float, alpha2: float) -> float:
-        """sup { |alpha1 l1 + alpha2 l2| : ||l1 u1 + l2 u2|| <= 1 } over the
+    def dual_values(self, C) -> np.ndarray:
+        """Row oracle: for each row (alpha1, alpha2) of C,
+        sup { |alpha1 l1 + alpha2 l2| : ||l1 u1 + l2 u2|| <= 1 } over the
         scanned boundary (no refinement; adequate for residual checks)."""
-        return float(np.abs(self.boundary @ np.array([alpha1, alpha2])).max())
+        return np.abs(np.asarray(C, dtype=float) @ self.boundary.T).max(axis=1)

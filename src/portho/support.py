@@ -21,6 +21,7 @@ from .spaces import (
     SpaceSpec,
     _weights,
     norm,
+    order_unit,
 )
 
 
@@ -36,16 +37,6 @@ class CrustResult:
     functional: np.ndarray  # positive, norm one, vanishes on u
     partner: np.ndarray  # e - u/||u||, the greatest inf-orthogonal partner
     partner_orthogonal: bool
-
-
-def _order_unit_data(space: SpaceSpec):
-    """(generators G, unit e) for order-unit-like polyhedral families; the
-    plain sup norm is the order-unit norm for e = ones over the orthant."""
-    if space.norm.kind == ORDER_UNIT:
-        return _c.generator_matrix(space.cone), space.norm.unit
-    if space.norm.kind == SUP and space.cone.kind == _c.NONNEG:
-        return np.eye(space.dim), np.ones(space.dim)
-    return None
 
 
 def support_functional(space: SpaceSpec, v) -> SupportResult:
@@ -93,7 +84,7 @@ def _support_lp(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
         out = solve_lp(LpProblem(objective=v, ineq=ineq, lower_bounds=(None,) * n))
         return out.argument
     # order unit: f = f1 - f2 with f_i in the dual cone, f1(e) + f2(e) <= 1
-    G, e = _order_unit_data(space)
+    G, e = _c.generator_matrix(space.cone), space.norm.unit
     m = G.shape[0]
     obj = np.concatenate([v, -v])
     ineq = [(np.concatenate([-G[i], np.zeros(n)]), 0.0) for i in range(m)]
@@ -127,10 +118,10 @@ def positive_support(space: SpaceSpec, u) -> SupportResult:
     elif kind == BASE:
         f = _positive_support_base(space, u, nu)
     else:
-        data = _order_unit_data(space)
-        if data is None:
+        e = order_unit(space)
+        if e is None:
             raise InputError(f"unsupported family for positive_support: {kind!r}")
-        G, e = data
+        G = _c.generator_matrix(space.cone)
         # maximize f(u) with f in the dual cone and f(e) = 1
         ineq = [(-G[i], 0.0) for i in range(G.shape[0])]
         out = solve_lp(
@@ -167,15 +158,15 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     to order-unit families where the existence criterion is two-sided."""
     from .ortho import infty_positive_test
 
-    data = _order_unit_data(space)
-    if data is None:
+    e = order_unit(space)
+    if e is None or space.cone.kind == _c.PSD:
         raise InputError("crust probe requires an order-unit family")
     u = np.asarray(u, dtype=float)
     if np.abs(u).max() == 0.0:
         raise InputError("crust undefined for u = 0")
     if not _c.cone_contains(space.cone, u, tol=1e-7 * np.abs(u).max()):
         raise InputError("argument must lie in the positive cone")
-    G, e = data
+    G = _c.generator_matrix(space.cone)
     nu = norm(space, u)
     # maximize f(e) subject to f in the dual cone, f(u) = 0, f(e) <= 1;
     # a crust exists iff the optimum reaches 1

@@ -4,6 +4,7 @@ These never call the code paths they are used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -73,3 +74,30 @@ def char_poly_eigs_3x3(M):
         coeffs = [1.0, -tr, c2, -np.linalg.det(M)]
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
+    """The numeric p-orthogonality decider as a per-k scalar loop: one
+    norm_fn call per scalar k of the grid (plus, for p = inf, the sweep
+    around |k| = ||x||/||y||), scanned in (|k|, k) order, the witness being
+    the first strict maximum of the residual. Returns (verdict,
+    worst_residual, witness_k)."""
+    nx, ny = norm_fn(x), norm_fn(y)
+    if nx == 0.0 or ny == 0.0:
+        return "orthogonal", 0.0, 0.0
+    ks = set(k_grid)
+    if math.isinf(p):
+        r = nx / ny
+        for t in np.concatenate([np.linspace(1.0 / 16.0, 2.0, 48), [1.0 - 2**-8, 1.0, 1.0 + 2**-8]]):
+            ks.update((r * t, -r * t))
+    worst, witness = 0.0, 0.0
+    for k in sorted(ks, key=lambda k: (abs(k), k)):
+        lhs = norm_fn(x + k * y)
+        if math.isinf(p):
+            res = abs(lhs - max(nx, abs(k) * ny)) / (1.0 + nx + abs(k) * ny)
+        else:
+            rhs = nx**p + abs(k) ** p * ny**p
+            res = abs(lhs**p - rhs) / (1.0 + rhs)
+        if res > worst:
+            worst, witness = res, k
+    return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness

@@ -224,6 +224,18 @@ class TestCommands:
         assert rep["suite"] == "ex46_nonuniqueness"
         assert rep["passes"] == rep["samples"]
 
+    @pytest.mark.parametrize("x", ["nan,1,0", "inf,1,0"])
+    def test_ortho_non_finite_exits_2(self, sup3, capsys, x):
+        assert main(["ortho", "--space", sup3, "--x", x, "--y", "1,0,0", "--p", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("suite", ["lem27_positive_pair", "all"])
+    def test_verify_sample_count_below_one_exits_2(self, suite, capsys):
+        assert main(["verify", suite, "--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples must be at least 1" in captured.err
+
     def test_bad_argv_exits_2(self, capsys):
         assert main(["verify"]) == 2
         assert main(["nope"]) == 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from portho import harness
 from portho.errors import InputError
 from portho.harness import (
     DEFAULT_FAMILY,
@@ -34,6 +35,19 @@ class TestSuiteCatalog:
     def test_unknown_suite_rejected(self):
         with pytest.raises(InputError):
             run_suite("not_a_suite")
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, samples):
+        with pytest.raises(InputError, match="samples"):
+            run_suite("lem27_positive_pair", samples=samples)
+
+    def test_sampler_retries_are_capped(self, monkeypatch):
+        def never_orthogonal(space, rng):  # the normalized sum has norm 2
+            return np.ones(8), np.ones(8)
+
+        monkeypatch.setattr(harness, "_sample_positive_pair", never_orthogonal)
+        with pytest.raises(InputError, match="no inf-orthogonal positive pair"):
+            run_suite("cor35_infty_pair", sup_space(8), samples=1)
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from oracles import grid_verdict_by_loop
 from portho.errors import InputError
+from portho.harness import build_example_46, default_families
 from portho.ortho import (
     OrthoConfig,
+    dual_p_orthogonal_numeric,
     infty_positive_test,
     orthonormal_set_verify,
     p_orthogonal_exact,
     p_orthogonal_numeric,
+    verdict_from_norm,
 )
-from portho.spaces import lp_space, norm, spectral_space, sup_space
+from portho.spaces import batch_norms, dual_norm, lp_space, norm, spectral_space, sup_space
 
 INF = math.inf
 
@@ -48,6 +52,71 @@ class TestNumericDecider:
     def test_grid_requires_both_signs(self):
         with pytest.raises(InputError):
             OrthoConfig(k_grid=(0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_input_rejected(self, bad):
+        sp = sup_space(2)
+        for decide in (p_orthogonal_numeric, dual_p_orthogonal_numeric):
+            with pytest.raises(InputError, match="finite"):
+                decide(sp, [bad, 1.0], [1.0, 0.0], INF)
+            with pytest.raises(InputError, match="finite"):
+                decide(sp, [1.0, 0.0], [0.0, bad], 2.0)
+
+
+_FAMILIES = default_families()
+
+
+class TestBatchedDeciderAgainstLoop:
+    """The batched grid decider against the per-k scalar loop reference."""
+
+    @staticmethod
+    def _check(got, want):
+        verdict, worst, witness = want
+        assert got.verdict == verdict
+        assert got.worst_residual == pytest.approx(worst, rel=0.0, abs=1e-14)
+        assert got.witness_k == pytest.approx(witness, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_generic_pairs(self, family):
+        sp = _FAMILIES[family]
+        rng = np.random.default_rng(31)
+        grid = OrthoConfig().k_grid
+        for p in (1.0, 1.5, 2.0, INF):
+            for _ in range(8):
+                x, y = rng.normal(size=(2, sp.dim))
+                if sp.norm.kind == "spectral":
+                    d = sp.cone.side
+                    x, y = ((v.reshape(d, d) + v.reshape(d, d).T).ravel() for v in (x, y))
+                got = p_orthogonal_numeric(sp, x, y, p)
+                self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, grid))
+                got = dual_p_orthogonal_numeric(sp, x, y, p)
+                self._check(got, grid_verdict_by_loop(lambda v: dual_norm(sp, v), x, y, p, grid))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_overflow_at_large_k_is_skipped(self, p):
+        sp = lp_space(2, p)
+        x, y = np.array([1e200, 0.0]), np.array([0.0, 1e200])
+        got = p_orthogonal_numeric(sp, x, y, p)
+        assert got.verdict == "orthogonal"
+        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, OrthoConfig().k_grid))
+
+    def test_high_dimension_takes_several_blocks(self):
+        sp, _, fplus, fminus, g1, _ = build_example_46(2049)
+        rows = []
+
+        def oracle(W):
+            rows.append(W.shape[0])
+            return batch_norms(sp, W)
+
+        for x, y in ((fplus, fminus), (fplus, g1)):
+            rows.clear()
+            got = verdict_from_norm(oracle, x, y, INF)
+            assert len(rows) > 2  # ||x||, ||y||, then the grid in several blocks
+            assert max(rows[1:]) * sp.dim <= 2**15
+            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, INF, OrthoConfig().k_grid)
+            self._check(got, want)
+        assert got.verdict == "not_orthogonal"
 
 
 class TestExactOracle:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lp_by_vertex_enumeration
 from portho.cones import cone_contains, nonneg_orthant, ray_cone
 from portho.errors import InputError, SpecError
 from portho.spaces import (
@@ -12,6 +13,7 @@ from portho.spaces import (
     SpaceSpec,
     NormKind,
     base_space,
+    batch_dual_norms,
     batch_norms,
     conjugate,
     dual_norm,
@@ -192,17 +194,91 @@ class TestNormAxioms:
                 norm(sp, u1) + norm(sp, u2), rel=1e-9
             )
 
-    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("name", sorted(FAMILIES) + ["base_simplicial"])
     def test_batch_norms_agree_with_scalar(self, name):
-        sp = FAMILIES[name]
+        """Rows of batch_norms / batch_dual_norms against scalar references
+        computed without the library's closed forms."""
+        sp = FAMILIES.get(name) or base_space(SIMPLICIAL, [1.0, 2.0, 0.5, 1.0])
         rng = np.random.default_rng(9)
-        W = rng.normal(size=(40, sp.dim))
+        # vertex enumeration is slow, so the LP-referenced families get fewer rows
+        polyhedral = sp.cone.kind == "rays"
+        W = rng.normal(size=(8 if polyhedral else 40, sp.dim))
         if sp.norm.kind == "spectral":
             d = sp.cone.side
             W = np.array([(w.reshape(d, d) + w.reshape(d, d).T).ravel() for w in W])
-        got = batch_norms(sp, W)
-        expect = np.array([norm(sp, w) for w in W])
-        assert got == pytest.approx(expect, rel=1e-8, abs=1e-10)
+        got, got_dual = batch_norms(sp, W), batch_dual_norms(sp, W)
+        for w, g, gd in zip(W, got, got_dual):
+            want, want_dual = _reference_norms(sp, w)
+            assert g == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert gd == pytest.approx(want_dual, rel=1e-9, abs=1e-12)
+
+    def test_asymmetric_spectral_row_rejected(self):
+        sp = spectral_space(2)
+        W = np.array([np.eye(2).ravel(), [1.0, 2.0, 2.0 + 1e-13, 1.0], [1.0, 2.0, 2.1, 1.0]])
+        # eigenvalues (1, 1) and (3, -1); entries asymmetric by 1e-13 pass
+        for oracle, want in ((batch_norms, [1.0, 3.0]), (batch_dual_norms, [2.0, 4.0])):
+            assert oracle(sp, W[:2]) == pytest.approx(want)
+            with pytest.raises(InputError, match="not symmetric"):
+                oracle(sp, W)
+        with pytest.raises(InputError, match="not symmetric"):
+            norm(sp, W[2])
+
+    def test_rows_of_wrong_width_rejected(self):
+        with pytest.raises(InputError):
+            batch_norms(lp_space(3, 2.0), np.ones((2, 4)))
+        with pytest.raises(InputError):
+            batch_dual_norms(lp_space(3, 2.0), np.ones(3))
+
+
+def _weighted_lp(x, w, p):
+    if math.isinf(p):
+        return max(abs(v) for v in x)
+    return math.fsum(wi * abs(v) ** p for v, wi in zip(x, w)) ** (1.0 / p)
+
+
+def _reference_norms(sp, x):
+    """(norm, dual norm) of one vector by textbook formulas, singular values,
+    or vertex enumeration of the defining LPs."""
+    nk, n = sp.norm, sp.dim
+    if nk.kind in ("lp", "sup") or (nk.kind == "base" and sp.cone.kind == "nonneg"):
+        # base norm over the orthant = l1 weighted by phi
+        p = {"lp": nk.p, "sup": INF, "base": 1.0}[nk.kind]
+        w = nk.phi if nk.kind == "base" else nk.weights
+        w = np.ones(n) if w is None else w
+        if p == 1.0:
+            dual = max(abs(v) / wi for v, wi in zip(x, w))
+        elif math.isinf(p):
+            dual = math.fsum(abs(v) for v in x)
+        else:
+            q = p / (p - 1.0)
+            dual = math.fsum(wi ** (1.0 - q) * abs(v) ** q for v, wi in zip(x, w)) ** (1.0 / q)
+        return _weighted_lp(x, w, p), dual
+    if nk.kind == "spectral":
+        d = sp.cone.side
+        M = x.reshape(d, d)
+        return np.linalg.norm(M, 2), np.linalg.norm(M, "nuc")
+    G = sp.cone.generators
+    m = G.shape[0]
+    if nk.kind == "order_unit":
+        e = nk.unit
+        # norm: min k with k e - x = G^T s, k e + x = G^T t; variables (k, s, t) >= 0
+        eq = [(np.concatenate([[e[j]], -G[:, j], np.zeros(m)]), x[j]) for j in range(n)]
+        eq += [(np.concatenate([[e[j]], np.zeros(m), -G[:, j]]), -x[j]) for j in range(n)]
+        primal = -lp_by_vertex_enumeration(-np.eye(1 + 2 * m)[0], eq=eq)[0]
+        # dual norm: max f.y over the order interval e - y = G^T s, e + y = G^T t
+        eq = [(np.concatenate([np.eye(n)[j], G[:, j], np.zeros(m)]), e[j]) for j in range(n)]
+        eq += [(np.concatenate([-np.eye(n)[j], np.zeros(m), G[:, j]]), e[j]) for j in range(n)]
+        obj = np.concatenate([x, np.zeros(2 * m)])
+        dual = lp_by_vertex_enumeration(obj, eq=eq, lower_bounds=[None] * n + [0.0] * 2 * m)[0]
+        return primal, dual
+    # base: x = G^T (s - t), minimize sum (s_i + t_i) phi(g_i); the dual norm
+    # maximizes f over that unit ball
+    gphi = G @ nk.phi
+    eq = [(np.concatenate([G[:, j], -G[:, j]]), x[j]) for j in range(n)]
+    primal = -lp_by_vertex_enumeration(-np.concatenate([gphi, gphi]), eq=eq)[0]
+    ball = [(np.concatenate([gphi, gphi]), 1.0)]
+    dual = lp_by_vertex_enumeration(np.concatenate([G @ x, -(G @ x)]), ineq=ball)[0]
+    return primal, dual
 
 
 class TestRestrictedNorm:
@@ -230,11 +306,9 @@ class TestRestrictedNorm:
         rng = np.random.default_rng(10)
         u1, u2 = rng.normal(size=4), rng.normal(size=4)
         ball = RestrictedBall(sp, u1, u2)
-        for _ in range(10):
-            a1, a2 = rng.normal(size=2)
-            assert ball.dual_value(a1, a2) == pytest.approx(
-                restricted_norm(sp, (u1, u2), (a1, a2)), rel=1e-5
-            )
+        C = rng.normal(size=(10, 2))
+        want = [restricted_norm(sp, (u1, u2), c) for c in C]
+        assert ball.dual_values(C) == pytest.approx(want, rel=1e-5)
 
 
 class TestValidation:
