@@ -35,6 +35,14 @@ def _num(value, field: str) -> float:
     raise InputError(f"{field}: expected a number or \"inf\"")
 
 
+def _int(value, field: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"{field}: expected an integer")
+
+
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
@@ -47,7 +55,7 @@ def _parse_cone(obj) -> ConeSpec:
     kind = obj["kind"]
     if kind == "nonneg":
         _reject_unknown(obj, {"kind", "dim"}, "cone")
-        return nonneg_orthant(int(obj["dim"])) if "dim" in obj else None
+        return nonneg_orthant(_int(obj["dim"], "cone.dim")) if "dim" in obj else None
     if kind == "rays":
         _reject_unknown(obj, {"kind", "generators"}, "cone")
         if "generators" not in obj:
@@ -57,7 +65,7 @@ def _parse_cone(obj) -> ConeSpec:
         _reject_unknown(obj, {"kind", "side"}, "cone")
         if "side" not in obj:
             raise InputError("cone: psd requires \"side\"")
-        return psd_cone(int(obj["side"]))
+        return psd_cone(_int(obj["side"], "cone.side"))
     raise InputError(f"cone: unknown kind {kind!r}")
 
 
@@ -101,7 +109,7 @@ def parse_space_spec(text: str) -> SpaceSpec:
     for field in ("dim", "cone", "norm", "p_class"):
         if field not in obj:
             raise InputError(f"space: missing field {field!r}")
-    dim = int(obj["dim"])
+    dim = _int(obj["dim"], "dim")
     cone = _parse_cone(obj["cone"])
     if cone is None:  # nonneg cone without explicit dim
         cone = nonneg_orthant(dim)
@@ -154,9 +162,11 @@ def _csv_vector(text: str) -> np.ndarray:
 
 
 def _round17(obj):
-    """Clamp every float to 17 significant digits (a round-trip-exact form)."""
+    """Clamp every float to 17 significant digits (a round-trip-exact form);
+    non-finite floats become the strings "inf", "-inf" and "nan", which
+    JSON cannot hold as numbers."""
     if isinstance(obj, float):
-        return float(f"{obj:.17g}")
+        return float(f"{obj:.17g}") if math.isfinite(obj) else f"{obj}"
     if isinstance(obj, dict):
         return {k: _round17(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -227,6 +237,9 @@ def _cmd_ortho(args) -> int:
 def _cmd_decompose(args) -> int:
     space = _load_space(args.space)
     d = opt_decompose(space, _csv_vector(args.v), args.p, epsilon=args.eps)
+    if d.status == "unsupported":
+        print(f"error: no decomposition at p = {args.p} on the given space", file=sys.stderr)
+        return 2
     _emit(
         _round17(
             {

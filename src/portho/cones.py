@@ -1,9 +1,17 @@
 """Positive cones: nonnegative orthant, finitely generated ray cones, and the
 PSD cone (symmetric matrices stored row-major with all d*d entries).
+
+A polyhedral cone carries two lazily built tables: its facet normals H (the
+cone is {x : H x >= 0}) and, for a row set V (the generators or the facet
+normals), the inverse of V_S^T for every invertible n-subset S of V's rows.
+Each table is built only while its subset count stays within
+MAX_TABLE_SUBSETS; above that the property is None.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,6 +23,9 @@ from .linalg import DEFAULT_TOL, LpProblem, check_symmetric, eigen_sym, solve_lp
 NONNEG = "nonneg"
 RAYS = "rays"
 PSD = "psd"
+
+MAX_TABLE_SUBSETS = 4096  # cap on the subsets enumerated for one table
+_RANK_TOL = 1e-10  # relative singular-value floor of a full-rank subset
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,80 @@ class ConeSpec:
             if G.shape[0] == G.shape[1] and abs(np.linalg.det(G)) > 1e-12:
                 return G.T, np.linalg.inv(G.T)
         return None
+
+    @cached_property
+    def facet_normals(self) -> np.ndarray | None:
+        """Rows h_i with the cone = {x : H x >= 0}: the rows of B^-1 when
+        coefficient_basis exists; otherwise the unit normals of the
+        hyperplanes spanned by n-1 independent generators with G h >= 0,
+        deduplicated. None for the psd cone or above the subset cap."""
+        if self.coefficient_basis is not None:
+            return self.coefficient_basis[1]
+        if self.kind != RAYS:
+            return None
+        G = self.generators
+        m, n = G.shape
+        if math.comb(m, n - 1) > MAX_TABLE_SUBSETS or not _full_rank(G):
+            return None
+        if n == 1:
+            return np.sign(G[:1])
+        subsets = G[np.array(list(itertools.combinations(range(m), n - 1)))]
+        _, s, vt = np.linalg.svd(subsets)
+        h = vt[s[:, -1] > _RANK_TOL * s[:, 0], -1]
+        P = h @ G.T
+        flip = P.sum(axis=1) < 0.0
+        h[flip], P[flip] = -h[flip], -P[flip]
+        h = h[np.all(P >= -_RANK_TOL * np.linalg.norm(G, axis=1), axis=1)]
+        normals = []
+        for row in h:
+            if not any(np.abs(row - kept).max() <= 1e-9 for kept in normals):
+                normals.append(row)
+        return np.array(normals)
+
+    @cached_property
+    def generator_bases(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """basis_inverses of the generator rows (None for the psd cone)."""
+        if self.coefficient_basis is not None:
+            return self._single_basis(self.coefficient_basis[1])
+        return basis_inverses(self.generators) if self.kind == RAYS else None
+
+    @cached_property
+    def facet_bases(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """basis_inverses of the facet normals (None when they are)."""
+        if self.coefficient_basis is not None:
+            return self._single_basis(self.coefficient_basis[0].T)
+        H = self.facet_normals
+        return None if H is None else basis_inverses(H)
+
+    def _single_basis(self, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the inverse itself, not a recomputed one, so that the kernels over
+        # one basis reproduce the coefficient_basis formulas bit for bit
+        return np.arange(self.ambient_dim)[None], inv[None]
+
+
+def _full_rank(V: np.ndarray) -> bool:
+    """Whether the rows of V span R^n (n = number of columns)."""
+    if V.shape[0] < V.shape[1]:
+        return False
+    s = np.linalg.svd(V, compute_uv=False)
+    return bool(s[-1] > _RANK_TOL * s[0])
+
+
+def basis_inverses(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(S, inv): row k of S lists an n-subset of the rows of V that is
+    linearly independent, and inv[k] = (V_S^T)^-1, so that for x = V^T c the
+    basic solution on S is c_S = inv[k] x. None when there are more than
+    MAX_TABLE_SUBSETS subsets or V has rank below n."""
+    m, n = V.shape
+    if math.comb(m, n) > MAX_TABLE_SUBSETS or not _full_rank(V):
+        return None
+    S = np.array(list(itertools.combinations(range(m), n)))
+    VS = V[S]
+    s = np.linalg.svd(VS, compute_uv=False)
+    keep = s[:, -1] > _RANK_TOL * s[:, 0]
+    if not keep.any():
+        return None
+    return S[keep], np.linalg.inv(VS[keep].transpose(0, 2, 1))
 
 
 def nonneg_orthant(n: int) -> ConeSpec:

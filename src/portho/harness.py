@@ -647,15 +647,13 @@ def _is_coordinate(space: SpaceSpec) -> bool:
 
 
 def _is_lattice(space: SpaceSpec) -> bool:
-    return (
-        space.norm.kind == SPECTRAL
-        or space.cone.kind == _c.NONNEG
-        or space.cone.coefficient_basis is not None
-    )
+    """Spectral, or every vector has unique cone coefficients: the
+    capability the positive-pair samplers build on."""
+    return space.norm.kind == SPECTRAL or space.cone.coefficient_basis is not None
 
 
 def _is_order_unit_like(space: SpaceSpec) -> bool:
-    return math.isinf(space.p_class) and order_unit(space) is not None
+    return math.isinf(space.p_class) and order_unit(space) is not None and _is_lattice(space)
 
 
 def _is_polyhedral_order_unit(space: SpaceSpec) -> bool:
@@ -687,14 +685,14 @@ SUITES = {
     "prop32_supp_nonempty": (_suite_prop32, lambda sp: True),
     "thm33_equivalence": (_suite_thm33, _is_order_unit_like),
     "rem34_extension": (_suite_rem34, _is_order_unit_like),
-    "cor35_infty_pair": (_suite_cor35, lambda sp: _is_order_unit_like(sp) and _is_lattice(sp)),
+    "cor35_infty_pair": (_suite_cor35, _is_order_unit_like),
     "thm36_c0": (_suite_thm36, lambda sp: _is_coordinate(sp) and math.isinf(sp.p_class)),
     "cor38_order_unit": (_suite_cor38, _is_order_unit_like),
     "cor310_crust": (_suite_cor310, _is_polyhedral_order_unit),
     "rem311_greatest": (_suite_rem311, _is_polyhedral_order_unit),
     "thm41_one_orth": (_suite_thm41, _one_smooth),
     "rem42_restriction": (_suite_rem42, _one_smooth),
-    "lem43_base_orth": (_suite_lem43, lambda sp: sp.p_class == 1.0),
+    "lem43_base_orth": (_suite_lem43, lambda sp: sp.p_class == 1.0 and _is_lattice(sp)),
     "thm44_duality": (_suite_thm44, lambda sp: math.isinf(sp.p_class) and _is_lattice(sp)),
     "ex46_nonuniqueness": (_suite_ex46, lambda sp: True),
 }

@@ -4,8 +4,13 @@ A SpaceSpec bundles a dimension, a positive cone, a norm and the smoothness
 exponent the space claims. Supported norms: weighted lp, sup, order-unit,
 base, and spectral (operator norm on symmetric matrices).
 
-Order-unit and base norms have closed forms when the cone is the orthant or a
-simplicial ray cone; the general polyhedral case goes through the LP solver.
+Order-unit and base norms, and their dual norms, have closed forms on every
+polyhedral cone, built from the cone's facet-normal and basis tables
+(`ConeSpec.facet_normals`, `generator_bases`, `facet_bases`): a max-ratio
+kernel for the order-unit norm and the base dual norm, a least-l1 kernel
+over bases for the base norm and the order-unit dual norm. A ray cone whose
+table would exceed `cones.MAX_TABLE_SUBSETS` subsets goes through the LP
+solver instead.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import InputError, SpecError
 from .linalg import LpProblem, eigen_sym, solve_lp
 
 INF = math.inf
+_BLOCK_ENTRIES = 2**15  # entries of one block of basic solutions in _least_l1
 
 LP = "lp"
 SUP = "sup"
@@ -186,8 +192,11 @@ def order_unit(space: SpaceSpec) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # norm and dual norm: each family's closed form lives in the row oracles
 # batch_norms / batch_dual_norms; norm and dual_norm evaluate a single row.
-# On a non-simplicial ray cone the order-unit and base norms (and the
-# order-unit dual norm) cost one LP per row.
+# The order-unit and base families share two kernels (the order-unit/base
+# duality): with facet normals H and generators G, the order-unit norm is
+# _max_ratio(H, H e), the base dual norm _max_ratio(G, G phi), the base norm
+# _least_l1 over the bases of G and the order-unit dual norm _least_l1 over
+# the bases of H. Only a cone above the table cap costs one LP per row.
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -210,19 +219,19 @@ def batch_norms(space: SpaceSpec, W) -> np.ndarray:
     if nk.kind == SPECTRAL:
         return np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, W))).max(axis=1)
     if nk.kind == ORDER_UNIT:
-        # max_i |a_i(x)| / a_i(e) over the cone coefficients a
+        # least k with k e +- x in the cone = {x : H x >= 0}
         if cone.kind == _c.NONNEG:
             return np.max(np.abs(W) / nk.unit, axis=1)
-        if cone.coefficient_basis is not None:
-            Binv = cone.coefficient_basis[1]
-            return np.max(np.abs(W @ Binv.T) / (Binv @ nk.unit), axis=1)
+        H = cone.facet_normals
+        if H is not None:
+            return _max_ratio(W, H, H @ nk.unit)
         return np.array([_order_unit_norm_lp(space, w) for w in W])
-    # base: sum_i phi(g_i) |a_i(x)| over the cone coefficients a
+    # base: least sum_i phi(g_i) |c_i| over the representations x = G^T c
     if cone.kind == _c.NONNEG:
         return np.sum(nk.phi * np.abs(W), axis=1)
-    if cone.coefficient_basis is not None:
-        Binv = cone.coefficient_basis[1]
-        return np.sum((cone.generators @ nk.phi) * np.abs(W @ Binv.T), axis=1)
+    bases = cone.generator_bases
+    if bases is not None:
+        return _least_l1(W, bases, cone.generators @ nk.phi)
     return np.array([_base_norm_lp(space, w) for w in W])
 
 
@@ -246,14 +255,37 @@ def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
         if cone.kind == _c.NONNEG:
             return np.max(np.abs(F) / nk.phi, axis=1)
         G = cone.generators
-        return np.max(np.abs(F @ G.T) / (G @ nk.phi), axis=1)
-    # order unit: sum_i |f(g_i)| a_i(e)
+        return _max_ratio(F, G, G @ nk.phi)
+    # order unit: least sum_i h_i(e) |c_i| over the representations f = H^T c
     if cone.kind == _c.NONNEG:
         return np.sum(np.abs(F) * nk.unit, axis=1)
-    if cone.coefficient_basis is not None:
-        B, Binv = cone.coefficient_basis
-        return np.sum(np.abs(F @ B) * (Binv @ nk.unit), axis=1)
+    bases = cone.facet_bases
+    if bases is not None:
+        return _least_l1(F, bases, cone.facet_normals @ nk.unit)
     return np.array([_order_unit_dual_lp(space, f)[0] for f in F])
+
+
+def _max_ratio(X: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max_i |v_i . x| / w_i for each row x of X."""
+    return np.max(np.abs(X @ V.T) / w, axis=1)
+
+
+def _least_l1(X: np.ndarray, bases, w: np.ndarray) -> np.ndarray:
+    """min sum_i w_i |c_i| over V^T c = x, for each row x of X: w > 0, so
+    the LP has an optimal basic solution c_S = (V_S^T)^-1 x, and the answer
+    is a running minimum over the bases (S, inv) of the table, taken in
+    blocks of at most _BLOCK_ENTRIES intermediate entries."""
+    S, inv = bases
+    rows, n = X.shape
+    ws = w[S]
+    step = max(1, _BLOCK_ENTRIES // max(1, rows * n))
+    best = np.full(rows, np.inf)
+    for b in range(0, len(S), step):
+        block = inv[b:b + step]
+        k = len(block)
+        C = (X @ block.reshape(k * n, n).T).reshape(rows, k, n)
+        np.minimum(best, np.sum(ws[b:b + step] * np.abs(C), axis=2).min(axis=1), out=best)
+    return best
 
 
 def _order_unit_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:

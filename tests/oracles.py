@@ -1,4 +1,5 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent brute-force oracles shared by the test modules, and the
+non-simplicial cones the polyhedral table tests share.
 
 These never call the code paths they are used to check.
 """
@@ -101,3 +102,29 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
         if res > worst:
             worst, witness = res, k
     return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness
+
+
+def lifted_generators(m, n, seed):
+    """m random generators on the affine hyperplane x_n = 1: a pointed cone,
+    generating and non-simplicial for m > n in general position."""
+    rng = np.random.default_rng(seed)
+    return np.hstack([rng.normal(size=(m, n - 1)), np.ones((m, 1))])
+
+
+PENTAGON = np.array(
+    [[1.0, 0.0, 1.0], [0.3, 1.0, 1.0], [-0.8, 0.6, 1.0], [-0.8, -0.6, 1.0], [0.3, -1.0, 1.0]]
+)
+_G6 = lifted_generators(6, 3, 15)
+_G6B = lifted_generators(6, 4, 16)
+# several (m, n); redundant generators (one on the segment between two
+# generators, one inside the cone); a duplicated ray; the pentagon
+NON_SIMPLICIAL_CONES = {
+    "m3n2": lifted_generators(3, 2, 10),
+    "m5n3": lifted_generators(5, 3, 11),
+    "m8n3": lifted_generators(8, 3, 12),
+    "m6n4": lifted_generators(6, 4, 13),
+    "m8n5": lifted_generators(8, 5, 14),
+    "redundant": np.vstack([_G6, _G6[[0, 3]].sum(axis=0), _G6.sum(axis=0)]),
+    "duplicated": np.vstack([_G6B, 3.0 * _G6B[2]]),
+    "pentagon": PENTAGON,
+}

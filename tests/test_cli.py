@@ -97,6 +97,23 @@ class TestParseSpaceSpec:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"dim": 2.7}, "dim"),
+            ({"dim": "3"}, "dim"),
+            ({"dim": True}, "dim"),
+            ({"cone": {"kind": "nonneg", "dim": 2.5}}, "cone.dim"),
+            ({"dim": 4, "cone": {"kind": "psd", "side": 1.5}, "norm": {"kind": "spectral"}}, "cone.side"),
+        ],
+    )
+    def test_non_integer_size_rejected(self, over, field):
+        with pytest.raises(InputError, match=f"^{field}: expected an integer"):
+            parse_space_spec(_spec(**over))
+
+    def test_integral_float_size_accepted(self):
+        assert parse_space_spec(_spec(dim=3.0)).dim == 3
+
     def test_cone_not_generating(self):
         with pytest.raises(SpecError, match="cone not generating"):
             parse_space_spec(
@@ -113,6 +130,25 @@ def sup3(tmp_path):
     path = tmp_path / "sup3.json"
     path.write_text(_spec(), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def pentagon(tmp_path):
+    """Spec files of a pentagonal (non-simplicial) ray cone in R^3, as an
+    order-unit space and as a base space."""
+    cone = {
+        "kind": "rays",
+        "generators": [
+            [1.0, 0.0, 1.0], [0.3, 1.0, 1.0], [-0.8, 0.6, 1.0], [-0.8, -0.6, 1.0], [0.3, -1.0, 1.0]
+        ],
+    }
+    paths = {}
+    for kind, norm, p in (("ou", {"kind": "order_unit", "unit": [0.0, 0.0, 1.0]}, "inf"),
+                          ("base", {"kind": "base", "phi": [0.0, 0.0, 1.0]}, 1.0)):
+        path = tmp_path / f"{kind}_ray5.json"
+        path.write_text(_spec(cone=cone, norm=norm, p_class=p), encoding="utf-8")
+        paths[kind] = str(path)
+    return paths
 
 
 @pytest.fixture
@@ -150,6 +186,31 @@ class TestCommands:
         assert u1 - u2 == pytest.approx([2.0, -3.0, 0.0])
         assert out["norm_aggregate"] == pytest.approx(3.0)
         assert out["status"] == "optimal"
+
+    def test_decompose_unsupported_exits_2(self, pentagon, capsys):
+        code = main(["decompose", "--space", pentagon["ou"], "--v", "0.1,0.2,-0.5", "--p", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "no decomposition" in captured.err
+
+    def test_non_integer_dim_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dim.json"
+        path.write_text(_spec(dim=2.7), encoding="utf-8")
+        assert main(["ortho", "--space", str(path), "--x", "1,0", "--y", "0,1", "--p", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dim: expected an integer" in captured.err
+
+    @pytest.mark.parametrize("kind", ["ou", "base"])
+    def test_verify_all_on_pentagon_skips_unsampleable_suites(self, pentagon, kind, capsys):
+        code = main(["verify", "all", "--space", pentagon[kind], "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and "Traceback" not in captured.err
+        ran = {r["suite"] for r in json.loads(captured.out)}
+        assert "def22_Op1" in ran
+        # these sample pairs from unique cone coefficients, which a
+        # non-simplicial cone lacks
+        for suite in ("thm33_equivalence", "rem34_extension", "cor38_order_unit", "lem43_base_orth"):
+            assert suite not in ran and suite in captured.err
 
     def test_crust_present_and_absent(self, sup3, capsys):
         assert main(["crust", "--space", sup3, "--u", "1,0.5,0"]) == 0

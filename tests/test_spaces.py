@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_by_vertex_enumeration
+from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lp_by_vertex_enumeration
+from portho import cones
 from portho.cones import cone_contains, nonneg_orthant, ray_cone
 from portho.errors import InputError, SpecError
+from portho.linalg import LpProblem, solve_lp
 from portho.spaces import (
     RestrictedBall,
     SpaceSpec,
+    _base_norm_lp,
+    _order_unit_dual_lp,
+    _order_unit_norm_lp,
     NormKind,
     base_space,
     batch_dual_norms,
@@ -60,7 +65,7 @@ class TestNorm:
         assert norm(sp, np.diag([1.0, -3.0]).ravel()) == pytest.approx(3.0)
 
     def test_order_unit_lp_path_matches_closed_form(self):
-        # the wide cone in R^2 with unit e = (2, 2) exercises the LP branch
+        # the wide cone in R^2 (a redundant middle generator) with unit e = (2, 2)
         sp = order_unit_space(WIDE, [2.0, 2.0])
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -68,27 +73,23 @@ class TestNorm:
             # independent evaluation: min k with ke +- x in cone(WIDE) = orthant
             expected = np.abs(x).max() / 2.0
             assert norm(sp, x) == pytest.approx(expected, abs=1e-8)
+            assert _order_unit_norm_lp(sp, x) == pytest.approx(expected, abs=1e-8)
 
     def test_simplicial_order_unit_against_lp(self):
         e = SIMPLICIAL.generators.sum(axis=0)
         sp = order_unit_space(SIMPLICIAL, e)
-        # force the generic LP path by making a non-square generator copy
-        doubled = ray_cone(np.vstack([SIMPLICIAL.generators, SIMPLICIAL.generators]))
-        sp_lp = order_unit_space(doubled, e)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.normal(size=4)
-            assert norm(sp, x) == pytest.approx(norm(sp_lp, x), abs=1e-8)
+            assert norm(sp, x) == pytest.approx(_order_unit_norm_lp(sp, x), abs=1e-8)
+            assert dual_norm(sp, x) == pytest.approx(_order_unit_dual_lp(sp, x)[0], abs=1e-8)
 
     def test_simplicial_base_against_lp(self):
-        phi = np.ones(4)
-        sp = base_space(SIMPLICIAL, phi)
-        doubled = ray_cone(np.vstack([SIMPLICIAL.generators, SIMPLICIAL.generators]))
-        sp_lp = base_space(doubled, phi)
+        sp = base_space(SIMPLICIAL, np.ones(4))
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = rng.normal(size=4)
-            assert norm(sp, x) == pytest.approx(norm(sp_lp, x), abs=1e-8)
+            assert norm(sp, x) == pytest.approx(_base_norm_lp(sp, x), abs=1e-8)
 
 
 class TestDualNorm:
@@ -279,6 +280,89 @@ def _reference_norms(sp, x):
     ball = [(np.concatenate([gphi, gphi]), 1.0)]
     dual = lp_by_vertex_enumeration(np.concatenate([G @ x, -(G @ x)]), ineq=ball)[0]
     return primal, dual
+
+
+def _base_dual_lp(sp, f):
+    """max f(x) over the base-norm unit ball, x = G^T (s - t),
+    sum_i phi(g_i) (s_i + t_i) <= 1, s, t >= 0."""
+    G = sp.cone.generators
+    gphi = G @ sp.norm.phi
+    objective = np.concatenate([G @ f, -(G @ f)])
+    return solve_lp(LpProblem(objective=objective, ineq=[(np.concatenate([gphi, gphi]), 1.0)])).optimum
+
+
+def _lp_references(sp, x):
+    """(norm, dual norm) of x from the simplex solver."""
+    if sp.norm.kind == "order_unit":
+        return _order_unit_norm_lp(sp, x), _order_unit_dual_lp(sp, x)[0]
+    return _base_norm_lp(sp, x), _base_dual_lp(sp, x)
+
+
+class TestPolyhedralClosedForms:
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL_CONES))
+    def test_four_norms_against_lp(self, name):
+        G = NON_SIMPLICIAL_CONES[name]
+        cone = ray_cone(G)
+        assert cone.coefficient_basis is None
+        assert cone.facet_normals is not None and cone.generator_bases is not None
+        rng = np.random.default_rng(17)
+        phi = np.eye(cone.ambient_dim)[-1]
+        phi[:-1] = 0.05 * rng.normal(size=cone.ambient_dim - 1)
+        spaces = (order_unit_space(cone, G.sum(axis=0)), base_space(cone, phi))
+        X = rng.normal(size=(12, cone.ambient_dim))
+        X[:4] = rng.exponential(size=(4, len(G))) @ G  # cone elements
+        for sp in spaces:
+            validate_space(sp)
+            rows, dual_rows = batch_norms(sp, X), batch_dual_norms(sp, X)
+            for x, r, dr in zip(X, rows, dual_rows):
+                want, want_dual = _lp_references(sp, x)
+                for got in (r, norm(sp, x)):
+                    assert got == pytest.approx(want, rel=1e-9)
+                for got in (dr, dual_norm(sp, x)):
+                    assert got == pytest.approx(want_dual, rel=1e-9)
+
+    def test_cone_above_the_cap_answers_through_lp(self, monkeypatch):
+        # the pentagon with the cap lowered below its 10 subsets keeps no table
+        e = phi = [0.0, 0.0, 1.0]
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(6, 3))
+        tabled = (order_unit_space(ray_cone(PENTAGON), e), base_space(ray_cone(PENTAGON), phi))
+        want = [(batch_norms(sp, X), batch_dual_norms(sp, X)) for sp in tabled]
+        monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+        capped = ray_cone(PENTAGON)
+        assert capped.facet_normals is None and capped.generator_bases is None
+        assert capped.facet_bases is None
+        calls = []
+
+        def counted_solve_lp(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr("portho.spaces.solve_lp", counted_solve_lp)
+        for sp, (w, wd) in zip((order_unit_space(capped, e), base_space(capped, phi)), want):
+            assert batch_norms(sp, X) == pytest.approx(w, rel=1e-9)
+            assert batch_dual_norms(sp, X) == pytest.approx(wd, rel=1e-9)
+            assert norm(sp, X[0]) == pytest.approx(w[0], rel=1e-9)
+        # order-unit norm and dual norm, base norm: one LP per row; the base
+        # dual norm is a max over the generators and needs none
+        assert len(calls) == 3 * len(X) + 2
+
+    def test_cone_above_the_real_cap_answers_through_lp(self):
+        # a regular 92-gon: C(92, 2) facet candidates exceed the cap; its
+        # facets are the planes through adjacent generators
+        k = 92
+        assert math.comb(k, 2) > cones.MAX_TABLE_SUBSETS
+        t = 2.0 * np.pi * np.arange(k) / k
+        G = np.stack([np.cos(t), np.sin(t), np.ones(k)], axis=1)
+        cone = ray_cone(G)
+        assert cone.facet_normals is None and cone.generator_bases is None
+        e = np.array([0.0, 0.0, 1.0])
+        sp = order_unit_space(cone, e)
+        H = np.cross(G, np.roll(G, -1, axis=0))
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(3, 3))
+        want = np.max(np.abs(X @ H.T) / (H @ e), axis=1)
+        assert batch_norms(sp, X) == pytest.approx(want, rel=1e-9)
 
 
 class TestRestrictedNorm:
