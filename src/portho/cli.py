@@ -27,10 +27,19 @@ from .support import crust_probe, positive_support, support_functional
 INF = math.inf
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _num(value, field: str) -> float:
     if value == "inf":
         return INF
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, float) or _is_finite_number(value):
         return float(value)
     raise InputError(f"{field}: expected a number or \"inf\"")
 
@@ -41,6 +50,20 @@ def _int(value, field: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{field}: expected an integer")
+
+
+def _array(value, field: str, ndim: int = 1) -> np.ndarray:
+    """A nonempty JSON array of finite numbers, or for ndim = 2 a nonempty
+    array of such arrays, all of one length."""
+    rows = value if ndim == 2 and isinstance(value, list) else [value]
+    if not (
+        all(isinstance(r, list) and r for r in rows)
+        and len({len(r) for r in rows}) == 1
+        and all(_is_finite_number(v) for r in rows for v in r)
+    ):
+        items = "equal-length arrays of finite numbers" if ndim == 2 else "finite numbers"
+        raise InputError(f"{field}: expected a nonempty array of {items}")
+    return np.array(value, dtype=float)
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -60,7 +83,7 @@ def _parse_cone(obj) -> ConeSpec:
         _reject_unknown(obj, {"kind", "generators"}, "cone")
         if "generators" not in obj:
             raise InputError("cone: rays require \"generators\"")
-        return ray_cone(np.asarray(obj["generators"], dtype=float))
+        return ray_cone(_array(obj["generators"], "cone.generators", ndim=2))
     if kind == "psd":
         _reject_unknown(obj, {"kind", "side"}, "cone")
         if "side" not in obj:
@@ -77,7 +100,7 @@ def _parse_norm(obj) -> NormKind:
         _reject_unknown(obj, {"kind", "p", "weights"}, "norm")
         if "p" not in obj:
             raise InputError("norm: lp requires \"p\"")
-        w = np.asarray(obj["weights"], dtype=float) if "weights" in obj else None
+        w = _array(obj["weights"], "norm.weights") if "weights" in obj else None
         return NormKind("lp", p=_num(obj["p"], "norm.p"), weights=w)
     if kind == "sup":
         _reject_unknown(obj, {"kind"}, "norm")
@@ -86,12 +109,12 @@ def _parse_norm(obj) -> NormKind:
         _reject_unknown(obj, {"kind", "unit"}, "norm")
         if "unit" not in obj:
             raise InputError("norm: order_unit requires \"unit\"")
-        return NormKind("order_unit", unit=np.asarray(obj["unit"], dtype=float))
+        return NormKind("order_unit", unit=_array(obj["unit"], "norm.unit"))
     if kind == "base":
         _reject_unknown(obj, {"kind", "phi"}, "norm")
         if "phi" not in obj:
             raise InputError("norm: base requires \"phi\"")
-        return NormKind("base", phi=np.asarray(obj["phi"], dtype=float))
+        return NormKind("base", phi=_array(obj["phi"], "norm.phi"))
     if kind == "spectral":
         _reject_unknown(obj, {"kind"}, "norm")
         return NormKind("spectral")

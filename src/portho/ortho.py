@@ -2,15 +2,19 @@
 
 The defining identity quantifies over every real scalar k, which a norm
 oracle cannot certify; the numeric decider is a semi-decision over a
-geometric grid of scalars. For coordinate lp families there is an exact
-structural oracle (disjoint supports; zero inner product for p = 2) that the
-grid decider is tested against.
+geometric grid of scalars. The grid is ordered by (|k|, k) once per config
+grid and cached; for p = inf the sweep around |k| = ||x||/||y|| is one fixed
+array of ratios scaled per decision and merged in with one lexsort. For
+coordinate lp families there is an exact structural oracle (disjoint
+supports; zero inner product for p = 2) that the grid decider is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,17 +27,34 @@ _DEFAULT_GRID = tuple(
     sorted({0.0} | {s * 2.0**j for j in range(-8, 9) for s in (1.0, -1.0)})
 )
 
+# ratios t of the p = inf sweep: the scalars +-t ||x||/||y|| around the
+# crossing of the two sides of the max-form identity
+_SWEEP = np.concatenate([np.linspace(1.0 / 16.0, 2.0, 48), [1.0 - 2**-8, 1.0, 1.0 + 2**-8]])
+
 
 @dataclass(frozen=True)
 class OrthoConfig:
+    """The decider's scalar grid (finite, with 0 and scalars of both signs)
+    and its residual tolerance (finite, nonnegative)."""
+
     k_grid: tuple = _DEFAULT_GRID
     tol: float = 1e-9
 
     def __post_init__(self):
-        ks = tuple(float(k) for k in self.k_grid)
+        try:
+            ks = tuple(map(float, self.k_grid))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"k grid must hold real scalars: {exc}") from exc
+        if not all(map(math.isfinite, ks)):
+            raise InputError("k grid must hold finite scalars")
         if 0.0 not in ks or not any(k > 0 for k in ks) or not any(k < 0 for k in ks):
             raise InputError("k grid must contain 0 and scalars of both signs")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise InputError(f"tol must be finite and nonnegative, got {self.tol}")
         object.__setattr__(self, "k_grid", ks)
+
+
+_DEFAULT_CONFIG = OrthoConfig()
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,7 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     returns the norms of the rows of W."""
     if p < 1:
         raise InputError("invalid exponent")
-    cfg = cfg or OrthoConfig()
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -69,19 +90,12 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
         return OrthoVerdict("orthogonal", 0.0, 0.0, cfg.k_grid)
-    ks = set(cfg.k_grid)
+    k = _ordered_grid(cfg.k_grid)
     if math.isinf(p):
         # the two sides of the max-form identity cross at |k| = ||x||/||y||;
         # violations concentrate there, so sweep that neighbourhood too
         r = nx / ny
-        ts = np.concatenate(
-            [np.linspace(1.0 / 16.0, 2.0, 48), [1.0 - 2**-8, 1.0, 1.0 + 2**-8]]
-        )
-        for t in ts:
-            ks.add(r * t)
-            ks.add(-r * t)
-    # small scalars first, so the first argmax is the least-magnitude witness
-    k = np.array(sorted(ks, key=lambda k: (abs(k), k)))
+        k = _order_unique(np.concatenate([k, r * _SWEEP, -r * _SWEEP]))
     rows = max(1, _BLOCK_ENTRIES // x.size)
     lhs = np.concatenate(
         [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
@@ -100,7 +114,28 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     i = int(np.argmax(res))
     worst = float(res[i])
     verdict = "orthogonal" if worst <= cfg.tol else "not_orthogonal"
-    return OrthoVerdict(verdict, worst, float(k[i]), tuple(sorted(ks)))
+    return OrthoVerdict(verdict, worst, float(k[i]), tuple(np.sort(k).tolist()))
+
+
+def _order_unique(k: np.ndarray) -> np.ndarray:
+    """The distinct scalars of k ordered by (|k|, k): small scalars first, so
+    the first argmax of the residual is the least-magnitude witness. The
+    sort is stable, so of 0.0 and -0.0 the one that comes first in k stays."""
+    k = k[np.lexsort((k, np.abs(k)))]
+    keep = np.empty(k.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(k[1:], k[:-1], out=keep[1:])
+    return k[keep]
+
+
+@lru_cache(maxsize=16)
+def _ordered_grid(k_grid: tuple) -> np.ndarray:
+    """_order_unique of a config's grid, computed once per grid: a fresh
+    OrthoConfig with the same k_grid hits the cache. Read-only, as it is
+    shared by every call."""
+    k = _order_unique(np.array(k_grid))
+    k.flags.writeable = False
+    return k
 
 
 def p_orthogonal_numeric(
@@ -210,7 +245,7 @@ def orthonormal_set_verify(
     spotcheck_samples: int = 25,
     seed: int = 0,
 ) -> OrthoSetReport:
-    cfg = cfg or OrthoConfig()
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vectors = [np.asarray(u, dtype=float) for u in U]
     if not vectors:
         raise InputError("set must be nonempty")

@@ -96,6 +96,9 @@ def validate_space(space: SpaceSpec) -> None:
         if n.weights is not None:
             if n.weights.shape != (space.dim,) or np.any(n.weights <= 0.0):
                 raise SpecError("weights must be strictly positive")
+    elif n.kind in (ORDER_UNIT, BASE) and space.cone.kind == _c.PSD:
+        # the order-unit norm of e = I is the spectral family's norm
+        raise SpecError(f"norm.kind: {n.kind} needs a polyhedral cone, not psd")
     elif n.kind == ORDER_UNIT:
         if n.unit is None or n.unit.shape != (space.dim,):
             raise SpecError("order unit missing or wrong length")
@@ -114,11 +117,6 @@ def validate_space(space: SpaceSpec) -> None:
 def _check_unit_interior(cone: _c.ConeSpec, e: np.ndarray) -> None:
     if cone.kind == _c.NONNEG:
         if not np.all(e > 0.0):
-            raise SpecError("order unit not interior")
-        return
-    if cone.kind == _c.PSD:
-        M = _c.as_matrix(cone, e)
-        if eigen_sym(M).eigenvalues[-1] <= 0.0:
             raise SpecError("order unit not interior")
         return
     G = cone.generators

@@ -82,10 +82,11 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
     norm_fn call per scalar k of the grid (plus, for p = inf, the sweep
     around |k| = ||x||/||y||), scanned in (|k|, k) order, the witness being
     the first strict maximum of the residual. Returns (verdict,
-    worst_residual, witness_k)."""
+    worst_residual, witness_k, k_grid), k_grid being the distinct scalars
+    scanned, in increasing order (the given grid when x or y is zero)."""
     nx, ny = norm_fn(x), norm_fn(y)
     if nx == 0.0 or ny == 0.0:
-        return "orthogonal", 0.0, 0.0
+        return "orthogonal", 0.0, 0.0, tuple(k_grid)
     ks = set(k_grid)
     if math.isinf(p):
         r = nx / ny
@@ -101,7 +102,7 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
             res = abs(lhs**p - rhs) / (1.0 + rhs)
         if res > worst:
             worst, witness = res, k
-    return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness
+    return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness, tuple(sorted(ks))
 
 
 def lifted_generators(m, n, seed):

@@ -200,6 +200,40 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "dim: expected an integer" in captured.err
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"dim": 2, "cone": {"kind": "rays", "generators": [[1, 0], [1, "a"]]}}, "cone.generators"),
+            ({"dim": 2, "cone": {"kind": "rays", "generators": [[1, 0], [math.nan, 1]]}}, "cone.generators"),
+            ({"dim": 2, "cone": {"kind": "rays", "generators": [[1, 0], [1]]}}, "cone.generators"),
+            ({"dim": 2, "cone": {"kind": "rays", "generators": [1, 0]}}, "cone.generators"),
+            ({"dim": 2, "cone": {"kind": "rays", "generators": []}}, "cone.generators"),
+            ({"dim": 2, "norm": {"kind": "order_unit", "unit": [1, "x"]}}, "norm.unit"),
+            ({"dim": 2, "norm": {"kind": "order_unit", "unit": [1, 10**400]}}, "norm.unit"),
+            ({"dim": 2, "norm": {"kind": "lp", "p": 2, "weights": [1, "w"]}, "p_class": 2}, "norm.weights"),
+            ({"dim": 2, "norm": {"kind": "base", "phi": [1, [2]]}, "p_class": 1}, "norm.phi"),
+            ({"dim": 2, "norm": {"kind": "base", "phi": [1, True]}, "p_class": 1}, "norm.phi"),
+            ({"dim": 2, "p_class": 10**400}, "p_class"),
+            (
+                {"dim": 4, "cone": {"kind": "psd", "side": 2},
+                 "norm": {"kind": "order_unit", "unit": [1, 0, 0, 1]}},
+                "norm.kind",
+            ),
+            (
+                {"dim": 4, "cone": {"kind": "psd", "side": 2},
+                 "norm": {"kind": "base", "phi": [1, 0, 0, 1]}, "p_class": 1},
+                "norm.kind",
+            ),
+        ],
+    )
+    def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, over, field):
+        path = tmp_path / "bad.json"
+        path.write_text(_spec(**over), encoding="utf-8")
+        x, y = ("1,0,0,0", "0,0,0,1") if over["dim"] == 4 else ("1,0", "0,1")
+        assert main(["ortho", "--space", str(path), "--x", x, "--y", y, "--p", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {field}: ")
+
     @pytest.mark.parametrize("kind", ["ou", "base"])
     def test_verify_all_on_pentagon_skips_unsampleable_suites(self, pentagon, kind, capsys):
         code = main(["verify", "all", "--space", pentagon[kind], "--samples", "3"])
@@ -296,6 +330,14 @@ class TestCommands:
         assert main(["verify", suite, "--samples", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "samples must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("suite", ["thm21_lp_characterization", "all", "example46"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+    def test_verify_bad_tol_exits_2(self, suite, tol, capsys):
+        argv = ["example46"] if suite == "example46" else ["verify", suite]
+        assert main(argv + [f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol must be finite and nonnegative" in captured.err
 
     def test_bad_argv_exits_2(self, capsys):
         assert main(["verify"]) == 2

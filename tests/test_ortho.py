@@ -8,6 +8,7 @@ from portho.errors import InputError
 from portho.harness import build_example_46, default_families
 from portho.ortho import (
     OrthoConfig,
+    _ordered_grid,
     dual_p_orthogonal_numeric,
     infty_positive_test,
     orthonormal_set_verify,
@@ -53,6 +54,18 @@ class TestNumericDecider:
         with pytest.raises(InputError):
             OrthoConfig(k_grid=(0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 1.0, -1.0, math.nan), (0.0, 1.0, -1.0, INF), (0.0, 1.0, -INF), (0.0, 1.0, -1.0, "a")]
+    )
+    def test_grid_rejects_non_finite_scalars(self, grid):
+        with pytest.raises(InputError, match="k grid"):
+            OrthoConfig(k_grid=grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, INF])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InputError, match="tol"):
+            OrthoConfig(tol=tol)
+
     @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
     def test_non_finite_input_rejected(self, bad):
         sp = sup_space(2)
@@ -71,10 +84,13 @@ class TestBatchedDeciderAgainstLoop:
 
     @staticmethod
     def _check(got, want):
-        verdict, worst, witness = want
+        verdict, worst, witness, k_grid = want
         assert got.verdict == verdict
         assert got.worst_residual == pytest.approx(worst, rel=0.0, abs=1e-14)
         assert got.witness_k == pytest.approx(witness, rel=1e-14, abs=0.0)
+        # the p = inf sweep scales with ||x||/||y||, which the row oracle and
+        # the scalar norm can round apart by an ulp
+        assert got.k_grid == pytest.approx(k_grid, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_generic_pairs(self, family):
@@ -100,6 +116,51 @@ class TestBatchedDeciderAgainstLoop:
         got = p_orthogonal_numeric(sp, x, y, p)
         assert got.verdict == "orthogonal"
         self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, OrthoConfig().k_grid))
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_equal_norms_sweep_meets_grid(self, family):
+        # with ||x|| = ||y|| the p = inf sweep lands on the grid points
+        # +-1/16, +-1 and +-2, which appear once in the returned grid
+        sp = _FAMILIES[family]
+        i, j = (0, sp.dim - 1) if sp.norm.kind == "spectral" else (0, 1)
+        x, y = 3.0 * np.eye(sp.dim)[i], 3.0 * np.eye(sp.dim)[j]
+        grid = OrthoConfig().k_grid
+        for decide, fn in ((p_orthogonal_numeric, norm), (dual_p_orthogonal_numeric, dual_norm)):
+            want = grid_verdict_by_loop(lambda v: fn(sp, v), x, y, INF, grid)
+            got = decide(sp, x, y, INF)
+            self._check(got, want)
+            if fn(sp, x) == fn(sp, y):
+                assert len(got.k_grid) == len(grid) + 2 * 51 - 6
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, INF])
+    def test_custom_grid_unsorted_with_repeats_and_signed_zeros(self, p):
+        sp = lp_space(3, p)
+        x, y = np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 1.0])
+        for grid in ((3.0, -0.0, 1.0, -2.0, 1.0, 0.0, 3.0, -0.5), (0.0, 2.0, -0.0, -2.0, 2.0, 0.25)):
+            got = p_orthogonal_numeric(sp, x, y, p, OrthoConfig(k_grid=grid))
+            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, tuple(map(float, grid)))
+            self._check(got, want)
+            if p != INF:
+                assert [k.hex() for k in got.k_grid] == [k.hex() for k in want[3]]
+            # of 0.0 and -0.0 the one listed first stays
+            zero = next(k for k in got.k_grid if k == 0.0)
+            assert math.copysign(1.0, zero) == math.copysign(1.0, next(k for k in grid if k == 0.0))
+
+    def test_grid_cached_across_configs(self):
+        sp = lp_space(2, 2.0)
+        x, y = np.array([1.0, 0.0]), np.array([1e-5, 1.0])
+        grid = (0.0, 0.5, -0.5, 4.0, -4.0, 0.5)
+        strict, loose = OrthoConfig(k_grid=grid), OrthoConfig(k_grid=grid, tol=1e-3)
+        self._check(
+            p_orthogonal_numeric(sp, x, y, 2.0, strict),
+            grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, strict.k_grid, strict.tol),
+        )
+        hits = _ordered_grid.cache_info().hits
+        got = p_orthogonal_numeric(sp, x, y, 2.0, loose)
+        assert _ordered_grid.cache_info().hits == hits + 1
+        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, loose.k_grid, loose.tol))
+        assert got.verdict == "orthogonal"
+        assert not _ordered_grid(loose.k_grid).flags.writeable
 
     def test_high_dimension_takes_several_blocks(self):
         sp, _, fplus, fminus, g1, _ = build_example_46(2049)
