@@ -3,11 +3,11 @@
 
 For every default family and every exponent p in {1, 1.5, 2, inf}, one fixed
 seeded pair is decided by `p_orthogonal_numeric` (primal) and by
-`dual_p_orthogonal_numeric` (dual). Each (family, p, side) is warmed up;
-then every repeat times one decision of each in turn with
-`time.perf_counter`, so a change in host load during the run reaches all of
-them alike. The figure is the median over the repeats, in microseconds per
-decision. BLAS is pinned to one thread unless the environment already sets
+`dual_p_orthogonal_numeric` (dual). Each (family, p, side) is warmed up
+with WARMUP decisions; then each of REPEATS rounds times one decision of
+each in turn with `time.perf_counter`, so a change in host load during the
+run reaches all of them alike. The figure is the median over the rounds, in
+microseconds per decision. BLAS is pinned to one thread unless the environment already sets
 it.
 
 The figures land under `runs[LABEL]` of the output JSON, next to any runs
@@ -43,6 +43,9 @@ from portho.harness import default_families  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
+WARMUP = 20
+REPEATS = 301
+SEED = 0  # the pair of the i-th family (sorted by name) is drawn from SEED + i
 
 
 def _pair(space, seed: int):
@@ -64,20 +67,20 @@ def _source_commit(package_dir: pathlib.Path) -> str:
     return out.stdout.strip()
 
 
-def measure(warmup: int, repeats: int, seed: int) -> dict:
+def measure() -> dict:
     package_dir = pathlib.Path(portho.__file__).resolve().parent
     cases = []
     for i, (name, space) in enumerate(sorted(default_families().items())):
-        x, y = _pair(space, seed + i)
+        x, y = _pair(space, SEED + i)
         for side, decide in SIDES:
             for p in EXPONENTS:
                 key = (name, side, "inf" if math.isinf(p) else f"{p:g}")
                 cases.append((key, functools.partial(decide, space, x, y, p)))
     for _, decide in cases:
-        for _ in range(warmup):
+        for _ in range(WARMUP):
             decide()
     times = {key: [] for key, _ in cases}
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for key, decide in cases:
             t0 = time.perf_counter()
             decide()
@@ -91,9 +94,9 @@ def measure(warmup: int, repeats: int, seed: int) -> dict:
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "src_lines": sum(len(f.read_text().splitlines()) for f in package_dir.glob("*.py")),
-        "warmup": warmup,
-        "repeats": repeats,
-        "seed": seed,
+        "warmup": WARMUP,
+        "repeats": REPEATS,
+        "seed": SEED,
         "us_per_decision": decisions,
     }
 
@@ -102,17 +105,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
     ap.add_argument("--out", default="BENCH_4.json")
-    ap.add_argument("--warmup", type=int, default=20)
-    ap.add_argument("--repeats", type=int, default=301)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if args.warmup < 0 or args.repeats < 1:
-        ap.error("--warmup must be at least 0 and --repeats at least 1")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("bench", "single grid decisions per default family, p and side")
     doc.setdefault("unit", "us per decision (median over repeats)")
-    doc.setdefault("runs", {})[args.label] = measure(args.warmup, args.repeats, args.seed)
+    doc.setdefault("runs", {})[args.label] = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, sides in doc["runs"][args.label]["us_per_decision"].items():
         for side, by_p in sides.items():

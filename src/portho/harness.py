@@ -753,8 +753,7 @@ def run_suite(
         raise InputError(f"unknown suite {suite!r}")
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"tol must be finite and nonnegative, got {tol}")
+    OrthoConfig(tol=tol)  # raises InputError unless tol is finite and nonnegative
     if space is None:
         space = default_families()[DEFAULT_FAMILY[suite]]
     body, supports = SUITES[suite]

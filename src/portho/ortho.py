@@ -2,19 +2,18 @@
 
 The defining identity quantifies over every real scalar k, which a norm
 oracle cannot certify; the numeric decider is a semi-decision over a
-geometric grid of scalars. The grid is ordered by (|k|, k) once per config
-grid and cached; for p = inf the sweep around |k| = ||x||/||y|| is one fixed
-array of ratios scaled per decision and merged in with one lexsort. For
-coordinate lp families there is an exact structural oracle (disjoint
-supports; zero inner product for p = 2) that the grid decider is tested
-against.
+geometric grid of scalars. The grid is ordered by (|k|, k) and
+deduplicated with one lexsort per decision; for p = inf the sweep around
+|k| = ||x||/||y|| is one fixed array of ratios, scaled per decision and
+merged into the same lexsort. For coordinate lp families there is an exact
+structural oracle (disjoint supports; zero inner product for p = 2) that the
+grid decider is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,12 +89,13 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
         return OrthoVerdict("orthogonal", 0.0, 0.0, cfg.k_grid)
-    k = _ordered_grid(cfg.k_grid)
     if math.isinf(p):
         # the two sides of the max-form identity cross at |k| = ||x||/||y||;
         # violations concentrate there, so sweep that neighbourhood too
         r = nx / ny
-        k = _order_unique(np.concatenate([k, r * _SWEEP, -r * _SWEEP]))
+        k = _order_unique(np.concatenate([cfg.k_grid, r * _SWEEP, -r * _SWEEP]))
+    else:
+        k = _order_unique(np.array(cfg.k_grid))
     rows = max(1, _BLOCK_ENTRIES // x.size)
     lhs = np.concatenate(
         [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
@@ -126,16 +126,6 @@ def _order_unique(k: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(k[1:], k[:-1], out=keep[1:])
     return k[keep]
-
-
-@lru_cache(maxsize=16)
-def _ordered_grid(k_grid: tuple) -> np.ndarray:
-    """_order_unique of a config's grid, computed once per grid: a fresh
-    OrthoConfig with the same k_grid hits the cache. Read-only, as it is
-    shared by every call."""
-    k = _order_unique(np.array(k_grid))
-    k.flags.writeable = False
-    return k
 
 
 def p_orthogonal_numeric(

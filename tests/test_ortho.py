@@ -8,7 +8,6 @@ from portho.errors import InputError
 from portho.harness import build_example_46, default_families
 from portho.ortho import (
     OrthoConfig,
-    _ordered_grid,
     dual_p_orthogonal_numeric,
     infty_positive_test,
     orthonormal_set_verify,
@@ -146,21 +145,30 @@ class TestBatchedDeciderAgainstLoop:
             zero = next(k for k in got.k_grid if k == 0.0)
             assert math.copysign(1.0, zero) == math.copysign(1.0, next(k for k in grid if k == 0.0))
 
-    def test_grid_cached_across_configs(self):
+    def test_same_grid_for_a_config_with_another_tol(self):
         sp = lp_space(2, 2.0)
         x, y = np.array([1.0, 0.0]), np.array([1e-5, 1.0])
         grid = (0.0, 0.5, -0.5, 4.0, -4.0, 0.5)
         strict, loose = OrthoConfig(k_grid=grid), OrthoConfig(k_grid=grid, tol=1e-3)
-        self._check(
-            p_orthogonal_numeric(sp, x, y, 2.0, strict),
-            grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, strict.k_grid, strict.tol),
-        )
-        hits = _ordered_grid.cache_info().hits
+        first = p_orthogonal_numeric(sp, x, y, 2.0, strict)
+        self._check(first, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, strict.k_grid, strict.tol))
         got = p_orthogonal_numeric(sp, x, y, 2.0, loose)
-        assert _ordered_grid.cache_info().hits == hits + 1
         self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, loose.k_grid, loose.tol))
-        assert got.verdict == "orthogonal"
-        assert not _ordered_grid(loose.k_grid).flags.writeable
+        assert (first.verdict, got.verdict) == ("not_orthogonal", "orthogonal")
+        assert [k.hex() for k in got.k_grid] == [k.hex() for k in first.k_grid]
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_zero_sign_follows_each_grid(self, p):
+        # every residual is exactly 0 here, so the witness is the grid's zero;
+        # grids that differ only in its sign, decided one after the other,
+        # each keep their own
+        sp = lp_space(2, p)
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        for grid in ((0.0, 1.0, -1.0), (-0.0, 1.0, -1.0), (0.0, 1.0, -1.0), (-0.0, 0.0, 1.0, -1.0)):
+            got = p_orthogonal_numeric(sp, x, y, p, OrthoConfig(k_grid=grid))
+            assert got.worst_residual == 0.0
+            assert got.witness_k.hex() == grid[0].hex()
+            assert [k.hex() for k in got.k_grid if k == 0.0] == [grid[0].hex()]
 
     def test_high_dimension_takes_several_blocks(self):
         sp, _, fplus, fminus, g1, _ = build_example_46(2049)
