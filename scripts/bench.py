@@ -7,8 +7,8 @@ seeded pair is decided by `p_orthogonal_numeric` (primal) and by
 with WARMUP decisions; then each of REPEATS rounds times one decision of
 each in turn with `time.perf_counter`, so a change in host load during the
 run reaches all of them alike. The figure is the median over the rounds, in
-microseconds per decision. BLAS is pinned to one thread unless the environment already sets
-it.
+microseconds per decision. BLAS is pinned to one thread unless the
+environment already sets it.
 
 The figures land under `runs[LABEL]` of the output JSON, next to any runs
 already there, with the commit of the measured source, the Python and numpy
