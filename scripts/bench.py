@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Time single grid decisions of the p-orthogonality decider.
+"""Time single calls of two layers: the grid decider and the LP-backed
+constructions.
 
-For every default family and every exponent p in {1, 1.5, 2, inf}, one fixed
-seeded pair is decided by `p_orthogonal_numeric` (primal) and by
-`dual_p_orthogonal_numeric` (dual). Each (family, p, side) is warmed up
-with WARMUP decisions; then each of REPEATS rounds times one decision of
-each in turn with `time.perf_counter`, so a change in host load during the
-run reaches all of them alike. The figure is the median over the rounds, in
-microseconds per decision. BLAS is pinned to one thread unless the
-environment already sets it.
+Decider slice: for every default family and every exponent p in
+{1, 1.5, 2, inf}, one fixed seeded pair is decided by
+`p_orthogonal_numeric` (primal) and by `dual_p_orthogonal_numeric` (dual).
+
+LP slice: public calls that solve linear programs, each on a fixed seeded
+input: `cone_contains` on a non-simplicial ray cone (a pentagon in R^3, one
+point inside and one outside), and on the default families where the call
+solves an LP, `support_functional`, `positive_support`, `crust_probe` (a
+cone element on the boundary and one inside), `opt_decompose` at p = 1 and
+p = inf, and `dual_one_orth_decompose`.
+
+Every case is warmed up with WARMUP calls; then each of REPEATS rounds times
+one call of each case in turn with `time.perf_counter`, so a change in host
+load during the run reaches all of them alike. The figure is the median over
+the rounds, in microseconds per call. BLAS is pinned to one thread unless
+the environment already sets it.
 
 The figures land under `runs[LABEL]` of the output JSON, next to any runs
 already there, with the commit of the measured source, the Python and numpy
@@ -17,7 +26,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_4.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_5.json
 """
 
 import argparse
@@ -38,14 +47,35 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import portho  # noqa: E402
-from portho import dual_p_orthogonal_numeric, p_orthogonal_numeric  # noqa: E402
-from portho.harness import default_families  # noqa: E402
+from portho import (  # noqa: E402
+    cone_contains,
+    crust_probe,
+    dual_one_orth_decompose,
+    dual_p_orthogonal_numeric,
+    opt_decompose,
+    p_orthogonal_numeric,
+    positive_support,
+    ray_cone,
+    support_functional,
+)
+from portho.harness import default_families, sample_cone  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
 WARMUP = 20
 REPEATS = 301
-SEED = 0  # the pair of the i-th family (sorted by name) is drawn from SEED + i
+SEED = 0  # the pair of the i-th family (sorted by name) is drawn from SEED + i;
+# the LP slice's inputs come from one generator seeded with SEED
+
+# the non-simplicial ray cone of the cone_contains case: five rays in R^3
+PENTAGON = np.array(
+    [[1.0, 0.0, 1.0], [0.3, 1.0, 1.0], [-0.8, 0.6, 1.0], [-0.8, -0.6, 1.0], [0.3, -1.0, 1.0]]
+)
+# default families on which each call solves an LP (the others take closed
+# forms, eigendecompositions or report "unsupported")
+SUPPORT_FAMILIES = ("base_8", "polyray_4", "sup_8")
+ORDER_UNIT_FAMILIES = ("polyray_4", "sup_8")  # positive_support, crust_probe, dual split
+DECOMPOSE = ((1.0, ("base_8", "lp1_8", "polyray_4")), (math.inf, ("polyray_4", "sup_8")))
 
 
 def _pair(space, seed: int):
@@ -67,28 +97,67 @@ def _source_commit(package_dir: pathlib.Path) -> str:
     return out.stdout.strip()
 
 
-def measure() -> dict:
-    package_dir = pathlib.Path(portho.__file__).resolve().parent
-    cases = []
+def _p_key(p: float) -> str:
+    return "inf" if math.isinf(p) else f"{p:g}"
+
+
+def _decision_cases():
     for i, (name, space) in enumerate(sorted(default_families().items())):
         x, y = _pair(space, SEED + i)
         for side, decide in SIDES:
             for p in EXPONENTS:
-                key = (name, side, "inf" if math.isinf(p) else f"{p:g}")
-                cases.append((key, functools.partial(decide, space, x, y, p)))
-    for _, decide in cases:
+                key = ("us_per_decision", name, side, _p_key(p))
+                yield key, functools.partial(decide, space, x, y, p)
+
+
+def _lp_cases():
+    rng = np.random.default_rng(SEED)
+    families = default_families()
+    pentagon = ray_cone(PENTAGON)
+    inside = PENTAGON.T @ rng.exponential(size=len(PENTAGON))
+    outside = np.array([0.0, 0.0, -1.0]) + 0.1 * rng.normal(size=3)
+    yield ("us_per_lp_call", "cone_contains", "pentagon", "inside"), functools.partial(
+        cone_contains, pentagon, inside)
+    yield ("us_per_lp_call", "cone_contains", "pentagon", "outside"), functools.partial(
+        cone_contains, pentagon, outside)
+    for name in SUPPORT_FAMILIES:
+        space = families[name]
+        yield ("us_per_lp_call", "support_functional", name, "-"), functools.partial(
+            support_functional, space, _pair(space, int(rng.integers(2**31)))[0])
+    for name in ORDER_UNIT_FAMILIES:
+        space = families[name]
+        interior = sample_cone(space, rng)
+        B = space.cone.coefficient_basis[0]
+        boundary = B @ (rng.exponential(size=B.shape[1]) * (np.arange(B.shape[1]) > 0))
+        yield ("us_per_lp_call", "positive_support", name, "-"), functools.partial(
+            positive_support, space, interior)
+        yield ("us_per_lp_call", "crust_probe", name, "boundary"), functools.partial(
+            crust_probe, space, boundary)
+        yield ("us_per_lp_call", "crust_probe", name, "interior"), functools.partial(
+            crust_probe, space, interior)
+        yield ("us_per_lp_call", "dual_one_orth_decompose", name, "-"), functools.partial(
+            dual_one_orth_decompose, space, _pair(space, int(rng.integers(2**31)))[0])
+    for p, names in DECOMPOSE:
+        for name in names:
+            space = families[name]
+            v = _pair(space, int(rng.integers(2**31)))[0]
+            yield ("us_per_lp_call", "opt_decompose", name, _p_key(p)), functools.partial(
+                opt_decompose, space, v, p)
+
+
+def measure() -> dict:
+    package_dir = pathlib.Path(portho.__file__).resolve().parent
+    cases = [*_decision_cases(), *_lp_cases()]
+    for _, call in cases:
         for _ in range(WARMUP):
-            decide()
+            call()
     times = {key: [] for key, _ in cases}
     for _ in range(REPEATS):
-        for key, decide in cases:
+        for key, call in cases:
             t0 = time.perf_counter()
-            decide()
+            call()
             times[key].append(time.perf_counter() - t0)
-    decisions = {}
-    for (name, side, p), ts in times.items():
-        decisions.setdefault(name, {}).setdefault(side, {})[p] = round(statistics.median(ts) * 1e6, 1)
-    return {
+    run = {
         "commit": _source_commit(package_dir),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -97,24 +166,29 @@ def measure() -> dict:
         "warmup": WARMUP,
         "repeats": REPEATS,
         "seed": SEED,
-        "us_per_decision": decisions,
     }
+    for (table, name, a, b), ts in times.items():
+        run.setdefault(table, {}).setdefault(name, {}).setdefault(a, {})[b] = round(
+            statistics.median(ts) * 1e6, 1)
+    return run
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_4.json")
+    ap.add_argument("--out", default="BENCH_5.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("bench", "single grid decisions per default family, p and side")
-    doc.setdefault("unit", "us per decision (median over repeats)")
-    doc.setdefault("runs", {})[args.label] = measure()
+    doc.setdefault("bench", "single grid decisions per default family, p and side; single LP-backed calls")
+    doc.setdefault("unit", "us per call (median over repeats)")
+    doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, sides in doc["runs"][args.label]["us_per_decision"].items():
-        for side, by_p in sides.items():
-            print(f"{name:12s} {side:6s} " + "  ".join(f"p={p}: {us:8.1f} us" for p, us in by_p.items()))
+    for table in ("us_per_decision", "us_per_lp_call"):
+        for name, by_a in run[table].items():
+            for a, by_b in by_a.items():
+                cells = "  ".join(f"{b}: {us:8.1f} us" for b, us in by_b.items())
+                print(f"{name:24s} {a:10s} {cells}")
     return 0
 
 

@@ -189,9 +189,7 @@ def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
         return bool(eigen_sym(M).eigenvalues[-1] >= -tol)
     # rays: feasibility of x = G^T a with a >= 0 (phase-one LP)
     G = cone.generators
-    m = G.shape[0]
-    eq = [(G[:, j], x[j]) for j in range(cone.ambient_dim)]
-    out = solve_lp(LpProblem(objective=np.zeros(m), eq=eq), tol=tol)
+    out = solve_lp(LpProblem(objective=np.zeros(G.shape[0]), eq=G.T, eq_rhs=x), tol=tol)
     return out.status == "optimal"
 
 
@@ -219,9 +217,9 @@ def cone_proper_generating(cone: ConeSpec, tol: float = DEFAULT_TOL) -> ConeRepo
     generating = np.linalg.matrix_rank(G, tol=1e-10) == n
     # proper iff no nontrivial nonnegative combination of generators vanishes:
     # feasibility of G^T a = 0, sum(a) = 1, a >= 0 means the cone has a line
-    eq = [(G[:, j], 0.0) for j in range(n)]
-    eq.append((np.ones(m), 1.0))
-    out = solve_lp(LpProblem(objective=np.zeros(m), eq=eq), tol=tol)
+    eq = np.vstack([G.T, np.ones(m)])
+    eq_rhs = np.append(np.zeros(n), 1.0)
+    out = solve_lp(LpProblem(objective=np.zeros(m), eq=eq, eq_rhs=eq_rhs), tol=tol)
     proper = out.status != "optimal"
     return ConeReport(proper, bool(generating))
 

@@ -82,35 +82,30 @@ def _decompose_lp(space: SpaceSpec, v: np.ndarray, p: float, nv: float) -> Decom
     B = basis[0]
     if math.isinf(p) and space.norm.kind not in (SUP, ORDER_UNIT, LP):
         return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
-    n = space.dim
-    m = B.shape[1]
+    n, m = B.shape
     # u1 = B a, u2 = B b with a, b >= 0 and B(a - b) = v
-    eq = [(np.concatenate([B[i], -B[i]]), float(v[i])) for i in range(n)]
+    eq = np.hstack([B, -B])
     if p == 1.0:
         # per-generator norm contribution is linear on the cone (the norms in
         # play at p = 1 are additive there)
         cost = np.array([norm(space, B[:, j]) for j in range(m)])
         obj = -np.concatenate([cost, cost])
-        out = solve_lp(LpProblem(objective=obj, eq=eq))
+        out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=v))
         if out.status != "optimal":
             raise InputError("decomposition LP infeasible: v outside the span of the cone")
         a, b = out.argument[:m], out.argument[m:]
     else:
         # minimax: minimize t with every scaled cone coefficient of either
-        # part <= t (the norm of B a is max_j a_j * ||g_j|| on these families)
+        # part <= t (the norm of B a is max_j a_j * ||g_j|| on these families);
+        # variables (a, b, t), the two rows of generator j adjacent
         scale = np.array([norm(space, B[:, j]) for j in range(m)])
-        eq_t = [(np.concatenate([row, [0.0]]), rhs) for row, rhs in eq]
-        ineq = []
-        for j in range(m):
-            e_j = np.zeros(2 * m + 1)
-            e_j[j], e_j[-1] = scale[j], -1.0
-            ineq.append((e_j, 0.0))
-            e_j2 = np.zeros(2 * m + 1)
-            e_j2[m + j], e_j2[-1] = scale[j], -1.0
-            ineq.append((e_j2, 0.0))
-        obj = np.zeros(2 * m + 1)
-        obj[-1] = -1.0
-        out = solve_lp(LpProblem(objective=obj, eq=eq_t, ineq=ineq))
+        D, Z, t = np.diag(scale), np.zeros((m, m)), -np.ones((m, 1))
+        ineq = np.stack([np.hstack([D, Z, t]), np.hstack([Z, D, t])], axis=1).reshape(2 * m, -1)
+        obj = -np.eye(2 * m + 1)[-1]
+        out = solve_lp(LpProblem(
+            objective=obj, eq=np.hstack([eq, np.zeros((n, 1))]), eq_rhs=v,
+            ineq=ineq, ineq_rhs=np.zeros(2 * m),
+        ))
         if out.status != "optimal":
             raise InputError("decomposition LP infeasible: v outside the span of the cone")
         a, b = out.argument[:m], out.argument[m : 2 * m]
@@ -204,24 +199,17 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     elif space.cone.kind == _c.NONNEG and space.norm.kind in (SUP, LP):
         # dual norm is l1: minimize total mass over f = f1 - f2, f1, f2 >= 0
         n = space.dim
-        rows = []
-        for i in range(n):
-            row = np.zeros(2 * n)
-            row[i], row[n + i] = 1.0, -1.0
-            rows.append((row, float(f[i])))
-        out = solve_lp(LpProblem(objective=-np.ones(2 * n), eq=rows))
+        eq = np.hstack([np.eye(n), -np.eye(n)])
+        out = solve_lp(LpProblem(objective=-np.ones(2 * n), eq=eq, eq_rhs=f))
         f1, f2 = out.argument[:n], out.argument[n:]
     elif space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS:
         # variables f1 (free); f2 = f1 - f; minimize (f1 + f2)(e) over the
         # dual-cone constraints G f_i >= 0
         G = space.cone.generators
-        e = space.norm.unit
-        n = space.dim
-        ineq = [(-G[i], 0.0) for i in range(G.shape[0])]
-        ineq += [(-G[i], -float(G[i] @ f)) for i in range(G.shape[0])]
-        out = solve_lp(
-            LpProblem(objective=-2.0 * e, eq=[], ineq=ineq, lower_bounds=(None,) * n)
-        )
+        out = solve_lp(LpProblem(
+            objective=-2.0 * space.norm.unit, ineq=np.vstack([-G, -G]),
+            ineq_rhs=np.append(np.zeros(len(G)), -(G @ f)), free=np.ones(space.dim, bool),
+        ))
         if out.status != "optimal":
             raise UnsupportedError("dual decomposition LP failed")
         f1 = out.argument

@@ -117,18 +117,25 @@ def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
         b = rng.exponential(size=n) * (rng.random(size=n) < 0.7)
         a[int(rng.integers(n))] += 0.5  # force overlap
         b[np.argmax(a)] += 0.5
-        return B @ a, B @ b
+    else:
+        a, b = _split_coefficients(rng, n, disjoint=mode == 0)
+    return B @ a, B @ b
+
+
+def _split_coefficients(rng: np.random.Generator, n: int, disjoint: bool):
+    """Coefficients a in [0.1, 1.2) on a random nonempty proper subset of
+    the n coordinates (zero elsewhere) and a partner b: drawn the same way on
+    the complement if disjoint, else 1 - a / max(a), the coefficients of
+    e - u1 / ||u1||."""
     mask = rng.random(size=n) < 0.5
     if not mask.any():
         mask[0] = True
     if mask.all():
         mask[-1] = False
     a = np.where(mask, rng.uniform(0.1, 1.2, size=n), 0.0)
-    if mode == 0:
-        b = np.where(~mask, rng.uniform(0.1, 1.2, size=n), 0.0)
-    else:
-        b = 1.0 - a / a.max()  # coefficients of e - normalized u1
-    return B @ a, B @ b
+    if disjoint:
+        return a, np.where(~mask, rng.uniform(0.1, 1.2, size=n), 0.0)
+    return a, 1.0 - a / a.max()
 
 
 def _orthogonal_positive_pair(space: SpaceSpec, rng: np.random.Generator):
@@ -330,21 +337,9 @@ def _suite_prop25(space, rng, tol, samples):
     return passes, cxs
 
 
-def _disjoint_positive_pair(space, rng):
-    n = space.dim
-    mask = rng.random(size=n) < 0.5
-    if not mask.any():
-        mask[0] = True
-    if mask.all():
-        mask[-1] = False
-    u1 = np.where(mask, rng.uniform(0.1, 1.2, size=n), 0.0)
-    u2 = np.where(~mask, rng.uniform(0.1, 1.2, size=n), 0.0)
-    return u1, u2
-
-
 @_per_sample
 def _suite_lem27(space, rng, tol):
-    u1, u2 = _disjoint_positive_pair(space, rng)
+    u1, u2 = _split_coefficients(rng, space.dim, disjoint=True)
     if not p_orthogonal_exact(u1, u2, space.p_class):
         return _cx("oracle", math.nan, u1=u1, u2=u2)
     if _c.cone_contains(space.cone, u1 - u2, tol=1e-12):
@@ -766,10 +761,9 @@ def run_suite(
     rng = np.random.default_rng([seed, zlib.crc32(suite.encode())])
     if suite == "ex46_nonuniqueness":
         passes, cxs = body(space, rng, tol, samples, n=n_grid)
-        samples = passes + len(cxs)
     else:
         passes, cxs = body(space, rng, tol, samples)
-        samples = passes + len(cxs)
+    samples = passes + len(cxs)
     elapsed = (time.perf_counter() - start) * 1e3
     status = "ok" if not cxs else "failed"
     return SuiteReport(

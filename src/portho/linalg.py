@@ -4,11 +4,17 @@ wrapper over LAPACK's, via np.linalg.eigh).
 
 The simplex solver is deliberately self-contained; the problems here are tiny
 (dim <= ~50) and determinism matters more than speed.
+
+An LP comes in matrix form (`LpProblem`): callers build its constraint
+matrices as whole arrays, and their row and column order is the tableau
+order Bland's rule sees. The names `eq` and `ineq` are part of the
+interface: code outside the solver, such as an LP-size tracer, counts an
+LP's constraints as `len(problem.eq) + len(problem.ineq)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,47 +23,59 @@ from .errors import InputError
 DEFAULT_TOL = 1e-9
 
 
+def _finite(name: str, value, ndim: int) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a numeric array: {exc}") from exc
+    if a.ndim != ndim:
+        raise InputError(f"{name} must be {ndim}-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} entries must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """maximize objective @ x  subject to
 
-        row @ x == rhs   for (row, rhs) in eq
-        row @ x <= rhs   for (row, rhs) in ineq
-        x[j] >= lower_bounds[j]   (None entry = free variable)
+        eq @ x == eq_rhs
+        ineq @ x <= ineq_rhs
+        x[j] >= 0 unless free[j]
 
-    lower_bounds=None means every variable is bounded below by 0.
+    eq and ineq hold one constraint per row (n columns for n variables);
+    an omitted kind has no rows, and free=None means no variable is free.
+    Keep the names eq and ineq: callers count constraints as
+    len(eq) + len(ineq).
     """
 
     objective: np.ndarray
-    eq: tuple = ()
-    ineq: tuple = ()
-    lower_bounds: tuple | None = None
+    eq: np.ndarray | None = None
+    eq_rhs: np.ndarray | None = None
+    ineq: np.ndarray | None = None
+    ineq_rhs: np.ndarray | None = None
+    free: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        n = self.objective.shape[0]
-        if self.objective.ndim != 1 or n == 0:
+        obj = _finite("objective", self.objective, 1)
+        n = obj.shape[0]
+        if n == 0:
             raise InputError("objective must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.objective)):
-            raise InputError("objective entries must be finite")
-        eq = tuple((np.asarray(r, dtype=float), float(b)) for r, b in self.eq)
-        ineq = tuple((np.asarray(r, dtype=float), float(b)) for r, b in self.ineq)
-        for row, b in eq + ineq:
-            if row.shape != (n,):
-                raise InputError(f"constraint row has length {row.shape}, expected {n}")
-            if not (np.all(np.isfinite(row)) and np.isfinite(b)):
-                raise InputError("constraint entries must be finite")
-        object.__setattr__(self, "eq", eq)
-        object.__setattr__(self, "ineq", ineq)
-        if self.lower_bounds is not None:
-            lb = tuple(None if v is None else float(v) for v in self.lower_bounds)
-            if len(lb) != n:
-                raise InputError("lower_bounds length mismatch")
-            object.__setattr__(self, "lower_bounds", lb)
-
-    @property
-    def dim(self) -> int:
-        return self.objective.shape[0]
+        object.__setattr__(self, "objective", obj)
+        for kind in ("eq", "ineq"):
+            M, rhs = getattr(self, kind), getattr(self, kind + "_rhs")
+            M = np.zeros((0, n)) if M is None else _finite(kind, M, 2)
+            rhs = np.zeros(0) if rhs is None else _finite(kind + "_rhs", rhs, 1)
+            if M.shape[1] != n:
+                raise InputError(f"{kind} has {M.shape[1]} columns, expected {n}")
+            if rhs.shape[0] != M.shape[0]:
+                raise InputError(f"{kind}_rhs has length {rhs.shape[0]}, expected {M.shape[0]}")
+            object.__setattr__(self, kind, M)
+            object.__setattr__(self, kind + "_rhs", rhs)
+        free = np.zeros(n, dtype=bool) if self.free is None else np.asarray(self.free)
+        if free.dtype != bool or free.shape != (n,):
+            raise InputError(f"free must be a boolean mask of shape ({n},), got {free.shape}")
+        object.__setattr__(self, "free", free)
 
 
 @dataclass(frozen=True)
@@ -101,51 +119,26 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, cols: np.ndarray, tol: floa
 def _to_standard_form(problem: LpProblem):
     """Rewrite as: maximize c @ y, A y = b, y >= 0.
 
-    Returns (A, b, c, recover) where recover(y) yields the original x.
+    A free variable x_j becomes y_plus - y_minus, its minus column right
+    after its plus column; each inequality gets a slack column after all
+    variable columns. Returns (A, b, c, recover) where recover(y) yields
+    the original x.
     """
-    n = problem.dim
-    lb = problem.lower_bounds if problem.lower_bounds is not None else (0.0,) * n
-
-    # column map: var j -> (col_plus, col_minus or None, offset)
-    cols = []
-    ncols = 0
-    for j in range(n):
-        if lb[j] is None:
-            cols.append((ncols, ncols + 1, 0.0))
-            ncols += 2
-        else:
-            cols.append((ncols, None, lb[j]))
-            ncols += 1
-
-    def expand(row: np.ndarray) -> np.ndarray:
-        out = np.zeros(ncols)
-        for j in range(n):
-            cp, cm, _ = cols[j]
-            out[cp] = row[j]
-            if cm is not None:
-                out[cm] = -row[j]
-        return out
-
-    offsets = np.array([cols[j][2] for j in range(n)])
-    n_eq, n_ineq = len(problem.eq), len(problem.ineq)
-    A = np.zeros((n_eq + n_ineq, ncols + n_ineq))
-    b = np.zeros(n_eq + n_ineq)
-    for i, (row, rhs) in enumerate(problem.eq):
-        A[i, :ncols] = expand(row)
-        b[i] = rhs - row @ offsets
-    for i, (row, rhs) in enumerate(problem.ineq):
-        A[n_eq + i, :ncols] = expand(row)
-        A[n_eq + i, ncols + i] = 1.0  # slack
-        b[n_eq + i] = rhs - row @ offsets
-
-    c = np.zeros(ncols + n_ineq)
-    c[:ncols] = expand(problem.objective)
+    free = problem.free
+    width = 1 + free  # standard-form columns per variable
+    src = np.repeat(np.arange(free.size), width)  # variable behind each column
+    plus = np.cumsum(width) - width  # first column of each variable
+    sign = np.ones(src.size)
+    sign[plus[free] + 1] = -1.0
+    rows = np.concatenate([problem.eq, problem.ineq])
+    slacks = np.eye(len(rows))[:, len(problem.eq):]  # one per inequality row
+    A = np.hstack([rows[:, src] * sign, slacks])
+    b = np.concatenate([problem.eq_rhs, problem.ineq_rhs])
+    c = np.append(problem.objective[src] * sign, np.zeros(slacks.shape[1]))
 
     def recover(y: np.ndarray) -> np.ndarray:
-        x = np.empty(n)
-        for j in range(n):
-            cp, cm, off = cols[j]
-            x[j] = off + y[cp] - (y[cm] if cm is not None else 0.0)
+        x = y[plus]
+        x[free] -= y[plus[free] + 1]
         return x
 
     return A, b, c, recover
@@ -158,13 +151,6 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
-
-    if m == 0:
-        # no constraints at all: optimum 0 at the origin unless c can grow
-        if np.any(np.abs(c) > tol):
-            return LpOutcome("unbounded")
-        x = recover(np.zeros(N))
-        return LpOutcome("optimal", float(problem.objective @ x), x)
 
     # phase 1: artificial basis, maximize -sum(artificials)
     T = np.zeros((m + 1, N + m + 1))

@@ -88,7 +88,8 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     nx, ny = (float(v) for v in norms_fn(np.stack([x, y])))
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
-        return OrthoVerdict("orthogonal", 0.0, 0.0, cfg.k_grid)
+        grid = np.sort(_order_unique(np.array(cfg.k_grid)))
+        return OrthoVerdict("orthogonal", 0.0, 0.0, tuple(grid.tolist()))
     if math.isinf(p):
         # the two sides of the max-form identity cross at |k| = ||x||/||y||;
         # violations concentrate there, so sweep that neighbourhood too

@@ -287,24 +287,15 @@ def _least_l1(X: np.ndarray, bases, w: np.ndarray) -> np.ndarray:
 
 
 def _order_unit_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
-    # min k s.t. ke - x = G^T s, ke + x = G^T t, s,t >= 0, k >= 0
-    e = space.norm.unit
-    G = space.cone.generators
-    m, n = G.shape
-    nv = 1 + 2 * m  # k, s, t
-    obj = np.zeros(nv)
-    obj[0] = -1.0
-    eq = []
-    for j in range(n):
-        row = np.zeros(nv)
-        row[0] = e[j]
-        row[1:1 + m] = -G[:, j]
-        eq.append((row, x[j]))
-        row2 = np.zeros(nv)
-        row2[0] = e[j]
-        row2[1 + m:] = -G[:, j]
-        eq.append((row2, -x[j]))
-    out = solve_lp(LpProblem(objective=obj, eq=eq))
+    # min k s.t. ke - x = G^T s, ke + x = G^T t, s,t >= 0, k >= 0; variables
+    # (k, s, t), the two rows of coordinate j adjacent
+    e = space.norm.unit[:, None]
+    Gt = space.cone.generators.T
+    n, m = Gt.shape
+    Z = np.zeros((n, m))
+    eq = np.stack([np.hstack([e, -Gt, Z]), np.hstack([e, Z, -Gt])], axis=1).reshape(2 * n, -1)
+    obj = -np.eye(1 + 2 * m)[0]
+    out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=np.stack([x, -x], axis=1).ravel()))
     if out.status != "optimal":
         raise InputError("order unit norm LP failed; unit likely not interior")
     return float(out.argument[0])
@@ -313,11 +304,9 @@ def _order_unit_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
 def _base_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
     # min sum_i (s_i + t_i) phi(g_i) s.t. G^T (s - t) = x, s,t >= 0
     G = space.cone.generators
-    n = G.shape[1]
     gphi = G @ space.norm.phi
     obj = -np.concatenate([gphi, gphi])
-    eq = [(np.concatenate([G[:, j], -G[:, j]]), x[j]) for j in range(n)]
-    out = solve_lp(LpProblem(objective=obj, eq=eq))
+    out = solve_lp(LpProblem(objective=obj, eq=np.hstack([G.T, -G.T]), eq_rhs=x))
     if out.status != "optimal":
         raise InputError("base norm LP failed")
     return float(-out.optimum)
@@ -325,25 +314,16 @@ def _base_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
 
 def _order_unit_dual_lp(space: SpaceSpec, f: np.ndarray):
     """Returns (dual norm of f, an argmax x on the unit ball)."""
-    # max f.x s.t. e - x = G^T s, e + x = G^T t, s,t >= 0, x free
+    # max f.x s.t. e - x = G^T s, e + x = G^T t, s,t >= 0, x free; variables
+    # (x, s, t), the two rows of coordinate j adjacent
     e = space.norm.unit
-    G = space.cone.generators
-    m, n = G.shape
-    nv = n + 2 * m
-    obj = np.zeros(nv)
-    obj[:n] = f
-    eq = []
-    for j in range(n):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        row[n:n + m] = G[:, j]
-        eq.append((row, e[j]))
-        row2 = np.zeros(nv)
-        row2[j] = -1.0
-        row2[n + m:] = G[:, j]
-        eq.append((row2, e[j]))
-    lb = (None,) * n + (0.0,) * (2 * m)
-    out = solve_lp(LpProblem(objective=obj, eq=eq, lower_bounds=lb))
+    Gt = space.cone.generators.T
+    n, m = Gt.shape
+    I, Z = np.eye(n), np.zeros((n, m))
+    eq = np.stack([np.hstack([I, Gt, Z]), np.hstack([-I, Z, Gt])], axis=1).reshape(2 * n, -1)
+    obj = np.concatenate([f, np.zeros(2 * m)])
+    free = np.arange(n + 2 * m) < n
+    out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=np.repeat(e, 2), free=free))
     if out.status != "optimal":
         raise InputError("dual norm LP failed")
     return float(out.optimum), out.argument[:n]
@@ -402,58 +382,6 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # restricted (two-dimensional subspace) dual norm
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(h, lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    hc, hd = h(c), h(d)
-    while b - a > tol:
-        if hc >= hd:
-            b, d, hd = d, c, hc
-            c = b - _GOLDEN * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + _GOLDEN * (b - a)
-            hd = h(d)
-    return max(hc, hd)
-
-
-def restricted_norm(space: SpaceSpec, span_basis, g_values, n_dirs: int = 720) -> float:
-    """Norm of the functional g on W = span{u1, u2}, where g is given by its
-    values (g(u1), g(u2)): sup |g(w)| over the unit ball of W in the ambient
-    norm. Angular scan plus golden-section refinement; the objective is
-    continuous on the direction circle but need not be smooth.
-    """
-    u1, u2 = (np.asarray(u, dtype=float) for u in span_basis)
-    a1, a2 = float(g_values[0]), float(g_values[1])
-    M = np.stack([u1, u2])
-    if np.linalg.matrix_rank(M, tol=1e-10) < 2:
-        raise InputError("span basis is linearly dependent")
-    if a1 == 0.0 and a2 == 0.0:
-        return 0.0
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-    cs, sn = np.cos(thetas), np.sin(thetas)
-    W = np.outer(cs, u1) + np.outer(sn, u2)
-    norms = batch_norms(space, W)
-    vals = np.abs(a1 * cs + a2 * sn) / norms
-
-    def h(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
-        return abs(a1 * c + a2 * s) / norm(space, c * u1 + s * u2)
-
-    step = 2.0 * np.pi / n_dirs
-    best = float(vals.max())
-    for i in np.argsort(vals)[-3:]:
-        t = thetas[int(i)]
-        best = max(best, _golden_max(h, t - step, t + step))
-    return best
 
 
 class RestrictedBall:

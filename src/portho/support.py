@@ -73,24 +73,21 @@ def _support_lp(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     if kind in (SUP,) or (kind == LP and math.isinf(space.norm.p)):
         # dual ball is the l1 ball: f = fp - fm, sum(fp + fm) <= 1
         obj = np.concatenate([v, -v])
-        ineq = [(np.ones(2 * n), 1.0)]
-        out = solve_lp(LpProblem(objective=obj, ineq=ineq))
+        out = solve_lp(LpProblem(objective=obj, ineq=np.ones((1, 2 * n)), ineq_rhs=[1.0]))
         return out.argument[:n] - out.argument[n:]
     if kind == BASE:
         G = _c.generator_matrix(space.cone)
         gphi = G @ space.norm.phi
-        ineq = [(G[i], gphi[i]) for i in range(G.shape[0])]
-        ineq += [(-G[i], gphi[i]) for i in range(G.shape[0])]
-        out = solve_lp(LpProblem(objective=v, ineq=ineq, lower_bounds=(None,) * n))
+        ineq, rhs = np.vstack([G, -G]), np.concatenate([gphi, gphi])
+        out = solve_lp(LpProblem(objective=v, ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool)))
         return out.argument
     # order unit: f = f1 - f2 with f_i in the dual cone, f1(e) + f2(e) <= 1
     G, e = _c.generator_matrix(space.cone), space.norm.unit
-    m = G.shape[0]
+    Z = np.zeros_like(G)
+    ineq = np.block([[-G, Z], [Z, -G], [e, e]])
+    rhs = np.append(np.zeros(2 * len(G)), 1.0)
     obj = np.concatenate([v, -v])
-    ineq = [(np.concatenate([-G[i], np.zeros(n)]), 0.0) for i in range(m)]
-    ineq += [(np.concatenate([np.zeros(n), -G[i]]), 0.0) for i in range(m)]
-    ineq.append((np.concatenate([e, e]), 1.0))
-    out = solve_lp(LpProblem(objective=obj, ineq=ineq, lower_bounds=(None,) * (2 * n)))
+    out = solve_lp(LpProblem(objective=obj, ineq=ineq, ineq_rhs=rhs, free=np.ones(2 * n, bool)))
     return out.argument[:n] - out.argument[n:]
 
 
@@ -123,10 +120,10 @@ def positive_support(space: SpaceSpec, u) -> SupportResult:
             raise InputError(f"unsupported family for positive_support: {kind!r}")
         G = _c.generator_matrix(space.cone)
         # maximize f(u) with f in the dual cone and f(e) = 1
-        ineq = [(-G[i], 0.0) for i in range(G.shape[0])]
-        out = solve_lp(
-            LpProblem(objective=u, eq=[(e, 1.0)], ineq=ineq, lower_bounds=(None,) * space.dim)
-        )
+        out = solve_lp(LpProblem(
+            objective=u, eq=e[None], eq_rhs=[1.0], ineq=-G, ineq_rhs=np.zeros(len(G)),
+            free=np.ones(space.dim, bool),
+        ))
         if out.status != "optimal":
             raise InputError("positive support LP failed")
         f = out.argument
@@ -143,13 +140,12 @@ def _positive_support_base(space: SpaceSpec, u: np.ndarray, nu: float) -> np.nda
     G = _c.generator_matrix(space.cone)
     gphi = G @ space.norm.phi
     m, n = G.shape
-    ineq = [(G[i], gphi[i]) for i in range(m)] + [(-G[i], 0.0) for i in range(m)]
-    out = solve_lp(LpProblem(objective=u, ineq=ineq, lower_bounds=(None,) * n))
+    ball = dict(ineq=np.vstack([G, -G]), ineq_rhs=np.append(gphi, np.zeros(m)), free=np.ones(n, bool))
+    out = solve_lp(LpProblem(objective=u, **ball))
     if out.status != "optimal":
         raise InputError("positive support LP failed")
     # stage two: among supports of u, minimize total mass on the generators
-    eq = [(u, float(out.optimum))]
-    out2 = solve_lp(LpProblem(objective=-G.sum(axis=0), eq=eq, ineq=ineq, lower_bounds=(None,) * n))
+    out2 = solve_lp(LpProblem(objective=-G.sum(axis=0), eq=u[None], eq_rhs=[out.optimum], **ball))
     return out2.argument if out2.status == "optimal" else out.argument
 
 
@@ -170,11 +166,11 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     nu = norm(space, u)
     # maximize f(e) subject to f in the dual cone, f(u) = 0, f(e) <= 1;
     # a crust exists iff the optimum reaches 1
-    ineq = [(-G[i], 0.0) for i in range(G.shape[0])]
-    ineq.append((e, 1.0))
-    out = solve_lp(
-        LpProblem(objective=e, eq=[(u / nu, 0.0)], ineq=ineq, lower_bounds=(None,) * space.dim)
-    )
+    out = solve_lp(LpProblem(
+        objective=e, eq=(u / nu)[None], eq_rhs=[0.0],
+        ineq=np.vstack([-G, e]), ineq_rhs=np.append(np.zeros(len(G)), 1.0),
+        free=np.ones(space.dim, bool),
+    ))
     if out.status != "optimal" or out.optimum < 1.0 - 1e-9:
         return None
     f = out.argument / float(out.argument @ e)

@@ -1,13 +1,18 @@
 """Independent brute-force oracles shared by the test modules, and the
 non-simplicial cones the polyhedral table tests share.
 
-These never call the code paths they are used to check.
+These never call the code paths they are used to check. (`restricted_norm`
+evaluates ambient norms through portho's norm layer; what it checks is the
+boundary scan of `RestrictedBall`, which it does not use.)
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from portho.errors import InputError
+from portho.spaces import batch_norms, norm
 
 
 def lp_by_vertex_enumeration(objective, eq=(), ineq=(), lower_bounds=None, tol=1e-9):
@@ -83,10 +88,11 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
     around |k| = ||x||/||y||), scanned in (|k|, k) order, the witness being
     the first strict maximum of the residual. Returns (verdict,
     worst_residual, witness_k, k_grid), k_grid being the distinct scalars
-    scanned, in increasing order (the given grid when x or y is zero)."""
+    scanned, in increasing order (for x or y zero, the distinct scalars of
+    the given grid)."""
     nx, ny = norm_fn(x), norm_fn(y)
     if nx == 0.0 or ny == 0.0:
-        return "orthogonal", 0.0, 0.0, tuple(k_grid)
+        return "orthogonal", 0.0, 0.0, tuple(sorted(set(k_grid)))
     ks = set(k_grid)
     if math.isinf(p):
         r = nx / ny
@@ -103,6 +109,60 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
         if res > worst:
             worst, witness = res, k
     return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness, tuple(sorted(ks))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(h, lo, hi, tol=1e-10):
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    hc, hd = h(c), h(d)
+    while b - a > tol:
+        if hc >= hd:
+            b, d, hd = d, c, hc
+            c = b - _GOLDEN * (b - a)
+            hc = h(c)
+        else:
+            a, c, hc = c, d, hd
+            d = a + _GOLDEN * (b - a)
+            hd = h(d)
+    return max(hc, hd)
+
+
+def restricted_norm(space, span_basis, g_values, n_dirs=720):
+    """Norm of the functional g on W = span{u1, u2}, where g is given by its
+    values (g(u1), g(u2)): sup |g(w)| over the unit ball of W in the ambient
+    norm. Angular scan plus golden-section refinement; the objective is
+    continuous on the direction circle but need not be smooth.
+    `RestrictedBall.dual_values` (the scan without refinement) is checked
+    against it.
+    """
+    u1, u2 = (np.asarray(u, dtype=float) for u in span_basis)
+    a1, a2 = float(g_values[0]), float(g_values[1])
+    M = np.stack([u1, u2])
+    if np.linalg.matrix_rank(M, tol=1e-10) < 2:
+        raise InputError("span basis is linearly dependent")
+    if a1 == 0.0 and a2 == 0.0:
+        return 0.0
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
+    cs, sn = np.cos(thetas), np.sin(thetas)
+    W = np.outer(cs, u1) + np.outer(sn, u2)
+    norms = batch_norms(space, W)
+    vals = np.abs(a1 * cs + a2 * sn) / norms
+
+    def h(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        return abs(a1 * c + a2 * s) / norm(space, c * u1 + s * u2)
+
+    step = 2.0 * np.pi / n_dirs
+    best = float(vals.max())
+    for i in np.argsort(vals)[-3:]:
+        t = thetas[int(i)]
+        best = max(best, _golden_max(h, t - step, t + step))
+    return best
 
 
 def lifted_generators(m, n, seed):

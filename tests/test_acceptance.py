@@ -127,14 +127,12 @@ def test_criterion_8_lp_solver_matches_vertex_enumeration():
         c = rng.normal(size=n)
         # random inequalities through a feasible interior, plus a box to
         # keep the region bounded with the origin as a vertex
-        ineq = [(rng.normal(size=n), float(rng.uniform(0.2, 2.0)))
-                for _ in range(int(rng.integers(1, 4)))]
-        for j in range(n):
-            row = np.zeros(n)
-            row[j] = 1.0
-            ineq.append((row, float(rng.uniform(0.5, 3.0))))
-        out = solve_lp(LpProblem(objective=c, ineq=tuple(ineq)))
-        oracle = lp_by_vertex_enumeration(c, ineq=ineq)
+        Ab = np.array([[*rng.normal(size=n), rng.uniform(0.2, 2.0)]
+                       for _ in range(int(rng.integers(1, 4)))])
+        A = np.vstack([Ab[:, :-1], np.eye(n)])
+        b = np.concatenate([Ab[:, -1], rng.uniform(0.5, 3.0, size=n)])
+        out = solve_lp(LpProblem(objective=c, ineq=A, ineq_rhs=b))
+        oracle = lp_by_vertex_enumeration(c, ineq=list(zip(A, b)))
         assert out.status == "optimal", trial
         assert oracle is not None, trial
         assert abs(out.optimum - oracle[0]) <= 1e-8, (trial, out.optimum, oracle[0])

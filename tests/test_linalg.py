@@ -9,19 +9,20 @@ from oracles import char_poly_eigs_3x3, lp_by_vertex_enumeration
 
 class TestSolveLp:
     def test_simplex_face(self):
-        out = solve_lp(LpProblem(objective=[1.0, 1.0], ineq=[([1.0, 1.0], 1.0)]))
+        out = solve_lp(LpProblem(objective=[1.0, 1.0], ineq=[[1.0, 1.0]], ineq_rhs=[1.0]))
         assert out.status == "optimal"
         assert out.optimum == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible(self):
-        out = solve_lp(LpProblem(objective=[1.0], ineq=[([1.0], -1.0)]))
+        out = solve_lp(LpProblem(objective=[1.0], ineq=[[1.0]], ineq_rhs=[-1.0]))
         assert out.status == "infeasible"
 
     def test_box_vertex(self):
         # oracle value 7 at (2, 1), frozen from vertex enumeration over the 4 vertices
         prob = LpProblem(
             objective=[2.0, 3.0],
-            ineq=[([1.0, 0.0], 2.0), ([0.0, 1.0], 1.0)],
+            ineq=[[1.0, 0.0], [0.0, 1.0]],
+            ineq_rhs=[2.0, 1.0],
         )
         out = solve_lp(prob)
         assert out.status == "optimal"
@@ -32,13 +33,22 @@ class TestSolveLp:
         out = solve_lp(LpProblem(objective=[1.0, 0.0]))
         assert out.status == "unbounded"
 
+    def test_no_constraints(self):
+        # maximize -x1 over x >= 0: optimum 0 at the origin; a free variable
+        # with a nonzero cost is unbounded
+        out = solve_lp(LpProblem(objective=[-1.0, 0.0]))
+        assert (out.status, out.optimum, out.argument.tolist()) == ("optimal", 0.0, [0.0, 0.0])
+        assert solve_lp(LpProblem(objective=[-1.0, 0.0], free=[True, False])).status == "unbounded"
+
     def test_equality_and_free_variables(self):
         # maximize -x2 with x1 + x2 = 3, x1 free, x2 >= 0, x1 <= 1
         prob = LpProblem(
             objective=[0.0, -1.0],
-            eq=[([1.0, 1.0], 3.0)],
-            ineq=[([1.0, 0.0], 1.0)],
-            lower_bounds=(None, 0.0),
+            eq=[[1.0, 1.0]],
+            eq_rhs=[3.0],
+            ineq=[[1.0, 0.0]],
+            ineq_rhs=[1.0],
+            free=[True, False],
         )
         out = solve_lp(prob)
         assert out.status == "optimal"
@@ -46,7 +56,7 @@ class TestSolveLp:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            LpProblem(objective=[1.0, 2.0], ineq=[([1.0], 1.0)])
+            LpProblem(objective=[1.0, 2.0], ineq=[[1.0]], ineq_rhs=[1.0])
 
     def test_matches_vertex_enumeration_on_random_lps(self):
         rng = np.random.default_rng(7)
@@ -55,16 +65,14 @@ class TestSolveLp:
             n = rng.integers(2, 5)
             c = rng.normal(size=n)
             n_ineq = int(rng.integers(1, 5))
-            ineq = [(rng.normal(size=n), float(rng.uniform(0.5, 3.0))) for _ in range(n_ineq)]
+            Ab = np.array([[*rng.normal(size=n), rng.uniform(0.5, 3.0)] for _ in range(n_ineq)])
             # cap every coordinate so the region is bounded
-            for j in range(n):
-                row = np.zeros(n)
-                row[j] = 1.0
-                ineq.append((row, float(rng.uniform(1.0, 5.0))))
-            oracle = lp_by_vertex_enumeration(c, ineq=ineq)
+            A = np.vstack([Ab[:, :-1], np.eye(n)])
+            b = np.concatenate([Ab[:, -1], rng.uniform(1.0, 5.0, size=n)])
+            oracle = lp_by_vertex_enumeration(c, ineq=list(zip(A, b)))
             if oracle is None:
                 continue
-            out = solve_lp(LpProblem(objective=c, ineq=ineq))
+            out = solve_lp(LpProblem(objective=c, ineq=A, ineq_rhs=b))
             assert out.status == "optimal"
             assert out.optimum == pytest.approx(oracle[0], abs=1e-8)
             checked += 1
@@ -74,18 +82,71 @@ class TestSolveLp:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             c = rng.normal(size=n)
-            ineq = [(rng.normal(size=n), float(rng.uniform(0.5, 3.0))) for _ in range(3)]
-            for j in range(n):
-                row = np.zeros(n)
-                row[j] = 1.0
-                ineq.append((row, 4.0))
-            out = solve_lp(LpProblem(objective=c, ineq=ineq))
+            Ab = np.array([[*rng.normal(size=n), rng.uniform(0.5, 3.0)] for _ in range(3)])
+            A = np.vstack([Ab[:, :-1], np.eye(n)])
+            b = np.concatenate([Ab[:, -1], np.full(n, 4.0)])
+            out = solve_lp(LpProblem(objective=c, ineq=A, ineq_rhs=b))
             if out.status != "optimal":
                 continue
             x = out.argument
             assert np.all(x >= -1e-9)
-            for row, b in ineq:
-                assert row @ x <= b + 1e-9
+            for row, rhs in zip(A, b):
+                assert row @ x <= rhs + 1e-9
+
+
+class TestLpProblem:
+    def test_fields_are_arrays(self):
+        prob = LpProblem(objective=[1.0, 2.0], ineq=[[1.0, 1.0]], ineq_rhs=[3.0])
+        assert prob.eq.shape == (0, 2) and prob.eq_rhs.shape == (0,)
+        assert prob.ineq.shape == (1, 2) and prob.ineq_rhs.tolist() == [3.0]
+        assert prob.free.dtype == bool and not prob.free.any()
+        assert len(prob.eq) + len(prob.ineq) == 1
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("eq", {"eq": [[1.0, 0.0], [1.0]], "eq_rhs": [1.0, 2.0]}),  # ragged
+            ("ineq", {"ineq": [[1.0, 0.0], [1.0]], "ineq_rhs": [1.0, 2.0]}),
+            ("eq", {"eq": [1.0, 0.0], "eq_rhs": [1.0]}),  # 1-d
+            ("ineq", {"ineq": [1.0, 0.0], "ineq_rhs": [1.0]}),
+            ("eq", {"eq": [[1.0, 0.0, 0.0]], "eq_rhs": [1.0]}),  # column count
+            ("ineq", {"ineq": [[1.0]], "ineq_rhs": [1.0]}),
+            ("eq_rhs", {"eq": [[1.0, 0.0]], "eq_rhs": [1.0, 2.0]}),  # rhs length
+            ("eq_rhs", {"eq": [[1.0, 0.0]]}),
+            ("ineq_rhs", {"ineq": [[1.0, 0.0], [0.0, 1.0]], "ineq_rhs": [1.0]}),
+            ("ineq_rhs", {"ineq_rhs": [1.0]}),
+            ("eq", {"eq": [[np.nan, 0.0]], "eq_rhs": [1.0]}),  # non-finite
+            ("ineq", {"ineq": [[1.0, np.inf]], "ineq_rhs": [1.0]}),
+            ("eq_rhs", {"eq": [[1.0, 0.0]], "eq_rhs": [np.inf]}),
+            ("ineq_rhs", {"ineq": [[1.0, 0.0]], "ineq_rhs": [np.nan]}),
+            ("free", {"free": [True]}),  # length
+            ("free", {"free": [True, False, False]}),
+            ("free", {"free": [1, 0]}),  # not a boolean mask
+        ],
+    )
+    def test_malformed_input_names_the_field(self, field, kwargs):
+        with pytest.raises(InputError, match=rf"^{field} "):
+            LpProblem(objective=[1.0, 2.0], **kwargs)
+
+    def test_free_variable_in_the_middle_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(23)
+        negative = 0
+        for trial in range(100):
+            n = int(rng.integers(3, 6))
+            j = n // 2  # the free variable, between two bounded ones
+            c = rng.normal(size=n)
+            A = np.vstack([rng.normal(size=(3, n)), np.eye(n), -np.eye(n)[j]])
+            b = np.concatenate([rng.uniform(0.5, 3.0, size=3), rng.uniform(1.0, 4.0, size=n + 1)])
+            free = np.arange(n) == j
+            out = solve_lp(LpProblem(objective=c, ineq=A, ineq_rhs=b, free=free))
+            lower = [None if f else 0.0 for f in free]
+            oracle = lp_by_vertex_enumeration(c, ineq=list(zip(A, b)), lower_bounds=lower)
+            assert out.status == "optimal", trial
+            assert out.optimum == pytest.approx(oracle[0], abs=1e-8), trial
+            x = out.argument
+            assert np.all(A @ x <= b + 1e-9) and np.all(x[~free] >= -1e-9), trial
+            negative += x[j] < -1e-9
+        assert negative > 10  # the free column is exercised on both signs
 
 
 class TestEigenSym:

@@ -145,6 +145,21 @@ class TestBatchedDeciderAgainstLoop:
             zero = next(k for k in got.k_grid if k == 0.0)
             assert math.copysign(1.0, zero) == math.copysign(1.0, next(k for k in grid if k == 0.0))
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_zero_argument_returns_the_sorted_distinct_grid(self, p):
+        sp = lp_space(2, p)
+        cfg = OrthoConfig(k_grid=(3.0, -0.0, 1.0, -2.0, 1.0, 0.0))
+        want = [k.hex() for k in (-2.0, -0.0, 1.0, 3.0)]
+        for x, y in (([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0])):
+            got = p_orthogonal_numeric(sp, x, y, p, cfg)
+            assert (got.verdict, got.worst_residual, got.witness_k) == ("orthogonal", 0.0, 0.0)
+            assert [k.hex() for k in got.k_grid] == want
+            loop = grid_verdict_by_loop(lambda v: norm(sp, v), np.array(x), np.array(y), p, cfg.k_grid)
+            assert [k.hex() for k in loop[3]] == want
+        if p != INF:  # a nonzero pair scans the same grid (p = inf adds its sweep)
+            nonzero = p_orthogonal_numeric(sp, [1.0, 0.0], [0.0, 1.0], p, cfg)
+            assert [k.hex() for k in nonzero.k_grid] == want
+
     def test_same_grid_for_a_config_with_another_tol(self):
         sp = lp_space(2, 2.0)
         x, y = np.array([1.0, 0.0]), np.array([1e-5, 1.0])

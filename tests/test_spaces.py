@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lp_by_vertex_enumeration
+from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lp_by_vertex_enumeration, restricted_norm
 from portho import cones
 from portho.cones import cone_contains, nonneg_orthant, ray_cone
 from portho.errors import InputError, SpecError
@@ -26,7 +26,6 @@ from portho.spaces import (
     norm,
     norming_element,
     order_unit_space,
-    restricted_norm,
     spectral_space,
     sup_space,
     validate_space,
@@ -288,7 +287,8 @@ def _base_dual_lp(sp, f):
     G = sp.cone.generators
     gphi = G @ sp.norm.phi
     objective = np.concatenate([G @ f, -(G @ f)])
-    return solve_lp(LpProblem(objective=objective, ineq=[(np.concatenate([gphi, gphi]), 1.0)])).optimum
+    ball = np.concatenate([gphi, gphi])[None]
+    return solve_lp(LpProblem(objective=objective, ineq=ball, ineq_rhs=[1.0])).optimum
 
 
 def _lp_references(sp, x):
