@@ -64,8 +64,9 @@ EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
 WARMUP = 20
 REPEATS = 301
-SEED = 0  # the pair of the i-th family (sorted by name) is drawn from SEED + i;
-# the LP slice's inputs come from one generator seeded with SEED
+# the pair of the i-th family (sorted by name) is drawn from SEED + i; the LP
+# slice draws its inputs from one generator seeded with SEED
+SEED = 0
 
 # the non-simplicial ray cone of the cone_contains case: five rays in R^3
 PENTAGON = np.array(
@@ -123,12 +124,12 @@ def _lp_cases():
     for name in SUPPORT_FAMILIES:
         space = families[name]
         yield ("us_per_lp_call", "support_functional", name, "-"), functools.partial(
-            support_functional, space, _pair(space, int(rng.integers(2**31)))[0])
+            support_functional, space, rng.normal(size=space.dim))
     for name in ORDER_UNIT_FAMILIES:
         space = families[name]
         interior = sample_cone(space, rng)
         B = space.cone.coefficient_basis[0]
-        boundary = B @ (rng.exponential(size=B.shape[1]) * (np.arange(B.shape[1]) > 0))
+        boundary = B @ (rng.exponential(size=B.shape[1]) * (np.arange(B.shape[1]) > 0))  # a_0 = 0
         yield ("us_per_lp_call", "positive_support", name, "-"), functools.partial(
             positive_support, space, interior)
         yield ("us_per_lp_call", "crust_probe", name, "boundary"), functools.partial(
@@ -136,13 +137,11 @@ def _lp_cases():
         yield ("us_per_lp_call", "crust_probe", name, "interior"), functools.partial(
             crust_probe, space, interior)
         yield ("us_per_lp_call", "dual_one_orth_decompose", name, "-"), functools.partial(
-            dual_one_orth_decompose, space, _pair(space, int(rng.integers(2**31)))[0])
+            dual_one_orth_decompose, space, rng.normal(size=space.dim))
     for p, names in DECOMPOSE:
         for name in names:
-            space = families[name]
-            v = _pair(space, int(rng.integers(2**31)))[0]
             yield ("us_per_lp_call", "opt_decompose", name, _p_key(p)), functools.partial(
-                opt_decompose, space, v, p)
+                opt_decompose, families[name], rng.normal(size=families[name].dim), p)
 
 
 def measure() -> dict:
@@ -180,7 +179,7 @@ def main() -> int:
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("bench", "single grid decisions per default family, p and side; single LP-backed calls")
+    doc.setdefault("bench", "single grid decisions and single LP-backed calls")
     doc.setdefault("unit", "us per call (median over repeats)")
     doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")

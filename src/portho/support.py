@@ -5,7 +5,7 @@ per family (closed forms where available, LPs over the dual ball otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,12 +140,13 @@ def _positive_support_base(space: SpaceSpec, u: np.ndarray, nu: float) -> np.nda
     G = _c.generator_matrix(space.cone)
     gphi = G @ space.norm.phi
     m, n = G.shape
-    ball = dict(ineq=np.vstack([G, -G]), ineq_rhs=np.append(gphi, np.zeros(m)), free=np.ones(n, bool))
-    out = solve_lp(LpProblem(objective=u, **ball))
+    ineq, rhs = np.vstack([G, -G]), np.append(gphi, np.zeros(m))
+    first = LpProblem(objective=u, ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool))
+    out = solve_lp(first)
     if out.status != "optimal":
         raise InputError("positive support LP failed")
     # stage two: among supports of u, minimize total mass on the generators
-    out2 = solve_lp(LpProblem(objective=-G.sum(axis=0), eq=u[None], eq_rhs=[out.optimum], **ball))
+    out2 = solve_lp(replace(first, objective=-G.sum(axis=0), eq=u[None], eq_rhs=[out.optimum]))
     return out2.argument if out2.status == "optimal" else out.argument
 
 
