@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Time single calls of two layers: the grid decider and the LP-backed
-constructions.
+"""Time single calls of three layers: the grid decider, the constructions
+and the LP solver.
 
 Decider slice: for every default family and every exponent p in
 {1, 1.5, 2, inf}, one fixed seeded pair is decided by
 `p_orthogonal_numeric` (primal) and by `dual_p_orthogonal_numeric` (dual).
 
-LP slice: public calls that solve linear programs, each on a fixed seeded
-input: `cone_contains` on a non-simplicial ray cone (a pentagon in R^3, one
-point inside and one outside), and on the default families where the call
-solves an LP, `support_functional`, `positive_support`, `crust_probe` (a
-cone element on the boundary and one inside), `opt_decompose` at p = 1 and
-p = inf, and `dual_one_orth_decompose`.
+Construction slice (table `us_per_lp_call`): public calls, each on a fixed
+seeded input. On the default families these are the calls that solved LPs
+before the lattice-cone closed forms, kept under the same keys so that runs
+of either code compare per call: `support_functional`, `positive_support`,
+`crust_probe` (a cone element on the boundary and one inside),
+`opt_decompose` at p = 1 and p = inf, and `dual_one_orth_decompose`. On the
+non-simplicial pentagon cone in R^3, where every one of them still solves
+LPs: `cone_contains` (a point inside, one outside), and `support_functional`,
+`positive_support` and `crust_probe` under the order-unit (`ou_ray5`) and
+base (`base_ray5`) norms.
+
+Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of
+3 x 5, 8 x 16, 16 x 32 and 32 x 64 (rows x variables), independent of any
+caller.
 
 Every case is warmed up with WARMUP calls; then each of REPEATS rounds times
 one call of each case in turn with `time.perf_counter`, so a change in host
@@ -26,7 +34,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_5.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_6.json
 """
 
 import argparse
@@ -49,13 +57,17 @@ import numpy as np  # noqa: E402
 import portho  # noqa: E402
 from portho import (  # noqa: E402
     cone_contains,
+    LpProblem,
+    base_space,
     crust_probe,
     dual_one_orth_decompose,
     dual_p_orthogonal_numeric,
     opt_decompose,
+    order_unit_space,
     p_orthogonal_numeric,
     positive_support,
     ray_cone,
+    solve_lp,
     support_functional,
 )
 from portho.harness import default_families, sample_cone  # noqa: E402
@@ -64,16 +76,22 @@ EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
 WARMUP = 20
 REPEATS = 301
-# the pair of the i-th family (sorted by name) is drawn from SEED + i; the LP
-# slice draws its inputs from one generator seeded with SEED
+# the pair of the i-th family (sorted by name) is drawn from SEED + i; the
+# construction slice draws its default-family inputs from one generator
+# seeded with SEED, its pentagon inputs from SEED + 1 and the solver slice
+# its LPs from SEED + 2
 SEED = 0
 
-# the non-simplicial ray cone of the cone_contains case: five rays in R^3
+# the non-simplicial ray cone of the pentagon cases: five rays in R^3, with
+# the order unit (and base functional) (0, 0, 1)
 PENTAGON = np.array(
     [[1.0, 0.0, 1.0], [0.3, 1.0, 1.0], [-0.8, 0.6, 1.0], [-0.8, -0.6, 1.0], [0.3, -1.0, 1.0]]
 )
-# default families on which each call solves an LP (the others take closed
-# forms, eigendecompositions or report "unsupported")
+PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
+LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
+# default families on which each call solved an LP before the lattice-cone
+# closed forms (the others took closed forms, eigendecompositions or
+# reported "unsupported")
 SUPPORT_FAMILIES = ("base_8", "polyray_4", "sup_8")
 ORDER_UNIT_FAMILIES = ("polyray_4", "sup_8")  # positive_support, crust_probe, dual split
 DECOMPOSE = ((1.0, ("base_8", "lp1_8", "polyray_4")), (math.inf, ("polyray_4", "sup_8")))
@@ -121,6 +139,7 @@ def _lp_cases():
         cone_contains, pentagon, inside)
     yield ("us_per_lp_call", "cone_contains", "pentagon", "outside"), functools.partial(
         cone_contains, pentagon, outside)
+    yield from _pentagon_cases(pentagon)
     for name in SUPPORT_FAMILIES:
         space = families[name]
         yield ("us_per_lp_call", "support_functional", name, "-"), functools.partial(
@@ -144,9 +163,44 @@ def _lp_cases():
                 opt_decompose, families[name], rng.normal(size=families[name].dim), p)
 
 
+def _pentagon_cases(pentagon):
+    rng = np.random.default_rng(SEED + 1)
+    spaces = {
+        "ou_ray5": order_unit_space(pentagon, PENTAGON_UNIT),
+        "base_ray5": base_space(pentagon, PENTAGON_UNIT),
+    }
+    boundary = PENTAGON[:2].T @ rng.uniform(0.2, 1.5, size=2)  # on the facet of rays 0 and 1
+    interior = PENTAGON.T @ rng.uniform(0.2, 1.5, size=len(PENTAGON))
+    for name, space in spaces.items():
+        yield ("us_per_lp_call", "support_functional", name, "-"), functools.partial(
+            support_functional, space, rng.normal(size=3))
+        yield ("us_per_lp_call", "positive_support", name, "-"), functools.partial(
+            positive_support, space, interior)
+    for case, u in (("boundary", boundary), ("interior", interior)):
+        yield ("us_per_lp_call", "crust_probe", "ou_ray5", case), functools.partial(
+            crust_probe, spaces["ou_ray5"], u)
+
+
+def _solver_cases():
+    """Bounded feasible LPs: a quarter of the rows (at least one) equalities
+    with normal entries, the rest inequalities with positive entries, both
+    met by a fixed point x0 >= 0 with slack on the inequalities."""
+    rng = np.random.default_rng(SEED + 2)
+    for rows, n in LP_SIZES:
+        n_eq = max(1, rows // 4)
+        x0 = rng.uniform(0.0, 1.0, size=n)
+        eq = rng.normal(size=(n_eq, n))
+        ineq = rng.uniform(0.1, 1.0, size=(rows - n_eq, n))
+        problem = LpProblem(
+            objective=rng.normal(size=n), eq=eq, eq_rhs=eq @ x0,
+            ineq=ineq, ineq_rhs=ineq @ x0 + rng.uniform(0.1, 1.0, size=rows - n_eq),
+        )
+        yield ("us_per_solve", "solve_lp", f"{rows}x{n}", "-"), functools.partial(solve_lp, problem)
+
+
 def measure() -> dict:
     package_dir = pathlib.Path(portho.__file__).resolve().parent
-    cases = [*_decision_cases(), *_lp_cases()]
+    cases = [*_decision_cases(), *_lp_cases(), *_solver_cases()]
     for _, call in cases:
         for _ in range(WARMUP):
             call()
@@ -175,15 +229,15 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", default="BENCH_6.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("bench", "single grid decisions and single LP-backed calls")
+    doc.setdefault("bench", "single grid decisions, constructions and LP solves")
     doc.setdefault("unit", "us per call (median over repeats)")
     doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    for table in ("us_per_decision", "us_per_lp_call"):
+    for table in ("us_per_decision", "us_per_lp_call", "us_per_solve"):
         for name, by_a in run[table].items():
             for a, by_b in by_a.items():
                 cells = "  ".join(f"{b}: {us:8.1f} us" for b, us in by_b.items())

@@ -3,6 +3,9 @@
 Space specs are UTF-8 JSON documents; the exponent infinity is encoded as
 the string "inf"; unknown keys are rejected so typos fail loudly instead of
 silently changing the space.
+
+Exit codes: 0 pass, 1 a counterexample or failed decomposition, 2 invalid
+input, 3 an unexpected error (one stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cones import ConeSpec, nonneg_orthant, psd_cone, ray_cone
 from .decomp import infty_orth_decompose, opt_decompose
-from .errors import InputError, SpecError
+from .errors import InputError
 from .harness import SUITE_IDS, SUITES, default_families, run_suite
 from .ortho import p_orthogonal_numeric
 from .spaces import NormKind, SpaceSpec, norm, validate_space
@@ -275,7 +278,7 @@ def _cmd_decompose(args) -> int:
         ),
         args.out,
     )
-    return 0 if d.status in ("optimal", "approximate") else 1
+    return 0 if d.status == "optimal" else 1
 
 
 def _cmd_support(args) -> int:
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=lambda s: INF if s == "inf" else float(s), required=True)
     p.set_defaults(func=_cmd_ortho)
 
-    p = sub.add_parser("decompose", help="near-optimal positive decomposition")
+    p = sub.add_parser("decompose", help="optimal positive decomposition")
     common(p, space_required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--p", type=lambda s: INF if s == "inf" else float(s), required=True)
@@ -381,9 +384,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, SpecError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -187,7 +187,13 @@ def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
     if cone.kind == PSD:
         M = as_matrix(cone, x)
         return bool(eigen_sym(M).eigenvalues[-1] >= -tol)
-    # rays: feasibility of x = G^T a with a >= 0 (phase-one LP)
+    if cone.coefficient_basis is not None:  # cone coefficients B^-1 x >= 0
+        return bool(np.all(cone.coefficient_basis[1] @ x >= -tol))
+    return _contains_lp(cone, x, tol)
+
+
+def _contains_lp(cone: ConeSpec, x: np.ndarray, tol: float) -> bool:
+    """Feasibility of x = G^T a with a >= 0 (phase-one LP)."""
     G = cone.generators
     out = solve_lp(LpProblem(objective=np.zeros(G.shape[0]), eq=G.T, eq_rhs=x), tol=tol)
     return out.status == "optimal"
@@ -210,8 +216,8 @@ class ConeReport:
 
 
 def cone_proper_generating(cone: ConeSpec, tol: float = DEFAULT_TOL) -> ConeReport:
-    if cone.kind in (NONNEG, PSD):
-        return ConeReport(True, True)
+    if cone.kind == PSD or cone.coefficient_basis is not None:
+        return ConeReport(True, True)  # a simplicial cone has independent generators
     G = cone.generators
     m, n = G.shape
     generating = np.linalg.matrix_rank(G, tol=1e-10) == n

@@ -1,9 +1,11 @@
 """Positive decompositions and the coordinate embedding of orthonormal spans.
 
-Three decomposition routes: near-optimal positive decompositions v = u1 - u2
-(exact LPs for the polyhedral exponents, projected gradient for the smooth
-ones), inf-orthogonal splits into positive/negative parts, and the dual
-route that splits a functional into 1-orthogonal positive halves.
+Three decomposition routes: optimal positive decompositions v = u1 - u2,
+inf-orthogonal splits into positive/negative parts, and the dual route that
+splits a functional into 1-orthogonal positive halves. Where the norm grows
+with the absolute values of unique cone coefficients (`_monotone_norm`) all
+three are the coefficient split; LPs remain only for lp and sup norms over a
+simplicial ray cone at p = 1 and the dual route on a non-simplicial cone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from .ortho import (
     orthonormal_set_verify,
     p_orthogonal_numeric,
 )
-from .spaces import LP, ORDER_UNIT, SUP, SpaceSpec, dual_norm, norm, norming_element
+from .spaces import (
+    BASE,
+    ORDER_UNIT,
+    SPECTRAL,
+    SpaceSpec,
+    batch_norms,
+    dual_norm,
+    norm,
+    norming_element,
+)
 
 INF = math.inf
 
@@ -33,7 +44,7 @@ class Decomposition:
     u2: np.ndarray
     p: float
     norm_aggregate: float
-    status: str  # "optimal" | "approximate" | "failed" | "unsupported"
+    status: str  # "optimal" | "failed" | "unsupported"
     ortho_verdict: OrthoVerdict | None = None
 
 
@@ -56,131 +67,76 @@ def _spectral_parts(space: SpaceSpec, v: np.ndarray):
     return v1.ravel(), v2.ravel()
 
 
+def _parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
+    """Positive and negative parts of x by its unique coefficients (None when
+    they are not unique): x = B c as (B c+, B c-), a functional f = H^T c
+    (H = B^-1) as (H^T c+, H^T c-), a symmetric matrix by its spectrum."""
+    if space.norm.kind == SPECTRAL:
+        return _spectral_parts(space, x)
+    basis = space.cone.coefficient_basis
+    if basis is None:
+        return None
+    B, H = basis
+    if dual:
+        B, H = H.T, B.T
+    c = H @ x
+    return B @ np.clip(c, 0.0, None), B @ np.clip(-c, 0.0, None)
+
+
+def _monotone_norm(space: SpaceSpec) -> bool:
+    """Whether the norm grows with the absolute values of unique cone
+    coefficients (eigenvalues, for spectral): every norm over the orthant,
+    and the order-unit and base norms over a simplicial ray cone. Every
+    positive decomposition is (B (c+ + w), B (c- + w)) with w >= 0, so the
+    split w = 0 minimizes both part norms at once, at every p."""
+    if space.norm.kind == SPECTRAL:
+        return True  # A = v + W >= v gives lambda_max(A) >= lambda_max(v) (Weyl)
+    if space.cone.coefficient_basis is None:
+        return False
+    return space.cone.kind == _c.NONNEG or space.norm.kind in (ORDER_UNIT, BASE)
+
+
 def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decomposition:
+    """A positive decomposition v = u1 - u2 minimizing the lp(2) aggregate of
+    the part norms: the coefficient split where `_monotone_norm` holds, an
+    LP at p = 1 for lp and sup norms over a simplicial ray cone, else
+    "unsupported". Every route is exact; epsilon is validated but unused."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     v = np.asarray(v, dtype=float)
-    nv = norm(space, v)
     if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + np.abs(v).max())):
-        return Decomposition(v, np.zeros_like(v), p, nv, "optimal")
-
-    if math.isinf(p) and space.norm.kind == "spectral":
-        # the spectral split is already optimal: max of the part norms is ||v||
-        split = infty_orth_decompose(space, v)
-        return Decomposition(split.u1, split.u2, p, split.norm_aggregate, "optimal")
-    if p == 1.0 or math.isinf(p):
-        return _decompose_lp(space, v, p, nv)
-    if space.cone.kind != _c.NONNEG:
-        return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
-    return _decompose_gradient(space, v, p, nv, epsilon)
-
-
-def _decompose_lp(space: SpaceSpec, v: np.ndarray, p: float, nv: float) -> Decomposition:
-    basis = space.cone.coefficient_basis
-    if basis is None:
-        return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
-    B = basis[0]
-    if math.isinf(p) and space.norm.kind not in (SUP, ORDER_UNIT, LP):
-        return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
-    n, m = B.shape
-    # u1 = B a, u2 = B b with a, b >= 0 and B(a - b) = v
-    eq = np.hstack([B, -B])
-    if p == 1.0:
-        # per-generator norm contribution is linear on the cone (the norms in
-        # play at p = 1 are additive there)
-        cost = np.array([norm(space, B[:, j]) for j in range(m)])
-        obj = -np.concatenate([cost, cost])
-        out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=v))
-        if out.status != "optimal":
-            raise InputError("decomposition LP infeasible: v outside the span of the cone")
-        a, b = out.argument[:m], out.argument[m:]
+        return Decomposition(v, np.zeros_like(v), p, norm(space, v), "optimal")
+    if _monotone_norm(space):
+        u1, u2 = _parts(space, v)
+    elif p == 1.0 and space.cone.coefficient_basis is not None:
+        u1, u2 = _decompose_l1_lp(space, v)
     else:
-        # minimax: minimize t with every scaled cone coefficient of either
-        # part <= t (the norm of B a is max_j a_j * ||g_j|| on these families);
-        # variables (a, b, t), the two rows of generator j adjacent
-        scale = np.array([norm(space, B[:, j]) for j in range(m)])
-        D, Z, t = np.diag(scale), np.zeros((m, m)), -np.ones((m, 1))
-        ineq = np.stack([np.hstack([D, Z, t]), np.hstack([Z, D, t])], axis=1).reshape(2 * m, -1)
-        obj = -np.eye(2 * m + 1)[-1]
-        out = solve_lp(LpProblem(
-            objective=obj, eq=np.hstack([eq, np.zeros((n, 1))]), eq_rhs=v,
-            ineq=ineq, ineq_rhs=np.zeros(2 * m),
-        ))
-        if out.status != "optimal":
-            raise InputError("decomposition LP infeasible: v outside the span of the cone")
-        a, b = out.argument[:m], out.argument[m : 2 * m]
-    u1, u2 = B @ a, B @ b
+        return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
     agg = p_aggregate(norm(space, u1), norm(space, u2), p)
     return Decomposition(u1, u2, p, agg, "optimal")
 
 
-def _decompose_gradient(
-    space: SpaceSpec,
-    v: np.ndarray,
-    p: float,
-    nv: float,
-    epsilon: float,
-    max_iters: int = 5000,
-) -> Decomposition:
-    """Projected gradient on the cone coefficients of u1, with a quadratic
-    penalty (weight doubled every 50 iterations) pushing u1 - v into the cone."""
-    a = np.clip(v, 0.0, None)  # positive part: feasible and usually optimal
-    mu = 10.0
-
-    def value(a, mu):
-        u2 = a - v
-        pen = float(np.minimum(u2, 0.0) @ np.minimum(u2, 0.0))
-        return norm(space, a) ** p + norm(space, np.clip(u2, 0.0, None)) ** p + mu * pen
-
-    def grad(a, mu):
-        u2 = a - v
-        g = p * np.abs(a) ** (p - 1.0) * np.sign(a)
-        g += p * np.clip(u2, 0.0, None) ** (p - 1.0)
-        g += 2.0 * mu * np.minimum(u2, 0.0)
-        return g
-
-    status = "failed"
-    for it in range(max_iters):
-        if it and it % 50 == 0:
-            mu *= 2.0
-        g = grad(a, mu)
-        step, base = 1.0, value(a, mu)
-        for _ in range(40):
-            trial = np.clip(a - step * g, 0.0, None)
-            if value(trial, mu) < base - 1e-14:
-                a = trial
-                break
-            step *= 0.5
-        u2 = np.clip(a - v, 0.0, None)
-        if p_aggregate(norm(space, v + u2), norm(space, u2), p) <= nv + epsilon:
-            status = "approximate"
-            break
-    # snap the iterate onto the cone: u2 clipped, u1 = v + u2 (coordinatewise
-    # nonnegative because a >= 0), so reconstruction is exact
-    u2 = np.clip(a - v, 0.0, None)
-    u1 = v + u2
-    agg = p_aggregate(norm(space, u1), norm(space, u2), p)
-    return Decomposition(u1, u2, p, agg, status)
+def _decompose_l1_lp(space: SpaceSpec, v: np.ndarray):
+    """u1 = B a, u2 = B b with a, b >= 0, B (a - b) = v, minimizing
+    sum_j (a_j + b_j) ||g_j||."""
+    B = space.cone.coefficient_basis[0]
+    m = B.shape[1]
+    cost = batch_norms(space, B.T)
+    obj = -np.concatenate([cost, cost])
+    out = solve_lp(LpProblem(objective=obj, eq=np.hstack([B, -B]), eq_rhs=v))
+    if out.status != "optimal":
+        raise InputError("decomposition LP infeasible: v outside the span of the cone")
+    return B @ out.argument[:m], B @ out.argument[m:]
 
 
 def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     v = np.asarray(v, dtype=float)
-    if space.norm.kind == "spectral":
-        v1, v2 = _spectral_parts(space, v)
-    else:
-        basis = space.cone.coefficient_basis
-        if basis is None:
-            return Decomposition(v, np.zeros_like(v), INF, math.nan, "unsupported")
-        B, Binv = basis
-        c = Binv @ v
-        v1 = B @ np.clip(c, 0.0, None)
-        v2 = B @ np.clip(-c, 0.0, None)
+    parts = _parts(space, v)
+    if parts is None:
+        return Decomposition(v, np.zeros_like(v), INF, math.nan, "unsupported")
+    v1, v2 = parts
     verdict = None
-    if (
-        math.isinf(space.p_class)
-        and np.abs(v1).max() > 0.0
-        and np.abs(v2).max() > 0.0
-    ):
+    if math.isinf(space.p_class) and np.abs(v1).max() > 0.0 and np.abs(v2).max() > 0.0:
         verdict = p_orthogonal_numeric(space, v1, v2, INF)
     agg = p_aggregate(norm(space, v1), norm(space, v2), INF)
     return Decomposition(v1, v2, INF, agg, "optimal", verdict)
@@ -189,31 +145,17 @@ def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
 def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     """Split a functional on an infinity-smooth space into positive halves
     with additive dual norms, then certify the halves are 1-orthogonal and
-    vanish crosswise on an orthogonal split of a norming element."""
+    vanish crosswise on an orthogonal split of a norming element. The halves
+    are the coefficient split, or an LP's for an order-unit norm on a
+    non-simplicial ray cone."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
 
-    if space.norm.kind == "spectral":
-        f1, f2 = _spectral_parts(space, f)
-    elif space.cone.kind == _c.NONNEG and space.norm.kind in (SUP, LP):
-        # dual norm is l1: minimize total mass over f = f1 - f2, f1, f2 >= 0
-        n = space.dim
-        eq = np.hstack([np.eye(n), -np.eye(n)])
-        out = solve_lp(LpProblem(objective=-np.ones(2 * n), eq=eq, eq_rhs=f))
-        f1, f2 = out.argument[:n], out.argument[n:]
+    if _monotone_norm(space) and space.norm.kind != BASE:  # a base dual norm is a max
+        f1, f2 = _parts(space, f, dual=True)
     elif space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS:
-        # variables f1 (free); f2 = f1 - f; minimize (f1 + f2)(e) over the
-        # dual-cone constraints G f_i >= 0
-        G = space.cone.generators
-        out = solve_lp(LpProblem(
-            objective=-2.0 * space.norm.unit, ineq=np.vstack([-G, -G]),
-            ineq_rhs=np.append(np.zeros(len(G)), -(G @ f)), free=np.ones(space.dim, bool),
-        ))
-        if out.status != "optimal":
-            raise UnsupportedError("dual decomposition LP failed")
-        f1 = out.argument
-        f2 = f1 - f
+        f1, f2 = _dual_split_lp(space, f)
     else:
         return Decomposition(f, np.zeros_like(f), 1.0, math.nan, "unsupported")
 
@@ -234,6 +176,19 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
             if abs(f1 @ split.u2) > 1e-8 * scale or abs(f2 @ split.u1) > 1e-8 * scale:
                 status = "failed"
     return Decomposition(f1, f2, 1.0, nagg, status, verdict)
+
+
+def _dual_split_lp(space: SpaceSpec, f: np.ndarray):
+    """f = f1 - f2 minimizing (f1 + f2)(e) over f1, f2 in the dual cone of
+    an order-unit space; the variables are f1 (free), with f2 = f1 - f."""
+    G = _c.generator_matrix(space.cone)
+    out = solve_lp(LpProblem(
+        objective=-2.0 * space.norm.unit, ineq=np.vstack([-G, -G]),
+        ineq_rhs=np.append(np.zeros(len(G)), -(G @ f)), free=np.ones(space.dim, bool),
+    ))
+    if out.status != "optimal":
+        raise UnsupportedError("dual decomposition LP failed")
+    return out.argument, out.argument - f
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .spaces import (
     spectral_space,
     sup_space,
 )
-from .support import crust_probe, positive_support
+from .support import crust_probe, facet_support, positive_support
 
 INF = math.inf
 _SCAN_TOL = 1e-4  # floor tolerance for restricted-ball (scanned) checks
@@ -155,26 +155,16 @@ def _support_min_cross(space: SpaceSpec, u1, u2):
     """A positive support functional of u1 chosen, among the optimizers, to
     minimize its value on u2. Returns (f, f(u1), f(u2))."""
     if space.norm.kind == SPECTRAL:
-        d = space.cone.side
         U1 = _c.as_matrix(space.cone, u1)
         U2 = _c.as_matrix(space.cone, u2)
         lam, Q = np.linalg.eigh(U1)
         top = lam >= lam[-1] - 1e-9 * max(lam[-1], 1e-300)
         Qt = Q[:, top]
-        mu, R = np.linalg.eigh(Qt.T @ U2 @ Qt)
+        _, R = np.linalg.eigh(Qt.T @ U2 @ Qt)
         q = Qt @ R[:, 0]
         f = np.outer(q, q).ravel()
-        return f, float(f @ np.asarray(u1)), float(f @ np.asarray(u2))
-    Binv = space.cone.coefficient_basis[1]
-    a = Binv @ np.asarray(u1, dtype=float)
-    b = Binv @ np.asarray(u2, dtype=float)
-    s = Binv @ order_unit(space)  # coefficients of the unit; norm = max a_i / s_i
-    ratios = a / s
-    top = np.flatnonzero(ratios >= ratios.max() - 1e-12 * (1.0 + abs(ratios.max())))
-    j = top[np.argmin(b[top] / s[top])]
-    beta = np.zeros(len(a))
-    beta[j] = 1.0 / s[j]
-    f = Binv.T @ beta
+    else:
+        f = facet_support(space, u1, tiebreak=u2)
     return f, float(f @ u1), float(f @ u2)
 
 
@@ -277,7 +267,7 @@ def _suite_def22_op2(space, rng, tol):
     nv = norm(space, v)
     d = opt_decompose(space, v, space.p_class, epsilon=1e-6)
     scale = 1.0 + np.abs(v).max()
-    if d.status not in ("optimal", "approximate"):
+    if d.status != "optimal":
         return _cx("decomposition_status", math.nan, v=v)
     if np.abs((d.u1 - d.u2) - v).max() > 1e-9 * scale:
         return _cx("reconstruction", float(np.abs(d.u1 - d.u2 - v).max()), v=v)

@@ -367,13 +367,8 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
         return float(np.sign(g @ f)) * g / float(g @ space.norm.phi)
     # order unit: a vertex of the order interval [-e, e]
     e = space.norm.unit
-    cone = space.cone
-    if cone.kind == _c.NONNEG:
-        s = np.sign(f)
-        s[s == 0.0] = 1.0
-        return s * e
-    if cone.coefficient_basis is not None:
-        B, Binv = cone.coefficient_basis
+    if space.cone.coefficient_basis is not None:
+        B, Binv = space.cone.coefficient_basis
         s = np.sign(f @ B)
         s[s == 0.0] = 1.0
         return B @ (s * (Binv @ e))

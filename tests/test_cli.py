@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from portho import cli
 from portho.cli import main, parse_space_spec, serialize_space_spec
-from portho.errors import InputError, SpecError
+from portho.errors import InputError, SpecError, UnsupportedError
 
 INF = math.inf
 
@@ -342,3 +343,30 @@ class TestCommands:
     def test_bad_argv_exits_2(self, capsys):
         assert main(["verify"]) == 2
         assert main(["nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "exc", [UnsupportedError("dual decomposition LP failed"), ZeroDivisionError("division by zero")]
+    )
+    def test_unexpected_error_exits_3_without_traceback(self, sup3, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "opt_decompose", broken)
+        assert main(["decompose", "--space", sup3, "--v", "2,-3,0", "--p", "inf"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"internal error: {type(exc).__name__}: {exc}")
+
+    def test_decompose_lp1_at_p_inf_reports_the_split(self, tmp_path, capsys):
+        path = tmp_path / "lp1.json"
+        path.write_text(
+            '{"dim":3,"cone":{"kind":"nonneg"},"norm":{"kind":"lp","p":1.0},"p_class":1.0}',
+            encoding="utf-8",
+        )
+        assert main(["decompose", "--space", str(path), "--v", "2,-1,0", "--p", "inf"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "optimal"
+        assert out["u1"] == pytest.approx([2.0, 0.0, 0.0])
+        assert out["u2"] == pytest.approx([0.0, 1.0, 0.0])
+        assert out["norm_aggregate"] == pytest.approx(2.0)

@@ -10,10 +10,14 @@ from portho.decomp import (
     infty_orth_decompose,
     opt_decompose,
 )
+from portho.cli import parse_space_spec
 from portho.errors import InputError
+from portho.harness import default_families
+from portho.linalg import LpProblem, solve_lp
 from portho.ortho import p_orthogonal_exact
 from portho.spaces import (
     base_space,
+    batch_norms,
     dual_norm,
     lp_space,
     norm,
@@ -228,3 +232,110 @@ class TestEmbedding:
                     continue
                 assert p_orthogonal_exact(u1, u2, p)
                 assert not cone_contains(sp.cone, u1 - u2, tol=1e-12)
+
+
+class TestDecompositionRegressions:
+    def test_lp1_at_p_inf_is_the_split_not_a_minimax_over_generators(self):
+        # a p = inf minimax LP that scaled each generator by its own norm
+        # reported "optimal" with aggregate 5.0 here
+        sp = parse_space_spec(
+            '{"dim":3,"cone":{"kind":"nonneg"},"norm":{"kind":"lp","p":1.0},"p_class":1.0}'
+        )
+        d = opt_decompose(sp, [2.0, -1.0, 0.0], INF)
+        assert d.status == "optimal"
+        assert d.norm_aggregate == pytest.approx(2.0, abs=1e-12)
+        assert d.u1 == pytest.approx([2.0, 0.0, 0.0]) and d.u2 == pytest.approx([0.0, 1.0, 0.0])
+
+    def test_lp2_at_another_finite_p_is_optimal(self):
+        # a projected gradient ran all its iterations (about 9 s) and
+        # reported "failed" here. At p = 1.5 the least aggregate is that of
+        # the split, which is above ||v|| = 2.31...: the lp(2) aggregate of
+        # disjointly supported parts is their l2 norm only at p = 2
+        sp, v = lp_space(4, 2.0), np.array([1.0, -2.0, 0.5, -0.3])
+        d = opt_decompose(sp, v, 1.5)
+        assert d.status == "optimal"
+        split = (norm(sp, np.clip(v, 0.0, None)) ** 1.5 + norm(sp, np.clip(-v, 0.0, None)) ** 1.5) ** (
+            1.0 / 1.5
+        )
+        assert abs(d.norm_aggregate - split) <= 1e-9
+        assert d.norm_aggregate > norm(sp, v)
+        assert d.u1 - d.u2 == pytest.approx(v, abs=1e-12)
+
+
+def _aggregates(space, U1, U2, p):
+    n1, n2 = batch_norms(space, U1), batch_norms(space, U2)
+    return np.maximum(n1, n2) if math.isinf(p) else (n1**p + n2**p) ** (1.0 / p)
+
+
+def _brute_force_least_aggregate(space, u1, u2, p, rng):
+    """Least aggregate over random decompositions (u1 + w, u2 + w), w in the
+    cone, at several scales and along each generator: the aggregate is
+    convex in w, so if the split were not optimal, small steps from it
+    would find a lower value."""
+    if space.norm.kind == "spectral":
+        d = space.cone.side
+        A = rng.normal(size=(600, d, d))
+        W = np.einsum("kij,klj->kil", A, A).reshape(600, -1) / d
+    else:
+        B = space.cone.coefficient_basis[0]
+        m = B.shape[1]
+        coeffs = rng.exponential(size=(600, m)) * (rng.random(size=(600, m)) < 0.5)
+        W = np.vstack([coeffs, np.eye(m)]) @ B.T
+    W = np.vstack([s * W for s in (1e-4, 1e-2, 1.0)])
+    return float(_aggregates(space, u1 + W, u2 + W, p).min())
+
+
+def _lp_least_aggregate(space, v, p):
+    """Least aggregate at p = 1 or inf by an LP over the cone coefficients,
+    for the norms that are on the cone either linear, sum_j ||g_j|| a_j (lp1,
+    base), or of max form, max_j ||g_j|| a_j (sup, order unit). Variables
+    (a, b, t1, t2) with a - b = B^-1 v and the part norms below t1, t2."""
+    B, H = space.cone.coefficient_basis
+    m = B.shape[1]
+    g = batch_norms(space, B.T)
+    Z = np.zeros((m, m))
+    if space.norm.kind in ("lp", "base"):
+        ineq = np.array([np.r_[g, np.zeros(m), -1.0, 0.0], np.r_[np.zeros(m), g, 0.0, -1.0]])
+    else:
+        ineq = np.vstack([
+            np.hstack([np.diag(g), Z, -np.ones((m, 1)), np.zeros((m, 1))]),
+            np.hstack([Z, np.diag(g), np.zeros((m, 1)), -np.ones((m, 1))]),
+        ])
+    if math.isinf(p):  # minimize t1 with t2 <= t1
+        ineq = np.vstack([ineq, np.r_[np.zeros(2 * m), -1.0, 1.0]])
+        obj = np.r_[np.zeros(2 * m), -1.0, 0.0]
+    else:
+        obj = np.r_[np.zeros(2 * m), -1.0, -1.0]
+    out = solve_lp(LpProblem(
+        objective=obj, eq=np.hstack([np.eye(m), -np.eye(m), np.zeros((m, 2))]), eq_rhs=H @ v,
+        ineq=ineq, ineq_rhs=np.zeros(len(ineq)),
+    ))
+    assert out.status == "optimal"
+    return -out.optimum
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF], ids=["1", "1.5", "2", "3", "inf"])
+@pytest.mark.parametrize("family", sorted(default_families()))
+def test_every_default_family_decomposes_optimally(family, p):
+    space = default_families()[family]
+    rng = np.random.default_rng([7, int(10 * min(p, 9.0))])
+    polyhedral = family in ("lp1_8", "base_8", "sup_8", "polyray_4")
+    for _ in range(6):
+        v = rng.normal(size=space.dim)
+        if family == "spectral_4":
+            v = (v.reshape(4, 4) + v.reshape(4, 4).T).ravel()
+        d = opt_decompose(space, v, p)
+        assert d.status == "optimal"
+        scale = 1.0 + np.abs(v).max()
+        assert np.abs(d.u1 - d.u2 - v).max() <= 1e-12 * scale
+        assert cone_contains(space.cone, d.u1, tol=1e-12 * scale)
+        assert cone_contains(space.cone, d.u2, tol=1e-12 * scale)
+        assert d.norm_aggregate == pytest.approx(
+            float(_aggregates(space, d.u1[None], d.u2[None], p)[0]), abs=1e-12
+        )
+        if p == space.p_class:  # the split is p-orthogonal at the space's own p
+            assert d.norm_aggregate == pytest.approx(norm(space, v), abs=1e-12 * scale)
+        best = _brute_force_least_aggregate(space, d.u1, d.u2, p, rng)
+        assert d.norm_aggregate <= best + 1e-12 * scale
+        if polyhedral and p in (1.0, INF):
+            assert d.norm_aggregate == pytest.approx(_lp_least_aggregate(space, v, p), abs=1e-9)
