@@ -3,7 +3,7 @@
 Three decomposition routes: optimal positive decompositions v = u1 - u2,
 inf-orthogonal splits into positive/negative parts, and the dual route that
 splits a functional into 1-orthogonal positive halves. Where the norm grows
-with the absolute values of unique cone coefficients (`_monotone_norm`) all
+with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; LPs remain only for lp and sup norms over a
 simplicial ray cone at p = 1 and the dual route on a non-simplicial cone.
 """
@@ -67,7 +67,7 @@ def _spectral_parts(space: SpaceSpec, v: np.ndarray):
     return v1.ravel(), v2.ravel()
 
 
-def _parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
+def coefficient_parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
     """Positive and negative parts of x by its unique coefficients (None when
     they are not unique): x = B c as (B c+, B c-), a functional f = H^T c
     (H = B^-1) as (H^T c+, H^T c-), a symmetric matrix by its spectrum."""
@@ -83,7 +83,7 @@ def _parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
     return B @ np.clip(c, 0.0, None), B @ np.clip(-c, 0.0, None)
 
 
-def _monotone_norm(space: SpaceSpec) -> bool:
+def monotone_norm(space: SpaceSpec) -> bool:
     """Whether the norm grows with the absolute values of unique cone
     coefficients (eigenvalues, for spectral): every norm over the orthant,
     and the order-unit and base norms over a simplicial ray cone. Every
@@ -98,7 +98,7 @@ def _monotone_norm(space: SpaceSpec) -> bool:
 
 def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decomposition:
     """A positive decomposition v = u1 - u2 minimizing the lp(2) aggregate of
-    the part norms: the coefficient split where `_monotone_norm` holds, an
+    the part norms: the coefficient split where `monotone_norm` holds, an
     LP at p = 1 for lp and sup norms over a simplicial ray cone, else
     "unsupported". Every route is exact; epsilon is validated but unused."""
     if epsilon <= 0:
@@ -106,8 +106,8 @@ def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decom
     v = np.asarray(v, dtype=float)
     if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + np.abs(v).max())):
         return Decomposition(v, np.zeros_like(v), p, norm(space, v), "optimal")
-    if _monotone_norm(space):
-        u1, u2 = _parts(space, v)
+    if monotone_norm(space):
+        u1, u2 = coefficient_parts(space, v)
     elif p == 1.0 and space.cone.coefficient_basis is not None:
         u1, u2 = _decompose_l1_lp(space, v)
     else:
@@ -131,7 +131,7 @@ def _decompose_l1_lp(space: SpaceSpec, v: np.ndarray):
 
 def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     v = np.asarray(v, dtype=float)
-    parts = _parts(space, v)
+    parts = coefficient_parts(space, v)
     if parts is None:
         return Decomposition(v, np.zeros_like(v), INF, math.nan, "unsupported")
     v1, v2 = parts
@@ -152,8 +152,8 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
 
-    if _monotone_norm(space) and space.norm.kind != BASE:  # a base dual norm is a max
-        f1, f2 = _parts(space, f, dual=True)
+    if monotone_norm(space) and space.norm.kind != BASE:  # a base dual norm is a max
+        f1, f2 = coefficient_parts(space, f, dual=True)
     elif space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS:
         f1, f2 = _dual_split_lp(space, f)
     else:

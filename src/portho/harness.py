@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones as _c
-from .decomp import dual_one_orth_decompose, embed_to_lp, opt_decompose, p_aggregate
+from .decomp import (
+    coefficient_parts,
+    dual_one_orth_decompose,
+    embed_to_lp,
+    monotone_norm,
+    opt_decompose,
+    p_aggregate,
+)
 from .errors import InputError
 from .ortho import OrthoConfig, p_orthogonal_exact, p_orthogonal_numeric, verdict_from_norm
 from .spaces import (
@@ -169,12 +176,10 @@ def _support_min_cross(space: SpaceSpec, u1, u2):
 
 
 def _dual_split(space: SpaceSpec, f: np.ndarray):
-    """f = f1 - f2 with both halves in the dual cone, norm-minimal."""
-    if space.norm.kind == SPECTRAL or (
-        space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS
-    ):
-        dec = dual_one_orth_decompose(space, f)
-        return dec.u1, dec.u2
+    """f = f1 - f2, norm-minimal: by the dual cone coefficients where the
+    norm is monotone in the cone coefficients, else by coordinates."""
+    if monotone_norm(space):
+        return coefficient_parts(space, f, dual=True)
     return np.clip(f, 0.0, None), np.clip(-f, 0.0, None)
 
 

@@ -15,7 +15,8 @@ from portho.harness import (
     run_suite,
 )
 from portho.ortho import p_orthogonal_numeric
-from portho.spaces import lp_space, sup_space
+from portho.cones import ray_cone
+from portho.spaces import base_space, lp_space, sup_space
 
 INF = math.inf
 
@@ -137,3 +138,13 @@ class TestHandVerifiedPairs:
         # raising the shared coordinate pushes the sum past norm one
         v = p_orthogonal_numeric(sp, u1, np.array([0.0, 1.0, 1.0]), INF)
         assert not v.is_orthogonal
+
+
+@pytest.mark.parametrize("suite", ["thm23_duality", "thm24_OSp2"])
+def test_duality_suites_green_on_a_simplicial_base_space(suite):
+    # the base dual norm is max_i |f(g_i)| / phi(g_i), so the norm-minimal
+    # split of f follows its dual cone coefficients, not its coordinates
+    cone = ray_cone(np.eye(4) + 0.2 * np.ones((4, 4)))
+    rep = run_suite(suite, base_space(cone, np.ones(4)), samples=50, seed=0)
+    assert rep.status == "ok"
+    assert rep.passes == rep.samples == 50
