@@ -65,7 +65,7 @@ def support_functional(space: SpaceSpec, v) -> SupportResult:
         # the base norm is sum_j phi(g_j) |c_j| over the cone coefficients c
         B, H = basis
         f = H.T @ ((B.T @ space.norm.phi) * np.sign(H @ v))
-    elif kind in (SUP, LP) or basis is not None:
+    elif kind in (SUP, LP) or basis is not None:  # sup, lp-inf, lattice order unit
         f = facet_support(space, v)
     else:
         f = _support_lp(space, v)
