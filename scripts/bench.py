@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time single calls of three layers: the grid decider, the constructions
-and the LP solver.
+"""Time single calls of three layers, the grid decider, the constructions
+and the LP solver, and the suites of `portho verify all`.
 
 Decider slice: for every default family and every exponent p in
 {1, 1.5, 2, inf}, one fixed seeded pair is decided by
@@ -27,6 +27,13 @@ load during the run reaches all of them alike. The figure is the median over
 the rounds, in microseconds per call. BLAS is pinned to one thread unless
 the environment already sets it.
 
+Suite slice (table `ms_per_suite`): `run_suite` of each of the 22 suites
+on its default family at seed SEED and VERIFY_SAMPLES samples, as
+`portho verify all --samples 50` runs them. After one warm-up round,
+VERIFY_ROUNDS rounds each run every suite once in turn; the figure is the
+median over the rounds in milliseconds per suite, and `verify_all_ms` is
+the median of the rounds' totals.
+
 The figures land under `runs[LABEL]` of the output JSON, next to any runs
 already there, with the commit of the measured source, the Python and numpy
 versions, `nproc` and the line count of the measured `portho` package (the
@@ -34,7 +41,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_6.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_7.json
 """
 
 import argparse
@@ -70,7 +77,13 @@ from portho import (  # noqa: E402
     solve_lp,
     support_functional,
 )
-from portho.harness import default_families, sample_cone  # noqa: E402
+from portho.harness import (  # noqa: E402
+    DEFAULT_FAMILY,
+    SUITE_IDS,
+    default_families,
+    run_suite,
+    sample_cone,
+)
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
@@ -81,6 +94,8 @@ REPEATS = 301
 # seeded with SEED, its pentagon inputs from SEED + 1 and the solver slice
 # its LPs from SEED + 2
 SEED = 0
+VERIFY_SAMPLES = 50  # samples per suite, as perfbench's verify_all workload
+VERIFY_ROUNDS = 15  # timed rounds of the suite slice, each running all 22 suites
 
 # the non-simplicial ray cone of the pentagon cases: five rays in R^3, with
 # the order unit (and base functional) (0, 0, 1)
@@ -198,6 +213,27 @@ def _solver_cases():
         yield ("us_per_solve", "solve_lp", f"{rows}x{n}", "-"), functools.partial(solve_lp, problem)
 
 
+def _measure_suites() -> tuple[dict, float]:
+    """Median ms per suite over VERIFY_ROUNDS rounds (after one warm-up
+    round), and the median of the rounds' totals."""
+    calls = {
+        s: functools.partial(run_suite, s, samples=VERIFY_SAMPLES, seed=SEED) for s in SUITE_IDS
+    }
+    for call in calls.values():
+        call()
+    times = {s: [] for s in SUITE_IDS}
+    for _ in range(VERIFY_ROUNDS):
+        for suite, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            times[suite].append(time.perf_counter() - t0)
+    totals = [sum(ts[i] for ts in times.values()) for i in range(VERIFY_ROUNDS)]
+    per_suite = {
+        s: {DEFAULT_FAMILY[s]: round(statistics.median(ts) * 1e3, 2)} for s, ts in times.items()
+    }
+    return per_suite, round(statistics.median(totals) * 1e3, 1)
+
+
 def measure() -> dict:
     package_dir = pathlib.Path(portho.__file__).resolve().parent
     cases = [*_decision_cases(), *_lp_cases(), *_solver_cases()]
@@ -219,22 +255,27 @@ def measure() -> dict:
         "warmup": WARMUP,
         "repeats": REPEATS,
         "seed": SEED,
+        "verify_samples": VERIFY_SAMPLES,
+        "verify_rounds": VERIFY_ROUNDS,
     }
     for (table, name, a, b), ts in times.items():
         run.setdefault(table, {}).setdefault(name, {}).setdefault(a, {})[b] = round(
             statistics.median(ts) * 1e6, 1)
+    run["ms_per_suite"], run["verify_all_ms"] = _measure_suites()
     return run
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_6.json")
+    ap.add_argument("--out", default="BENCH_7.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("bench", "single grid decisions, constructions and LP solves")
-    doc.setdefault("unit", "us per call (median over repeats)")
+    doc.setdefault("bench", "single grid decisions, constructions, LP solves and verify-all suites")
+    doc.setdefault(
+        "unit", "us per call (median over repeats); ms for ms_per_suite and verify_all_ms"
+    )
     doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for table in ("us_per_decision", "us_per_lp_call", "us_per_solve"):
@@ -242,6 +283,10 @@ def main() -> int:
             for a, by_b in by_a.items():
                 cells = "  ".join(f"{b}: {us:8.1f} us" for b, us in by_b.items())
                 print(f"{name:24s} {a:10s} {cells}")
+    for suite, by_family in run["ms_per_suite"].items():
+        for family, ms in by_family.items():
+            print(f"{suite:26s} {family:10s} {ms:8.2f} ms")
+    print(f"{'verify all (sum of suites)':37s} {run['verify_all_ms']:8.1f} ms")
     return 0
 
 

@@ -35,6 +35,7 @@ from .ortho import (
     OrthoVerdict,
     dual_p_orthogonal_numeric,
     orthonormal_set_verify,
+    p_orthogonal,
     p_orthogonal_exact,
     p_orthogonal_numeric,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "OrthoVerdict",
     "dual_p_orthogonal_numeric",
     "orthonormal_set_verify",
+    "p_orthogonal",
     "p_orthogonal_exact",
     "p_orthogonal_numeric",
     "NormKind",

@@ -5,7 +5,8 @@ the string "inf"; unknown keys are rejected so typos fail loudly instead of
 silently changing the space.
 
 Exit codes: 0 pass, 1 a counterexample or failed decomposition, 2 invalid
-input, 3 an unexpected error (one stderr line, no traceback).
+input (including finite numbers too large for the arithmetic), 3 an
+unexpected error (one stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .cones import ConeSpec, nonneg_orthant, psd_cone, ray_cone
 from .decomp import infty_orth_decompose, opt_decompose
 from .errors import InputError
 from .harness import SUITE_IDS, SUITES, default_families, run_suite
-from .ortho import p_orthogonal_numeric
+from .ortho import p_orthogonal
 from .spaces import NormKind, SpaceSpec, norm, validate_space
 from .support import crust_probe, positive_support, support_functional
 
@@ -180,11 +181,17 @@ def _load_space(path: str) -> SpaceSpec:
         raise InputError(f"cannot read space file: {exc}") from exc
 
 
-def _csv_vector(text: str) -> np.ndarray:
+def _csv_vector(text: str, field: str, space: SpaceSpec) -> np.ndarray:
+    """The comma-separated coordinates of a vector of the space."""
     try:
-        return np.array([float(t) for t in text.split(",")])
+        v = np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
-        raise InputError(f"invalid vector {text!r}: {exc}") from exc
+        raise InputError(f"{field}: invalid vector {text!r}: {exc}") from exc
+    if v.shape != (space.dim,) or not np.all(np.isfinite(v)):
+        raise InputError(
+            f"{field}: expected {space.dim} finite numbers separated by commas, got {text!r}"
+        )
+    return v
 
 
 def _round17(obj):
@@ -248,10 +255,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ortho(args) -> int:
     space = _load_space(args.space)
-    v = p_orthogonal_numeric(space, _csv_vector(args.x), _csv_vector(args.y), args.p)
+    x, y = _csv_vector(args.x, "--x", space), _csv_vector(args.y, "--y", space)
+    v = p_orthogonal(space, x, y, args.p)
     _emit(
         {
             "verdict": v.verdict,
+            "method": v.method,
             "worst_residual": _round17(v.worst_residual),
             "witness_k": _round17(v.witness_k),
         },
@@ -262,7 +271,7 @@ def _cmd_ortho(args) -> int:
 
 def _cmd_decompose(args) -> int:
     space = _load_space(args.space)
-    d = opt_decompose(space, _csv_vector(args.v), args.p, epsilon=args.eps)
+    d = opt_decompose(space, _csv_vector(args.v, "--v", space), args.p, epsilon=args.eps)
     if d.status == "unsupported":
         print(f"error: no decomposition at p = {args.p} on the given space", file=sys.stderr)
         return 2
@@ -283,7 +292,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_support(args) -> int:
     space = _load_space(args.space)
-    v = _csv_vector(args.v)
+    v = _csv_vector(args.v, "--v", space)
     res = positive_support(space, v) if args.positive else support_functional(space, v)
     _emit(
         _round17(
@@ -300,7 +309,7 @@ def _cmd_support(args) -> int:
 
 def _cmd_crust(args) -> int:
     space = _load_space(args.space)
-    res = crust_probe(space, _csv_vector(args.u))
+    res = crust_probe(space, _csv_vector(args.u, "--u", space))
     if res is None:
         _emit({"crust": None}, args.out)
         return 0
@@ -386,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # finite input beyond the range of the arithmetic
+        print(f"error: input magnitude out of range: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

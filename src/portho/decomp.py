@@ -166,14 +166,15 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     verdict = dual_p_orthogonal_numeric(space, f1, f2, 1.0)
     status = "optimal" if verdict.is_orthogonal else "failed"
 
-    # cross-check against an orthogonal split of a norming element: each
-    # half must vanish on the opposite part of the split
+    # cross-check against the orthogonal split of a norming element (its
+    # coefficient split, where coefficients are unique): each half must
+    # vanish on the opposite part of the split
     if status == "optimal" and np.abs(f1).max() > 1e-12 and np.abs(f2).max() > 1e-12:
         v = norming_element(space, f)
-        split = infty_orth_decompose(space, v)
-        if split.status == "optimal":
+        split = coefficient_parts(space, v)
+        if split is not None:
             scale = 1.0 + nf * (1.0 + np.abs(v).max())
-            if abs(f1 @ split.u2) > 1e-8 * scale or abs(f2 @ split.u1) > 1e-8 * scale:
+            if abs(f1 @ split[1]) > 1e-8 * scale or abs(f2 @ split[0]) > 1e-8 * scale:
                 status = "failed"
     return Decomposition(f1, f2, 1.0, nagg, status, verdict)
 

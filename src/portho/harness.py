@@ -6,11 +6,14 @@ suite name), so reports are reproducible and independent of execution order.
 Samplers build positive elements from cone coefficients
 (`ConeSpec.coefficient_basis`) and the order unit (`spaces.order_unit`); a
 sampler that finds no valid sample in _MAX_DRAWS draws raises InputError.
-Orthogonality is decided by the grid decider `ortho.verdict_from_norm`. The
-checks on the two-dimensional restricted ball hand it
-`RestrictedBall.dual_values` as the row oracle and floor the tolerance at
-1e-4 (the ball's boundary is sampled at 720 directions); all other checks
-run at the caller's tolerance.
+The lp embeddings decide orthonormality through `ortho.p_orthogonal`, which
+is exact on the coordinate families at their own exponent; the other
+orthogonality checks use the grid decider `ortho.verdict_from_norm`. The
+checks on the two-dimensional restricted ball hand the grid decider the
+exact row oracle `spaces.restricted_dual_norms` (the maximum over the
+vertices of the ball, a polygon), so they run at the caller's tolerance
+floored at 1e-8 like the other checks; there is no longer a 1e-4 floor for
+a scanned boundary.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ from .ortho import OrthoConfig, p_orthogonal_exact, p_orthogonal_numeric, verdic
 from .spaces import (
     BASE,
     LP,
-    ORDER_UNIT,
     SPECTRAL,
     SUP,
-    RestrictedBall,
     SpaceSpec,
     base_space,
     conjugate,
@@ -48,13 +49,13 @@ from .spaces import (
     norm,
     order_unit,
     order_unit_space,
+    restricted_dual_norms,
     spectral_space,
     sup_space,
 )
 from .support import crust_probe, facet_support, positive_support
 
 INF = math.inf
-_SCAN_TOL = 1e-4  # floor tolerance for restricted-ball (scanned) checks
 _MAX_DRAWS = 1000  # sampler retries before a space counts as unsampleable
 
 
@@ -208,7 +209,7 @@ def _per_sample(check):
 def _sample_orthonormal_set(space: SpaceSpec, rng, p: float, positive: bool):
     """Disjointly supported unit vectors: p-orthonormal for every p."""
     n = space.dim
-    m = int(rng.integers(2, min(n, 4) + 1))
+    m = int(rng.integers(min(n, 2), min(n, 4) + 1))  # a single vector in dimension one
     parts = np.array_split(rng.permutation(n), m)
     U = []
     for s in parts:
@@ -502,15 +503,20 @@ def _suite_rem311(space, rng, tol):
     return None
 
 
+def _restricted_values(space, u1, u2, f1, f2):
+    """The restricted dual norm's row oracle on span{u1, u2} and the values
+    of f1 and f2 on the normalized u1, u2."""
+    v1, v2 = u1 / norm(space, u1), u2 / norm(space, u2)
+    g1 = np.array([f1 @ v1, f1 @ v2])
+    g2 = np.array([f2 @ v1, f2 @ v2])
+    return restricted_dual_norms(space, v1, v2), g1, g2
+
+
 def _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol):
-    """Scan check that the restrictions of f1, f2 to span{u1, u2} satisfy the
-    max-form identity (the scanned ball floors the tolerance at 1e-4)."""
-    n1, n2 = norm(space, u1), norm(space, u2)
-    ball = RestrictedBall(space, u1 / n1, u2 / n2)
-    g1 = np.array([f1 @ (u1 / n1), f1 @ (u2 / n2)])
-    g2 = np.array([f2 @ (u1 / n1), f2 @ (u2 / n2)])
-    cfg = OrthoConfig(tol=max(tol, _SCAN_TOL))
-    return verdict_from_norm(ball.dual_values, g1, g2, INF, cfg)
+    """Whether the restrictions of f1, f2 to span{u1, u2} satisfy the
+    max-form identity."""
+    dual_values, g1, g2 = _restricted_values(space, u1, u2, f1, f2)
+    return verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=tol)).is_orthogonal
 
 
 @_per_sample
@@ -524,7 +530,7 @@ def _suite_thm41(space, rng, tol):
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
     s1 = cross_ok and p_orthogonal_numeric(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
-    s2 = _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol).is_orthogonal
+    s2 = _restricted_infty_orthogonal(space, u1, u2, f1, f2, t)
     if s1 != s2:
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}", math.nan, u1=u1, u2=u2)
     return None
@@ -538,16 +544,15 @@ def _suite_rem42(space, rng, tol):
         return None
     f1 = positive_support(space, u1).functional
     f2 = positive_support(space, u2).functional
+    t = max(tol, 1e-8)
     # hypothesis (as used in the proof): the supports' sum has dual norm one
-    if dual_norm(space, f1 + f2) > 1.0 + max(tol, 1e-8):
+    if dual_norm(space, f1 + f2) > 1.0 + t:
         return None
-    ball = RestrictedBall(space, u1 / n1, u2 / n2)
-    g1 = np.array([f1 @ (u1 / n1), f1 @ (u2 / n2)])
-    g2 = np.array([f2 @ (u1 / n1), f2 @ (u2 / n2)])
-    gap = abs(float(ball.dual_values((g1 + g2)[None])[0]) - 1.0)
-    if gap > _SCAN_TOL:
+    dual_values, g1, g2 = _restricted_values(space, u1, u2, f1, f2)
+    gap = abs(float(dual_values((g1 + g2)[None])[0]) - 1.0)
+    if gap > t:
         return _cx("restricted_sum_norm", gap, u1=u1, u2=u2)
-    if not _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol).is_orthogonal:
+    if not _restricted_infty_orthogonal(space, u1, u2, f1, f2, t):
         return _cx("restricted_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 
@@ -649,7 +654,7 @@ def _is_order_unit_like(space: SpaceSpec) -> bool:
 def _is_polyhedral_order_unit(space: SpaceSpec) -> bool:
     return (
         math.isinf(space.p_class)
-        and space.norm.kind in (SUP, ORDER_UNIT)
+        and order_unit(space) is not None
         and space.cone.coefficient_basis is not None
     )
 
@@ -659,7 +664,14 @@ def _finite_p_coordinate(space: SpaceSpec) -> bool:
 
 
 def _one_smooth(space: SpaceSpec) -> bool:
-    return space.p_class == 1.0 and space.cone.kind == _c.NONNEG
+    """p_class 1 with a weighted l1 norm over the orthant (lp p = 1 or
+    base): the spaces on which `restricted_dual_norms` is exact."""
+    nk = space.norm
+    return (
+        space.p_class == 1.0
+        and space.cone.kind == _c.NONNEG
+        and (nk.kind == BASE or (nk.kind == LP and nk.p == 1.0))
+    )
 
 
 SUITES = {

@@ -1,24 +1,42 @@
 """Deciding p-orthogonality.
 
 The defining identity quantifies over every real scalar k, which a norm
-oracle cannot certify; the numeric decider is a semi-decision over a
-geometric grid of scalars. The grid is ordered by (|k|, k) and
+oracle cannot certify in general; the numeric decider is a semi-decision
+over a geometric grid of scalars. The grid is ordered by (|k|, k) and
 deduplicated with one lexsort per decision; for p = inf the sweep around
 |k| = ||x||/||y|| is one fixed array of ratios, scaled per decision and
-merged into the same lexsort. For coordinate lp families there is an exact
-structural oracle (disjoint supports; zero inner product for p = 2) that the
-grid decider is tested against.
+merged into the same lexsort.
+
+Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
+over the orthant, a weighted lp norm at its own exponent, the sup (or lp
+inf) norm at p = inf and the base norm (the phi-weighted l1 norm) at p = 1.
+Scaling the coordinates by w^(1/p) turns each of them into the plain
+coordinate lp norm, where `p_orthogonal_exact` decides structurally:
+disjoint supports, a zero inner product for p = 2, and a piecewise-linear
+analysis for p = inf. Every other space goes to the grid. The verdict's
+`method` says which route answered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError
-from .spaces import SpaceSpec, batch_dual_norms, batch_norms, norm
+from .cones import NONNEG, cone_contains
+from .spaces import (
+    BASE,
+    LP,
+    SUP,
+    SpaceSpec,
+    _check_vec,
+    _weights,
+    batch_dual_norms,
+    batch_norms,
+    norm,
+)
 
 INF = math.inf
 
@@ -34,7 +52,8 @@ _SWEEP = np.concatenate([np.linspace(1.0 / 16.0, 2.0, 48), [1.0 - 2**-8, 1.0, 1.
 @dataclass(frozen=True)
 class OrthoConfig:
     """The decider's scalar grid (finite, with 0 and scalars of both signs)
-    and its residual tolerance (finite, nonnegative)."""
+    and its tolerance (finite, nonnegative): on the residual of the grid
+    route, relative to the largest entry on the exact route."""
 
     k_grid: tuple = _DEFAULT_GRID
     tol: float = 1e-9
@@ -58,10 +77,22 @@ _DEFAULT_CONFIG = OrthoConfig()
 
 @dataclass(frozen=True)
 class OrthoVerdict:
+    """A decision of x perp_p y.
+
+    On the grid route (method "grid") worst_residual is the largest scaled
+    residual of the identity over the scalars k_grid, attained at witness_k;
+    its "orthogonal" is evidence, not proof. On the exact route ("exact")
+    the verdict is decided: an "orthogonal" one carries residual 0.0,
+    witness 0.0 and an empty k_grid; a "not_orthogonal" one carries the grid
+    decider's residual, witness and grid, so only failures pay for the grid
+    (that residual lies below the tolerance when the violation falls
+    between the grid's scalars)."""
+
     verdict: str  # "orthogonal" | "not_orthogonal" | "inconclusive"
     worst_residual: float
     witness_k: float
     k_grid: tuple
+    method: str = "grid"  # "grid" | "exact"
 
     @property
     def is_orthogonal(self) -> bool:
@@ -142,6 +173,45 @@ def dual_p_orthogonal_numeric(
     return verdict_from_norm(lambda F: batch_dual_norms(space, F), f, g, p, cfg)
 
 
+def p_orthogonal(
+    space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None
+) -> OrthoVerdict:
+    """Decide x perp_p y: exactly where `_exact_scale` finds the norm to be
+    a coordinate lp norm at exponent p, on the grid elsewhere. The exact
+    test runs on x and y scaled to unit largest entry, at the relative
+    tolerance cfg.tol."""
+    scale = _exact_scale(space, p)
+    if scale is None:
+        return p_orthogonal_numeric(space, x, y, p, cfg)
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
+    sx, sy = scale * _check_vec(space, x), scale * _check_vec(space, y)
+    mx, my = np.abs(sx).max(), np.abs(sy).max()  # NaN or inf if an entry is
+    if not (math.isfinite(mx) and math.isfinite(my)):
+        raise InputError("x and y must have finite entries")
+    if mx == 0.0 or my == 0.0 or p_orthogonal_exact(sx / mx, sy / my, p, cfg.tol):
+        return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
+    v = p_orthogonal_numeric(space, x, y, p, cfg)
+    return replace(v, verdict="not_orthogonal", method="exact")
+
+
+def _exact_scale(space: SpaceSpec, p: float):
+    """Coordinate scaling s with ||x|| = ||s x||_p for every x, where the
+    norm over the orthant is a weighted lp norm at exponent p: w^(1/p) for
+    lp at its own p, 1 for sup or lp inf at p = inf, phi for the base norm
+    at p = 1. The scaling keeps supports, and at p = 2 it turns the plain
+    inner product into the weighted one. None for every other space."""
+    nk = space.norm
+    if space.cone.kind != NONNEG:
+        return None
+    if math.isinf(p) and (nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p))):
+        return 1.0
+    if nk.kind == LP and nk.p == p:
+        return _weights(space) ** (1.0 / p)
+    if nk.kind == BASE and p == 1.0:
+        return nk.phi
+    return None
+
+
 def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
     """Exact oracle in the standard coordinate lp space: zero inner product
     for p = 2, disjoint supports for finite p != 2, and the closed-form
@@ -177,29 +247,25 @@ def _exact_linf(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     A, B = ax.max(), ay.max()
     if A == 0.0 or B == 0.0:
         return True
-    if np.any((ay >= B * (1.0 - tol)) & (ax > tol * A)):
+    if ((ay >= B * (1.0 - tol)) & (ax > tol * A)).any():
         return False
     kstar = A / B
     slack = tol * A + 1e-15
-    for s in (kstar, -kstar):
-        if np.any(np.abs(x + s * y) > A + slack):
-            return False
-    kinks = [-kstar, kstar]
     nz = ay > 0.0
     cand = -x[nz] / y[nz]
-    kinks.extend(cand[np.abs(cand) <= kstar])
-    for k in kinks:
-        if np.abs(x + k * y).max() < A - slack:
-            return False
-    return True
+    # one row per scalar: the breakpoints +-A/B, then the kinks of
+    # ||x + ky|| between them
+    k = np.concatenate([[kstar, -kstar], cand[np.abs(cand) <= kstar]])
+    V = np.abs(x + k[:, None] * y)
+    if V[:2].max() > A + slack:
+        return False
+    return bool(V.max(axis=1).min() >= A - slack)
 
 
 def infty_positive_test(space: SpaceSpec, u1, u2, tol: float = 1e-9) -> bool:
     """For u1, u2 in the positive cone of an infinity-smooth space,
     u1 perp_inf u2 iff the normalized sum has norm one; the plus/minus norm
     equality is checked alongside as a consistency condition."""
-    from .cones import cone_contains
-
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if not math.isinf(space.p_class):
@@ -252,7 +318,7 @@ def orthonormal_set_verify(
     pairwise_ok = True
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            v = p_orthogonal_numeric(space, vectors[i], vectors[j], p, cfg)
+            v = p_orthogonal(space, vectors[i], vectors[j], p, cfg)
             if not v.is_orthogonal:
                 pairwise_ok = False
                 failures.append(("pairwise", (i, j), v.worst_residual, v.witness_k))
@@ -270,11 +336,11 @@ def orthonormal_set_verify(
             y = sum(rng.normal() * vectors[i] for i in perm[cut:])
             z = sum(rng.normal() * vectors[i] for i in perm[cut:])
             if not (
-                p_orthogonal_numeric(space, x, y, p, cfg).is_orthogonal
-                and p_orthogonal_numeric(space, x, z, p, cfg).is_orthogonal
+                p_orthogonal(space, x, y, p, cfg).is_orthogonal
+                and p_orthogonal(space, x, z, p, cfg).is_orthogonal
             ):
                 continue
-            v = p_orthogonal_numeric(space, x, y + z, p, cfg)
+            v = p_orthogonal(space, x, y + z, p, cfg)
             if not v.is_orthogonal:
                 additivity_ok = False
                 failures.append(("additivity", v.worst_residual, v.witness_k))

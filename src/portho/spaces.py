@@ -175,12 +175,12 @@ def _check_rows(space: SpaceSpec, W) -> np.ndarray:
 
 def order_unit(space: SpaceSpec) -> np.ndarray | None:
     """The order unit e whose order-unit norm is the space's norm: the given
-    unit, ones for the sup norm over the orthant, the identity matrix for the
-    spectral norm. None for the other families."""
+    unit, ones for the sup (or lp inf) norm over the orthant, the identity
+    matrix for the spectral norm. None for the other families."""
     kind = space.norm.kind
     if kind == ORDER_UNIT:
         return space.norm.unit
-    if kind == SUP and space.cone.kind == _c.NONNEG:
+    if (kind == SUP or (kind == LP and math.isinf(space.norm.p))) and space.cone.kind == _c.NONNEG:
         return np.ones(space.dim)
     if kind == SPECTRAL:
         return np.eye(space.cone.side).ravel()
@@ -379,21 +379,23 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
 # restricted (two-dimensional subspace) dual norm
 
 
-class RestrictedBall:
-    """Precomputed boundary of the unit ball of span{u1, u2}, reused to take
-    many restricted-norm evaluations against the same pair cheaply."""
+def restricted_dual_norms(space: SpaceSpec, u1, u2):
+    """Row oracle of the dual norm on span{u1, u2} (linearly independent)
+    for a weighted l1 norm: lp p = 1 or base over the orthant. For each row
+    (a1, a2) of C it returns sup |a1 l1 + a2 l2| over ||l1 u1 + l2 u2|| <= 1.
 
-    def __init__(self, space: SpaceSpec, u1, u2, n_dirs: int = 720):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        thetas = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-        cs, sn = np.cos(thetas), np.sin(thetas)
-        W = np.outer(cs, u1) + np.outer(sn, u2)
-        norms = batch_norms(space, W)
-        self.boundary = np.stack([cs, sn], axis=1) / norms[:, None]
-
-    def dual_values(self, C) -> np.ndarray:
-        """Row oracle: for each row (alpha1, alpha2) of C,
-        sup { |alpha1 l1 + alpha2 l2| : ||l1 u1 + l2 u2|| <= 1 } over the
-        scanned boundary (no refinement; adequate for residual checks)."""
-        return np.abs(np.asarray(C, dtype=float) @ self.boundary.T).max(axis=1)
+    The norm sum_i w_i |l1 u1_i + l2 u2_i| is linear between the lines
+    where one coordinate vanishes, so the unit ball in (l1, l2) is a polygon
+    whose vertices lie on the directions +-(u2_i, -u1_i); a linear
+    functional attains its sup over the polygon at a vertex."""
+    nk = space.norm
+    if space.cone.kind != _c.NONNEG or not (nk.kind == BASE or (nk.kind == LP and nk.p == 1.0)):
+        raise InputError(f"restricted dual norm needs a weighted l1 norm, not {space.describe()}")
+    U = np.stack([_check_vec(space, u1), _check_vec(space, u2)])
+    D = np.stack([U[1], -U[0]], axis=1)
+    D = D[np.abs(D).max(axis=1) > 0.0]
+    lengths = batch_norms(space, D @ U)
+    if not (lengths.size and lengths.min() > 0.0):
+        raise InputError("u1 and u2 must be linearly independent")
+    V = D / lengths[:, None]
+    return lambda C: np.abs(np.asarray(C, dtype=float) @ V.T).max(axis=1)

@@ -3,7 +3,7 @@ non-simplicial cones the polyhedral table tests share.
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
-boundary scan of `RestrictedBall`, which it does not use.)
+vertex formula of `spaces.restricted_dual_norms`, which it does not use.)
 """
 
 import itertools
@@ -111,10 +111,37 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
     return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness, tuple(sorted(ks))
 
 
+def exact_linf_by_loop(x, y, tol):
+    """The sup-norm inf-orthogonality test `ortho._exact_linf` as a per-scalar
+    loop: the upper bound at the breakpoints +-A/B (and x_i = 0 where
+    |y_i| = B), then the lower bound at each kink of ||x + ky|| in
+    [-A/B, A/B], one scalar at a time."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ax, ay = np.abs(x), np.abs(y)
+    A, B = ax.max(), ay.max()
+    if A == 0.0 or B == 0.0:
+        return True
+    if np.any((ay >= B * (1.0 - tol)) & (ax > tol * A)):
+        return False
+    kstar = A / B
+    slack = tol * A + 1e-15
+    for s in (kstar, -kstar):
+        if np.any(np.abs(x + s * y) > A + slack):
+            return False
+    kinks = [-kstar, kstar]
+    nz = ay > 0.0
+    cand = -x[nz] / y[nz]
+    kinks.extend(cand[np.abs(cand) <= kstar])
+    for k in kinks:
+        if np.abs(x + k * y).max() < A - slack:
+            return False
+    return True
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(h, lo, hi, tol=1e-10):
+def _golden_max(h, lo, hi, tol=1e-13):
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -135,9 +162,9 @@ def restricted_norm(space, span_basis, g_values, n_dirs=720):
     """Norm of the functional g on W = span{u1, u2}, where g is given by its
     values (g(u1), g(u2)): sup |g(w)| over the unit ball of W in the ambient
     norm. Angular scan plus golden-section refinement; the objective is
-    continuous on the direction circle but need not be smooth.
-    `RestrictedBall.dual_values` (the scan without refinement) is checked
-    against it.
+    continuous on the direction circle but need not be smooth; at a kink
+    the refinement's angular tolerance bounds the error, so it is 1e-13.
+    `spaces.restricted_dual_norms` is checked against it.
     """
     u1, u2 = (np.asarray(u, dtype=float) for u in span_basis)
     a1, a2 = float(g_values[0]), float(g_values[1])

@@ -180,6 +180,33 @@ class TestCommands:
         assert main(["ortho", "--space", sup3, "--x", "1,1,0", "--y", "0,2,0", "--p", "inf"]) == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "not_orthogonal"
 
+    def test_ortho_prints_the_method(self, sup3, capsys):
+        for p, method, code in (("inf", "exact", 0), ("2", "grid", 1)):
+            assert main(["ortho", "--space", sup3, "--x", "1,0,0", "--y", "0,2,0", "--p", p]) == code
+            assert json.loads(capsys.readouterr().out)["method"] == method
+
+    @pytest.mark.parametrize("v", ["1,2", "1,2,3,4", "1,nan,0"])
+    def test_vector_of_the_wrong_length_or_non_finite_exits_2(self, sup3, capsys, v):
+        for argv in (["support", "--v", v], ["decompose", "--v", v, "--p", "inf"], ["crust", "--u", v]):
+            assert main([argv[0], "--space", sup3, *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {argv[1]}: expected 3 finite")
+
+    def test_verify_all_in_dimension_one(self, tmp_path, capsys):
+        # the orthonormal sets of the embedding suites hold one vector there
+        path = tmp_path / "lp15_1.json"
+        path.write_text(_spec(dim=1, norm={"kind": "lp", "p": 1.5}, p_class=1.5), encoding="utf-8")
+        assert main(["verify", "all", "--space", str(path), "--samples", "3"]) == 0
+        ran = {r["suite"] for r in json.loads(capsys.readouterr().out)}
+        assert {"thm21_lp_characterization", "thm26_order_iso", "prop25_span_smooth"} <= ran
+
+    def test_overflowing_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lpinf.json"
+        path.write_text(_spec(norm={"kind": "lp", "p": "inf"}, p_class=1.5), encoding="utf-8")
+        x = "2,1e300,0"
+        assert main(["ortho", "--space", str(path), "--x", x, "--y", x, "--p", "1.5"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_decompose(self, sup3, capsys):
         assert main(["decompose", "--space", sup3, "--v", "2,-3,0", "--p", "inf"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -246,6 +273,17 @@ class TestCommands:
         # non-simplicial cone lacks
         for suite in ("thm33_equivalence", "rem34_extension", "cor38_order_unit", "lem43_base_orth"):
             assert suite not in ran and suite in captured.err
+
+    def test_verify_all_accepts_lp_inf_where_sup_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "lpinf3.json"
+        path.write_text(_spec(norm={"kind": "lp", "p": "inf"}), encoding="utf-8")
+        code = main(["verify", "all", "--space", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        reports = {r["suite"]: r for r in json.loads(captured.out)}
+        for suite in ("prop32_supp_nonempty", "cor310_crust", "thm33_equivalence"):
+            assert reports[suite]["samples"] > 0
+            assert reports[suite]["passes"] == reports[suite]["samples"]
 
     def test_crust_present_and_absent(self, sup3, capsys):
         assert main(["crust", "--space", sup3, "--u", "1,0.5,0"]) == 0

@@ -155,6 +155,28 @@ class TestDualOneOrth:
         with pytest.raises(InputError):
             dual_one_orth_decompose(lp_space(2, 2.0), [1.0, -1.0])
 
+    def test_one_grid_decision_per_decomposition(self, monkeypatch):
+        # the norming element is split by its cone coefficients, with no
+        # primal decision; only the halves' 1-orthogonality is decided
+        import portho.decomp as decomp_module
+        import portho.ortho as ortho_module
+
+        primal, decisions = [], []
+        numeric, grid = decomp_module.p_orthogonal_numeric, ortho_module.verdict_from_norm
+        monkeypatch.setattr(
+            decomp_module, "p_orthogonal_numeric", lambda *a: primal.append(1) or numeric(*a)
+        )
+        monkeypatch.setattr(
+            ortho_module, "verdict_from_norm", lambda *a: decisions.append(1) or grid(*a)
+        )
+        sp = default_families()["sup_8"]
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            f = rng.normal(size=8)
+            assert f.min() < 0.0 < f.max()  # both halves nonzero: the cross-check runs
+            assert dual_one_orth_decompose(sp, f).status == "optimal"
+        assert (len(primal), len(decisions)) == (0, 10)
+
     @pytest.mark.parametrize(
         "sp",
         [

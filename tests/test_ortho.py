@@ -3,19 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_verdict_by_loop
+from oracles import exact_linf_by_loop, grid_verdict_by_loop
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families
 from portho.ortho import (
     OrthoConfig,
+    OrthoVerdict,
     dual_p_orthogonal_numeric,
     infty_positive_test,
+    _exact_linf,
     orthonormal_set_verify,
+    p_orthogonal,
     p_orthogonal_exact,
     p_orthogonal_numeric,
     verdict_from_norm,
 )
-from portho.spaces import batch_norms, dual_norm, lp_space, norm, spectral_space, sup_space
+from portho.cones import nonneg_orthant, ray_cone
+from portho.spaces import (
+    NormKind,
+    SpaceSpec,
+    base_space,
+    batch_norms,
+    dual_norm,
+    lp_space,
+    norm,
+    order_unit_space,
+    spectral_space,
+    sup_space,
+)
 
 INF = math.inf
 
@@ -236,6 +251,136 @@ class TestExactOracle:
             for a in (-0.5, 3.0):
                 for b in (-3.0, 0.5):
                     assert p_orthogonal_numeric(sp, a * x, b * y, p).is_orthogonal == v
+
+
+def _textured_pair(rng, n, texture):
+    """x, y of one texture: disjoint supports, disjoint but for one shared
+    coordinate, or overlapping random supports with equal largest entries."""
+    if texture == "equal_norms":
+        x, y = rng.normal(size=(2, n)) * (rng.random(size=(2, n)) < 0.6)
+        x[0], y[-1] = 1.0, -1.0
+        return x, y * (np.abs(x).max() / np.abs(y).max())
+    mask = rng.random(size=n) < 0.5
+    mask[0], mask[-1] = True, False
+    x = np.where(mask, rng.normal(size=n), 0.0)
+    y = np.where(mask, 0.0, rng.normal(size=n))
+    if texture == "shared":
+        i = int(rng.integers(n))
+        x[i], y[i] = rng.normal(size=2)
+    return x, y
+
+
+# a weighted lp2 norm: the pair below is orthogonal in the weighted inner
+# product sum_i w_i x_i y_i = 1*2 + 2*(-1) = 0, not in the plain one
+_WEIGHTED_LP2 = lp_space(3, 2.0, weights=[1.0, 2.0, 3.0])
+_WEIGHTED_PAIR = (np.array([1.0, 1.0, 0.0]), np.array([2.0, -1.0, 0.0]))
+
+
+class TestExactDispatcher:
+    @pytest.mark.parametrize("texture", ["disjoint", "shared", "equal_norms"])
+    @pytest.mark.parametrize(
+        "family", ["lp1_8", "lp15_8", "lp2_8", "lp3_8", "sup_8", "base_8", "weighted_lp2"]
+    )
+    def test_agrees_with_the_grid(self, family, texture):
+        sp = _WEIGHTED_LP2 if family == "weighted_lp2" else _FAMILIES[family]
+        rng = np.random.default_rng([7, len(family), len(texture)])
+        seen = set()
+        for _ in range(200):
+            x, y = _textured_pair(rng, sp.dim, texture)
+            got = p_orthogonal(sp, x, y, sp.p_class)
+            assert got.method == "exact"
+            assert got.is_orthogonal == p_orthogonal_numeric(sp, x, y, sp.p_class).is_orthogonal
+            seen.add(got.verdict)
+        if texture == "disjoint":
+            assert seen == {"orthogonal"}
+        else:
+            assert "not_orthogonal" in seen
+
+    def test_weighted_inner_product(self):
+        x, y = _WEIGHTED_PAIR
+        assert not p_orthogonal_exact(x, y, 2.0)  # the unscaled oracle misses it
+        assert p_orthogonal_numeric(_WEIGHTED_LP2, x, y, 2.0).is_orthogonal
+        got = p_orthogonal(_WEIGHTED_LP2, x, y, 2.0)
+        assert (got.verdict, got.method) == ("orthogonal", "exact")
+        assert not p_orthogonal(_WEIGHTED_LP2, x, [2.0, 1.0, 0.0], 2.0).is_orthogonal
+
+    def test_verdict_fields(self):
+        sp = lp_space(3, 1.0)
+        got = p_orthogonal(sp, [1.0, 0.0, 2.0], [0.0, 3.0, 0.0], 1.0)
+        assert got == OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
+        x, y = [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]
+        got = p_orthogonal(sp, x, y, 1.0)
+        grid = p_orthogonal_numeric(sp, x, y, 1.0)
+        assert (got.verdict, got.method, grid.method) == ("not_orthogonal", "exact", "grid")
+        assert (got.worst_residual, got.witness_k, got.k_grid) == (
+            grid.worst_residual, grid.witness_k, grid.k_grid)
+
+    @pytest.mark.parametrize(
+        "space, p, method",
+        [
+            (lp_space(3, 1.0), 1.0, "exact"),
+            (lp_space(3, 3.0, weights=[1.0, 2.0, 0.5]), 3.0, "exact"),
+            (lp_space(3, INF), INF, "exact"),
+            (sup_space(3), INF, "exact"),
+            (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), 1.0, "exact"),
+            (lp_space(3, 1.0), 2.0, "grid"),  # lp away from its own p
+            (lp_space(3, 2.0), INF, "grid"),
+            (sup_space(3), 1.0, "grid"),
+            (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "grid"),
+            (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "grid"),
+            (SpaceSpec(3, ray_cone(np.eye(3) + 0.2), NormKind("lp", p=1.0), 1.0), 1.0, "grid"),
+            (spectral_space(2), INF, "grid"),
+        ],
+    )
+    def test_method_follows_the_routing(self, space, p, method):
+        x, y = np.eye(space.dim)[0], np.eye(space.dim)[-1]
+        assert p_orthogonal(space, x, y, p).method == method
+
+    def test_zero_argument_and_invalid_input(self):
+        sp = lp_space(2, 2.0)
+        assert p_orthogonal(sp, [0.0, 0.0], [1.0, 2.0], 2.0).is_orthogonal
+        with pytest.raises(InputError, match="finite"):
+            p_orthogonal(sp, [math.nan, 1.0], [1.0, 0.0], 2.0)
+        with pytest.raises(InputError, match="shape"):
+            p_orthogonal(sp, [1.0, 0.0, 0.0], [1.0, 0.0], 2.0)
+        with pytest.raises(InputError, match="exponent"):
+            p_orthogonal(sp, [1.0, 0.0], [0.0, 1.0], 0.5)
+
+    def test_scale_invariance(self):
+        rng = np.random.default_rng(12)
+        for name in ("lp1_8", "lp2_8", "sup_8"):
+            sp = _FAMILIES[name]
+            for texture in ("disjoint", "shared", "equal_norms"):
+                x, y = _textured_pair(rng, sp.dim, texture)
+                want = p_orthogonal(sp, x, y, sp.p_class).is_orthogonal
+                for a, b in ((1e-6, 3.0), (-2.0, 1e5)):
+                    assert p_orthogonal(sp, a * x, b * y, sp.p_class).is_orthogonal == want
+
+    def test_sup_kinks_match_the_scalar_loop(self):
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for texture in ("disjoint", "shared", "equal_norms"):
+            for _ in range(200):
+                x, y = _textured_pair(rng, 6, texture)
+                want = exact_linf_by_loop(x, y, 1e-12)
+                assert _exact_linf(x, y, 1e-12) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_orthonormal_set_verify_decides_exactly(self, monkeypatch):
+        import portho.ortho as ortho_module
+
+        calls = []
+        monkeypatch.setattr(
+            ortho_module, "verdict_from_norm",
+            lambda *a, **k: calls.append(1) or verdict_from_norm(*a, **k),
+        )
+        for p in (1.0, 1.5, 2.0, INF):
+            rep = orthonormal_set_verify(lp_space(4, p), list(np.eye(4)), p)
+            assert rep.all_ok
+        assert calls == []
+        orthonormal_set_verify(lp_space(4, 3.0), list(np.eye(4)), 2.0)
+        assert calls  # lp3 decided at p = 2 stays on the grid
 
 
 class TestInftyPositive:

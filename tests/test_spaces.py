@@ -11,7 +11,6 @@ from portho.cones import cone_contains, nonneg_orthant, ray_cone
 from portho.errors import InputError, SpecError
 from portho.linalg import LpProblem, solve_lp
 from portho.spaces import (
-    RestrictedBall,
     SpaceSpec,
     _base_norm_lp,
     _order_unit_dual_lp,
@@ -26,6 +25,7 @@ from portho.spaces import (
     norm,
     norming_element,
     order_unit_space,
+    restricted_dual_norms,
     spectral_space,
     sup_space,
     validate_space,
@@ -386,13 +386,33 @@ class TestRestrictedNorm:
             restricted_norm(sup_space(2), ([1.0, 1.0], [2.0, 2.0]), (1.0, 0.0))
 
     def test_ball_dual_value_matches_restricted_norm(self):
-        sp = lp_space(4, 3.0)
+        rng = np.random.default_rng(10)
+        for sp in (lp_space(4, 1.0), base_space(nonneg_orthant(4), rng.uniform(0.5, 2.0, size=4))):
+            u1, u2 = rng.normal(size=4), rng.normal(size=4)
+            C = rng.normal(size=(10, 2))
+            want = [restricted_norm(sp, (u1, u2), c) for c in C]
+            assert restricted_dual_norms(sp, u1, u2)(C) == pytest.approx(want, rel=1e-12)
+
+    def test_vertex_formula_catches_what_a_direction_scan_misses(self):
+        # the 720-direction boundary scan the vertex formula replaced falls
+        # short of the dual value by more than 1e-8 on this pair
+        sp = lp_space(4, 1.0)
         rng = np.random.default_rng(10)
         u1, u2 = rng.normal(size=4), rng.normal(size=4)
-        ball = RestrictedBall(sp, u1, u2)
-        C = rng.normal(size=(10, 2))
-        want = [restricted_norm(sp, (u1, u2), c) for c in C]
-        assert ball.dual_values(C) == pytest.approx(want, rel=1e-5)
+        c = rng.normal(size=2)
+        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        W = np.outer(np.cos(theta), u1) + np.outer(np.sin(theta), u2)
+        values = np.abs(c[0] * np.cos(theta) + c[1] * np.sin(theta)) / batch_norms(sp, W)
+        scan = float(values.max())
+        exact = float(restricted_dual_norms(sp, u1, u2)(c[None])[0])
+        assert exact - scan > 1e-8
+        assert exact == pytest.approx(restricted_norm(sp, (u1, u2), c), rel=1e-12)
+
+    def test_vertex_formula_rejects_other_norms_and_dependent_pairs(self):
+        with pytest.raises(InputError, match="weighted l1"):
+            restricted_dual_norms(lp_space(2, 2.0), [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(InputError, match="linearly independent"):
+            restricted_dual_norms(lp_space(2, 1.0), [1.0, 2.0], [-2.0, -4.0])
 
 
 class TestValidation:
