@@ -503,20 +503,12 @@ def _suite_rem311(space, rng, tol):
     return None
 
 
-def _restricted_values(space, u1, u2, f1, f2):
-    """The restricted dual norm's row oracle on span{u1, u2} and the values
-    of f1 and f2 on the normalized u1, u2."""
-    v1, v2 = u1 / norm(space, u1), u2 / norm(space, u2)
+def _restrictions(space, v1, v2, f1, f2):
+    """The restrictions of f1, f2 to span{v1, v2}, as their values on v1
+    and v2, with the dual norm's row oracle on that span."""
     g1 = np.array([f1 @ v1, f1 @ v2])
     g2 = np.array([f2 @ v1, f2 @ v2])
     return restricted_dual_norms(space, v1, v2), g1, g2
-
-
-def _restricted_infty_orthogonal(space, u1, u2, f1, f2, tol):
-    """Whether the restrictions of f1, f2 to span{u1, u2} satisfy the
-    max-form identity."""
-    dual_values, g1, g2 = _restricted_values(space, u1, u2, f1, f2)
-    return verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=tol)).is_orthogonal
 
 
 @_per_sample
@@ -530,7 +522,8 @@ def _suite_thm41(space, rng, tol):
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
     s1 = cross_ok and p_orthogonal_numeric(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
-    s2 = _restricted_infty_orthogonal(space, u1, u2, f1, f2, t)
+    dual_values, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
+    s2 = verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal
     if s1 != s2:
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}", math.nan, u1=u1, u2=u2)
     return None
@@ -548,11 +541,11 @@ def _suite_rem42(space, rng, tol):
     # hypothesis (as used in the proof): the supports' sum has dual norm one
     if dual_norm(space, f1 + f2) > 1.0 + t:
         return None
-    dual_values, g1, g2 = _restricted_values(space, u1, u2, f1, f2)
+    dual_values, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
     gap = abs(float(dual_values((g1 + g2)[None])[0]) - 1.0)
     if gap > t:
         return _cx("restricted_sum_norm", gap, u1=u1, u2=u2)
-    if not _restricted_infty_orthogonal(space, u1, u2, f1, f2, t):
+    if not verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal:
         return _cx("restricted_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 
