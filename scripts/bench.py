@@ -1,10 +1,21 @@
 #!/usr/bin/env python3
-"""Time single calls of three layers, the grid decider, the constructions
-and the LP solver, and the suites of `portho verify all`.
+"""Time single calls of five layers, the grid decider, the batched norms,
+the eigensolver, the constructions and the LP solver, and the suites of
+`portho verify all`.
 
 Decider slice: for every default family and every exponent p in
 {1, 1.5, 2, inf}, one fixed seeded pair is decided by
 `p_orthogonal_numeric` (primal) and by `dual_p_orthogonal_numeric` (dual).
+
+Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
+every default family on fixed seeded rows, at three row counts: 1 (the
+`norm` / `dual_norm` calls), DECIDER_ROWS (the default k grid, the block the
+grid decider hands the row oracle at finite p) and 2^15 / dim (the decider's
+largest block, `ortho._BLOCK_ENTRIES` entries). The key under each family is
+the row count.
+
+Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded symmetric
+matrix of each side in EIGEN_SIDES.
 
 Construction slice (table `us_per_lp_call`): public calls, each on a fixed
 seeded input. On the default families these are the calls that solved LPs
@@ -41,7 +52,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_7.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_8.json
 """
 
 import argparse
@@ -65,10 +76,12 @@ import portho  # noqa: E402
 from portho import (  # noqa: E402
     cone_contains,
     LpProblem,
+    OrthoConfig,
     base_space,
     crust_probe,
     dual_one_orth_decompose,
     dual_p_orthogonal_numeric,
+    eigen_sym,
     opt_decompose,
     order_unit_space,
     p_orthogonal_numeric,
@@ -84,15 +97,18 @@ from portho.harness import (  # noqa: E402
     run_suite,
     sample_cone,
 )
+from portho.spaces import batch_dual_norms, batch_norms  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
 SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
+ORACLES = (("batch_norms", batch_norms), ("batch_dual_norms", batch_dual_norms))
 WARMUP = 20
 REPEATS = 301
 # the pair of the i-th family (sorted by name) is drawn from SEED + i; the
 # construction slice draws its default-family inputs from one generator
 # seeded with SEED, its pentagon inputs from SEED + 1 and the solver slice
-# its LPs from SEED + 2
+# its LPs from SEED + 2, the norm slice its rows from SEED + 3 and the eigen
+# slice its matrices from SEED + 4
 SEED = 0
 VERIFY_SAMPLES = 50  # samples per suite, as perfbench's verify_all workload
 VERIFY_ROUNDS = 15  # timed rounds of the suite slice, each running all 22 suites
@@ -104,6 +120,9 @@ PENTAGON = np.array(
 )
 PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
 LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
+DECIDER_ROWS = len(OrthoConfig().k_grid)  # the default k grid: 35 scalars
+BLOCK_ENTRIES = 2**15  # entries of the grid decider's largest block
+EIGEN_SIDES = (2, 4, 8, 16, 32)
 # default families on which each call solved an LP before the lattice-cone
 # closed forms (the others took closed forms, eigendecompositions or
 # reported "unsupported")
@@ -112,12 +131,18 @@ ORDER_UNIT_FAMILIES = ("polyray_4", "sup_8")  # positive_support, crust_probe, d
 DECOMPOSE = ((1.0, ("base_8", "lp1_8", "polyray_4")), (math.inf, ("polyray_4", "sup_8")))
 
 
-def _pair(space, seed: int):
-    x, y = np.random.default_rng(seed).normal(size=(2, space.dim))
+def _rows(space, rng, n: int) -> np.ndarray:
+    """n normal rows, symmetrized as matrices on a spectral space."""
+    W = rng.normal(size=(n, space.dim))
     if space.norm.kind == "spectral":
         d = space.cone.side
-        x, y = ((v.reshape(d, d) + v.reshape(d, d).T).ravel() for v in (x, y))
-    return x, y
+        M = W.reshape(n, d, d)
+        W = (M + M.transpose(0, 2, 1)).reshape(n, -1)
+    return W
+
+
+def _pair(space, seed: int):
+    return tuple(_rows(space, np.random.default_rng(seed), 2))
 
 
 def _source_commit(package_dir: pathlib.Path) -> str:
@@ -142,6 +167,23 @@ def _decision_cases():
             for p in EXPONENTS:
                 key = ("us_per_decision", name, side, _p_key(p))
                 yield key, functools.partial(decide, space, x, y, p)
+
+
+def _norm_cases():
+    rng = np.random.default_rng(SEED + 3)
+    for name, space in sorted(default_families().items()):
+        for n in (1, DECIDER_ROWS, BLOCK_ENTRIES // space.dim):
+            W = _rows(space, rng, n)
+            for oracle, fn in ORACLES:
+                yield ("us_per_batch", oracle, name, str(n)), functools.partial(fn, space, W)
+
+
+def _eigen_cases():
+    rng = np.random.default_rng(SEED + 4)
+    for side in EIGEN_SIDES:
+        A = rng.normal(size=(side, side))
+        yield ("us_per_eigen", "eigen_sym", str(side), "-"), functools.partial(
+            eigen_sym, A + A.T)
 
 
 def _lp_cases():
@@ -236,7 +278,9 @@ def _measure_suites() -> tuple[dict, float]:
 
 def measure() -> dict:
     package_dir = pathlib.Path(portho.__file__).resolve().parent
-    cases = [*_decision_cases(), *_lp_cases(), *_solver_cases()]
+    cases = [
+        *_decision_cases(), *_norm_cases(), *_eigen_cases(), *_lp_cases(), *_solver_cases()
+    ]
     for _, call in cases:
         for _ in range(WARMUP):
             call()
@@ -268,17 +312,21 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_7.json")
+    ap.add_argument("--out", default="BENCH_8.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("bench", "single grid decisions, constructions, LP solves and verify-all suites")
+    doc.setdefault(
+        "bench",
+        "single grid decisions, batched norms, eigendecompositions, constructions, LP solves"
+        " and verify-all suites",
+    )
     doc.setdefault(
         "unit", "us per call (median over repeats); ms for ms_per_suite and verify_all_ms"
     )
     doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    for table in ("us_per_decision", "us_per_lp_call", "us_per_solve"):
+    for table in ("us_per_decision", "us_per_batch", "us_per_eigen", "us_per_lp_call", "us_per_solve"):
         for name, by_a in run[table].items():
             for a, by_b in by_a.items():
                 cells = "  ".join(f"{b}: {us:8.1f} us" for b, us in by_b.items())

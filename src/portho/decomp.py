@@ -49,10 +49,14 @@ class Decomposition:
 
 
 def p_aggregate(a: float, b: float, p: float) -> float:
-    """The lp(2) norm of the pair (a, b): (a^p + b^p)^(1/p), or max at p = inf."""
+    """The lp(2) norm of the pair (a, b): (a^p + b^p)^(1/p), or max at p = inf.
+    Raises InputError when a^p + b^p overflows the float range."""
     if math.isinf(p):
         return max(a, b)
-    return float((a**p + b**p) ** (1.0 / p))
+    try:
+        return (float(a) ** p + float(b) ** p) ** (1.0 / p)
+    except OverflowError as exc:
+        raise InputError(f"input magnitude out of range: a^p + b^p overflows at p = {p:g}") from exc
 
 
 def _spectral_parts(space: SpaceSpec, v: np.ndarray):
@@ -210,7 +214,11 @@ class EmbeddingMap:
 
 
 def embed_to_lp(space: SpaceSpec, U, p: float) -> EmbeddingMap:
-    report = orthonormal_set_verify(space, U, p)
+    """The map alpha -> sum_i alpha_i u_i of a p-orthonormal set U into the
+    space. Checks that every u_i has norm one and that every pair of U is
+    p-orthogonal (`orthonormal_set_verify` without its additivity spot
+    check), raising InputError otherwise; totality is not required."""
+    report = orthonormal_set_verify(space, U, p, spotcheck_samples=0)
     if not (report.pairwise_ok and report.unit_norms_ok):
         raise InputError(f"set is not p-orthonormal: {report.failures}")
     B = np.stack([np.asarray(u, dtype=float) for u in U]).T

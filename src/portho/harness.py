@@ -393,10 +393,12 @@ def _suite_prop32(space, rng, tol):
 
 
 def _thm33_statements(space, u1, u2, tol):
+    """Theorem 3.3's statements (1) and (3) for a positive pair, with the
+    normalized supports of (3); statement (2), u1 perp_inf u2, is left to
+    the caller that reads it."""
     n1, n2 = norm(space, u1), norm(space, u2)
     v1, v2 = u1 / n1, u2 / n2
     s1 = abs(norm(space, v1 + v2) - 1.0) <= tol
-    s2 = p_orthogonal_numeric(space, u1, u2, INF, OrthoConfig(tol=tol)).is_orthogonal
     f1, a1, c12 = _support_min_cross(space, u1, u2)
     f2, a2, c21 = _support_min_cross(space, u2, u1)
     cross = max(abs(c12) / n2, abs(c21) / n1)
@@ -404,7 +406,7 @@ def _thm33_statements(space, u1, u2, tol):
         abs(norm(space, v1 + v2) - 1.0) <= tol and abs(norm(space, v1 - v2) - 1.0) <= tol
     )
     s3 = cross <= tol and corners
-    return s1, s2, s3, (f1 / a1 * n1, f2 / a2 * n2)
+    return s1, s3, (f1 / a1 * n1, f2 / a2 * n2)
 
 
 @_per_sample
@@ -412,7 +414,9 @@ def _suite_thm33(space, rng, tol):
     u1, u2 = _sample_positive_pair(space, rng)
     if norm(space, u1) < 1e-9 or norm(space, u2) < 1e-9:
         return None
-    s1, s2, s3, _ = _thm33_statements(space, u1, u2, max(tol, 1e-8))
+    t = max(tol, 1e-8)
+    s1, s3, _ = _thm33_statements(space, u1, u2, t)
+    s2 = p_orthogonal_numeric(space, u1, u2, INF, OrthoConfig(tol=t)).is_orthogonal
     if not (s1 == s2 == s3):
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}{int(s3)}", math.nan, u1=u1, u2=u2)
     return None
@@ -422,7 +426,7 @@ def _suite_thm33(space, rng, tol):
 def _suite_rem34(space, rng, tol):
     u1, u2 = _orthogonal_positive_pair(space, rng)
     t = max(tol, 1e-8)
-    _, _, s3, (f1, f2) = _thm33_statements(space, u1, u2, t)
+    _, s3, (f1, f2) = _thm33_statements(space, u1, u2, t)
     if not s3:
         return _cx("expected_orthogonal", math.nan, u1=u1, u2=u2)
     for _ in range(3):
@@ -488,10 +492,18 @@ def _suite_rem311(space, rng, tol):
     u = _sample_faced_cone_element(space, rng, force_face=True)
     nu = norm(space, u)
     greatest = e - u / nu
-    # candidate partner, biased toward the face where u vanishes
-    B, Binv = space.cone.coefficient_basis
-    a = Binv @ u
-    w = rng.exponential(size=len(a)) * np.where(a <= 1e-12, 1.0, 0.05)
+    B, H = space.cone.coefficient_basis
+    a = H @ u
+    face = a <= 1e-12
+    if rng.random() < 0.5:
+        # a partner below e - u/||u||: coefficients w (s - a/||u||), s = H e,
+        # w in [0, 1]; w_j = 1 at one j where a_j = 0 gives it norm one
+        w = rng.uniform(0.0, 1.0, size=len(a))
+        w[rng.choice(np.flatnonzero(face))] = 1.0
+        w = w * (H @ e - a / nu)
+    else:
+        # a candidate partner, biased toward the face where u vanishes
+        w = rng.exponential(size=len(a)) * np.where(face, 1.0, 0.05)
     if w.max() == 0.0:
         return None
     v = B @ w
@@ -656,6 +668,12 @@ def _finite_p_coordinate(space: SpaceSpec) -> bool:
     return _is_coordinate(space) and not math.isinf(space.p_class)
 
 
+def _disjoint_pair_coordinate(space: SpaceSpec) -> bool:
+    """Finite p over coordinates, in dimension two or more: the room for a
+    pair of nonzero positive vectors with disjoint supports."""
+    return _finite_p_coordinate(space) and space.dim >= 2
+
+
 def _one_smooth(space: SpaceSpec) -> bool:
     """p_class 1 with a weighted l1 norm over the orthant (lp p = 1 or
     base): the spaces on which `restricted_dual_norms` is exact."""
@@ -675,7 +693,7 @@ SUITES = {
     "thm24_OSp2": (_suite_duality(exact=True), lambda sp: _is_lattice(sp)),
     "prop25_span_smooth": (_suite_prop25, _is_coordinate),
     "thm26_order_iso": (_suite_thm26, _finite_p_coordinate),
-    "lem27_positive_pair": (_suite_lem27, lambda sp: _is_coordinate(sp) and not math.isinf(sp.p_class)),
+    "lem27_positive_pair": (_suite_lem27, _disjoint_pair_coordinate),
     "lem28_cone_coeffs": (_suite_lem28, _is_coordinate),
     "prop32_supp_nonempty": (_suite_prop32, lambda sp: True),
     "thm33_equivalence": (_suite_thm33, _is_order_unit_like),

@@ -138,7 +138,15 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     if math.isinf(p):
         res = np.abs(lhs - np.maximum(nx, ak * ny)) / (1.0 + nx + ak * ny)
     else:
-        rhs = nx**p + ak**p * ny**p
+        try:
+            nxp, nyp = nx**p, ny**p
+        except OverflowError as exc:
+            # an inf here would make the residual at k = 0 NaN, which the
+            # skip below reads as no violation, even for x perp x
+            raise InputError(
+                f"input magnitude out of range: ||x||^p or ||y||^p overflows at p = {p:g}"
+            ) from exc
+        rhs = nxp + ak**p * nyp
         res = np.abs(lhs**p - rhs) / (1.0 + rhs)
     # a residual lost to overflow (inf - inf at large |k|) shows no violation;
     # argmax would otherwise stop at the NaN
@@ -302,6 +310,21 @@ def orthonormal_set_verify(
     spotcheck_samples: int = 25,
     seed: int = 0,
 ) -> OrthoSetReport:
+    """Check that U is a p-orthonormal set, deciding every pair through
+    `p_orthogonal`. The report's fields:
+
+    unit_norms_ok         every vector has norm one, within cfg.tol;
+    pairwise_ok           every pair is p-orthogonal;
+    total                 U spans the space (rank equal to the dimension);
+    additivity_spotcheck  no falsified additivity: for spotcheck_samples
+                          random x in the span of one block of U and y, z
+                          in the span of the rest, x perp y and x perp z
+                          imply x perp (y + z). The check runs only when
+                          spotcheck_samples > 0 and U has two or more
+                          vectors, drawing from a generator seeded with
+                          seed; otherwise the field reads True;
+    failures              one entry per failed unit norm, pair or sample.
+    """
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vectors = [np.asarray(u, dtype=float) for u in U]
     if not vectors:
@@ -326,9 +349,9 @@ def orthonormal_set_verify(
     total = np.linalg.matrix_rank(M, tol=1e-10) == space.dim
 
     # additivity falsification: x from one block of the set, y, z from the rest
-    rng = np.random.default_rng(seed)
     additivity_ok = True
-    if len(vectors) >= 2:
+    if len(vectors) >= 2 and spotcheck_samples > 0:
+        rng = np.random.default_rng(seed)
         for _ in range(spotcheck_samples):
             cut = int(rng.integers(1, len(vectors)))
             perm = rng.permutation(len(vectors))

@@ -200,6 +200,12 @@ class TestCommands:
         ran = {r["suite"] for r in json.loads(capsys.readouterr().out)}
         assert {"thm21_lp_characterization", "thm26_order_iso", "prop25_span_smooth"} <= ran
 
+    def test_lem27_in_dimension_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lp15_1.json"
+        path.write_text(_spec(dim=1, norm={"kind": "lp", "p": 1.5}, p_class=1.5), encoding="utf-8")
+        assert main(["verify", "lem27_positive_pair", "--space", str(path), "--samples", "5"]) == 2
+        assert "not supported" in capsys.readouterr().err
+
     def test_overflowing_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "lpinf.json"
         path.write_text(_spec(norm={"kind": "lp", "p": "inf"}, p_class=1.5), encoding="utf-8")

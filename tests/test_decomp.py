@@ -9,6 +9,7 @@ from portho.decomp import (
     embed_to_lp,
     infty_orth_decompose,
     opt_decompose,
+    p_aggregate,
 )
 from portho.cli import parse_space_spec
 from portho.errors import InputError
@@ -222,6 +223,30 @@ class TestEmbedding:
         with pytest.raises(InputError):
             embed_to_lp(sp, [np.array([1.0, 0.0]), np.array([0.5, 0.5])], 1.0)
 
+    @pytest.mark.parametrize("p", [1.5, INF])
+    def test_one_decision_per_pair(self, p, monkeypatch):
+        # unit norms and pairwise orthogonality only: no additivity spot
+        # check, whose decisions no caller reads
+        import portho.ortho as ortho_module
+
+        decisions = []
+        decide = ortho_module.p_orthogonal
+        monkeypatch.setattr(
+            ortho_module, "p_orthogonal", lambda *a, **k: decisions.append(1) or decide(*a, **k)
+        )
+        sp = lp_space(8, p)
+        U = []
+        for s in np.array_split(np.arange(8), 4):
+            u = np.zeros(8)
+            u[s] = 1.0
+            U.append(u / norm(sp, u))
+        embed_to_lp(sp, U, p)
+        assert 0 < len(decisions) <= 4 * 3 // 2
+
+    def test_rejects_a_vector_off_the_unit_sphere(self):
+        with pytest.raises(InputError, match="unit_norm"):
+            embed_to_lp(lp_space(3, 2.0), [np.eye(3)[0], 2.0 * np.eye(3)[1]], 2.0)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
     def test_isometry_and_order_on_samples(self, p):
         sp = lp_space(8, p)
@@ -254,6 +279,15 @@ class TestEmbedding:
                     continue
                 assert p_orthogonal_exact(u1, u2, p)
                 assert not cone_contains(sp.cone, u1 - u2, tol=1e-12)
+
+
+def test_p_aggregate_overflow_is_an_input_error():
+    with pytest.raises(InputError, match="overflows"):
+        p_aggregate(1e300, 1.0, 1.5)
+    with pytest.raises(InputError, match="overflows"):
+        p_aggregate(np.float64(1.0), np.float64(1e300), 3.0)
+    assert p_aggregate(3.0, 4.0, 2.0) == 5.0
+    assert p_aggregate(1e300, 1.0, INF) == 1e300
 
 
 class TestDecompositionRegressions:

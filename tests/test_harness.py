@@ -148,3 +148,46 @@ def test_duality_suites_green_on_a_simplicial_base_space(suite):
     rep = run_suite(suite, base_space(cone, np.ones(4)), samples=50, seed=0)
     assert rep.status == "ok"
     assert rep.passes == rep.samples == 50
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+class TestDecisionsPerSuite:
+    """Each suite pays only for the decisions it reads."""
+
+    def test_rem34_makes_no_grid_decision(self, monkeypatch):
+        import portho.ortho as ortho_module
+
+        calls = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
+        rep = run_suite("rem34_extension", default_families()["sup_8"], samples=50, seed=0)
+        assert rep.status == "ok" and rep.samples == 50
+        assert calls == []
+
+    def test_thm33_decides_each_checked_sample_once(self, monkeypatch):
+        import portho.ortho as ortho_module
+
+        calls = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
+        rep = run_suite("thm33_equivalence", default_families()["sup_8"], samples=50, seed=0)
+        assert rep.status == "ok" and rep.samples == 50
+        assert len(calls) == 50  # no sample of sup_8 has a zero part
+
+    @pytest.mark.parametrize("family", ["sup_8", "polyray_4"])
+    def test_rem311_checks_domination(self, family, monkeypatch):
+        import portho.cones as cones_module
+
+        calls = _count_calls(monkeypatch, cones_module, "cone_contains")
+        rep = run_suite("rem311_greatest", default_families()[family], samples=50, seed=0)
+        assert rep.status == "ok" and rep.passes == rep.samples == 50
+        assert len(calls) > 0
+
+
+def test_lem27_needs_room_for_a_disjoint_pair():
+    # in dimension one the disjoint sampler has a single coordinate, so
+    # u1 = 0 and every sample would pass without a positive pair
+    assert run_suite("lem27_positive_pair", lp_space(1, 1.5), samples=5).status == "unsupported"
+    assert run_suite("lem27_positive_pair", lp_space(2, 1.5), samples=5).status == "ok"

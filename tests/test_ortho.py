@@ -89,6 +89,15 @@ class TestNumericDecider:
             with pytest.raises(InputError, match="finite"):
                 decide(sp, [1.0, 0.0], [0.0, bad], 2.0)
 
+    def test_finite_input_whose_norm_power_overflows_rejected(self):
+        # ||x||^p beyond the float range: an InputError naming the overflow,
+        # not an OverflowError, and no "orthogonal" for x perp x
+        x = [2.0, 1e300, 0.0]
+        with pytest.raises(InputError, match="overflows"):
+            p_orthogonal_numeric(sup_space(3), x, x, 1.5)
+        with pytest.raises(InputError, match="overflows"):
+            p_orthogonal(sup_space(3), x, [1.0, 0.0, 0.0], 3.0)
+
 
 _FAMILIES = default_families()
 
