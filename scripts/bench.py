@@ -9,10 +9,10 @@ Decider slice: for every default family and every exponent p in
 
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
-`norm` / `dual_norm` calls), DECIDER_ROWS (the default k grid, the block the
-grid decider hands the row oracle at finite p) and 2^15 / dim (the decider's
-largest block, `ortho._BLOCK_ENTRIES` entries). The key under each family is
-the row count.
+`norm` / `dual_norm` calls), DECIDER_ROWS (the default k grid: the block the
+grid decider hands the row oracle at finite p) and 2^15 / dim (the most rows
+one block of the decider may hold, `ortho._BLOCK_ENTRIES` entries). The key
+under each family is the row count.
 
 Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded symmetric
 matrix of each side in EIGEN_SIDES.
@@ -121,7 +121,7 @@ PENTAGON = np.array(
 PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
 LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
 DECIDER_ROWS = len(OrthoConfig().k_grid)  # the default k grid: 35 scalars
-BLOCK_ENTRIES = 2**15  # entries of the grid decider's largest block
+BLOCK_ENTRIES = 2**15  # the most entries one block of the grid decider holds
 EIGEN_SIDES = (2, 4, 8, 16, 32)
 # default families on which each call solved an LP before the lattice-cone
 # closed forms (the others took closed forms, eigendecompositions or
