@@ -52,7 +52,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_8.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_9.json
 """
 
 import argparse
@@ -312,7 +312,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_8.json")
+    ap.add_argument("--out", default="BENCH_9.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

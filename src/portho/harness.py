@@ -6,14 +6,14 @@ suite name), so reports are reproducible and independent of execution order.
 Samplers build positive elements from cone coefficients
 (`ConeSpec.coefficient_basis`) and the order unit (`spaces.order_unit`); a
 sampler that finds no valid sample in _MAX_DRAWS draws raises InputError.
-The lp embeddings decide orthonormality through `ortho.p_orthogonal`, which
-is exact on the coordinate families at their own exponent; the other
-orthogonality checks use the grid decider `ortho.verdict_from_norm`. The
-checks on the two-dimensional restricted ball hand the grid decider the
-exact row oracle `spaces.restricted_dual_norms` (the maximum over the
-vertices of the ball, a polygon), so they run at the caller's tolerance
-floored at 1e-8 like the other checks; there is no longer a 1e-4 floor for
-a scanned boundary.
+Orthogonality checks decide through `ortho.p_orthogonal`, which is exact on
+the coordinate families at their own exponent and takes the grid decider
+`ortho.verdict_from_norm` elsewhere. Only Example 4.6 and the checks on the
+two-dimensional restricted ball stay on the grid; the latter hand the grid
+decider the exact row oracle `spaces.restricted_dual_norms` (the maximum
+over the vertices of the ball, a polygon), so they run at the caller's
+tolerance floored at 1e-8 like the other checks; there is no longer a 1e-4
+floor for a scanned boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +35,13 @@ from .decomp import (
     p_aggregate,
 )
 from .errors import InputError
-from .ortho import OrthoConfig, p_orthogonal_exact, p_orthogonal_numeric, verdict_from_norm
+from .ortho import (
+    OrthoConfig,
+    p_orthogonal,
+    p_orthogonal_exact,
+    p_orthogonal_numeric,
+    verdict_from_norm,
+)
 from .spaces import (
     BASE,
     LP,
@@ -416,7 +422,7 @@ def _suite_thm33(space, rng, tol):
         return None
     t = max(tol, 1e-8)
     s1, s3, _ = _thm33_statements(space, u1, u2, t)
-    s2 = p_orthogonal_numeric(space, u1, u2, INF, OrthoConfig(tol=t)).is_orthogonal
+    s2 = p_orthogonal(space, u1, u2, INF, OrthoConfig(tol=t)).is_orthogonal
     if not (s1 == s2 == s3):
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}{int(s3)}", math.nan, u1=u1, u2=u2)
     return None
@@ -445,7 +451,7 @@ def _suite_cor38(space, rng, tol):
     n1, n2 = norm(space, u1), norm(space, u2)
     if n1 < 1e-9 or n2 < 1e-9:
         return None
-    orth = p_orthogonal_numeric(space, u1, u2, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal
+    orth = p_orthogonal(space, u1, u2, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal
     dominated = _c.cone_contains(space.cone, e - u1 / n1 - u2 / n2, tol=1e-8)
     if orth != dominated:
         return _cx("order_unit_bound", math.nan, u1=u1, u2=u2)
@@ -508,7 +514,7 @@ def _suite_rem311(space, rng, tol):
         return None
     v = B @ w
     v = v / norm(space, v)
-    if not p_orthogonal_numeric(space, u, v, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal:
+    if not p_orthogonal(space, u, v, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal:
         return None  # not a partner; nothing to dominate
     if not _c.cone_contains(space.cone, greatest - v, tol=1e-9):
         return _cx("not_dominated", math.nan, u=u, v=v)
@@ -533,7 +539,7 @@ def _suite_thm41(space, rng, tol):
     f2 = positive_support(space, u2).functional
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
-    s1 = cross_ok and p_orthogonal_numeric(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
+    s1 = cross_ok and p_orthogonal(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
     dual_values, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
     s2 = verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal
     if s1 != s2:
@@ -573,7 +579,7 @@ def _suite_lem43(space, rng, tol):
     t = max(tol, 1e-8)
     if abs(f1 @ u2) > t * n2 or abs(f2 @ u1) > t * n1:
         return None  # hypothesis not met
-    if not p_orthogonal_numeric(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal:
+    if not p_orthogonal(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal:
         return _cx("one_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 

@@ -211,15 +211,20 @@ class SpectralDecomposition:
 def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Return the symmetric part of a square matrix, or of each matrix in a
     stack along the leading axes; raise InputError when any one is asymmetric
-    beyond rel_tol * max(1, its largest entry)."""
+    beyond rel_tol * max(1, its largest entry). A stack that equals its
+    transpose bit for bit is its own symmetric part and is returned as a
+    copy; otherwise the halves are added, as 0.5 M + 0.5 M^T, so that
+    entries near the largest float do not overflow."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InputError("matrix must be square")
     Mt = np.swapaxes(M, -1, -2)
+    if (M.view(np.int64) == Mt.view(np.int64)).all():
+        return M.copy()
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
     if np.any(np.abs(M - Mt).max(axis=(-2, -1)) > rel_tol * scale):
         raise InputError("matrix is not symmetric")
-    return 0.5 * (M + Mt)
+    return 0.5 * M + 0.5 * Mt
 
 
 def eigen_sym(M: np.ndarray) -> SpectralDecomposition:

@@ -2,10 +2,11 @@
 
 The defining identity quantifies over every real scalar k, which a norm
 oracle cannot certify in general; the numeric decider is a semi-decision
-over a geometric grid of scalars. The grid is ordered by (|k|, k) and
-deduplicated with one lexsort per decision; for p = inf the sweep around
-|k| = ||x||/||y|| is one fixed array of ratios, scaled per decision and
-merged into the same lexsort.
+over a geometric grid of scalars. Each `OrthoConfig` orders its grid by
+(|k|, k) and deduplicates it once, when it is built (the default grid once,
+at import), so a decision at finite p sorts nothing; only for p = inf does
+a decision pay one lexsort, to merge the sweep around |k| = ||x||/||y||
+(one fixed array of ratios, scaled per decision) into the grid.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
 over the orthant, a weighted lp norm at its own exponent, the sup (or lp
@@ -49,27 +50,58 @@ _DEFAULT_GRID = tuple(
 _SWEEP = np.concatenate([np.linspace(1.0 / 16.0, 2.0, 48), [1.0 - 2**-8, 1.0, 1.0 + 2**-8]])
 
 
+def _order_unique(k: np.ndarray) -> np.ndarray:
+    """The distinct scalars of k ordered by (|k|, k): small scalars first, so
+    the first argmax of the residual is the least-magnitude witness. The
+    sort is stable, so of 0.0 and -0.0 the one that comes first in k stays."""
+    k = k[np.lexsort((k, np.abs(k)))]
+    keep = np.empty(k.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(k[1:], k[:-1], out=keep[1:])
+    return k[keep]
+
+
+# the default grid in (|k|, k) order and sorted, shared by every config on it
+_DEFAULT_ORDER = _order_unique(np.array(_DEFAULT_GRID))
+_DEFAULT_ORDER.flags.writeable = False
+_DEFAULT_SORTED = tuple(np.sort(_DEFAULT_ORDER).tolist())
+
+
 @dataclass(frozen=True)
 class OrthoConfig:
     """The decider's scalar grid (finite, with 0 and scalars of both signs)
     and its tolerance (finite, nonnegative): on the residual of the grid
-    route, relative to the largest entry on the exact route."""
+    route, relative to the largest entry on the exact route.
+
+    Each instance holds its grid's distinct scalars in (|k|, k) order and
+    as a sorted tuple, computed once here, never looked up by grid value:
+    grids that differ only in the sign of zero compare equal as tuples."""
 
     k_grid: tuple = _DEFAULT_GRID
     tol: float = 1e-9
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _sorted: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            ks = tuple(map(float, self.k_grid))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"k grid must hold real scalars: {exc}") from exc
-        if not all(map(math.isfinite, ks)):
-            raise InputError("k grid must hold finite scalars")
-        if 0.0 not in ks or not any(k > 0 for k in ks) or not any(k < 0 for k in ks):
-            raise InputError("k grid must contain 0 and scalars of both signs")
+        if self.k_grid is _DEFAULT_GRID:
+            order, grid = _DEFAULT_ORDER, _DEFAULT_SORTED
+        else:
+            try:
+                ks = tuple(map(float, self.k_grid))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"k grid must hold real scalars: {exc}") from exc
+            if not all(map(math.isfinite, ks)):
+                raise InputError("k grid must hold finite scalars")
+            if 0.0 not in ks or not any(k > 0 for k in ks) or not any(k < 0 for k in ks):
+                raise InputError("k grid must contain 0 and scalars of both signs")
+            object.__setattr__(self, "k_grid", ks)
+            order = _order_unique(np.array(ks))
+            order.flags.writeable = False
+            grid = tuple(np.sort(order).tolist())
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InputError(f"tol must be finite and nonnegative, got {self.tol}")
-        object.__setattr__(self, "k_grid", ks)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_sorted", grid)
 
 
 _DEFAULT_CONFIG = OrthoConfig()
@@ -106,7 +138,7 @@ _BLOCK_ENTRIES = 2**15
 
 def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) -> OrthoVerdict:
     """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
-    returns the norms of the rows of W."""
+    returns the norms of the rows of W as an array."""
     if p < 1:
         raise InputError("invalid exponent")
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
@@ -114,20 +146,21 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise InputError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    xy = np.stack([x, y])
+    if not np.isfinite(xy).all():
         raise InputError("x and y must have finite entries")
-    nx, ny = (float(v) for v in norms_fn(np.stack([x, y])))
+    nx, ny = norms_fn(xy).tolist()
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
-        grid = np.sort(_order_unique(np.array(cfg.k_grid)))
-        return OrthoVerdict("orthogonal", 0.0, 0.0, tuple(grid.tolist()))
+        return OrthoVerdict("orthogonal", 0.0, 0.0, cfg._sorted)
     if math.isinf(p):
         # the two sides of the max-form identity cross at |k| = ||x||/||y||;
         # violations concentrate there, so sweep that neighbourhood too
         r = nx / ny
-        k = _order_unique(np.concatenate([cfg.k_grid, r * _SWEEP, -r * _SWEEP]))
+        k = _order_unique(np.concatenate([cfg._order, r * _SWEEP, -r * _SWEEP]))
+        grid = tuple(np.sort(k).tolist())
     else:
-        k = _order_unique(np.array(cfg.k_grid))
+        k, grid = cfg._order, cfg._sorted
     rows = max(1, _BLOCK_ENTRIES // x.size)
     lhs = np.concatenate(
         [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
@@ -154,18 +187,7 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     i = int(np.argmax(res))
     worst = float(res[i])
     verdict = "orthogonal" if worst <= cfg.tol else "not_orthogonal"
-    return OrthoVerdict(verdict, worst, float(k[i]), tuple(np.sort(k).tolist()))
-
-
-def _order_unique(k: np.ndarray) -> np.ndarray:
-    """The distinct scalars of k ordered by (|k|, k): small scalars first, so
-    the first argmax of the residual is the least-magnitude witness. The
-    sort is stable, so of 0.0 and -0.0 the one that comes first in k stays."""
-    k = k[np.lexsort((k, np.abs(k)))]
-    keep = np.empty(k.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(k[1:], k[:-1], out=keep[1:])
-    return k[keep]
+    return OrthoVerdict(verdict, worst, float(k[i]), grid)
 
 
 def p_orthogonal_numeric(

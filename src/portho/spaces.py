@@ -213,7 +213,11 @@ def batch_norms(space: SpaceSpec, W) -> np.ndarray:
     if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
         return np.abs(W).max(axis=1)
     if nk.kind == LP:
-        return np.sum(_weights(space) * np.abs(W) ** nk.p, axis=1) ** (1.0 / nk.p)
+        # no weights means weight 1, so the product is skipped, not computed
+        A = np.abs(W) ** nk.p
+        if nk.weights is not None:
+            A *= nk.weights
+        return np.sum(A, axis=1) ** (1.0 / nk.p)
     if nk.kind == SPECTRAL:
         return np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, W))).max(axis=1)
     if nk.kind == ORDER_UNIT:
@@ -241,11 +245,15 @@ def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
     if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
         return np.sum(np.abs(F), axis=1)
     if nk.kind == LP:
-        w = _weights(space)
+        w = nk.weights
         if nk.p == 1.0:
-            return np.max(np.abs(F) / w, axis=1)
+            A = np.abs(F)
+            return np.max(A if w is None else A / w, axis=1)
         q = conjugate(nk.p)
-        return np.sum(w ** (1.0 - q) * np.abs(F) ** q, axis=1) ** (1.0 / q)
+        A = np.abs(F) ** q
+        if w is not None:
+            A *= w ** (1.0 - q)
+        return np.sum(A, axis=1) ** (1.0 / q)
     if nk.kind == SPECTRAL:
         return np.sum(np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, F))), axis=1)
     if nk.kind == BASE:

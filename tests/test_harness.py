@@ -169,12 +169,16 @@ class TestDecisionsPerSuite:
         assert calls == []
 
     def test_thm33_decides_each_checked_sample_once(self, monkeypatch):
+        import portho.harness as harness_module
         import portho.ortho as ortho_module
 
-        calls = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
+        decisions = _count_calls(monkeypatch, harness_module, "p_orthogonal")
+        grid = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
         rep = run_suite("thm33_equivalence", default_families()["sup_8"], samples=50, seed=0)
         assert rep.status == "ok" and rep.samples == 50
-        assert len(calls) == 50  # no sample of sup_8 has a zero part
+        assert len(decisions) == 50  # no sample of sup_8 has a zero part
+        # sup_8 at p = inf is decided exactly: only a failing pair takes the grid
+        assert 0 < len(grid) < 50
 
     @pytest.mark.parametrize("family", ["sup_8", "polyray_4"])
     def test_rem311_checks_domination(self, family, monkeypatch):

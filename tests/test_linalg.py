@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from portho.errors import InputError
-from portho.linalg import LpProblem, SpectralDecomposition, eigen_sym, solve_lp
+from portho.linalg import LpProblem, SpectralDecomposition, check_symmetric, eigen_sym, solve_lp
 
 from oracles import char_poly_eigs_3x3, lp_by_vertex_enumeration
 
@@ -166,6 +166,29 @@ class TestEigenSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
             eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_symmetric_part_near_the_largest_float(self):
+        big = 1.5e308
+        # asymmetric within the tolerance: the halves are added, not the entries
+        M = np.array([[big, big], [big * (1.0 + 2**-50), big]])
+        S = check_symmetric(M)
+        assert np.isfinite(S).all()
+        assert S[0, 1] == S[1, 0] == pytest.approx(big, rel=1e-15)
+        # exactly symmetric: the matrix itself, as a copy
+        M = np.array([[big, 1.0], [1.0, -big]])
+        S = check_symmetric(M)
+        assert S is not M and (S == M).all()
+        assert eigen_sym(M).eigenvalues == pytest.approx([big, -big], rel=1e-15)
+
+    def test_symmetric_part_of_a_stack_matches_the_mean_with_its_transpose(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(6, 4, 4))
+        S = A + np.swapaxes(A, -1, -2)
+        # the last matrix is asymmetric within the tolerance, the rest exactly symmetric
+        S[-1, 0, 1] += 1e-14
+        got = check_symmetric(S, rel_tol=1e-12)
+        want = 0.5 * (S + np.swapaxes(S, -1, -2))
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(11)

@@ -209,6 +209,23 @@ class TestBatchedDeciderAgainstLoop:
             assert got.witness_k.hex() == grid[0].hex()
             assert [k.hex() for k in got.k_grid if k == 0.0] == [grid[0].hex()]
 
+    @pytest.mark.parametrize("p", [1.5, INF])
+    def test_configs_whose_grids_differ_in_the_sign_of_zero_keep_their_own(self, p):
+        # the two grids compare equal as tuples, so an order cached by grid
+        # value would hand the second config the first one's zero
+        sp = lp_space(2, p)
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        plus, minus = OrthoConfig(k_grid=(0.0, 0.5, -0.5)), OrthoConfig(k_grid=(-0.0, 0.5, -0.5))
+        assert plus.k_grid == minus.k_grid
+        for cfg in (plus, minus, plus, minus):
+            zero = cfg.k_grid[0].hex()
+            got = p_orthogonal_numeric(sp, x, y, p, cfg)
+            assert [k.hex() for k in got.k_grid if k == 0.0] == [zero]
+            if p == INF:  # every residual is exactly 0, so the witness is the zero
+                assert got.witness_k.hex() == zero
+            zero_arg = p_orthogonal_numeric(sp, np.zeros(2), y, p, cfg)
+            assert [k.hex() for k in zero_arg.k_grid if k == 0.0] == [zero]
+
     def test_high_dimension_takes_several_blocks(self):
         sp, _, fplus, fminus, g1, _ = build_example_46(2049)
         rows = []

@@ -223,6 +223,20 @@ class TestNormAxioms:
         with pytest.raises(InputError, match="not symmetric"):
             norm(sp, W[2])
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_unweighted_lp_equals_unit_weights_bit_for_bit(self, p):
+        rng = np.random.default_rng(17)
+        W = rng.normal(size=(35, 8)) * 10.0 ** rng.integers(-3, 4, size=(35, 1))
+        plain, ones = lp_space(8, p), lp_space(8, p, weights=np.ones(8))
+        for oracle in (batch_norms, batch_dual_norms):
+            got, want = oracle(plain, W), oracle(ones, W)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_spectral_norm_near_the_largest_float(self):
+        # doubling the entry 1e308 to symmetrize overflowed to a NaN norm
+        assert norm(spectral_space(2), [1e308, 1.0, 1.0, 2.0]) == pytest.approx(1e308, rel=1e-12)
+        assert dual_norm(spectral_space(2), [1e308, 0.0, 0.0, -2.0]) == pytest.approx(1e308, rel=1e-12)
+
     def test_rows_of_wrong_width_rejected(self):
         with pytest.raises(InputError):
             batch_norms(lp_space(3, 2.0), np.ones((2, 4)))
