@@ -61,10 +61,16 @@ def _order_unique(k: np.ndarray) -> np.ndarray:
     return k[keep]
 
 
-# the default grid in (|k|, k) order and sorted, shared by every config on it
-_DEFAULT_ORDER = _order_unique(np.array(_DEFAULT_GRID))
-_DEFAULT_ORDER.flags.writeable = False
-_DEFAULT_SORTED = tuple(np.sort(_DEFAULT_ORDER).tolist())
+def _ordered_grid(ks: tuple):
+    """The distinct scalars of ks in (|k|, k) order, as a read-only array,
+    and sorted, as a tuple."""
+    order = _order_unique(np.array(ks))
+    order.flags.writeable = False
+    return order, tuple(np.sort(order).tolist())
+
+
+# shared by every config on the default grid
+_DEFAULT_ORDERED = _ordered_grid(_DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class OrthoConfig:
 
     def __post_init__(self):
         if self.k_grid is _DEFAULT_GRID:
-            order, grid = _DEFAULT_ORDER, _DEFAULT_SORTED
+            order, grid = _DEFAULT_ORDERED
         else:
             try:
                 ks = tuple(map(float, self.k_grid))
@@ -95,9 +101,7 @@ class OrthoConfig:
             if 0.0 not in ks or not any(k > 0 for k in ks) or not any(k < 0 for k in ks):
                 raise InputError("k grid must contain 0 and scalars of both signs")
             object.__setattr__(self, "k_grid", ks)
-            order = _order_unique(np.array(ks))
-            order.flags.writeable = False
-            grid = tuple(np.sort(order).tolist())
+            order, grid = _ordered_grid(ks)
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InputError(f"tol must be finite and nonnegative, got {self.tol}")
         object.__setattr__(self, "_order", order)
