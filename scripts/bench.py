@@ -23,10 +23,12 @@ before the lattice-cone closed forms, kept under the same keys so that runs
 of either code compare per call: `support_functional`, `positive_support`,
 `crust_probe` (a cone element on the boundary and one inside),
 `opt_decompose` at p = 1 and p = inf, and `dual_one_orth_decompose`. On the
-non-simplicial pentagon cone in R^3, where every one of them still solves
-LPs: `cone_contains` (a point inside, one outside), and `support_functional`,
-`positive_support` and `crust_probe` under the order-unit (`ou_ray5`) and
-base (`base_ray5`) norms.
+non-simplicial pentagon cone in R^3: `cone_contains` (a point inside, one
+outside), one LP each, and `support_functional`, `positive_support` and
+`crust_probe` under the order-unit (`ou_ray5`) and base (`base_ray5`)
+norms. Under the order-unit norm these take the facet closed form and solve
+no LP beyond their membership checks; under the base norm the support
+functional and positive support still solve LPs.
 
 Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of
 3 x 5, 8 x 16, 16 x 32 and 32 x 64 (rows x variables), independent of any
@@ -34,16 +36,24 @@ caller.
 
 Every case is warmed up with WARMUP calls; then each of REPEATS rounds times
 one call of each case in turn with `time.perf_counter`, so a change in host
-load during the run reaches all of them alike. The figure is the median over
-the rounds, in microseconds per call. BLAS is pinned to one thread unless
-the environment already sets it.
+load during the run reaches all of them alike. BLAS is pinned to one thread
+unless the environment already sets it.
 
 Suite slice (table `ms_per_suite`): `run_suite` of each of the 22 suites
 on its default family at seed SEED and VERIFY_SAMPLES samples, as
 `portho verify all --samples 50` runs them. After one warm-up round,
-VERIFY_ROUNDS rounds each run every suite once in turn; the figure is the
-median over the rounds in milliseconds per suite, and `verify_all_ms` is
+VERIFY_ROUNDS rounds each run every suite once in turn; `verify_all_ms` is
 the median of the rounds' totals.
+
+Host speed. A fixed reference loop that calls no portho code
+(`reference_loop`) runs before the first round and after every round of
+either slice. Each time of a round is scaled by REFERENCE_US over the mean
+of the two loop times around it, so the figures read at the speed of a host
+that runs the loop in REFERENCE_US, and a slowdown of the host between
+rounds or runs cancels out. Each figure is the median over the rounds of the
+scaled times, in microseconds per call (milliseconds for the suite slice);
+the medians of the raw times are under `raw`, and the median loop time
+under `reference_us`.
 
 The figures land under `runs[LABEL]` of the output JSON, next to any runs
 already there, with the commit of the measured source, the Python and numpy
@@ -52,7 +62,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_9.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_10.json
 """
 
 import argparse
@@ -123,12 +133,48 @@ LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
 DECIDER_ROWS = len(OrthoConfig().k_grid)  # the default k grid: 35 scalars
 BLOCK_ENTRIES = 2**15  # the most entries one block of the grid decider holds
 EIGEN_SIDES = (2, 4, 8, 16, 32)
+REFERENCE_US = 1600.0  # nominal reference-loop time the figures are scaled to
 # default families on which each call solved an LP before the lattice-cone
 # closed forms (the others took closed forms, eigendecompositions or
 # reported "unsupported")
 SUPPORT_FAMILIES = ("base_8", "polyray_4", "sup_8")
 ORDER_UNIT_FAMILIES = ("polyray_4", "sup_8")  # positive_support, crust_probe, dual split
 DECOMPOSE = ((1.0, ("base_8", "lp1_8", "polyray_4")), (math.inf, ("polyray_4", "sup_8")))
+
+
+def reference_loop() -> float:
+    """Seconds taken by a fixed loop of the kind portho spends its time in
+    (interpreted Python around small numpy calls, a little dense linear
+    algebra) that calls no portho code, so that no change to portho can
+    make it faster. About 1.6 ms on a 2-core sandbox."""
+    t0 = time.perf_counter()
+    x = np.linspace(-1.0, 1.0, 16)
+    M = np.eye(8) + 0.05
+    acc = 0.0
+    for i in range(200):
+        y = x * 0.25 + i
+        acc += float(np.abs(y).max()) + float(np.sum(y * y) ** 0.5)
+        if i % 10 == 0:
+            acc += float(np.linalg.eigvalsh(M + i * 1e-3)[0]) + float(np.linalg.solve(M, x[:8])[0])
+    return time.perf_counter() - t0
+
+
+def _rounds(cases, rounds: int):
+    """Times one call of each case per round, for `rounds` rounds, with the
+    reference loop before the first round and after every round. Returns
+    each case's times in seconds, raw and scaled to the nominal reference
+    time, and the loop's times."""
+    refs = [reference_loop()]
+    raw = {key: [] for key, _ in cases}
+    for _ in range(rounds):
+        for key, call in cases:
+            t0 = time.perf_counter()
+            call()
+            raw[key].append(time.perf_counter() - t0)
+        refs.append(reference_loop())
+    scale = [REFERENCE_US * 1e-6 / (0.5 * (a + b)) for a, b in zip(refs, refs[1:])]
+    scaled = {key: [t * c for t, c in zip(ts, scale)] for key, ts in raw.items()}
+    return raw, scaled, refs
 
 
 def _rows(space, rng, n: int) -> np.ndarray:
@@ -255,25 +301,24 @@ def _solver_cases():
         yield ("us_per_solve", "solve_lp", f"{rows}x{n}", "-"), functools.partial(solve_lp, problem)
 
 
-def _measure_suites() -> tuple[dict, float]:
-    """Median ms per suite over VERIFY_ROUNDS rounds (after one warm-up
-    round), and the median of the rounds' totals."""
-    calls = {
-        s: functools.partial(run_suite, s, samples=VERIFY_SAMPLES, seed=SEED) for s in SUITE_IDS
-    }
-    for call in calls.values():
+def _measure_suites():
+    """Per suite, the median scaled and raw ms over VERIFY_ROUNDS rounds
+    (after one warm-up round); the medians of the rounds' scaled and raw
+    totals; and the reference loop's times."""
+    calls = [
+        (s, functools.partial(run_suite, s, samples=VERIFY_SAMPLES, seed=SEED)) for s in SUITE_IDS
+    ]
+    for _, call in calls:
         call()
-    times = {s: [] for s in SUITE_IDS}
-    for _ in range(VERIFY_ROUNDS):
-        for suite, call in calls.items():
-            t0 = time.perf_counter()
-            call()
-            times[suite].append(time.perf_counter() - t0)
-    totals = [sum(ts[i] for ts in times.values()) for i in range(VERIFY_ROUNDS)]
-    per_suite = {
-        s: {DEFAULT_FAMILY[s]: round(statistics.median(ts) * 1e3, 2)} for s, ts in times.items()
-    }
-    return per_suite, round(statistics.median(totals) * 1e3, 1)
+    raw, scaled, refs = _rounds(calls, VERIFY_ROUNDS)
+    out = []
+    for times in (scaled, raw):
+        totals = [sum(ts[i] for ts in times.values()) for i in range(VERIFY_ROUNDS)]
+        per_suite = {
+            s: {DEFAULT_FAMILY[s]: round(statistics.median(ts) * 1e3, 2)} for s, ts in times.items()
+        }
+        out.append((per_suite, round(statistics.median(totals) * 1e3, 1)))
+    return out, refs
 
 
 def measure() -> dict:
@@ -284,12 +329,9 @@ def measure() -> dict:
     for _, call in cases:
         for _ in range(WARMUP):
             call()
-    times = {key: [] for key, _ in cases}
-    for _ in range(REPEATS):
-        for key, call in cases:
-            t0 = time.perf_counter()
-            call()
-            times[key].append(time.perf_counter() - t0)
+    for _ in range(WARMUP):
+        reference_loop()
+    raw, scaled, refs = _rounds(cases, REPEATS)
     run = {
         "commit": _source_commit(package_dir),
         "python": platform.python_version(),
@@ -301,18 +343,22 @@ def measure() -> dict:
         "seed": SEED,
         "verify_samples": VERIFY_SAMPLES,
         "verify_rounds": VERIFY_ROUNDS,
+        "reference_nominal_us": REFERENCE_US,
     }
-    for (table, name, a, b), ts in times.items():
-        run.setdefault(table, {}).setdefault(name, {}).setdefault(a, {})[b] = round(
-            statistics.median(ts) * 1e6, 1)
-    run["ms_per_suite"], run["verify_all_ms"] = _measure_suites()
+    for doc, times in ((run, scaled), (run.setdefault("raw", {}), raw)):
+        for (table, name, a, b), ts in times.items():
+            doc.setdefault(table, {}).setdefault(name, {}).setdefault(a, {})[b] = round(
+                statistics.median(ts) * 1e6, 1)
+    ((run["ms_per_suite"], run["verify_all_ms"]),
+     (run["raw"]["ms_per_suite"], run["raw"]["verify_all_ms"])), suite_refs = _measure_suites()
+    run["reference_us"] = round(statistics.median(refs + suite_refs) * 1e6, 1)
     return run
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_9.json")
+    ap.add_argument("--out", default="BENCH_10.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -322,7 +368,9 @@ def main() -> int:
         " and verify-all suites",
     )
     doc.setdefault(
-        "unit", "us per call (median over repeats); ms for ms_per_suite and verify_all_ms"
+        "unit",
+        "us per call (median over repeats) at the nominal reference-loop speed; ms for"
+        " ms_per_suite and verify_all_ms; raw medians under raw",
     )
     doc.setdefault("runs", {})[args.label] = run = measure()
     out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -335,6 +383,7 @@ def main() -> int:
         for family, ms in by_family.items():
             print(f"{suite:26s} {family:10s} {ms:8.2f} ms")
     print(f"{'verify all (sum of suites)':37s} {run['verify_all_ms']:8.1f} ms")
+    print(f"{'reference loop (median, raw)':37s} {run['reference_us']:8.1f} us")
     return 0
 
 

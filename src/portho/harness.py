@@ -43,23 +43,25 @@ from .ortho import (
     verdict_from_norm,
 )
 from .spaces import (
-    BASE,
+    L1,
     LP,
     SPECTRAL,
     SUP,
     SpaceSpec,
+    _form,
     base_space,
     conjugate,
     dual_norm,
     lp_space,
     norm,
+    norming,
     order_unit,
     order_unit_space,
     restricted_dual_norms,
     spectral_space,
     sup_space,
 )
-from .support import crust_probe, facet_support, positive_support
+from .support import crust_probe, positive_support
 
 INF = math.inf
 _MAX_DRAWS = 1000  # sampler retries before a space counts as unsampleable
@@ -178,7 +180,7 @@ def _support_min_cross(space: SpaceSpec, u1, u2):
         q = Qt @ R[:, 0]
         f = np.outer(q, q).ravel()
     else:
-        f = facet_support(space, u1, tiebreak=u2)
+        f = norming(space, u1, tiebreak=u2)
     return f, float(f @ u1), float(f @ u2)
 
 
@@ -683,12 +685,7 @@ def _disjoint_pair_coordinate(space: SpaceSpec) -> bool:
 def _one_smooth(space: SpaceSpec) -> bool:
     """p_class 1 with a weighted l1 norm over the orthant (lp p = 1 or
     base): the spaces on which `restricted_dual_norms` is exact."""
-    nk = space.norm
-    return (
-        space.p_class == 1.0
-        and space.cone.kind == _c.NONNEG
-        and (nk.kind == BASE or (nk.kind == LP and nk.p == 1.0))
-    )
+    return space.p_class == 1.0 and space.cone.kind == _c.NONNEG and _form(space).kind == L1
 
 
 SUITES = {

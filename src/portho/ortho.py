@@ -9,10 +9,12 @@ a decision pay one lexsort, to merge the sweep around |k| = ||x||/||y||
 (one fixed array of ratios, scaled per decision) into the grid.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
-over the orthant, a weighted lp norm at its own exponent, the sup (or lp
-inf) norm at p = inf and the base norm (the phi-weighted l1 norm) at p = 1.
-Scaling the coordinates by w^(1/p) turns each of them into the plain
-coordinate lp norm, where `p_orthogonal_exact` decides structurally:
+where the norm's closed form is a coordinate form at its own exponent: a
+weighted lp, sup or lp inf norm at its exponent over any cone, and over the
+orthant the order-unit norm at p = inf and the base norm (the phi-weighted
+l1 norm) at p = 1. Scaling the coordinates (by w^(1/p), or 1/w for the max
+form) turns each of them into the plain coordinate lp norm, where
+`p_orthogonal_exact` decides structurally:
 disjoint supports, a zero inner product for p = 2, and a piecewise-linear
 analysis for p = inf. Every other space goes to the grid. The verdict's
 `method` says which route answered.
@@ -26,14 +28,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError
-from .cones import NONNEG, cone_contains
+from .cones import cone_contains
 from .spaces import (
-    BASE,
-    LP,
-    SUP,
+    L1,
+    MAX,
+    POWER,
     SpaceSpec,
     _check_vec,
-    _weights,
+    _form,
     batch_dual_norms,
     batch_norms,
     norm,
@@ -230,20 +232,17 @@ def p_orthogonal(
 
 def _exact_scale(space: SpaceSpec, p: float):
     """Coordinate scaling s with ||x|| = ||s x||_p for every x, where the
-    norm over the orthant is a weighted lp norm at exponent p: w^(1/p) for
-    lp at its own p, 1 for sup or lp inf at p = inf, phi for the base norm
-    at p = 1. The scaling keeps supports, and at p = 2 it turns the plain
-    inner product into the weighted one. None for every other space."""
-    nk = space.norm
-    if space.cone.kind != NONNEG:
+    norm is a coordinate form at its own exponent p: a max-ratio form at
+    p = inf (s = 1/w), a least-l1 form at p = 1 and a power form at its p
+    (s = w^(1/p)). The scaling keeps supports, and at p = 2 it turns the
+    plain inner product into the weighted one. None for every other form."""
+    form = _form(space)
+    own = {MAX: INF, L1: 1.0, POWER: form.p}.get(form.kind)
+    if own != p or form.V is not None or form.bases is not None:
         return None
-    if math.isinf(p) and (nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p))):
+    if form.w is None:
         return 1.0
-    if nk.kind == LP and nk.p == p:
-        return _weights(space) ** (1.0 / p)
-    if nk.kind == BASE and p == 1.0:
-        return nk.phi
-    return None
+    return 1.0 / form.w if form.kind == MAX else form.w ** (1.0 / p)
 
 
 def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:

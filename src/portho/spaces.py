@@ -4,19 +4,20 @@ A SpaceSpec bundles a dimension, a positive cone, a norm and the smoothness
 exponent the space claims. Supported norms: weighted lp, sup, order-unit,
 base, and spectral (operator norm on symmetric matrices).
 
-Order-unit and base norms, and their dual norms, have closed forms on every
-polyhedral cone, built from the cone's facet-normal and basis tables
-(`ConeSpec.facet_normals`, `generator_bases`, `facet_bases`): a max-ratio
-kernel for the order-unit norm and the base dual norm, a least-l1 kernel
-over bases for the base norm and the order-unit dual norm. A ray cone whose
-table would exceed `cones.MAX_TABLE_SUBSETS` subsets goes through the LP
-solver instead.
+Each norm and dual norm resolves once per space (`_form`) to one closed
+form: max-ratio max_j |v_j . x| / w_j (sup, the order-unit norm over the
+facet normals, the base dual norm over the generators), least-l1 (lp 1, the
+base norm and the order-unit dual norm over the cone's basis tables), power
+(lp at 1 < p < inf), eigen (spectral) or, for a ray cone whose table would
+exceed `cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms` and
+`batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,13 @@ SUP = "sup"
 ORDER_UNIT = "order_unit"
 BASE = "base"
 SPECTRAL = "spectral"
+
+# the closed forms of a norm or dual norm (see `_Form`)
+MAX = "max"  # max_j |v_j . x| / w_j
+L1 = "l1"  # min sum_j w_j |c_j| over x = V^T c
+POWER = "power"  # (sum_j w_j |x_j|^p)^(1/p)
+EIGEN = "eigen"  # max or sum of |eigenvalues|
+SOLVER = "solver"  # an LP over the dual ball
 
 
 def conjugate(p: float) -> float:
@@ -68,6 +76,8 @@ class SpaceSpec:
     cone: _c.ConeSpec
     norm: NormKind
     p_class: float
+    # the _Form of the norm (key False) and of the dual norm (True), filled in by _form
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def describe(self) -> str:
         n = self.norm
@@ -154,11 +164,6 @@ def spectral_space(d: int) -> SpaceSpec:
 # internal helpers
 
 
-def _weights(space: SpaceSpec) -> np.ndarray:
-    w = space.norm.weights
-    return w if w is not None else np.ones(space.dim)
-
-
 def _check_vec(space: SpaceSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (space.dim,):
@@ -188,13 +193,54 @@ def order_unit(space: SpaceSpec) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# norm and dual norm: each family's closed form lives in the row oracles
-# batch_norms / batch_dual_norms; norm and dual_norm evaluate a single row.
-# The order-unit and base families share two kernels (the order-unit/base
-# duality): with facet normals H and generators G, the order-unit norm is
-# _max_ratio(H, H e), the base dual norm _max_ratio(G, G phi), the base norm
-# _least_l1 over the bases of G and the order-unit dual norm _least_l1 over
-# the bases of H. Only a cone above the table cap costs one LP per row.
+# closed forms: each norm and dual norm resolves to one _Form, which the norm
+# layer evaluates on rows and `norming` maximizes
+
+
+class _Form(NamedTuple):
+    kind: str  # MAX, L1, POWER, EIGEN or SOLVER
+    V: np.ndarray | None = None  # max: rows v_j, None for the coordinates
+    w: np.ndarray | None = None  # weights, None for weight 1
+    bases: tuple | None = None  # l1: basis table (S, inv) of V, None for the coordinates
+    p: float | None = None  # power: the exponent; eigen: inf (max) or 1 (sum)
+
+
+def _form(space: SpaceSpec, dual: bool = False) -> _Form:
+    """The closed form of the norm (dual=False) or the dual norm, resolved
+    once per space and direction."""
+    form = space._forms.get(dual)
+    if form is None:
+        form = space._forms[dual] = _resolve(space, dual)
+    return form
+
+
+def _resolve(space: SpaceSpec, dual: bool) -> _Form:
+    nk, cone = space.norm, space.cone
+    if nk.kind == SPECTRAL:
+        return _Form(EIGEN, p=1.0 if dual else INF)
+    if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
+        return _Form(L1 if dual else MAX)
+    if nk.kind == LP:
+        if nk.p == 1.0:
+            return _Form(MAX if dual else L1, w=nk.weights)
+        if not dual:
+            return _Form(POWER, w=nk.weights, p=nk.p)
+        q = conjugate(nk.p)
+        return _Form(POWER, w=None if nk.weights is None else nk.weights ** (1.0 - q), p=q)
+    # the order-unit / base duality: the order-unit norm and the base dual
+    # norm are max-ratio forms, the base norm and the order-unit dual norm
+    # least-l1 forms, over the facet normals H with w = H e, or the
+    # generators G with w = G phi
+    ou = nk.kind == ORDER_UNIT
+    u = nk.unit if ou else nk.phi
+    kind = MAX if ou != dual else L1
+    if cone.kind == _c.NONNEG:
+        return _Form(kind, w=u)
+    V = cone.facet_normals if ou else cone.generators
+    bases = None if kind == MAX else cone.facet_bases if ou else cone.generator_bases
+    if V is None or (kind == L1 and bases is None):
+        return _Form(SOLVER)
+    return _Form(kind, V=V, w=V @ u, bases=bases)
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -207,73 +253,49 @@ def dual_norm(space: SpaceSpec, f) -> float:
 
 def batch_norms(space: SpaceSpec, W) -> np.ndarray:
     """Norms of the rows of W."""
-    W = _check_rows(space, W)
-    nk = space.norm
-    cone = space.cone
-    if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
-        return np.abs(W).max(axis=1)
-    if nk.kind == LP:
-        # no weights means weight 1, so the product is skipped, not computed
-        A = np.abs(W) ** nk.p
-        if nk.weights is not None:
-            A *= nk.weights
-        return np.sum(A, axis=1) ** (1.0 / nk.p)
-    if nk.kind == SPECTRAL:
-        return np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, W))).max(axis=1)
-    if nk.kind == ORDER_UNIT:
-        # least k with k e +- x in the cone = {x : H x >= 0}
-        if cone.kind == _c.NONNEG:
-            return np.max(np.abs(W) / nk.unit, axis=1)
-        H = cone.facet_normals
-        if H is not None:
-            return _max_ratio(W, H, H @ nk.unit)
-        return np.array([_order_unit_norm_lp(space, w) for w in W])
-    # base: least sum_i phi(g_i) |c_i| over the representations x = G^T c
-    if cone.kind == _c.NONNEG:
-        return np.sum(nk.phi * np.abs(W), axis=1)
-    bases = cone.generator_bases
-    if bases is not None:
-        return _least_l1(W, bases, cone.generators @ nk.phi)
-    return np.array([_base_norm_lp(space, w) for w in W])
+    return _evaluate(space, _check_rows(space, W), False)
 
 
 def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
     """Dual norms of the rows of F (functionals act by the dot product)."""
-    F = _check_rows(space, F)
-    nk = space.norm
-    cone = space.cone
-    if nk.kind == SUP or (nk.kind == LP and math.isinf(nk.p)):
-        return np.sum(np.abs(F), axis=1)
-    if nk.kind == LP:
-        w = nk.weights
-        if nk.p == 1.0:
-            A = np.abs(F)
-            return np.max(A if w is None else A / w, axis=1)
-        q = conjugate(nk.p)
-        A = np.abs(F) ** q
+    return _evaluate(space, _check_rows(space, F), True)
+
+
+def _evaluate(space: SpaceSpec, X: np.ndarray, dual: bool) -> np.ndarray:
+    form = _form(space, dual)
+    if form.kind == MAX:
+        A = np.abs(X if form.V is None else X @ form.V.T)
+        return (A if form.w is None else A / form.w).max(axis=1)
+    if form.kind == L1:
+        if form.bases is not None:
+            return _least_l1(X, form.bases, form.w)
+        A = np.abs(X)
+        return (A if form.w is None else A * form.w).sum(axis=1)
+    if form.kind == POWER:
+        return _power(X, form.p, form.w)
+    if form.kind == EIGEN:
+        A = np.abs(np.linalg.eigvalsh(_c.as_matrix(space.cone, X)))
+        return A.max(axis=1) if math.isinf(form.p) else A.sum(axis=1)
+    return np.array([_dual_ball_lp(space, x, dual)[0] for x in X])
+
+
+def _power(X: np.ndarray, p: float, w) -> np.ndarray:
+    """(sum_j w_j |x_j|^p)^(1/p) for each row x of X. A row whose sum of
+    powers overflows, or underflows to 0 on a nonzero row, is evaluated
+    again as m (sum_j w_j (|x_j| / m)^p)^(1/p) with m = max_j |x_j|."""
+    A = np.abs(X) ** p
+    if w is not None:  # no weights means weight 1: the product is skipped
+        A *= w
+    s = A.sum(axis=1)
+    out = s ** (1.0 / p)
+    if not (np.minimum.reduce(s, initial=INF) > 0.0 and np.maximum.reduce(s, initial=0.0) < INF):
+        m = np.abs(X).max(axis=1)
+        redo = ((s == 0.0) | (s == INF)) & (m > 0.0) & (m < INF)
+        A = (np.abs(X[redo]) / m[redo, None]) ** p
         if w is not None:
-            A *= w ** (1.0 - q)
-        return np.sum(A, axis=1) ** (1.0 / q)
-    if nk.kind == SPECTRAL:
-        return np.sum(np.abs(np.linalg.eigvalsh(_c.as_matrix(cone, F))), axis=1)
-    if nk.kind == BASE:
-        # max_i |f(g_i)| / phi(g_i)
-        if cone.kind == _c.NONNEG:
-            return np.max(np.abs(F) / nk.phi, axis=1)
-        G = cone.generators
-        return _max_ratio(F, G, G @ nk.phi)
-    # order unit: least sum_i h_i(e) |c_i| over the representations f = H^T c
-    if cone.kind == _c.NONNEG:
-        return np.sum(np.abs(F) * nk.unit, axis=1)
-    bases = cone.facet_bases
-    if bases is not None:
-        return _least_l1(F, bases, cone.facet_normals @ nk.unit)
-    return np.array([_order_unit_dual_lp(space, f)[0] for f in F])
-
-
-def _max_ratio(X: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """max_i |v_i . x| / w_i for each row x of X."""
-    return np.max(np.abs(X @ V.T) / w, axis=1)
+            A *= w
+        out[redo] = m[redo] * A.sum(axis=1) ** (1.0 / p)
+    return out
 
 
 def _least_l1(X: np.ndarray, bases, w: np.ndarray) -> np.ndarray:
@@ -294,93 +316,88 @@ def _least_l1(X: np.ndarray, bases, w: np.ndarray) -> np.ndarray:
     return best
 
 
-def _order_unit_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
-    # min k s.t. ke - x = G^T s, ke + x = G^T t, s,t >= 0, k >= 0; variables
-    # (k, s, t), the two rows of coordinate j adjacent
-    e = space.norm.unit[:, None]
-    Gt = space.cone.generators.T
-    n, m = Gt.shape
-    Z = np.zeros((n, m))
-    eq = np.stack([np.hstack([e, -Gt, Z]), np.hstack([e, Z, -Gt])], axis=1).reshape(2 * n, -1)
-    obj = -np.eye(1 + 2 * m)[0]
-    out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=np.stack([x, -x], axis=1).ravel()))
-    if out.status != "optimal":
-        raise InputError("order unit norm LP failed; unit likely not interior")
-    return float(out.argument[0])
-
-
-def _base_norm_lp(space: SpaceSpec, x: np.ndarray) -> float:
-    # min sum_i (s_i + t_i) phi(g_i) s.t. G^T (s - t) = x, s,t >= 0
-    G = space.cone.generators
-    gphi = G @ space.norm.phi
-    obj = -np.concatenate([gphi, gphi])
-    out = solve_lp(LpProblem(objective=obj, eq=np.hstack([G.T, -G.T]), eq_rhs=x))
-    if out.status != "optimal":
-        raise InputError("base norm LP failed")
-    return float(-out.optimum)
-
-
-def _order_unit_dual_lp(space: SpaceSpec, f: np.ndarray):
-    """Returns (dual norm of f, an argmax x on the unit ball)."""
-    # max f.x s.t. e - x = G^T s, e + x = G^T t, s,t >= 0, x free; variables
-    # (x, s, t), the two rows of coordinate j adjacent
-    e = space.norm.unit
-    Gt = space.cone.generators.T
-    n, m = Gt.shape
-    I, Z = np.eye(n), np.zeros((n, m))
-    eq = np.stack([np.hstack([I, Gt, Z]), np.hstack([-I, Z, Gt])], axis=1).reshape(2 * n, -1)
-    obj = np.concatenate([f, np.zeros(2 * m)])
-    free = np.arange(n + 2 * m) < n
-    out = solve_lp(LpProblem(objective=obj, eq=eq, eq_rhs=np.repeat(e, 2), free=free))
-    if out.status != "optimal":
-        raise InputError("dual norm LP failed")
-    return float(out.optimum), out.argument[:n]
+def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarray:
+    """The maximizer of the form at x != 0: for dual=False a functional f
+    with dual_norm(f) <= 1 and f(x) = norm(x) (a support functional of x),
+    for dual=True a vector y with norm(y) <= 1 and x(y) = dual_norm(x) (a
+    norming element of the functional x). Of a max-ratio form it is
+    sign(v_j . x) v_j / w_j at a maximizing j; given `tiebreak`, j is the
+    maximizer (within 1e-12 (1 + max)) with the least v_j . tiebreak / w_j.
+    A least-l1 form over more than one basis, and the solver form, take the
+    maximizer of the dual-ball LP."""
+    x = _check_vec(space, x)
+    if np.abs(x).max() == 0.0:
+        raise InputError(f"{'norming element' if dual else 'support functional'} undefined at 0")
+    form = _form(space, dual)
+    V, w = form.V, form.w
+    if form.kind == MAX:
+        r = x if V is None else V @ x
+        a = np.abs(r) if w is None else np.abs(r) / w
+        j = int(np.argmax(a))
+        if tiebreak is not None:
+            top = np.flatnonzero(a >= a[j] - 1e-12 * (1.0 + a[j]))
+            tiebreak = np.asarray(tiebreak, dtype=float)
+            t = tiebreak[top] if V is None else V[top] @ tiebreak
+            j = top[np.argmin(t if w is None else t / w[top])]
+        v = np.eye(1, space.dim, j)[0] if V is None else V[j]
+        return np.sign(r[j]) * v if w is None else np.sign(r[j]) * v / w[j]
+    if form.kind == L1 and form.bases is None:
+        return np.sign(x) if w is None else w * np.sign(x)
+    if form.kind == L1 and len(form.bases[0]) == 1:
+        # one basis: the dual solution inv^T (w_S sign(c_S)) at c_S = inv x
+        S, inv = form.bases[0][0], form.bases[1][0]
+        return inv.T @ (w[S] * np.sign(inv @ x))
+    if form.kind == POWER:
+        f = np.sign(x) * np.abs(x) ** (form.p - 1.0)
+        if w is not None:
+            f = w * f
+        return f / _evaluate(space, x[None], dual)[0] ** (form.p - 1.0)
+    if form.kind == EIGEN:
+        dec = eigen_sym(_c.as_matrix(space.cone, x))
+        if math.isinf(form.p):  # the top eigenvalue in absolute value
+            i = int(np.argmax(np.abs(dec.eigenvalues)))
+            vec = dec.eigenvectors[i]
+            return float(np.sign(dec.eigenvalues[i])) * np.outer(vec, vec).ravel()
+        s = np.sign(dec.eigenvalues)
+        return (dec.eigenvectors.T @ np.diag(s) @ dec.eigenvectors).ravel()
+    return _dual_ball_lp(space, x, dual)[1]
 
 
 def norming_element(space: SpaceSpec, f) -> np.ndarray:
     """A vector x with norm(x) <= 1 attaining f(x) = dual_norm(f). f != 0."""
-    f = _check_vec(space, f)
-    if np.abs(f).max() == 0.0:
-        raise InputError("norming element undefined for the zero functional")
-    kind = space.norm.kind
-    if kind == LP:
-        p = space.norm.p
-        w = _weights(space)
-        if math.isinf(p):
-            s = np.sign(f)
-            s[s == 0.0] = 1.0
-            return s
-        if p == 1.0:
-            j = int(np.argmax(np.abs(f) / w))
-            x = np.zeros(space.dim)
-            x[j] = np.sign(f[j]) / w[j]
-            return x
-        y = np.sign(f) * (np.abs(f) / w) ** (1.0 / (p - 1.0))
-        return y / norm(space, y)
-    if kind == SUP:
-        s = np.sign(f)
-        s[s == 0.0] = 1.0
-        return s
-    if kind == SPECTRAL:
-        dec = eigen_sym(_c.as_matrix(space.cone, f))
-        s = np.sign(dec.eigenvalues)
-        s[s == 0.0] = 1.0
-        X = dec.eigenvectors.T @ np.diag(s) @ dec.eigenvectors
-        return X.ravel()
-    if kind == BASE:
-        G = _c.generator_matrix(space.cone)
-        ratios = np.abs(G @ f) / (G @ space.norm.phi)
-        j = int(np.argmax(ratios))
-        g = G[j]
-        return float(np.sign(g @ f)) * g / float(g @ space.norm.phi)
-    # order unit: a vertex of the order interval [-e, e]
-    e = space.norm.unit
-    if space.cone.coefficient_basis is not None:
-        B, Binv = space.cone.coefficient_basis
-        s = np.sign(f @ B)
-        s[s == 0.0] = 1.0
-        return B @ (s * (Binv @ e))
-    return _order_unit_dual_lp(space, f)[1]
+    return norming(space, f, dual=True)
+
+
+def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
+    """(value, maximizer) of the largest x(z) over the unit ball of the other
+    direction, for the order-unit and base norms (dual=False) and the
+    order-unit dual norm (the base dual norm is always a max-ratio form),
+    with G the generators:
+    - base norm: z = f with |G f| <= G phi;
+    - order-unit norm: z = f1 - f2 with G f1 >= 0, G f2 >= 0 and
+      (f1 + f2)(e) <= 1, variables (f1, f2);
+    - order-unit dual norm: z with e - z = G^T s, e + z = G^T t, s, t >= 0,
+      variables (z, s, t), the two rows of coordinate j adjacent."""
+    G = _c.generator_matrix(space.cone)
+    m, n = G.shape
+    if not dual and space.norm.kind == BASE:
+        gphi = G @ space.norm.phi
+        problem = LpProblem(objective=x, ineq=np.vstack([G, -G]),
+                            ineq_rhs=np.concatenate([gphi, gphi]), free=np.ones(n, bool))
+    elif not dual:
+        Z, e = np.zeros_like(G), space.norm.unit
+        problem = LpProblem(objective=np.concatenate([x, -x]), ineq=np.block([[-G, Z], [Z, -G], [e, e]]),
+                            ineq_rhs=np.append(np.zeros(2 * m), 1.0), free=np.ones(2 * n, bool))
+    else:
+        I, Z = np.eye(n), np.zeros((n, m))
+        eq = np.stack([np.hstack([I, G.T, Z]), np.hstack([-I, Z, G.T])], axis=1).reshape(2 * n, -1)
+        problem = LpProblem(objective=np.concatenate([x, np.zeros(2 * m)]), eq=eq,
+                            eq_rhs=np.repeat(space.norm.unit, 2), free=np.arange(n + 2 * m) < n)
+    out = solve_lp(problem)
+    if out.status != "optimal":
+        raise InputError(f"{space.norm.kind} {'dual ' if dual else ''}norm LP failed")
+    z = out.argument
+    return float(out.optimum), (z[:n] - z[n:] if not dual and space.norm.kind == ORDER_UNIT else z[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +406,15 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
 
 def restricted_dual_norms(space: SpaceSpec, u1, u2):
     """Row oracle of the dual norm on span{u1, u2} (linearly independent)
-    for a weighted l1 norm: lp p = 1 or base over the orthant. For each row
+    for a weighted l1 norm (a coordinate least-l1 form). For each row
     (a1, a2) of C it returns sup |a1 l1 + a2 l2| over ||l1 u1 + l2 u2|| <= 1.
 
     The norm sum_i w_i |l1 u1_i + l2 u2_i| is linear between the lines
     where one coordinate vanishes, so the unit ball in (l1, l2) is a polygon
     whose vertices lie on the directions +-(u2_i, -u1_i); a linear
     functional attains its sup over the polygon at a vertex."""
-    nk = space.norm
-    if space.cone.kind != _c.NONNEG or not (nk.kind == BASE or (nk.kind == LP and nk.p == 1.0)):
+    form = _form(space)
+    if form.kind != L1 or form.bases is not None:
         raise InputError(f"restricted dual norm needs a weighted l1 norm, not {space.describe()}")
     U = np.stack([_check_vec(space, u1), _check_vec(space, u2)])
     D = np.stack([U[1], -U[0]], axis=1)

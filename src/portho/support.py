@@ -1,31 +1,20 @@
-"""Support functionals, positive supports and crusts, constructed explicitly
-per family: closed forms, built from the cone coefficients
-(`ConeSpec.coefficient_basis`) for the sup, order-unit and base norms, and
-LPs over the dual ball only for the order-unit and base norms on a
-non-simplicial ray cone.
+"""Support functionals, positive supports and crusts. A support functional
+is the maximizer of the norm's closed form (`spaces.norming`); positive
+supports and crusts read it too, except that the base norm keeps its own
+positive support (no mass off the support of u) and a cone above the
+table cap answers through LPs over the dual cone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cones as _c
 from .errors import InputError
-from .linalg import LpProblem, eigen_sym, solve_lp
-from .spaces import (
-    BASE,
-    LP,
-    ORDER_UNIT,
-    SPECTRAL,
-    SUP,
-    SpaceSpec,
-    _weights,
-    norm,
-    order_unit,
-)
+from .linalg import LpProblem, solve_lp
+from .spaces import BASE, LP, SOLVER, SpaceSpec, _form, norm, norming, order_unit
 
 
 @dataclass(frozen=True)
@@ -44,71 +33,8 @@ class CrustResult:
 
 def support_functional(space: SpaceSpec, v) -> SupportResult:
     v = np.asarray(v, dtype=float)
-    if np.abs(v).max() == 0.0:
-        raise InputError("support functional undefined for v = 0")
-    kind = space.norm.kind
-    basis = space.cone.coefficient_basis
-
-    if kind == LP and not math.isinf(space.norm.p):
-        p = space.norm.p
-        w = _weights(space)
-        if p == 1.0:
-            f = w * np.sign(v)
-        else:
-            f = w * np.sign(v) * np.abs(v) ** (p - 1.0) / norm(space, v) ** (p - 1.0)
-    elif kind == SPECTRAL:
-        dec = eigen_sym(_c.as_matrix(space.cone, v))
-        i = int(np.argmax(np.abs(dec.eigenvalues)))
-        vec = dec.eigenvectors[i]
-        f = float(np.sign(dec.eigenvalues[i])) * np.outer(vec, vec).ravel()
-    elif kind == BASE and basis is not None:
-        # the base norm is sum_j phi(g_j) |c_j| over the cone coefficients c
-        B, H = basis
-        f = H.T @ ((B.T @ space.norm.phi) * np.sign(H @ v))
-    elif kind in (SUP, LP) or basis is not None:  # sup, lp-inf, lattice order unit
-        f = facet_support(space, v)
-    else:
-        f = _support_lp(space, v)
+    f = norming(space, v)
     return SupportResult(f, float(f @ v), bool(_c.dual_cone_contains(space.cone, f, tol=1e-9)))
-
-
-def facet_support(space: SpaceSpec, x, tiebreak=None) -> np.ndarray:
-    """Norming functional sign(r_j) h_j / h_j(e) of x != 0 for a norm of the
-    form max_j |r_j|, r = (H x) / (H e): sup and lp-inf (H = I, e = ones), or
-    order unit on a cone with unique coefficients (H = B^-1, rows the facet
-    normals). j maximizes |r_j|; given `tiebreak`, it is the maximizer
-    (within 1e-12 (1 + max)) with the least ratio r_j of `tiebreak`."""
-    if space.norm.kind == ORDER_UNIT:
-        H = space.cone.coefficient_basis[1]
-        s = H @ space.norm.unit
-    else:
-        H, s = np.eye(space.dim), np.ones(space.dim)
-    r = (H @ x) / s
-    a = np.abs(r)
-    j = int(np.argmax(a))
-    if tiebreak is not None:
-        top = np.flatnonzero(a >= a[j] - 1e-12 * (1.0 + a[j]))
-        j = top[np.argmin((H[top] @ tiebreak) / s[top])]
-    return np.sign(r[j]) * H[j] / s[j]
-
-
-def _support_lp(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
-    """Maximize f(v) over the dual unit ball of a base or order-unit norm."""
-    n = space.dim
-    G = _c.generator_matrix(space.cone)
-    if space.norm.kind == BASE:
-        gphi = G @ space.norm.phi
-        ineq, rhs = np.vstack([G, -G]), np.concatenate([gphi, gphi])
-        out = solve_lp(LpProblem(objective=v, ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool)))
-        return out.argument
-    # order unit: f = f1 - f2 with f_i in the dual cone, f1(e) + f2(e) <= 1
-    e = space.norm.unit
-    Z = np.zeros_like(G)
-    ineq = np.block([[-G, Z], [Z, -G], [e, e]])
-    rhs = np.append(np.zeros(2 * len(G)), 1.0)
-    obj = np.concatenate([v, -v])
-    out = solve_lp(LpProblem(objective=obj, ineq=ineq, ineq_rhs=rhs, free=np.ones(2 * n, bool)))
-    return out.argument[:n] - out.argument[n:]
 
 
 def _check_positive(space: SpaceSpec, u) -> np.ndarray:
@@ -123,26 +49,18 @@ def _check_positive(space: SpaceSpec, u) -> np.ndarray:
 def positive_support(space: SpaceSpec, u) -> SupportResult:
     u = _check_positive(space, u)
     kind = space.norm.kind
-
-    if kind == LP and not math.isinf(space.norm.p):
-        p = space.norm.p
-        w = _weights(space)
-        if p == 1.0:
-            f = np.where(u > 0.0, w, 0.0)
-        else:
-            f = w * np.clip(u, 0.0, None) ** (p - 1.0) / norm(space, u) ** (p - 1.0)
-    elif kind == SPECTRAL:
-        dec = eigen_sym(_c.as_matrix(space.cone, u))
-        vec = dec.eigenvectors[0]  # top eigenvalue of a PSD element
-        f = np.outer(vec, vec).ravel()
-    elif kind == BASE:
+    if kind == BASE:
         f = _positive_support_base(space, u)
-    elif order_unit(space) is None:
+    elif order_unit(space) is None and not (kind == LP and space.cone.kind == _c.NONNEG):
         raise InputError(f"unsupported family for positive_support: {kind!r}")
-    elif space.cone.coefficient_basis is not None:
-        f = facet_support(space, u)
-    else:
+    elif _form(space).kind == SOLVER:
         f = _positive_support_lp(space, u)
+    else:
+        # the support functional of u, positive for u in the cone; on the
+        # orthant the entries below zero that _check_positive admits are cut
+        f = norming(space, u)
+        if space.cone.kind == _c.NONNEG:
+            f = np.clip(f, 0.0, None)
     return SupportResult(f, float(f @ u), True)
 
 
@@ -188,8 +106,9 @@ def _positive_support_base_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
 def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     """Positive norm-one functional vanishing on u, if one exists; restricted
     to order-unit families where the existence criterion is two-sided. With
-    unique cone coefficients one exists iff some (H u)_j / (H e)_j is zero,
-    i.e. iff the partner e - u/||u|| has norm one: its facet support."""
+    facet normals H one exists iff some (H u)_j / (H e)_j is zero, i.e. iff
+    the partner e - u/||u|| has norm one: its support functional, a facet
+    normal scaled by the unit. Above the table cap an LP decides."""
     from .ortho import infty_positive_test
 
     e = order_unit(space)
@@ -198,10 +117,12 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     u = _check_positive(space, u)
     nu = norm(space, u)
     partner = e - u / nu
-    if space.cone.coefficient_basis is None:
+    if _form(space).kind == SOLVER:
         f = _crust_lp(space, u / nu)
+    elif np.abs(partner).max() == 0.0:  # u / ||u|| = e
+        return None
     else:
-        f = facet_support(space, partner)
+        f = norming(space, partner)
         f = f if f @ partner >= 1.0 - 1e-9 else None
     if f is None:
         return None

@@ -1,6 +1,8 @@
 """Closed forms on lattice cones (unique cone coefficients) against the LPs
-they replace, called directly, and a count of the solver calls the default
-families make: none, while a non-simplicial cone still reaches the solver."""
+they replace, called directly, and a count of the solver calls: none on the
+default families, none but membership checks for the order-unit
+constructions on a tabled non-simplicial cone, and the LP fallbacks above
+the table cap."""
 
 import contextlib
 import io
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import PENTAGON
-from portho import cli, linalg
+from portho import cli, cones, linalg
 from portho.cones import _contains_lp, cone_contains, dual_cone_contains, nonneg_orthant, ray_cone
 from portho.decomp import (
     _decompose_l1_lp,
@@ -21,12 +23,11 @@ from portho.decomp import (
 )
 from portho.errors import InputError
 from portho.harness import default_families, sample_cone
-from portho.spaces import base_space, dual_norm, norm, order_unit, order_unit_space
+from portho.spaces import _dual_ball_lp, base_space, dual_norm, norm, order_unit, order_unit_space
 from portho.support import (
     _crust_lp,
     _positive_support_base_lp,
     _positive_support_lp,
-    _support_lp,
     crust_probe,
     positive_support,
     support_functional,
@@ -99,7 +100,7 @@ def test_support_functional_matches_the_dual_ball_lp(family, draw):
     for _ in range(40):
         v = _draw(space, rng, draw)
         res = support_functional(space, v)
-        f_lp = _support_lp(_lp_form(space), v)
+        f_lp = _dual_ball_lp(_lp_form(space), v, False)[1]
         nv = norm(space, v)
         assert res.attained_value == pytest.approx(nv, abs=1e-9 * (1.0 + nv))
         assert float(f_lp @ v) == pytest.approx(nv, abs=1e-9 * (1.0 + nv))
@@ -228,8 +229,9 @@ def test_constructions_on_the_default_families_never_reach_the_solver(lp_calls, 
     assert len(lp_calls) == 0
 
 
-@pytest.mark.parametrize("kind", ["order_unit", "base"])
-def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, kind):
+def _pentagon_calls(lp_calls, kind):
+    """Solver calls per construction on the pentagon cone under the
+    order-unit or base norm of (0, 0, 1), checking each result."""
     cone = ray_cone(PENTAGON)
     e = np.array([0.0, 0.0, 1.0])
     space = order_unit_space(cone, e) if kind == "order_unit" else base_space(cone, e)
@@ -248,11 +250,32 @@ def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, kind):
     assert count("cone_contains", lambda: cone_contains(cone, interior))
     res = count("support_functional", lambda: support_functional(space, v))
     assert res.attained_value == pytest.approx(norm(space, v), abs=1e-9)
+    assert dual_norm(space, res.functional) <= 1.0 + 1e-9
     res = count("positive_support", lambda: positive_support(space, interior))
     assert res.attained_value == pytest.approx(norm(space, interior), abs=1e-9)
+    assert dual_cone_contains(cone, res.functional, tol=1e-9)
     if kind == "order_unit":
         res = count("crust_probe", lambda: crust_probe(space, boundary))
         _check_crust(space, boundary, res.functional)
         dec = count("dual_one_orth_decompose", lambda: dual_one_orth_decompose(space, v))
         assert dec.status == "optimal"
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["order_unit", "base"])
+def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, kind):
+    # with the cap lowered below the pentagon's 10 subsets it keeps no table,
+    # so every construction falls back to its LP
+    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    assert ray_cone(PENTAGON).facet_normals is None
+    calls = _pentagon_calls(lp_calls, kind)
     assert all(n >= 1 for n in calls.values()), calls
+
+
+def test_a_tabled_non_simplicial_cone_takes_the_facet_closed_forms(lp_calls):
+    # each membership check (cone_contains) of the pentagon is one LP; the
+    # order-unit support functional, positive support and crust add none
+    calls = _pentagon_calls(lp_calls, "order_unit")
+    assert calls["cone_contains"] == 1 and calls["support_functional"] == 0, calls
+    assert calls["positive_support"] == 1, calls  # the argument's membership
+    assert calls["crust_probe"] == 3, calls  # u's, then u's and the partner's in the orthogonality test

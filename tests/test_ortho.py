@@ -136,9 +136,27 @@ class TestBatchedDeciderAgainstLoop:
     def test_overflow_at_large_k_is_skipped(self, p):
         sp = lp_space(2, p)
         x, y = np.array([1e200, 0.0]), np.array([0.0, 1e200])
+        if p == 2.0:
+            # ||x|| = 1e200 is finite, but ||x||^2 is not
+            for a, b in ((x, y), (x, x)):
+                with pytest.raises(InputError, match="out of range"):
+                    p_orthogonal_numeric(sp, a, b, p)
+            return
         got = p_orthogonal_numeric(sp, x, y, p)
         assert got.verdict == "orthogonal"
         self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, OrthoConfig().k_grid))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
+    def test_rows_overflowing_at_large_k_are_skipped(self):
+        # ||x||^2 and ||y||^2 are finite, but at |k| = 256 both sides of the
+        # identity overflow: their NaN residual is skipped, not a violation
+        sp = lp_space(2, 2.0)
+        x, y = np.array([1e153, 0.0]), np.array([0.0, 1e153])
+        lhs = batch_norms(sp, np.stack([x + 256.0 * y, x - 256.0 * y]))
+        assert np.isfinite(lhs).all() and np.isinf(lhs**2.0).all()
+        got = p_orthogonal_numeric(sp, x, y, 2.0)
+        assert got.verdict == "orthogonal"
+        assert got.worst_residual <= 1e-12
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_equal_norms_sweep_meets_grid(self, family):
@@ -300,15 +318,23 @@ def _textured_pair(rng, n, texture):
 # product sum_i w_i x_i y_i = 1*2 + 2*(-1) = 0, not in the plain one
 _WEIGHTED_LP2 = lp_space(3, 2.0, weights=[1.0, 2.0, 3.0])
 _WEIGHTED_PAIR = (np.array([1.0, 1.0, 0.0]), np.array([2.0, -1.0, 0.0]))
+# coordinate forms at their own exponent beyond the coordinate lp families:
+# the order-unit norm over the orthant (a weighted sup norm) and an lp norm
+# over a ray cone (the cone does not enter the norm)
+_EXACT_SPACES = {
+    "weighted_lp2": _WEIGHTED_LP2,
+    "ou_orthant_6": order_unit_space(nonneg_orthant(6), [1.0, 2.0, 0.5, 1.5, 3.0, 1.0]),
+    "lp15_ray_5": SpaceSpec(5, ray_cone(np.eye(5) + 0.2), NormKind("lp", p=1.5), 1.5),
+}
 
 
 class TestExactDispatcher:
     @pytest.mark.parametrize("texture", ["disjoint", "shared", "equal_norms"])
     @pytest.mark.parametrize(
-        "family", ["lp1_8", "lp15_8", "lp2_8", "lp3_8", "sup_8", "base_8", "weighted_lp2"]
+        "family", ["lp1_8", "lp15_8", "lp2_8", "lp3_8", "sup_8", "base_8", *_EXACT_SPACES]
     )
     def test_agrees_with_the_grid(self, family, texture):
-        sp = _WEIGHTED_LP2 if family == "weighted_lp2" else _FAMILIES[family]
+        sp = _EXACT_SPACES[family] if family in _EXACT_SPACES else _FAMILIES[family]
         rng = np.random.default_rng(7)
         seen = set()
         for _ in range(200):
@@ -353,8 +379,8 @@ class TestExactDispatcher:
             (lp_space(3, 2.0), INF, "grid"),
             (sup_space(3), 1.0, "grid"),
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "grid"),
-            (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "grid"),
-            (SpaceSpec(3, ray_cone(np.eye(3) + 0.2), NormKind("lp", p=1.0), 1.0), 1.0, "grid"),
+            (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "exact"),
+            (SpaceSpec(3, ray_cone(np.eye(3) + 0.2), NormKind("lp", p=1.0), 1.0), 1.0, "exact"),
             (spectral_space(2), INF, "grid"),
         ],
     )

@@ -9,12 +9,12 @@ from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lp_by_vertex_enumeration, re
 from portho import cones
 from portho.cones import cone_contains, nonneg_orthant, ray_cone
 from portho.errors import InputError, SpecError
+from portho.harness import default_families
 from portho.linalg import LpProblem, solve_lp
 from portho.spaces import (
     SpaceSpec,
-    _base_norm_lp,
-    _order_unit_dual_lp,
-    _order_unit_norm_lp,
+    _dual_ball_lp,
+    _form,
     NormKind,
     base_space,
     batch_dual_norms,
@@ -23,6 +23,7 @@ from portho.spaces import (
     dual_norm,
     lp_space,
     norm,
+    norming,
     norming_element,
     order_unit_space,
     restricted_dual_norms,
@@ -72,7 +73,7 @@ class TestNorm:
             # independent evaluation: min k with ke +- x in cone(WIDE) = orthant
             expected = np.abs(x).max() / 2.0
             assert norm(sp, x) == pytest.approx(expected, abs=1e-8)
-            assert _order_unit_norm_lp(sp, x) == pytest.approx(expected, abs=1e-8)
+            assert _dual_ball_lp(sp, x, False)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_simplicial_order_unit_against_lp(self):
         e = SIMPLICIAL.generators.sum(axis=0)
@@ -80,15 +81,15 @@ class TestNorm:
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.normal(size=4)
-            assert norm(sp, x) == pytest.approx(_order_unit_norm_lp(sp, x), abs=1e-8)
-            assert dual_norm(sp, x) == pytest.approx(_order_unit_dual_lp(sp, x)[0], abs=1e-8)
+            assert norm(sp, x) == pytest.approx(_dual_ball_lp(sp, x, False)[0], abs=1e-8)
+            assert dual_norm(sp, x) == pytest.approx(_dual_ball_lp(sp, x, True)[0], abs=1e-8)
 
     def test_simplicial_base_against_lp(self):
         sp = base_space(SIMPLICIAL, np.ones(4))
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = rng.normal(size=4)
-            assert norm(sp, x) == pytest.approx(_base_norm_lp(sp, x), abs=1e-8)
+            assert norm(sp, x) == pytest.approx(_dual_ball_lp(sp, x, False)[0], abs=1e-8)
 
 
 class TestDualNorm:
@@ -308,8 +309,8 @@ def _base_dual_lp(sp, f):
 def _lp_references(sp, x):
     """(norm, dual norm) of x from the simplex solver."""
     if sp.norm.kind == "order_unit":
-        return _order_unit_norm_lp(sp, x), _order_unit_dual_lp(sp, x)[0]
-    return _base_norm_lp(sp, x), _base_dual_lp(sp, x)
+        return _dual_ball_lp(sp, x, False)[0], _dual_ball_lp(sp, x, True)[0]
+    return _dual_ball_lp(sp, x, False)[0], _base_dual_lp(sp, x)
 
 
 class TestPolyhedralClosedForms:
@@ -377,6 +378,92 @@ class TestPolyhedralClosedForms:
         X = rng.normal(size=(3, 3))
         want = np.max(np.abs(X @ H.T) / (H @ e), axis=1)
         assert batch_norms(sp, X) == pytest.approx(want, rel=1e-9)
+
+
+class TestPowerForm:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled powers overflow
+    def test_rows_out_of_range_are_rescaled(self):
+        W = np.array([[3e200, -4e200, 0.0], [3e-200, 4e-200, 0.0], [3.0, 4.0, 0.0],
+                      [0.0, 0.0, 0.0], [INF, 1.0, 0.0]])
+        sp = lp_space(3, 2.0)
+        got = batch_norms(sp, W)
+        assert got[:3] == pytest.approx([5e200, 5e-200, 5.0], rel=1e-15)
+        assert got[3] == 0.0 and got[4] == INF
+        assert batch_dual_norms(sp, W[:3]) == pytest.approx([5e200, 5e-200, 5.0], rel=1e-15)
+        assert norm(lp_space(2, 3.0, weights=[8.0, 1.0]), [1e200, 0.0]) == pytest.approx(2e200, rel=1e-15)
+        assert dual_norm(lp_space(2, 3.0), [-1e300, 0.0]) == pytest.approx(1e300, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled powers overflow
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_rows_in_range_keep_the_unscaled_bits(self, p):
+        rng = np.random.default_rng(21)
+        w = rng.uniform(0.5, 2.0, size=6)
+        W = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-30, 30, size=(40, 1))
+        W[0] = [1e250, 0.0, 0.0, 0.0, 0.0, 0.0]  # one rescaled row in the batch
+        with np.errstate(over="ignore"):
+            want = np.sum(np.abs(W) ** p * w, axis=1) ** (1.0 / p)
+        got = batch_norms(lp_space(6, p, weights=w), W)
+        assert [v.hex() for v in got[1:].tolist()] == [v.hex() for v in want[1:].tolist()]
+        assert got[0] == pytest.approx(w[0] ** (1.0 / p) * 1e250, rel=1e-15)
+
+
+_PENTAGON_E = np.array([0.0, 0.0, 1.0])
+_NORMING_SPACES = {
+    **default_families(),
+    "weighted_lp1": lp_space(5, 1.0, weights=[1.0, 2.0, 0.5, 1.5, 3.0]),
+    "weighted_lp15": lp_space(5, 1.5, weights=[1.0, 2.0, 0.5, 1.5, 3.0]),
+    "weighted_lp3": lp_space(5, 3.0, weights=[1.0, 2.0, 0.5, 1.5, 3.0]),
+    "ou_orthant": order_unit_space(nonneg_orthant(5), [1.0, 2.0, 0.5, 1.5, 3.0]),
+    "ou_simplicial": order_unit_space(SIMPLICIAL, SIMPLICIAL.generators.sum(axis=0)),
+    "base_simplicial": base_space(SIMPLICIAL, [1.0, 2.0, 0.5, 1.0]),
+}
+_PENTAGON_NAMES = ("ou_pentagon", "base_pentagon", "ou_pentagon_capped", "base_pentagon_capped")
+
+
+class TestNorming:
+    @pytest.mark.parametrize("dual", [False, True], ids=["norm", "dual"])
+    @pytest.mark.parametrize("name", [*sorted(_NORMING_SPACES), *_PENTAGON_NAMES])
+    def test_attains_on_the_unit_ball(self, name, dual, monkeypatch):
+        """The maximizer of each form, in both directions, attains the norm
+        (or dual norm) and lies in the other direction's unit ball."""
+        if name.endswith("_capped"):  # the pentagon's 10 subsets exceed a cap of 4
+            monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+        if name in _PENTAGON_NAMES:
+            cone = ray_cone(PENTAGON)
+            sp = (order_unit_space if name.startswith("ou") else base_space)(cone, _PENTAGON_E)
+            # the base dual norm is a max over the generators on every cone
+            capped = name.endswith("_capped") and not (dual and name.startswith("base"))
+            assert (_form(sp, dual).kind == "solver") is capped
+        else:
+            sp = _NORMING_SPACES[name]
+        own, other = (dual_norm, norm) if dual else (norm, dual_norm)
+        rng = np.random.default_rng(23)
+        for i in range(24):
+            x = rng.normal(size=sp.dim)
+            if sp.norm.kind == "spectral":  # every third one singular
+                d = sp.cone.side
+                B = x.reshape(d, d)[:, : d - 1 if i % 3 == 0 else d]
+                x = (B @ B.T).ravel() * (1.0 if i % 2 else -1.0)
+            elif i % 3 == 0:  # zero coordinates
+                x[rng.random(size=sp.dim) < 0.4] = 0.0
+            if np.abs(x).max() == 0.0:
+                continue
+            z = norming(sp, x, dual=dual)
+            nx = own(sp, x)
+            assert float(z @ x) == pytest.approx(nx, rel=1e-9, abs=1e-12)
+            assert other(sp, z) <= 1.0 + 1e-9
+
+    def test_zero_has_no_maximizer(self):
+        for dual in (False, True):
+            with pytest.raises(InputError, match="undefined"):
+                norming(sup_space(2), [0.0, 0.0], dual=dual)
+
+    def test_tiebreak_takes_the_least_ratio_among_the_maximizers(self):
+        sp = order_unit_space(nonneg_orthant(3), [1.0, 2.0, 1.0])
+        x = np.array([1.0, 2.0, 0.5])  # ratios 1, 1, 0.5
+        assert norming(sp, x).tolist() == [1.0, 0.0, 0.0]
+        # tiebreak ratios 3/1 and 2/2 on the two maximizers
+        assert norming(sp, x, tiebreak=[3.0, 2.0, 0.0]).tolist() == [0.0, 0.5, 0.0]
 
 
 class TestRestrictedNorm:
