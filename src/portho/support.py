@@ -47,21 +47,25 @@ def _check_positive(space: SpaceSpec, u) -> np.ndarray:
 
 
 def positive_support(space: SpaceSpec, u) -> SupportResult:
+    """A positive support of u in the cone. An lp norm over a ray cone takes
+    the cut support functional, which is_positive reports positive or not:
+    it is whenever the cone lies in the orthant."""
     u = _check_positive(space, u)
     kind = space.norm.kind
     if kind == BASE:
         f = _positive_support_base(space, u)
-    elif order_unit(space) is None and not (kind == LP and space.cone.kind == _c.NONNEG):
+    elif kind != LP and order_unit(space) is None:
         raise InputError(f"unsupported family for positive_support: {kind!r}")
     elif _form(space).kind == SOLVER:
         f = _positive_support_lp(space, u)
     else:
         # the support functional of u, positive for u in the cone; on the
-        # orthant the entries below zero that _check_positive admits are cut
+        # orthant, and for an lp norm, the entries below zero are cut
         f = norming(space, u)
-        if space.cone.kind == _c.NONNEG:
+        if kind == LP or space.cone.kind == _c.NONNEG:
             f = np.clip(f, 0.0, None)
-    return SupportResult(f, float(f @ u), True)
+    positive = kind != LP or space.cone.kind == _c.NONNEG or _c.dual_cone_contains(space.cone, f, tol=1e-9)
+    return SupportResult(f, float(f @ u), bool(positive))
 
 
 def _positive_support_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:

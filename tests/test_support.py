@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from portho.cones import nonneg_orthant, ray_cone
 from portho.errors import InputError
+from portho.harness import run_suite
 from portho.spaces import (
+    NormKind,
+    SpaceSpec,
     base_space,
     dual_norm,
     lp_space,
@@ -105,8 +110,11 @@ class TestPositiveSupport:
             base_space(nonneg_orthant(5), [1.0, 2.0, 0.5, 1.0, 1.5]),
             order_unit_space(SIMPLICIAL, SIMPLICIAL.generators.sum(axis=0)),
             spectral_space(3),
+            SpaceSpec(4, SIMPLICIAL, NormKind("lp", p=1.0), 1.0),
+            SpaceSpec(4, SIMPLICIAL, NormKind("lp", p=1.5), 1.5),
+            SpaceSpec(4, SIMPLICIAL, NormKind("lp", p=math.inf), math.inf),
         ],
-        ids=["l1", "l3", "sup", "base", "order_unit", "spectral"],
+        ids=["l1", "l3", "sup", "base", "order_unit", "spectral", "l1_rays", "l1.5_rays", "linf_rays"],
     )
     def test_positivity_norm_and_attainment(self, sp):
         from portho.cones import dual_cone_contains
@@ -124,9 +132,21 @@ class TestPositiveSupport:
             if np.abs(u).max() == 0.0:
                 continue
             res = positive_support(sp, u)
+            assert res.is_positive
             assert dual_cone_contains(sp.cone, res.functional, tol=1e-8)
             assert dual_norm(sp, res.functional) <= 1.0 + 1e-8
             assert res.attained_value == pytest.approx(norm(sp, u), abs=1e-8)
+
+    def test_lp_over_a_ray_cone_outside_the_orthant_reports_positivity(self):
+        sp = SpaceSpec(2, ray_cone([[1.0, -0.5], [-0.5, 1.0]]), NormKind("lp", p=2.0), 2.0)
+        res = positive_support(sp, [1.0, -0.5])
+        assert res.functional == pytest.approx([1.0 / norm(sp, [1.0, -0.5]), 0.0])
+        assert not res.is_positive
+
+    @pytest.mark.parametrize("suite", ["prop32_supp_nonempty", "lem43_base_orth"])
+    def test_suites_on_lp_over_a_ray_cone(self, suite):
+        rep = run_suite(suite, SpaceSpec(4, SIMPLICIAL, NormKind("lp", p=1.0), 1.0), samples=50)
+        assert rep.status == "ok", rep.counterexamples
 
 
 class TestCrust:
