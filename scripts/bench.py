@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time single calls of five layers, the grid decider, the batched norms,
+"""Time single calls of five layers, the deciders, the batched norms,
 the eigensolver, the constructions and the LP solver, and the suites of
 `portho verify all`.
 
 Decider slice: for every default family and every exponent p in
-{1, 1.5, 2, inf}, one fixed seeded pair is decided by
-`p_orthogonal_numeric` (primal) and by `dual_p_orthogonal_numeric` (dual).
+{1, 1.5, 2, inf}, one fixed seeded pair is decided on the grid by
+`p_orthogonal_numeric` (primal) and `dual_p_orthogonal_numeric` (dual),
+and by `p_orthogonal`, exact where it can be, in the norm (primal_route)
+and with dual=True in the dual norm (dual_route). A portho whose
+`p_orthogonal` has no `dual` option decided dual pairs only on the grid,
+so there dual_route times `dual_p_orthogonal_numeric`.
 
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
@@ -62,11 +66,12 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_10.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_11.json
 """
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -94,6 +99,7 @@ from portho import (  # noqa: E402
     eigen_sym,
     opt_decompose,
     order_unit_space,
+    p_orthogonal,
     p_orthogonal_numeric,
     positive_support,
     ray_cone,
@@ -110,7 +116,13 @@ from portho.harness import (  # noqa: E402
 from portho.spaces import batch_dual_norms, batch_norms  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
-SIDES = (("primal", p_orthogonal_numeric), ("dual", dual_p_orthogonal_numeric))
+SIDES = (
+    ("primal", p_orthogonal_numeric),
+    ("dual", dual_p_orthogonal_numeric),
+    ("primal_route", p_orthogonal),
+    ("dual_route", functools.partial(p_orthogonal, dual=True)
+     if "dual" in inspect.signature(p_orthogonal).parameters else dual_p_orthogonal_numeric),
+)
 ORACLES = (("batch_norms", batch_norms), ("batch_dual_norms", batch_dual_norms))
 WARMUP = 20
 REPEATS = 301
@@ -358,14 +370,14 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_10.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
         "bench",
-        "single grid decisions, batched norms, eigendecompositions, constructions, LP solves"
-        " and verify-all suites",
+        "single decisions (grid and p_orthogonal), batched norms, eigendecompositions,"
+        " constructions, LP solves and verify-all suites",
     )
     doc.setdefault(
         "unit",

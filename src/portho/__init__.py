@@ -15,7 +15,6 @@ from .cones import (
     cone_contains,
     dual_cone_contains,
     nonneg_orthant,
-    pairing,
     psd_cone,
     ray_cone,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "cone_contains",
     "dual_cone_contains",
     "nonneg_orthant",
-    "pairing",
     "psd_cone",
     "ray_cone",
     "Decomposition",

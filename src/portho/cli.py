@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cones import ConeSpec, nonneg_orthant, psd_cone, ray_cone
-from .decomp import infty_orth_decompose, opt_decompose
+from .decomp import opt_decompose
 from .errors import InputError
 from .harness import SUITE_IDS, SUITES, default_families, run_suite
 from .ortho import p_orthogonal
@@ -149,30 +149,6 @@ def _encode_num(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def serialize_space_spec(space: SpaceSpec) -> str:
-    cone = space.cone
-    if cone.kind == "nonneg":
-        cobj = {"kind": "nonneg"}
-    elif cone.kind == "rays":
-        cobj = {"kind": "rays", "generators": cone.generators.tolist()}
-    else:
-        cobj = {"kind": "psd", "side": cone.side}
-    n = space.norm
-    if n.kind == "lp":
-        nobj = {"kind": "lp", "p": _encode_num(n.p)}
-        if n.weights is not None:
-            nobj["weights"] = n.weights.tolist()
-    elif n.kind == "order_unit":
-        nobj = {"kind": "order_unit", "unit": n.unit.tolist()}
-    elif n.kind == "base":
-        nobj = {"kind": "base", "phi": n.phi.tolist()}
-    else:
-        nobj = {"kind": n.kind}
-    return json.dumps(
-        {"dim": space.dim, "cone": cobj, "norm": nobj, "p_class": _encode_num(space.p_class)}
-    )
-
-
 def _load_space(path: str) -> SpaceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -271,7 +247,7 @@ def _cmd_ortho(args) -> int:
 
 def _cmd_decompose(args) -> int:
     space = _load_space(args.space)
-    d = opt_decompose(space, _csv_vector(args.v, "--v", space), args.p, epsilon=args.eps)
+    d = opt_decompose(space, _csv_vector(args.v, "--v", space), args.p)
     if d.status == "unsupported":
         print(f"error: no decomposition at p = {args.p} on the given space", file=sys.stderr)
         return 2
@@ -327,7 +303,7 @@ def _cmd_crust(args) -> int:
 
 
 def _cmd_example46(args) -> int:
-    rep = run_suite("ex46_nonuniqueness", None, tol=args.tol, seed=args.seed, n_grid=args.n)
+    rep = run_suite("ex46_nonuniqueness", None, tol=args.tol, n_grid=args.n)
     _emit(_report_json(rep), args.out)
     return 0 if not rep.counterexamples else 1
 
@@ -362,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, space_required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--p", type=lambda s: INF if s == "inf" else float(s), required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("support", help="support functional of a vector")
@@ -380,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, space_required=False)
     p.add_argument("--n", type=int, default=2049)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_example46)
     return ap
 

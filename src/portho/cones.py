@@ -229,10 +229,3 @@ def cone_proper_generating(cone: ConeSpec, tol: float = DEFAULT_TOL) -> ConeRepo
     proper = out.status != "optimal"
     return ConeReport(proper, bool(generating))
 
-
-def pairing(cone: ConeSpec, f, x) -> float:
-    """Duality pairing: coordinate dot product, or trace(F X) for psd (which is
-    the same dot product on row-major flattenings of symmetric matrices)."""
-    f = _check_dim(cone, f)
-    x = _check_dim(cone, x)
-    return float(f @ x)

@@ -4,8 +4,9 @@ Three decomposition routes: optimal positive decompositions v = u1 - u2,
 inf-orthogonal splits into positive/negative parts, and the dual route that
 splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
-three are the coefficient split; LPs remain only for lp and sup norms over a
-simplicial ray cone at p = 1 and the dual route on a non-simplicial cone.
+three are the coefficient split; elsewhere an optimal decomposition is
+"unsupported", and an LP remains only for the dual route on a
+non-simplicial cone. Orthogonality is decided by `ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ import numpy as np
 from . import cones as _c
 from .errors import InputError, UnsupportedError
 from .linalg import LpProblem, eigen_sym, solve_lp
-from .ortho import (
-    OrthoVerdict,
-    dual_p_orthogonal_numeric,
-    orthonormal_set_verify,
-    p_orthogonal_numeric,
-)
+from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
-    batch_norms,
     dual_norm,
     norm,
     norming_element,
@@ -100,37 +95,20 @@ def monotone_norm(space: SpaceSpec) -> bool:
     return space.cone.kind == _c.NONNEG or space.norm.kind in (ORDER_UNIT, BASE)
 
 
-def opt_decompose(space: SpaceSpec, v, p: float, epsilon: float = 1e-6) -> Decomposition:
+def opt_decompose(space: SpaceSpec, v, p: float) -> Decomposition:
     """A positive decomposition v = u1 - u2 minimizing the lp(2) aggregate of
-    the part norms: the coefficient split where `monotone_norm` holds, an
-    LP at p = 1 for lp and sup norms over a simplicial ray cone, else
-    "unsupported". Every route is exact; epsilon is validated but unused."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    the part norms: v itself when it lies in the cone, the coefficient split
+    where `monotone_norm` holds, else "unsupported": a non-simplicial cone,
+    or an lp or sup norm over a simplicial ray cone, where the split need
+    not be optimal."""
     v = np.asarray(v, dtype=float)
     if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + np.abs(v).max())):
         return Decomposition(v, np.zeros_like(v), p, norm(space, v), "optimal")
-    if monotone_norm(space):
-        u1, u2 = coefficient_parts(space, v)
-    elif p == 1.0 and space.cone.coefficient_basis is not None:
-        u1, u2 = _decompose_l1_lp(space, v)
-    else:
+    if not monotone_norm(space):
         return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
+    u1, u2 = coefficient_parts(space, v)
     agg = p_aggregate(norm(space, u1), norm(space, u2), p)
     return Decomposition(u1, u2, p, agg, "optimal")
-
-
-def _decompose_l1_lp(space: SpaceSpec, v: np.ndarray):
-    """u1 = B a, u2 = B b with a, b >= 0, B (a - b) = v, minimizing
-    sum_j (a_j + b_j) ||g_j||."""
-    B = space.cone.coefficient_basis[0]
-    m = B.shape[1]
-    cost = batch_norms(space, B.T)
-    obj = -np.concatenate([cost, cost])
-    out = solve_lp(LpProblem(objective=obj, eq=np.hstack([B, -B]), eq_rhs=v))
-    if out.status != "optimal":
-        raise InputError("decomposition LP infeasible: v outside the span of the cone")
-    return B @ out.argument[:m], B @ out.argument[m:]
 
 
 def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
@@ -141,7 +119,7 @@ def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     v1, v2 = parts
     verdict = None
     if math.isinf(space.p_class) and np.abs(v1).max() > 0.0 and np.abs(v2).max() > 0.0:
-        verdict = p_orthogonal_numeric(space, v1, v2, INF)
+        verdict = p_orthogonal(space, v1, v2, INF)
     agg = p_aggregate(norm(space, v1), norm(space, v2), INF)
     return Decomposition(v1, v2, INF, agg, "optimal", verdict)
 
@@ -167,7 +145,7 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     nf = dual_norm(space, f)
     if abs(nagg - nf) > 1e-8 * (1.0 + nf):
         return Decomposition(f1, f2, 1.0, nagg, "failed")
-    verdict = dual_p_orthogonal_numeric(space, f1, f2, 1.0)
+    verdict = p_orthogonal(space, f1, f2, 1.0, dual=True)
     status = "optimal" if verdict.is_orthogonal else "failed"
 
     # cross-check against the orthogonal split of a norming element (its
@@ -216,9 +194,9 @@ class EmbeddingMap:
 def embed_to_lp(space: SpaceSpec, U, p: float) -> EmbeddingMap:
     """The map alpha -> sum_i alpha_i u_i of a p-orthonormal set U into the
     space. Checks that every u_i has norm one and that every pair of U is
-    p-orthogonal (`orthonormal_set_verify` without its additivity spot
-    check), raising InputError otherwise; totality is not required."""
-    report = orthonormal_set_verify(space, U, p, spotcheck_samples=0)
+    p-orthogonal (`orthonormal_set_verify`), raising InputError otherwise;
+    totality is not required."""
+    report = orthonormal_set_verify(space, U, p)
     if not (report.pairwise_ok and report.unit_norms_ok):
         raise InputError(f"set is not p-orthonormal: {report.failures}")
     B = np.stack([np.asarray(u, dtype=float) for u in U]).T

@@ -6,14 +6,12 @@ suite name), so reports are reproducible and independent of execution order.
 Samplers build positive elements from cone coefficients
 (`ConeSpec.coefficient_basis`) and the order unit (`spaces.order_unit`); a
 sampler that finds no valid sample in _MAX_DRAWS draws raises InputError.
-Orthogonality checks decide through `ortho.p_orthogonal`, which is exact on
-the coordinate families at their own exponent and takes the grid decider
-`ortho.verdict_from_norm` elsewhere. Only Example 4.6 and the checks on the
-two-dimensional restricted ball stay on the grid; the latter hand the grid
-decider the exact row oracle `spaces.restricted_dual_norms` (the maximum
-over the vertices of the ball, a polygon), so they run at the caller's
-tolerance floored at 1e-8 like the other checks; there is no longer a 1e-4
-floor for a scanned boundary.
+Every orthogonality check decides through `ortho.p_orthogonal`, exactly on
+the default families; the grid decider runs only for the witness of an
+exact "not_orthogonal". The checks on the two-dimensional restricted ball
+(thm41, rem42) decide in the sup norm of the functionals' values on the
+ball's vertices (`spaces.restricted_dual_norms`), an isometric copy of the
+restricted dual norm.
 """
 
 from __future__ import annotations
@@ -35,13 +33,7 @@ from .decomp import (
     p_aggregate,
 )
 from .errors import InputError
-from .ortho import (
-    OrthoConfig,
-    p_orthogonal,
-    p_orthogonal_exact,
-    p_orthogonal_numeric,
-    verdict_from_norm,
-)
+from .ortho import OrthoConfig, p_orthogonal, p_orthogonal_exact
 from .spaces import (
     L1,
     LP,
@@ -279,7 +271,7 @@ def _suite_def22_op1(space, rng, tol):
 def _suite_def22_op2(space, rng, tol):
     v = sample_vector(space, rng)
     nv = norm(space, v)
-    d = opt_decompose(space, v, space.p_class, epsilon=1e-6)
+    d = opt_decompose(space, v, space.p_class)
     scale = 1.0 + np.abs(v).max()
     if d.status != "optimal":
         return _cx("decomposition_status", math.nan, v=v)
@@ -524,11 +516,13 @@ def _suite_rem311(space, rng, tol):
 
 
 def _restrictions(space, v1, v2, f1, f2):
-    """The restrictions of f1, f2 to span{v1, v2}, as their values on v1
-    and v2, with the dual norm's row oracle on that span."""
-    g1 = np.array([f1 @ v1, f1 @ v2])
-    g2 = np.array([f2 @ v1, f2 @ v2])
-    return restricted_dual_norms(space, v1, v2), g1, g2
+    """The sup space isometric to the dual norm on span{v1, v2}, and in it
+    the restrictions V g1, V g2 of f1, f2: gi the values of fi on v1 and v2,
+    V the vertices of the span's unit ball (`spaces.restricted_dual_norms`)."""
+    V = restricted_dual_norms(space, v1, v2)
+    g1 = V @ np.array([f1 @ v1, f1 @ v2])
+    g2 = V @ np.array([f2 @ v1, f2 @ v2])
+    return sup_space(len(V)), g1, g2
 
 
 @_per_sample
@@ -542,8 +536,8 @@ def _suite_thm41(space, rng, tol):
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
     s1 = cross_ok and p_orthogonal(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
-    dual_values, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
-    s2 = verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal
+    restricted, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
+    s2 = p_orthogonal(restricted, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal
     if s1 != s2:
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}", math.nan, u1=u1, u2=u2)
     return None
@@ -561,11 +555,11 @@ def _suite_rem42(space, rng, tol):
     # hypothesis (as used in the proof): the supports' sum has dual norm one
     if dual_norm(space, f1 + f2) > 1.0 + t:
         return None
-    dual_values, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
-    gap = abs(float(dual_values((g1 + g2)[None])[0]) - 1.0)
+    restricted, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
+    gap = abs(norm(restricted, g1 + g2) - 1.0)
     if gap > t:
         return _cx("restricted_sum_norm", gap, u1=u1, u2=u2)
-    if not verdict_from_norm(dual_values, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal:
+    if not p_orthogonal(restricted, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal:
         return _cx("restricted_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 
@@ -637,9 +631,9 @@ def _suite_ex46(space, rng, tol, samples, n: int = 2049):
           float(np.abs(f - (g1 - g2)).max()))
     check("parts_sum_norm_one", norm(sp, fplus / fplus.max() + fminus / fminus.max()) == 1.0)
     check("halfangle_sum_norm_one", norm(sp, g1 + g2) == 1.0)
-    v1 = p_orthogonal_numeric(sp, fplus, fminus, INF, OrthoConfig(tol=t))
+    v1 = p_orthogonal(sp, fplus, fminus, INF, OrthoConfig(tol=t))
     check("parts_orthogonal", v1.is_orthogonal, v1.worst_residual)
-    v2 = p_orthogonal_numeric(sp, g1, g2, INF, OrthoConfig(tol=t))
+    v2 = p_orthogonal(sp, g1, g2, INF, OrthoConfig(tol=t))
     check("halfangle_orthogonal", v2.is_orthogonal, v2.worst_residual)
     gap = float(np.abs(fplus - g1).max())
     check("max_gap_half", abs(gap - 0.5) <= t, gap - 0.5)
@@ -684,14 +678,14 @@ def _disjoint_pair_coordinate(space: SpaceSpec) -> bool:
 
 def _one_smooth(space: SpaceSpec) -> bool:
     """p_class 1 with a weighted l1 norm over the orthant (lp p = 1 or
-    base): the spaces on which `restricted_dual_norms` is exact."""
+    base): the spaces `restricted_dual_norms` covers."""
     return space.p_class == 1.0 and space.cone.kind == _c.NONNEG and _form(space).kind == L1
 
 
 SUITES = {
     "thm21_lp_characterization": (_suite_thm21, _finite_p_coordinate),
     "def22_Op1": (_suite_def22_op1, lambda sp: True),
-    "def22_Op2": (_suite_def22_op2, lambda sp: _is_lattice(sp)),
+    "def22_Op2": (_suite_def22_op2, monotone_norm),
     "thm23_duality": (_suite_duality(exact=False), lambda sp: _is_lattice(sp)),
     "thm24_OSp2": (_suite_duality(exact=True), lambda sp: _is_lattice(sp)),
     "prop25_span_smooth": (_suite_prop25, _is_coordinate),

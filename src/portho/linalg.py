@@ -204,9 +204,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.eigenvectors.T @ np.diag(self.eigenvalues) @ self.eigenvectors
-
 
 def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Return the symmetric part of a square matrix, or of each matrix in a

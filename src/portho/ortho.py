@@ -8,16 +8,13 @@ at import), so a decision at finite p sorts nothing; only for p = inf does
 a decision pay one lexsort, to merge the sweep around |k| = ||x||/||y||
 (one fixed array of ratios, scaled per decision) into the grid.
 
-Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
-where the norm's closed form is a coordinate form at its own exponent: a
-weighted lp, sup or lp inf norm at its exponent over any cone, and over the
-orthant the order-unit norm at p = inf and the base norm (the phi-weighted
-l1 norm) at p = 1. Scaling the coordinates (by w^(1/p), or 1/w for the max
-form) turns each of them into the plain coordinate lp norm, where
-`p_orthogonal_exact` decides structurally:
-disjoint supports, a zero inner product for p = 2, and a piecewise-linear
-analysis for p = inf. Every other space goes to the grid. The verdict's
-`method` says which route answered.
+Where the geometry gives an exact answer, `p_orthogonal` takes it instead,
+reading the closed form of the norm or of the dual norm (`spaces._form`): at
+p = 1 and p = inf the slope rule decides every max-ratio, eigen, and
+coordinate or one-basis least-l1 form; a weighted lp norm at its own p,
+scaled to the plain lp norm, is decided by `p_orthogonal_exact` (disjoint
+supports, or a zero inner product at p = 2). Every other case goes to the
+grid. The verdict's `method` says which route answered.
 """
 
 from __future__ import annotations
@@ -27,18 +24,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cones import as_matrix
 from .errors import InputError
-from .cones import cone_contains
 from .spaces import (
+    EIGEN,
     L1,
     MAX,
     POWER,
     SpaceSpec,
     _check_vec,
+    _evaluate,
     _form,
     batch_dual_norms,
     batch_norms,
     norm,
+    sup_space,
 )
 
 INF = math.inf
@@ -79,7 +79,8 @@ _DEFAULT_ORDERED = _ordered_grid(_DEFAULT_GRID)
 class OrthoConfig:
     """The decider's scalar grid (finite, with 0 and scalars of both signs)
     and its tolerance (finite, nonnegative): on the residual of the grid
-    route, relative to the largest entry on the exact route.
+    route; on the exact route, relative to the norms of x and y scaled to
+    unit largest entry, and the width of the slopes' active sets.
 
     Each instance holds its grid's distinct scalars in (|k|, k) order and
     as a sorted tuple, computed once here, never looked up by grid value:
@@ -119,14 +120,15 @@ class OrthoVerdict:
 
     On the grid route (method "grid") worst_residual is the largest scaled
     residual of the identity over the scalars k_grid, attained at witness_k;
-    its "orthogonal" is evidence, not proof. On the exact route ("exact")
-    the verdict is decided: an "orthogonal" one carries residual 0.0,
-    witness 0.0 and an empty k_grid; a "not_orthogonal" one carries the grid
+    its "orthogonal" is evidence, not proof. On the exact route ("exact":
+    the slope rule at p = 1 and inf, or a power form at its own p) the
+    verdict is decided: an "orthogonal" one carries residual 0.0, witness
+    0.0 and an empty k_grid; a "not_orthogonal" one carries the grid
     decider's residual, witness and grid, so only failures pay for the grid
     (that residual lies below the tolerance when the violation falls
     between the grid's scalars)."""
 
-    verdict: str  # "orthogonal" | "not_orthogonal" | "inconclusive"
+    verdict: str  # "orthogonal" | "not_orthogonal"
     worst_residual: float
     witness_k: float
     k_grid: tuple
@@ -210,46 +212,102 @@ def dual_p_orthogonal_numeric(
 
 
 def p_orthogonal(
-    space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None
+    space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None, dual: bool = False
 ) -> OrthoVerdict:
-    """Decide x perp_p y: exactly where `_exact_scale` finds the norm to be
-    a coordinate lp norm at exponent p, on the grid elsewhere. The exact
-    test runs on x and y scaled to unit largest entry, at the relative
-    tolerance cfg.tol."""
-    scale = _exact_scale(space, p)
-    if scale is None:
-        return p_orthogonal_numeric(space, x, y, p, cfg)
+    """Decide x perp_p y in the norm of the space, or in its dual norm for
+    dual=True: exactly by the slope rule (`_slope_rule`) or, for a power
+    form at its own p, in the lp norm of the coordinates scaled by w^(1/p),
+    on x and y scaled to unit largest entry at the relative tolerance
+    cfg.tol; on the grid where neither applies."""
+    if p < 1:
+        raise InputError("invalid exponent")
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
-    sx, sy = scale * _check_vec(space, x), scale * _check_vec(space, y)
-    mx, my = np.abs(sx).max(), np.abs(sy).max()  # NaN or inf if an entry is
-    if not (math.isfinite(mx) and math.isfinite(my)):
+    grid = dual_p_orthogonal_numeric if dual else p_orthogonal_numeric
+    form = _form(space, dual)
+    power = form.kind == POWER and p == form.p
+    slopes = (p == 1.0 or math.isinf(p)) and (
+        form.kind in (MAX, EIGEN) or form.kind == L1 and (form.bases is None or len(form.bases[0]) == 1)
+    )
+    if not (power or slopes):
+        return grid(space, x, y, p, cfg)
+    xy = np.stack([_check_vec(space, x), _check_vec(space, y)])
+    if power and form.w is not None:
+        xy = xy * form.w ** (1.0 / p)
+    m = np.abs(xy).max(axis=1)  # NaN or inf if an entry is
+    if not np.isfinite(m).all():
         raise InputError("x and y must have finite entries")
-    if mx == 0.0 or my == 0.0 or p_orthogonal_exact(sx / mx, sy / my, p, cfg.tol):
+    if m.min() == 0.0 or (
+        p_orthogonal_exact(xy[0] / m[0], xy[1] / m[1], p, cfg.tol) if power
+        else _slope_rule(space, form, xy / m[:, None], p, cfg.tol, dual)
+    ):
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
-    v = p_orthogonal_numeric(space, x, y, p, cfg)
-    return replace(v, verdict="not_orthogonal", method="exact")
+    return replace(grid(space, x, y, p, cfg), verdict="not_orthogonal", method="exact")
 
 
-def _exact_scale(space: SpaceSpec, p: float):
-    """Coordinate scaling s with ||x|| = ||s x||_p for every x, where the
-    norm is a coordinate form at its own exponent p: a max-ratio form at
-    p = inf (s = 1/w), a least-l1 form at p = 1 and a power form at its p
-    (s = w^(1/p)). The scaling keeps supports, and at p = 2 it turns the
-    plain inner product into the weighted one. None for every other form."""
-    form = _form(space)
-    own = {MAX: INF, L1: 1.0, POWER: form.p}.get(form.kind)
-    if own != p or form.V is not None or form.bases is not None:
-        return None
-    if form.w is None:
-        return 1.0
-    return 1.0 / form.w if form.kind == MAX else form.w ** (1.0 / p)
+def _slope_rule(space: SpaceSpec, form, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:
+    """x perp_p y for the rows x, y != 0 of xy, at p = 1 or inf. With
+    A = ||x||, B = ||y||, r = A/B and D the one-sided slope (`_slopes`):
+
+    x perp_1 y    iff  D(y; x) = A = D(y; -x);
+    x perp_inf y  iff  ||x + r y|| = ||x - r y|| = A and D(y; x) = 0 = D(y; -x).
+
+    On each half-line ||x + k y|| - A - |k| B (p = 1), or ||x + k y|| - |k| B
+    beyond +-r (p = inf, where convexity gives A on [-r, r]), is convex with
+    the finite limit D - A (or D), so it vanishes iff that limit does."""
+    A, B = _evaluate(space, xy, dual)
+    x, y = xy
+    d = _slopes(space, form, y, np.stack([x, -x]), tol)
+    if p == 1.0:
+        return bool(d.min() >= A * (1.0 - tol))
+    if np.abs(d).max() > tol * A:
+        return False
+    r = A / B
+    return bool(np.abs(_evaluate(space, np.stack([x + r * y, x - r * y]), dual) - A).max() <= tol * A)
+
+
+def _slopes(space: SpaceSpec, form, y: np.ndarray, D: np.ndarray, tol: float) -> np.ndarray:
+    """The one-sided slopes lim_{t -> 0+} (||y + t d|| - ||y||) / t of the
+    form at y != 0, one per row d of D; entries within the relative
+    tolerance tol of the largest (or of zero) count as equal to it:
+    - max-ratio: max sign(v_j . y) (v_j . d) / w_j over the largest |v_j . y| / w_j;
+    - least-l1, c and e the coefficients of y and d: sum w_j sign(c_j) e_j
+      over c_j != 0, plus sum w_j |e_j| over c_j = 0;
+    - operator norm: the largest eigenvalue of Q+^T d Q+ and of -Q-^T d Q-,
+      Q+ (Q-) the eigenvectors of y's eigenvalue ||y|| (-||y||);
+    - trace norm: sum sign(l_i) q_i^T d q_i over y's eigenvalues l_i != 0,
+      plus the trace norm of d compressed to the kernel of y."""
+    if form.kind == MAX:
+        r, R = (y, D) if form.V is None else (form.V @ y, D @ form.V.T)
+        a = np.abs(r) if form.w is None else np.abs(r) / form.w
+        top = a >= a.max() * (1.0 - tol)
+        s = np.sign(r[top]) if form.w is None else np.sign(r[top]) / form.w[top]
+        return (R[:, top] * s).max(axis=1)
+    if form.kind == L1:
+        c, E, w = y, D, form.w
+        if form.bases is not None:
+            S, inv = form.bases[0][0], form.bases[1][0]
+            c, E, w = inv @ y, D @ inv.T, w[S]
+        a = np.abs(c) if w is None else w * np.abs(c)
+        T = np.where(a <= tol * a.sum(), np.abs(E), np.sign(c) * E)
+        return T.sum(axis=1) if w is None else T @ w
+    lam, Q = np.linalg.eigh(as_matrix(space.cone, y))
+    M = Q.T @ as_matrix(space.cone, D) @ Q
+    a = np.abs(lam)
+    if math.isinf(form.p):
+        top = a >= a.max() * (1.0 - tol)
+        s = np.sign(lam[top])
+        # the blocks of the positive and of the negative top eigenvalues,
+        # the latter negated: s_i M_ij where s_i = s_j, 0 elsewhere
+        return np.linalg.eigvalsh(0.5 * (s[:, None] + s) * M[:, top][:, :, top])[:, -1]
+    zero = a <= tol * a.sum()
+    kernel = np.abs(np.linalg.eigvalsh(M[:, zero][:, :, zero])).sum(axis=1)
+    return (np.diagonal(M, axis1=1, axis2=2)[:, ~zero] * np.sign(lam[~zero])).sum(axis=1) + kernel
 
 
 def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
     """Exact oracle in the standard coordinate lp space: zero inner product
-    for p = 2, disjoint supports for finite p != 2, and the closed-form
-    piecewise-linear analysis for p = inf (where disjoint supports is
-    sufficient but not necessary)."""
+    for p = 2, disjoint supports for finite p != 2, and the slope rule of
+    `p_orthogonal` on the sup space for p = inf."""
     if p < 1:
         raise InputError("invalid exponent")
     x = np.asarray(x, dtype=float)
@@ -260,58 +318,8 @@ def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
         scale = 1.0 + np.abs(x).max() * np.abs(y).max()
         return bool(abs(float(x @ y)) <= tol * scale)
     if math.isinf(p):
-        return _exact_linf(x, y, tol)
+        return p_orthogonal(sup_space(x.size), x, y, INF, OrthoConfig(tol=tol)).is_orthogonal
     return not bool(np.any((np.abs(x) > tol) & (np.abs(y) > tol)))
-
-
-def _exact_linf(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """x perp_inf y in sup norm. Both sides of the identity are piecewise
-    linear in k, so equality for all k reduces to finitely many checks:
-
-    upper bound:  per coordinate, |x_i + k y_i| <= max(A, |k| B) holds for
-      every k iff it holds at the breakpoints k = +-A/B and, when |y_i| = B,
-      x_i = 0 (otherwise one asymptotic direction overshoots);
-    lower bound:  given the upper conditions, ||x + ky|| >= |k| B is
-      automatic outside [-A/B, A/B], and on that interval the convex
-      piecewise-linear ||x + ky|| must stay >= A, which is checked at its
-      kinks and the interval endpoints.
-    """
-    ax, ay = np.abs(x), np.abs(y)
-    A, B = ax.max(), ay.max()
-    if A == 0.0 or B == 0.0:
-        return True
-    if ((ay >= B * (1.0 - tol)) & (ax > tol * A)).any():
-        return False
-    kstar = A / B
-    slack = tol * A + 1e-15
-    nz = ay > 0.0
-    cand = -x[nz] / y[nz]
-    # one row per scalar: the breakpoints +-A/B, then the kinks of
-    # ||x + ky|| between them
-    k = np.concatenate([[kstar, -kstar], cand[np.abs(cand) <= kstar]])
-    V = np.abs(x + k[:, None] * y)
-    if V[:2].max() > A + slack:
-        return False
-    return bool(V.max(axis=1).min() >= A - slack)
-
-
-def infty_positive_test(space: SpaceSpec, u1, u2, tol: float = 1e-9) -> bool:
-    """For u1, u2 in the positive cone of an infinity-smooth space,
-    u1 perp_inf u2 iff the normalized sum has norm one; the plus/minus norm
-    equality is checked alongside as a consistency condition."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if not math.isinf(space.p_class):
-        raise InputError("test applies to infinity-smooth spaces only")
-    n1, n2 = norm(space, u1), norm(space, u2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise InputError("arguments must be nonzero")
-    if not (cone_contains(space.cone, u1, tol=1e-7 * n1) and cone_contains(space.cone, u2, tol=1e-7 * n2)):
-        raise InputError("arguments must lie in the positive cone")
-    v1, v2 = u1 / n1, u2 / n2
-    plus = norm(space, v1 + v2)
-    minus = norm(space, v1 - v2)
-    return abs(plus - 1.0) <= tol and abs(plus - minus) <= tol
 
 
 @dataclass(frozen=True)
@@ -319,36 +327,23 @@ class OrthoSetReport:
     pairwise_ok: bool
     unit_norms_ok: bool
     total: bool
-    additivity_spotcheck: bool
     failures: tuple = field(default_factory=tuple)
 
     @property
     def all_ok(self) -> bool:
-        return self.pairwise_ok and self.unit_norms_ok and self.total and self.additivity_spotcheck
+        return self.pairwise_ok and self.unit_norms_ok and self.total
 
 
 def orthonormal_set_verify(
-    space: SpaceSpec,
-    U,
-    p: float,
-    cfg: OrthoConfig | None = None,
-    spotcheck_samples: int = 25,
-    seed: int = 0,
+    space: SpaceSpec, U, p: float, cfg: OrthoConfig | None = None
 ) -> OrthoSetReport:
     """Check that U is a p-orthonormal set, deciding every pair through
     `p_orthogonal`. The report's fields:
 
-    unit_norms_ok         every vector has norm one, within cfg.tol;
-    pairwise_ok           every pair is p-orthogonal;
-    total                 U spans the space (rank equal to the dimension);
-    additivity_spotcheck  no falsified additivity: for spotcheck_samples
-                          random x in the span of one block of U and y, z
-                          in the span of the rest, x perp y and x perp z
-                          imply x perp (y + z). The check runs only when
-                          spotcheck_samples > 0 and U has two or more
-                          vectors, drawing from a generator seeded with
-                          seed; otherwise the field reads True;
-    failures              one entry per failed unit norm, pair or sample.
+    unit_norms_ok  every vector has norm one, within cfg.tol;
+    pairwise_ok    every pair is p-orthogonal;
+    total          U spans the space (rank equal to the dimension);
+    failures       one entry per failed unit norm or pair.
     """
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vectors = [np.asarray(u, dtype=float) for u in U]
@@ -372,24 +367,4 @@ def orthonormal_set_verify(
                 failures.append(("pairwise", (i, j), v.worst_residual, v.witness_k))
     M = np.stack(vectors)
     total = np.linalg.matrix_rank(M, tol=1e-10) == space.dim
-
-    # additivity falsification: x from one block of the set, y, z from the rest
-    additivity_ok = True
-    if len(vectors) >= 2 and spotcheck_samples > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(spotcheck_samples):
-            cut = int(rng.integers(1, len(vectors)))
-            perm = rng.permutation(len(vectors))
-            x = sum(rng.normal() * vectors[i] for i in perm[:cut])
-            y = sum(rng.normal() * vectors[i] for i in perm[cut:])
-            z = sum(rng.normal() * vectors[i] for i in perm[cut:])
-            if not (
-                p_orthogonal(space, x, y, p, cfg).is_orthogonal
-                and p_orthogonal(space, x, z, p, cfg).is_orthogonal
-            ):
-                continue
-            v = p_orthogonal(space, x, y + z, p, cfg)
-            if not v.is_orthogonal:
-                additivity_ok = False
-                failures.append(("additivity", v.worst_residual, v.witness_k))
-    return OrthoSetReport(pairwise_ok, unit_ok, bool(total), additivity_ok, tuple(failures))
+    return OrthoSetReport(pairwise_ok, unit_ok, bool(total), tuple(failures))

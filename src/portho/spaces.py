@@ -404,10 +404,11 @@ def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
 # restricted (two-dimensional subspace) dual norm
 
 
-def restricted_dual_norms(space: SpaceSpec, u1, u2):
-    """Row oracle of the dual norm on span{u1, u2} (linearly independent)
-    for a weighted l1 norm (a coordinate least-l1 form). For each row
-    (a1, a2) of C it returns sup |a1 l1 + a2 l2| over ||l1 u1 + l2 u2|| <= 1.
+def restricted_dual_norms(space: SpaceSpec, u1, u2) -> np.ndarray:
+    """The dual norm on span{u1, u2} (linearly independent) for a weighted
+    l1 norm (a coordinate least-l1 form), as the vertices V (rows) of the
+    span's unit ball in (l1, l2): a functional with values g = (g(u1), g(u2))
+    has the dual norm sup |g . l| over ||l1 u1 + l2 u2|| <= 1, max_j |V_j . g|.
 
     The norm sum_i w_i |l1 u1_i + l2 u2_i| is linear between the lines
     where one coordinate vanishes, so the unit ball in (l1, l2) is a polygon
@@ -422,5 +423,4 @@ def restricted_dual_norms(space: SpaceSpec, u1, u2):
     lengths = batch_norms(space, D @ U)
     if not (lengths.size and lengths.min() > 0.0):
         raise InputError("u1 and u2 must be linearly independent")
-    V = D / lengths[:, None]
-    return lambda C: np.abs(np.asarray(C, dtype=float) @ V.T).max(axis=1)
+    return D / lengths[:, None]

@@ -7,6 +7,7 @@ table cap answers through LPs over the dual cone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from . import cones as _c
 from .errors import InputError
 from .linalg import LpProblem, solve_lp
+from .ortho import p_orthogonal
 from .spaces import BASE, LP, SOLVER, SpaceSpec, _form, norm, norming, order_unit
 
 
@@ -112,9 +114,8 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     to order-unit families where the existence criterion is two-sided. With
     facet normals H one exists iff some (H u)_j / (H e)_j is zero, i.e. iff
     the partner e - u/||u|| has norm one: its support functional, a facet
-    normal scaled by the unit. Above the table cap an LP decides."""
-    from .ortho import infty_positive_test
-
+    normal scaled by the unit. Above the table cap an LP decides. The
+    partner's inf-orthogonality to u is decided by `p_orthogonal`."""
     e = order_unit(space)
     if e is None or space.cone.kind == _c.PSD:
         raise InputError("crust probe requires an order-unit family")
@@ -130,7 +131,7 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
         f = f if f @ partner >= 1.0 - 1e-9 else None
     if f is None:
         return None
-    ok = np.abs(partner).max() > 1e-12 and infty_positive_test(space, u, partner)
+    ok = np.abs(partner).max() > 1e-12 and p_orthogonal(space, u, partner, math.inf).is_orthogonal
     return CrustResult(f, partner, bool(ok))
 
 

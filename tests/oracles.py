@@ -1,5 +1,8 @@
-"""Independent brute-force oracles shared by the test modules, and the
-non-simplicial cones the polyhedral table tests share.
+"""Independent brute-force oracles shared by the test modules, the
+non-simplicial cones the polyhedral table tests share, and helpers that only
+the tests need (the duality pairing, eigendecomposition reconstruction,
+space-spec serialization, an additivity spot check of orthonormal sets and
+the l1 decomposition LP).
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
@@ -7,11 +10,14 @@ vertex formula of `spaces.restricted_dual_norms`, which it does not use.)
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
 from portho.errors import InputError
+from portho.linalg import LpProblem, solve_lp
+from portho.ortho import p_orthogonal
 from portho.spaces import batch_norms, norm
 
 
@@ -112,8 +118,8 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
 
 
 def exact_linf_by_loop(x, y, tol):
-    """The sup-norm inf-orthogonality test `ortho._exact_linf` as a per-scalar
-    loop: the upper bound at the breakpoints +-A/B (and x_i = 0 where
+    """The sup-norm inf-orthogonality test as a per-scalar loop over the
+    kinks: the upper bound at the breakpoints +-A/B (and x_i = 0 where
     |y_i| = B), then the lower bound at each kink of ||x + ky|| in
     [-A/B, A/B], one scalar at a time."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -216,3 +222,82 @@ NON_SIMPLICIAL_CONES = {
     "duplicated": np.vstack([_G6B, 3.0 * _G6B[2]]),
     "pentagon": PENTAGON,
 }
+
+
+def pairing(f, x) -> float:
+    """Duality pairing: the coordinate dot product, which is trace(F X) on
+    row-major flattenings of symmetric matrices."""
+    return float(np.asarray(f, dtype=float) @ np.asarray(x, dtype=float))
+
+
+def reconstruct(dec) -> np.ndarray:
+    """The matrix Q^T diag(eigenvalues) Q of a `linalg.SpectralDecomposition`."""
+    return dec.eigenvectors.T @ np.diag(dec.eigenvalues) @ dec.eigenvectors
+
+
+def _encode_num(x: float):
+    return "inf" if math.isinf(x) else x
+
+
+def serialize_space_spec(space) -> str:
+    """The JSON space spec `cli.parse_space_spec` reads back to space."""
+    cone = space.cone
+    if cone.kind == "nonneg":
+        cobj = {"kind": "nonneg"}
+    elif cone.kind == "rays":
+        cobj = {"kind": "rays", "generators": cone.generators.tolist()}
+    else:
+        cobj = {"kind": "psd", "side": cone.side}
+    n = space.norm
+    if n.kind == "lp":
+        nobj = {"kind": "lp", "p": _encode_num(n.p)}
+        if n.weights is not None:
+            nobj["weights"] = n.weights.tolist()
+    elif n.kind == "order_unit":
+        nobj = {"kind": "order_unit", "unit": n.unit.tolist()}
+    elif n.kind == "base":
+        nobj = {"kind": "base", "phi": n.phi.tolist()}
+    else:
+        nobj = {"kind": n.kind}
+    return json.dumps(
+        {"dim": space.dim, "cone": cobj, "norm": nobj, "p_class": _encode_num(space.p_class)}
+    )
+
+
+def additivity_spotcheck(space, U, p, samples=25, seed=0) -> list:
+    """Falsification of additivity on the span of a p-orthonormal set U: for
+    random x in the span of one block of U and y, z in the span of the rest,
+    x perp y and x perp z must imply x perp (y + z). Returns the residual and
+    witness of each failed sample (empty when U has fewer than two vectors)."""
+    vectors = [np.asarray(u, dtype=float) for u in U]
+    failures = []
+    if len(vectors) < 2:
+        return failures
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        cut = int(rng.integers(1, len(vectors)))
+        perm = rng.permutation(len(vectors))
+        x = sum(rng.normal() * vectors[i] for i in perm[:cut])
+        y = sum(rng.normal() * vectors[i] for i in perm[cut:])
+        z = sum(rng.normal() * vectors[i] for i in perm[cut:])
+        if not (p_orthogonal(space, x, y, p).is_orthogonal and p_orthogonal(space, x, z, p).is_orthogonal):
+            continue
+        v = p_orthogonal(space, x, y + z, p)
+        if not v.is_orthogonal:
+            failures.append((v.worst_residual, v.witness_k))
+    return failures
+
+
+def decompose_l1_lp(space, v):
+    """u1 = B a, u2 = B b with a, b >= 0 and B (a - b) = v minimizing
+    sum_j (a_j + b_j) ||g_j|| (B the generators as columns), solved by the
+    simplex: every positive decomposition is (B (c+ + w), B (c- + w)) with
+    w >= 0, so its optimum is the coefficient split."""
+    B = space.cone.coefficient_basis[0]
+    m = B.shape[1]
+    cost = batch_norms(space, B.T)
+    obj = -np.concatenate([cost, cost])
+    out = solve_lp(LpProblem(objective=obj, eq=np.hstack([B, -B]), eq_rhs=v))
+    if out.status != "optimal":
+        raise InputError("decomposition LP infeasible: v outside the span of the cone")
+    return B @ out.argument[:m], B @ out.argument[m:]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from portho import cli
-from portho.cli import main, parse_space_spec, serialize_space_spec
+from oracles import serialize_space_spec
+from portho.cli import main, parse_space_spec
 from portho.errors import InputError, SpecError, UnsupportedError
 
 INF = math.inf

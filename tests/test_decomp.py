@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from portho.cones import cone_contains, dual_cone_contains, ray_cone
 from portho.decomp import (
+    coefficient_parts,
     dual_one_orth_decompose,
     embed_to_lp,
     infty_orth_decompose,
@@ -61,7 +63,7 @@ class TestOptDecompose:
         rng = np.random.default_rng(20)
         for _ in range(10):
             v = rng.normal(size=5)
-            d = opt_decompose(sp, v, p, epsilon=1e-6)
+            d = opt_decompose(sp, v, p)
             assert d.status in ("optimal", "approximate")
             assert d.u1 - d.u2 == pytest.approx(v, abs=1e-9)
             assert np.all(d.u1 >= -1e-9) and np.all(d.u2 >= -1e-9)
@@ -91,9 +93,24 @@ class TestOptDecompose:
             assert cone_contains(SIMPLICIAL, d.u2, tol=1e-8)
             assert d.norm_aggregate == pytest.approx(norm(sp, v), abs=1e-8)
 
-    def test_bad_epsilon(self):
-        with pytest.raises(InputError):
-            opt_decompose(lp_space(2, 2.0), [1.0, -1.0], 2.0, epsilon=0.0)
+    def test_lp1_over_a_ray_cone_outside_the_orthant_is_unsupported(self):
+        # the coefficient split of v is not optimal here: adding w = 0.075 g_2
+        # to both parts lowers the aggregate from 2.2775 to 2.2473
+        G = np.array([[1.688, -0.389, 0.318], [-0.05, 1.15, -0.151], [1.287, -0.388, 1.158]])
+        sp = parse_space_spec(json.dumps({
+            "dim": 3, "cone": {"kind": "rays", "generators": G.tolist()},
+            "norm": {"kind": "lp", "p": 1.0}, "p_class": 1.0,
+        }))
+        v = np.array([0.287, 0.619, 0.462])
+        u1, u2 = coefficient_parts(sp, v)
+        split = norm(sp, u1) + norm(sp, u2)
+        w = 0.075 * G[1]
+        better = norm(sp, u1 + w) + norm(sp, u2 + w)
+        assert cone_contains(sp.cone, u1 + w) and cone_contains(sp.cone, u2 + w)
+        assert split == pytest.approx(2.2775, abs=1e-4)
+        assert better == pytest.approx(2.2473, abs=1e-4)
+        d = opt_decompose(sp, v, 1.0)
+        assert d.status == "unsupported" and math.isnan(d.norm_aggregate)
 
 
 class TestInftyOrthDecompose:
@@ -158,25 +175,29 @@ class TestDualOneOrth:
 
     def test_one_grid_decision_per_decomposition(self, monkeypatch):
         # the norming element is split by its cone coefficients, with no
-        # primal decision; only the halves' 1-orthogonality is decided
+        # primal decision; only the halves' 1-orthogonality is decided, in
+        # the dual norm and exactly, so the grid never runs
         import portho.decomp as decomp_module
         import portho.ortho as ortho_module
 
-        primal, decisions = [], []
-        numeric, grid = decomp_module.p_orthogonal_numeric, ortho_module.verdict_from_norm
+        decisions, grid_calls = [], []
+        decide, grid = decomp_module.p_orthogonal, ortho_module.verdict_from_norm
         monkeypatch.setattr(
-            decomp_module, "p_orthogonal_numeric", lambda *a: primal.append(1) or numeric(*a)
+            decomp_module, "p_orthogonal",
+            lambda *a, **k: decisions.append(k) or decide(*a, **k),
         )
         monkeypatch.setattr(
-            ortho_module, "verdict_from_norm", lambda *a: decisions.append(1) or grid(*a)
+            ortho_module, "verdict_from_norm", lambda *a: grid_calls.append(1) or grid(*a)
         )
         sp = default_families()["sup_8"]
         rng = np.random.default_rng(25)
         for _ in range(10):
             f = rng.normal(size=8)
             assert f.min() < 0.0 < f.max()  # both halves nonzero: the cross-check runs
-            assert dual_one_orth_decompose(sp, f).status == "optimal"
-        assert (len(primal), len(decisions)) == (0, 10)
+            dec = dual_one_orth_decompose(sp, f)
+            assert dec.status == "optimal" and dec.ortho_verdict.method == "exact"
+        assert decisions == [{"dual": True}] * 10
+        assert grid_calls == []
 
     @pytest.mark.parametrize(
         "sp",
@@ -225,8 +246,7 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("p", [1.5, INF])
     def test_one_decision_per_pair(self, p, monkeypatch):
-        # unit norms and pairwise orthogonality only: no additivity spot
-        # check, whose decisions no caller reads
+        # unit norms and pairwise orthogonality only: one decision per pair
         import portho.ortho as ortho_module
 
         decisions = []

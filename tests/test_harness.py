@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +180,31 @@ class TestDecisionsPerSuite:
         assert len(decisions) == 50  # no sample of sup_8 has a zero part
         # sup_8 at p = inf is decided exactly: only a failing pair takes the grid
         assert 0 < len(grid) < 50
+
+    def test_verify_all_runs_the_grid_only_for_witnesses(self, monkeypatch):
+        # every decision of a seed-0, 50-sample `verify all` is exact; the
+        # grid decider runs once under each exact "not_orthogonal", for the
+        # residual and witness it reports, and nowhere else
+        import portho.ortho as ortho_module
+
+        grid = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
+        decide, decisions = ortho_module.p_orthogonal, []
+
+        def counted(*args, **kwargs):
+            before = len(grid)
+            v = decide(*args, **kwargs)
+            decisions.append((v.method, v.verdict, len(grid) - before))
+            return v
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("portho") and getattr(module, "p_orthogonal", None) is decide:
+                monkeypatch.setattr(module, "p_orthogonal", counted)
+        for suite in SUITE_IDS:
+            assert run_suite(suite, samples=50, seed=0).status == "ok", suite
+        assert {method for method, _, _ in decisions} == {"exact"}
+        for _, verdict, calls in decisions:
+            assert calls == (verdict == "not_orthogonal")
+        assert 0 < len(grid) == sum(calls for _, _, calls in decisions) < len(decisions)
 
     @pytest.mark.parametrize("family", ["sup_8", "polyray_4"])
     def test_rem311_checks_domination(self, family, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from portho.errors import InputError
 from portho.linalg import LpProblem, SpectralDecomposition, check_symmetric, eigen_sym, solve_lp
 
-from oracles import char_poly_eigs_3x3, lp_by_vertex_enumeration
+from oracles import char_poly_eigs_3x3, lp_by_vertex_enumeration, reconstruct
 
 
 class TestSolveLp:
@@ -198,7 +198,7 @@ class TestEigenSym:
             M = A + A.T
             dec = eigen_sym(M)
             scale = 1.0 + np.abs(M).max()
-            assert np.abs(dec.reconstruct() - M).max() <= 1e-9 * scale
+            assert np.abs(reconstruct(dec) - M).max() <= 1e-9 * scale
             gram = dec.eigenvectors @ dec.eigenvectors.T
             assert np.abs(gram - np.eye(n)).max() <= 1e-9
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)

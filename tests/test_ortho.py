@@ -1,17 +1,16 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from oracles import exact_linf_by_loop, grid_verdict_by_loop
+from oracles import PENTAGON, additivity_spotcheck, exact_linf_by_loop, grid_verdict_by_loop
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families
 from portho.ortho import (
     OrthoConfig,
     OrthoVerdict,
     dual_p_orthogonal_numeric,
-    infty_positive_test,
-    _exact_linf,
     orthonormal_set_verify,
     p_orthogonal,
     p_orthogonal_exact,
@@ -22,7 +21,9 @@ from portho.cones import nonneg_orthant, ray_cone
 from portho.spaces import (
     NormKind,
     SpaceSpec,
+    _form,
     base_space,
+    batch_dual_norms,
     batch_norms,
     dual_norm,
     lp_space,
@@ -278,7 +279,6 @@ class TestExactOracle:
             if np.abs(x).max() == 0 or np.abs(y).max() == 0:
                 continue
             numeric = p_orthogonal_numeric(sp, x, y, p)
-            assert numeric.verdict != "inconclusive"
             assert numeric.is_orthogonal == p_orthogonal_exact(x, y, p)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
@@ -377,16 +377,21 @@ class TestExactDispatcher:
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), 1.0, "exact"),
             (lp_space(3, 1.0), 2.0, "grid"),  # lp away from its own p
             (lp_space(3, 2.0), INF, "grid"),
-            (sup_space(3), 1.0, "grid"),
-            (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "grid"),
+            (sup_space(3), 1.0, "exact"),
+            (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "exact"),
             (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "exact"),
             (SpaceSpec(3, ray_cone(np.eye(3) + 0.2), NormKind("lp", p=1.0), 1.0), 1.0, "exact"),
-            (spectral_space(2), INF, "grid"),
+            (spectral_space(2), INF, "exact"),
         ],
     )
     def test_method_follows_the_routing(self, space, p, method):
+        # on every space here the two unit vectors (diag(1, 0) and
+        # diag(0, 1) on the spectral one) are p-orthogonal exactly at the
+        # space's own exponent
         x, y = np.eye(space.dim)[0], np.eye(space.dim)[-1]
-        assert p_orthogonal(space, x, y, p).method == method
+        got = p_orthogonal(space, x, y, p)
+        assert got.method == method
+        assert got.is_orthogonal == (p == space.p_class)
 
     def test_zero_argument_and_invalid_input(self):
         sp = lp_space(2, 2.0)
@@ -415,7 +420,7 @@ class TestExactDispatcher:
             for _ in range(200):
                 x, y = _textured_pair(rng, 6, texture)
                 want = exact_linf_by_loop(x, y, 1e-12)
-                assert _exact_linf(x, y, 1e-12) == want
+                assert p_orthogonal_exact(x, y, INF, 1e-12) == want
                 outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -435,28 +440,122 @@ class TestExactDispatcher:
         assert calls  # lp3 decided at p = 2 stays on the grid
 
 
-class TestInftyPositive:
-    def test_disjoint(self):
-        sp = sup_space(2)
-        assert infty_positive_test(sp, [1.0, 0.0], [0.0, 1.0])
+_RAY4 = _FAMILIES["polyray_4"].cone
+_E3 = np.array([0.0, 0.0, 1.0])
+# every form the slope rule covers, in both directions, and the pentagon's
+# least-l1 forms over several bases (the order-unit dual norm and the base
+# norm), which stay on the grid
+_SLOPE_SPACES = {
+    **{name: _FAMILIES[name] for name in ("lp1_8", "sup_8", "base_8", "spectral_4", "polyray_4")},
+    "base_ray4": base_space(_RAY4, np.ones(4)),
+    "ou_orthant_6": _EXACT_SPACES["ou_orthant_6"],
+    "ou_ray5": order_unit_space(ray_cone(PENTAGON), _E3),
+    "base_ray5": base_space(ray_cone(PENTAGON), _E3),
+}
+# the dense scan: 24,001 scalars k = r sinh(s), |s| <= 10, r = ||x|| / ||y||
+_SCAN = np.sinh(np.linspace(-10.0, 10.0, 24001))
 
-    def test_overlapping(self):
-        sp = sup_space(2)
-        assert not infty_positive_test(sp, [1.0, 0.5], [0.0, 1.0])
 
-    def test_spectral_diag(self):
-        sp = spectral_space(2)
-        u1 = np.diag([1.0, 0.0]).ravel()
-        u2 = np.diag([0.0, 1.0]).ravel()
-        assert infty_positive_test(sp, u1, u2)
+def _scan_verdict(norms, x, y, p, tol=1e-9):
+    """x perp_p y on the dense scan, at the grid decider's scaled residual
+    and tolerance."""
+    nx, ny = norms(np.stack([x, y]))
+    k = nx / ny * _SCAN
+    lhs = norms(x + k[:, None] * y)
+    rhs = np.maximum(nx, np.abs(k) * ny) if math.isinf(p) else nx + np.abs(k) * ny
+    return bool((np.abs(lhs - rhs) / (1.0 + nx + np.abs(k) * ny)).max() <= tol)
 
-    def test_rejects_negative_input(self):
-        with pytest.raises(InputError):
-            infty_positive_test(sup_space(2), [1.0, -1.0], [0.0, 1.0])
 
-    def test_rejects_zero(self):
-        with pytest.raises(InputError):
-            infty_positive_test(sup_space(2), [0.0, 0.0], [0.0, 1.0])
+def _isometry(sp, dual, rng):
+    """(z, p) with z(t) an isometry from l_inf (p = inf) or l_1 (p = 1) onto
+    the space, for the forms whose coordinates are invertible: a max-ratio
+    form over the coordinates or a square V, a least-l1 form over the
+    coordinates or one basis, and diagonal matrices in a random orthonormal
+    basis for the eigen forms. None for the pentagon's forms."""
+    form = _form(sp, dual)
+    n = sp.dim
+    if form.kind == "eigen":
+        Q, _ = np.linalg.qr(rng.normal(size=(sp.cone.side, sp.cone.side)))
+        return (lambda t: ((Q * t) @ Q.T).ravel()), form.p
+    if form.kind == "max" and (form.V is None or form.V.shape[0] == n):
+        V = np.eye(n) if form.V is None else form.V
+        w = np.ones(n) if form.w is None else form.w
+        return (lambda t: np.linalg.solve(V, w * t)), INF
+    if form.kind == "l1" and (form.bases is None or len(form.bases[0]) == 1):
+        inv = np.eye(n) if form.bases is None else form.bases[1][0]
+        w = np.ones(n) if form.w is None else form.w if form.bases is None else form.w[form.bases[0][0]]
+        return (lambda t: np.linalg.solve(inv, t / w)), 1.0
+    return None
+
+
+def _slope_pairs(name, sp, dual, rng):
+    """(x, y, p) triples: random pairs (p None), pairs orthogonal at p by
+    construction and pairs sharing one coordinate (p None). An orthogonal
+    pair x perp_p y spans an isometric copy of l_inf^2 (p = inf) or l_1^2
+    (p = 1), so x/||x|| +- y/||y|| is orthogonal at the other exponent."""
+    norms = batch_dual_norms if dual else batch_norms
+    pairs = []
+    for _ in range(4):
+        x, y = rng.normal(size=(2, sp.dim))
+        if sp.norm.kind == "spectral":
+            d = sp.cone.side
+            x, y = ((v.reshape(d, d) + v.reshape(d, d).T).ravel() for v in (x, y))
+        pairs.append((x, y, None))
+    iso = _isometry(sp, dual, rng)
+    if iso is not None:
+        z, p = iso
+        m = sp.cone.side if sp.norm.kind == "spectral" else sp.dim
+        for _ in range(3):
+            mask = rng.random(size=m) < 0.5
+            mask[0], mask[-1] = True, False
+            t1 = np.where(mask, rng.normal(size=m), 0.0)
+            t2 = np.where(mask, 0.0, rng.normal(size=m))
+            pairs.append((z(t1), z(t2), p))
+            t2[0] = rng.normal()
+            pairs.append((z(t1), z(t2), None))
+    else:
+        # the pentagon: one direction is a max-ratio form over rows R with
+        # weights w = R e, e = (0, 0, 1) (ou_ray5's norm over the facet
+        # normals, base_ray5's dual norm over the generators), an order-unit
+        # norm over the cone {R z >= 0}. Take u on a facet of that cone. In
+        # that direction u perp_inf e - u/||u||; in the other, the positive
+        # supports R_j / w_j of u (the largest ratio (R u)_j / w_j) and of
+        # e - u/||u|| (a zero ratio) are 1-orthogonal
+        top = _form(sp, name == "base_ray5")
+        u = sp.cone.facet_normals[0] if name == "base_ray5" else 0.7 * PENTAGON[0] + 0.4 * PENTAGON[1]
+        if top is _form(sp, dual):
+            pairs.append((u, _E3 - u / norms(sp, u[None])[0], INF))
+        else:
+            ratios = top.V @ u / top.w
+            j, i = np.argmax(ratios), np.argmin(ratios)
+            pairs.append((top.V[j] / top.w[j], top.V[i] / top.w[i], 1.0))
+    for x, y, p in [pair for pair in pairs if pair[2] is not None]:
+        nx, ny = norms(sp, np.stack([x, y]))
+        pairs.append((x / nx + y / ny, x / nx - y / ny, 1.0 if math.isinf(p) else INF))
+    return pairs
+
+
+class TestSlopeRule:
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("name", sorted(_SLOPE_SPACES))
+    def test_agrees_with_the_grid_and_a_dense_scan(self, name, dual):
+        sp = _SLOPE_SPACES[name]
+        norms = batch_dual_norms if dual else batch_norms
+        grid = dual_p_orthogonal_numeric if dual else p_orthogonal_numeric
+        form = _form(sp, dual)
+        covered = form.kind != "l1" or form.bases is None or len(form.bases[0]) == 1
+        rng = np.random.default_rng(zlib.crc32(f"{name}-{dual}".encode()))
+        seen = set()
+        for x, y, orthogonal_at in _slope_pairs(name, sp, dual, rng):
+            for p in (1.0, INF):
+                got = p_orthogonal(sp, x, y, p, dual=dual)
+                assert got.method == ("exact" if covered else "grid")
+                assert got.is_orthogonal == grid(sp, x, y, p).is_orthogonal
+                assert got.is_orthogonal == _scan_verdict(lambda W: norms(sp, W), x, y, p)
+                if orthogonal_at == p:
+                    assert got.is_orthogonal
+                seen.add(got.verdict)
+        assert seen == {"orthogonal", "not_orthogonal"}
 
 
 class TestOrthonormalSet:
@@ -465,6 +564,7 @@ class TestOrthonormalSet:
         sp = lp_space(4, p)
         rep = orthonormal_set_verify(sp, list(np.eye(4)), p)
         assert rep.all_ok
+        assert additivity_spotcheck(sp, list(np.eye(4)), p) == []
 
     def test_incomplete_basis_not_total(self):
         sp = lp_space(3, 2.0)
