@@ -230,14 +230,15 @@ def p_orthogonal(
     )
     if not (power or slopes):
         return grid(space, x, y, p, cfg)
-    xy = np.stack([_check_vec(space, x), _check_vec(space, y)])
+    xy = np.array([_check_vec(space, x), _check_vec(space, y)])
     if power and form.w is not None:
         xy = xy * form.w ** (1.0 / p)
-    m = np.abs(xy).max(axis=1)  # NaN or inf if an entry is
-    if not np.isfinite(m).all():
+    m = np.abs(xy).max(axis=1)
+    mx, my = m.tolist()  # NaN or inf if an entry is
+    if not (math.isfinite(mx) and math.isfinite(my)):
         raise InputError("x and y must have finite entries")
-    if m.min() == 0.0 or (
-        p_orthogonal_exact(xy[0] / m[0], xy[1] / m[1], p, cfg.tol) if power
+    if mx == 0.0 or my == 0.0 or (
+        p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, cfg.tol) if power
         else _slope_rule(space, form, xy / m[:, None], p, cfg.tol, dual)
     ):
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
@@ -256,13 +257,13 @@ def _slope_rule(space: SpaceSpec, form, xy: np.ndarray, p: float, tol: float, du
     the finite limit D - A (or D), so it vanishes iff that limit does."""
     A, B = _evaluate(space, xy, dual)
     x, y = xy
-    d = _slopes(space, form, y, np.stack([x, -x]), tol)
+    d = _slopes(space, form, y, np.array([x, -x]), tol)
     if p == 1.0:
         return bool(d.min() >= A * (1.0 - tol))
     if np.abs(d).max() > tol * A:
         return False
     r = A / B
-    return bool(np.abs(_evaluate(space, np.stack([x + r * y, x - r * y]), dual) - A).max() <= tol * A)
+    return bool(np.abs(_evaluate(space, np.array([x + r * y, x - r * y]), dual) - A).max() <= tol * A)
 
 
 def _slopes(space: SpaceSpec, form, y: np.ndarray, D: np.ndarray, tol: float) -> np.ndarray:

@@ -536,6 +536,10 @@ def _slope_pairs(name, sp, dual, rng):
 
 
 class TestSlopeRule:
+    """p_orthogonal (exact wherever the form has slopes), the grid and the
+    dense scan agree at p = 1 and inf, primal and dual, on pairs of both
+    verdicts."""
+
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     @pytest.mark.parametrize("name", sorted(_SLOPE_SPACES))
     def test_agrees_with_the_grid_and_a_dense_scan(self, name, dual):
