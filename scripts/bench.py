@@ -9,7 +9,13 @@ Decider slice: for every default family and every exponent p in
 and by `p_orthogonal`, exact where it can be, in the norm (primal_route)
 and with dual=True in the dual norm (dual_route). A portho whose
 `p_orthogonal` has no `dual` option decided dual pairs only on the grid,
-so there dual_route times `dual_p_orthogonal_numeric`.
+so there dual_route times `dual_p_orthogonal_numeric`. The random pair is
+not orthogonal, so on the exact route it times the test and the grid
+witness of its "not_orthogonal". Under "<family>:split" the same sides
+decide the positive and negative parts of the pair's first vector by its
+cone coefficients (`decomp.coefficient_parts`; by its dual coefficients on
+the dual sides), which are orthogonal at the exponent of the norm they are
+decided in: the space's own, or its conjugate on the dual sides.
 
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
@@ -106,6 +112,7 @@ from portho import (  # noqa: E402
     solve_lp,
     support_functional,
 )
+from portho.decomp import coefficient_parts  # noqa: E402
 from portho.harness import (  # noqa: E402
     DEFAULT_FAMILY,
     SUITE_IDS,
@@ -222,9 +229,11 @@ def _decision_cases():
     for i, (name, space) in enumerate(sorted(default_families().items())):
         x, y = _pair(space, SEED + i)
         for side, decide in SIDES:
-            for p in EXPONENTS:
-                key = ("us_per_decision", name, side, _p_key(p))
-                yield key, functools.partial(decide, space, x, y, p)
+            split = coefficient_parts(space, x, dual=side.startswith("dual"))
+            for label, pair in ((name, (x, y)), (f"{name}:split", split)):
+                for p in EXPONENTS:
+                    key = ("us_per_decision", label, side, _p_key(p))
+                    yield key, functools.partial(decide, space, *pair, p)
 
 
 def _norm_cases():
