@@ -34,11 +34,12 @@ of either code compare per call: `support_functional`, `positive_support`,
 `crust_probe` (a cone element on the boundary and one inside),
 `opt_decompose` at p = 1 and p = inf, and `dual_one_orth_decompose`. On the
 non-simplicial pentagon cone in R^3: `cone_contains` (a point inside, one
-outside), one LP each, and `support_functional`, `positive_support` and
-`crust_probe` under the order-unit (`ou_ray5`) and base (`base_ray5`)
-norms. Under the order-unit norm these take the facet closed form and solve
-no LP beyond their membership checks; under the base norm the support
-functional and positive support still solve LPs.
+outside), `support_functional` and `positive_support` under the order-unit
+(`ou_ray5`) and base (`base_ray5`) norms, and `crust_probe` and
+`dual_one_orth_decompose` under the order-unit norm. Membership reads the
+facet normals, and the maximizers and the dual split a minimizing basis of
+the cone's tables, so these solve no LP, except the base positive support
+(two). A portho that solved LPs for them is timed under the same keys.
 
 Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of
 3 x 5, 8 x 16, 16 x 32 and 32 x 64 (rows x variables), independent of any
@@ -72,7 +73,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_11.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_12.json
 """
 
 import argparse
@@ -303,6 +304,8 @@ def _pentagon_cases(pentagon):
     for case, u in (("boundary", boundary), ("interior", interior)):
         yield ("us_per_lp_call", "crust_probe", "ou_ray5", case), functools.partial(
             crust_probe, spaces["ou_ray5"], u)
+    yield ("us_per_lp_call", "dual_one_orth_decompose", "ou_ray5", "-"), functools.partial(
+        dual_one_orth_decompose, spaces["ou_ray5"], rng.normal(size=3))
 
 
 def _solver_cases():
@@ -379,7 +382,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_12.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

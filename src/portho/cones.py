@@ -5,7 +5,9 @@ A polyhedral cone carries two lazily built tables: its facet normals H (the
 cone is {x : H x >= 0}) and, for a row set V (the generators or the facet
 normals), the inverse of V_S^T for every invertible n-subset S of V's rows.
 Each table is built only while its subset count stays within
-MAX_TABLE_SUBSETS; above that the property is None.
+MAX_TABLE_SUBSETS; above that the property is None. Membership reads the
+cone coefficients or the facet normals, and an LP decides it only above the
+cap.
 """
 
 from __future__ import annotations
@@ -179,6 +181,11 @@ def _check_dim(cone: ConeSpec, x) -> np.ndarray:
 
 
 def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
+    """Whether x lies in the cone. tol is an absolute floor on the cone
+    coefficients B^-1 x, on the facet values H x (the facet normals have
+    unit length) and on the orthant's entries and the psd eigenvalues;
+    above the table cap the membership LP takes it as its relative
+    tolerance instead."""
     x = _check_dim(cone, x)
     if np.all(x == 0.0):
         return True
@@ -189,6 +196,9 @@ def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
         return bool(eigen_sym(M).eigenvalues[-1] >= -tol)
     if cone.coefficient_basis is not None:  # cone coefficients B^-1 x >= 0
         return bool(np.all(cone.coefficient_basis[1] @ x >= -tol))
+    H = cone.facet_normals
+    if H is not None:  # facet values H x >= 0
+        return bool(np.all(H @ x >= -tol))
     return _contains_lp(cone, x, tol)
 
 

@@ -5,8 +5,9 @@ inf-orthogonal splits into positive/negative parts, and the dual route that
 splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
-"unsupported", and an LP remains only for the dual route on a
-non-simplicial cone. Orthogonality is decided by `ortho.p_orthogonal`.
+"unsupported". On a non-simplicial cone the dual route splits a
+minimizing basis of the dual norm's facet table, and an LP remains only
+above the table cap. Orthogonality is decided by `ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from .linalg import LpProblem, eigen_sym, solve_lp
 from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
+    L1,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
+    _form,
+    _minimizing_basis,
     dual_norm,
     norm,
     norming_element,
@@ -128,8 +132,9 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     """Split a functional on an infinity-smooth space into positive halves
     with additive dual norms, then certify the halves are 1-orthogonal and
     vanish crosswise on an orthogonal split of a norming element. The halves
-    are the coefficient split, or an LP's for an order-unit norm on a
-    non-simplicial ray cone."""
+    are the coefficient split; for an order-unit norm on a non-simplicial
+    ray cone the split of a minimizing basis of the dual norm's facet table
+    (`_dual_split`), or an LP's above the table cap."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
@@ -137,7 +142,7 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     if monotone_norm(space) and space.norm.kind != BASE:  # a base dual norm is a max
         f1, f2 = coefficient_parts(space, f, dual=True)
     elif space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS:
-        f1, f2 = _dual_split_lp(space, f)
+        f1, f2 = _dual_split(space, f)
     else:
         return Decomposition(f, np.zeros_like(f), 1.0, math.nan, "unsupported")
 
@@ -159,6 +164,20 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
             if abs(f1 @ split[1]) > 1e-8 * scale or abs(f2 @ split[0]) > 1e-8 * scale:
                 status = "failed"
     return Decomposition(f1, f2, 1.0, nagg, status, verdict)
+
+
+def _dual_split(space: SpaceSpec, f: np.ndarray):
+    """f = f1 - f2 with f1, f2 in the dual cone of an order-unit space on a
+    ray cone and (f1 + f2)(e) = dual_norm(f). Over the facet table the dual
+    norm is least-l1: with f = H_S^T c at a minimizing basis S, the halves
+    H_S^T c+ and H_S^T c- are nonnegative combinations of facet normals and
+    sum to sum_S (H e)_S |c_S| at e. Above the table cap an LP decides."""
+    form = _form(space, dual=True)
+    if form.kind != L1:
+        return _dual_split_lp(space, f)
+    S, _, c = _minimizing_basis(form, f)
+    H = form.V[S]
+    return np.clip(c, 0.0, None) @ H, np.clip(-c, 0.0, None) @ H
 
 
 def _dual_split_lp(space: SpaceSpec, f: np.ndarray):

@@ -298,22 +298,38 @@ def _power(X: np.ndarray, p: float, w) -> np.ndarray:
     return out
 
 
-def _least_l1(X: np.ndarray, bases, w: np.ndarray) -> np.ndarray:
+def _least_l1(X: np.ndarray, bases, w: np.ndarray, argmin: bool = False):
     """min sum_i w_i |c_i| over V^T c = x, for each row x of X: w > 0, so
     the LP has an optimal basic solution c_S = (V_S^T)^-1 x, and the answer
     is a running minimum over the bases (S, inv) of the table, taken in
-    blocks of at most _BLOCK_ENTRIES intermediate entries."""
+    blocks of at most _BLOCK_ENTRIES intermediate entries. With argmin, also
+    the table index of a minimizing basis of each row (the first of ties)."""
     S, inv = bases
     rows, n = X.shape
     ws = w[S]
     step = max(1, _BLOCK_ENTRIES // max(1, rows * n))
     best = np.full(rows, np.inf)
+    at = np.zeros(rows, dtype=int) if argmin else None
     for b in range(0, len(S), step):
         block = inv[b:b + step]
         k = len(block)
         C = (X @ block.reshape(k * n, n).T).reshape(rows, k, n)
-        np.minimum(best, np.sum(ws[b:b + step] * np.abs(C), axis=2).min(axis=1), out=best)
-    return best
+        sums = np.sum(ws[b:b + step] * np.abs(C), axis=2)
+        low = sums.min(axis=1)
+        if argmin:
+            better = low < best
+            at[better] = b + sums.argmin(axis=1)[better]
+        np.minimum(best, low, out=best)
+    return (best, at) if argmin else best
+
+
+def _minimizing_basis(form: _Form, x: np.ndarray):
+    """(S, inv, c) of a basis of a least-l1 form's table that attains its
+    minimum at x: c = inv x are the coefficients of x = V_S^T c, and
+    sum_i w_S_i |c_i| is the form's value at x."""
+    S, inv = form.bases
+    k = 0 if len(S) == 1 else int(_least_l1(x[None], form.bases, form.w, argmin=True)[1][0])
+    return S[k], inv[k], inv[k] @ x
 
 
 def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarray:
@@ -323,8 +339,13 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
     norming element of the functional x). Of a max-ratio form it is
     sign(v_j . x) v_j / w_j at a maximizing j; given `tiebreak`, j is the
     maximizer (within 1e-12 (1 + max)) with the least v_j . tiebreak / w_j.
-    A least-l1 form over more than one basis, and the solver form, take the
-    maximizer of the dual-ball LP."""
+    Of a least-l1 form over a basis table it is the dual solution
+    inv^T (w_S sign(c)) of a minimizing basis (`_minimizing_basis`): it
+    attains the form's value, and over more than one basis it is taken
+    when the other direction's max-ratio form reads at most 1 + 1e-12 on it
+    (always when c has no zero entry, as the basis is then a nondegenerate
+    optimum); otherwise, and for the solver form, the maximizer of the
+    dual-ball LP."""
     x = _check_vec(space, x)
     if np.abs(x).max() == 0.0:
         raise InputError(f"{'norming element' if dual else 'support functional'} undefined at 0")
@@ -343,10 +364,11 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
         return np.sign(r[j]) * v if w is None else np.sign(r[j]) * v / w[j]
     if form.kind == L1 and form.bases is None:
         return np.sign(x) if w is None else w * np.sign(x)
-    if form.kind == L1 and len(form.bases[0]) == 1:
-        # one basis: the dual solution inv^T (w_S sign(c_S)) at c_S = inv x
-        S, inv = form.bases[0][0], form.bases[1][0]
-        return inv.T @ (w[S] * np.sign(inv @ x))
+    if form.kind == L1:
+        S, inv, c = _minimizing_basis(form, x)
+        f = inv.T @ (w[S] * np.sign(c))
+        if len(form.bases[0]) == 1 or _evaluate(space, f[None], not dual)[0] <= 1.0 + 1e-12:
+            return f
     if form.kind == POWER:
         f = np.sign(x) * np.abs(x) ** (form.p - 1.0)
         if w is not None:

@@ -1,8 +1,9 @@
 """Support functionals, positive supports and crusts. A support functional
 is the maximizer of the norm's closed form (`spaces.norming`); positive
 supports and crusts read it too, except that the base norm keeps its own
-positive support (no mass off the support of u) and a cone above the
-table cap answers through LPs over the dual cone.
+positive support (no mass off the support of u: closed form on a lattice
+cone, two LPs on a non-simplicial one) and a cone above the table cap
+answers through LPs over the dual cone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import cones as _c
 from .errors import InputError
 from .linalg import LpProblem, solve_lp
 from .ortho import p_orthogonal
-from .spaces import BASE, LP, SOLVER, SpaceSpec, _form, norm, norming, order_unit
+from .spaces import BASE, LP, SOLVER, SpaceSpec, _form, batch_norms, norm, norming, order_unit
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,17 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     facet normals H one exists iff some (H u)_j / (H e)_j is zero, i.e. iff
     the partner e - u/||u|| has norm one: its support functional, a facet
     normal scaled by the unit. Above the table cap an LP decides. The
-    partner's inf-orthogonality to u is decided by `p_orthogonal`."""
+    partner's inf-orthogonality to u is decided by `p_orthogonal`; above the
+    cap by Theorem 3.3 (1) on the positive pair, three norm LPs where the
+    grid would solve one per grid row."""
     e = order_unit(space)
     if e is None or space.cone.kind == _c.PSD:
         raise InputError("crust probe requires an order-unit family")
     u = _check_positive(space, u)
     nu = norm(space, u)
     partner = e - u / nu
-    if _form(space).kind == SOLVER:
+    solver = _form(space).kind == SOLVER
+    if solver:
         f = _crust_lp(space, u / nu)
     elif np.abs(partner).max() == 0.0:  # u / ||u|| = e
         return None
@@ -131,7 +135,13 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
         f = f if f @ partner >= 1.0 - 1e-9 else None
     if f is None:
         return None
-    ok = np.abs(partner).max() > 1e-12 and p_orthogonal(space, u, partner, math.inf).is_orthogonal
+    if np.abs(partner).max() <= 1e-12:
+        ok = False
+    elif solver:  # u perp_inf partner iff ||u/||u|| +- partner/||partner|| || = 1
+        a, b = u / nu, partner / norm(space, partner)
+        ok = np.abs(batch_norms(space, np.array([a + b, a - b])) - 1.0).max() <= 1e-9
+    else:
+        ok = p_orthogonal(space, u, partner, math.inf).is_orthogonal
     return CrustResult(f, partner, bool(ok))
 
 

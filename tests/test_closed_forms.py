@@ -1,8 +1,9 @@
-"""Closed forms on lattice cones (unique cone coefficients) against the LPs
-they replace, called directly, and a count of the solver calls: none on the
-default families, none but membership checks for the order-unit
-constructions on a tabled non-simplicial cone, and the LP fallbacks above
-the table cap."""
+"""Closed forms against the LPs they replace, called directly: on lattice
+cones (unique cone coefficients), and on non-simplicial cones with tables,
+where membership reads the facet normals and the least-l1 maximizers and
+the dual split read a minimizing basis. Then a count of the solver calls:
+none on the default families, none on a tabled non-simplicial cone but the
+base positive support's two, and the LP fallbacks above the table cap."""
 
 import contextlib
 import io
@@ -11,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import PENTAGON, decompose_l1_lp, serialize_space_spec
-from portho import cli, cones, linalg
+from oracles import NON_SIMPLICIAL_CONES, PENTAGON, decompose_l1_lp, serialize_space_spec
+from portho import cli, cones, linalg, spaces
 from portho.cones import _contains_lp, cone_contains, dual_cone_contains, nonneg_orthant, ray_cone
 from portho.decomp import (
+    _dual_split,
     _dual_split_lp,
     dual_one_orth_decompose,
     infty_orth_decompose,
@@ -22,7 +24,16 @@ from portho.decomp import (
 )
 from portho.errors import InputError
 from portho.harness import default_families, sample_cone
-from portho.spaces import _dual_ball_lp, base_space, dual_norm, norm, order_unit, order_unit_space
+from portho.spaces import (
+    _dual_ball_lp,
+    _evaluate,
+    base_space,
+    dual_norm,
+    norm,
+    norming,
+    order_unit,
+    order_unit_space,
+)
 from portho.support import (
     _crust_lp,
     _positive_support_base_lp,
@@ -186,6 +197,169 @@ def test_l1_decomposition_lp_matches_the_split(family, draw):
         assert d.u1 == pytest.approx(u1, abs=1e-9) and d.u2 == pytest.approx(u2, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# non-simplicial cones with tables: the pentagon (the cone of the ou_ray5 and
+# base_ray5 families, unit (0, 0, 1)) and the other test cones
+
+
+# the test cones whose facet table is within the cap (m8n5 has C(16, 5) subsets)
+FACET_TABLED = [n for n in sorted(NON_SIMPLICIAL_CONES) if ray_cone(NON_SIMPLICIAL_CONES[n]).facet_bases is not None]
+
+
+def _tabled_spaces(name):
+    """The order-unit and base spaces over a non-simplicial test cone: on
+    the pentagon those of (0, 0, 1), elsewhere the order unit sum(G) and a
+    base functional near the last coordinate."""
+    G = NON_SIMPLICIAL_CONES[name]
+    cone = ray_cone(G)
+    if name == "pentagon":
+        e = phi = np.array([0.0, 0.0, 1.0])
+    else:
+        e, phi = G.sum(axis=0), np.eye(cone.ambient_dim)[-1]
+    return order_unit_space(cone, e), base_space(cone, phi)
+
+
+def _polyhedral_draw(V, W, rng, draw):
+    """A draw for the cone generated by the rows of V, which lies on the
+    nonnegative side of every row of W (its facet normals; for a dual cone,
+    the generators). One row of W that vanishes on n - 1 or more rows of V,
+    a facet, is picked: an interior draw (every row of V, positive weights),
+    a boundary draw (the rows of V on that facet) or an outside draw (an
+    interior one moved past the facet by a tenth of its largest entry);
+    scaled by 10^s, s uniform in [-3, 6]."""
+    W = W / np.linalg.norm(W, axis=1)[:, None]
+    n = V.shape[1]
+    on = np.abs(W @ V.T) <= 1e-9 * np.linalg.norm(V, axis=1)
+    W, on = W[on.sum(axis=1) >= n - 1], on[on.sum(axis=1) >= n - 1]
+    j = int(rng.integers(len(W)))
+    x = rng.uniform(0.2, 1.5, size=len(V)) @ V
+    if draw == "boundary":
+        x = rng.uniform(0.2, 1.5, size=on[j].sum()) @ V[on[j]]
+    elif draw == "outside":
+        x = x - (W[j] @ x + 0.1 * np.abs(x).max()) * W[j]
+    return x * 10.0 ** rng.uniform(-3.0, 6.0)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+@pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL_CONES))
+def test_facet_membership_matches_the_membership_lp(name, draw):
+    cone = ray_cone(NON_SIMPLICIAL_CONES[name])
+    assert cone.coefficient_basis is None and cone.facet_normals is not None
+    rng = _rng(name, draw, "membership")
+    for _ in range(30):
+        x = _polyhedral_draw(cone.generators, cone.facet_normals, rng, draw)
+        tol = 1e-9 * np.abs(x).max()
+        expected = draw != "outside"
+        assert cone_contains(cone, x, tol) is expected
+        assert _contains_lp(cone, x, tol) is expected
+
+
+@pytest.mark.parametrize("block", [spaces._BLOCK_ENTRIES, 3 * 5])
+def test_least_l1_argmin_is_a_minimizing_basis_in_every_block(monkeypatch, block):
+    # 15 entries hold less than one basis's 6 x 5: then each basis is a block
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", block)
+    base = _tabled_spaces("m8n5")[1]
+    form = spaces._form(base)
+    S, inv = form.bases
+    X = np.random.default_rng(8).normal(size=(6, 5))
+    best, at = spaces._least_l1(X, form.bases, form.w, argmin=True)
+    sums = (np.abs(np.einsum("kij,rj->rki", inv, X)) * form.w[S]).sum(axis=2)
+    assert best == pytest.approx(sums.min(axis=1), rel=1e-12)
+    assert sums[np.arange(len(X)), at] == pytest.approx(best, rel=1e-12)
+    assert np.array_equal(best, spaces._least_l1(X, form.bases, form.w))
+    for x, b in zip(X, best):
+        S_k, _, c = spaces._minimizing_basis(form, x)
+        assert float(form.w[S_k] @ np.abs(c)) == pytest.approx(b, rel=1e-12)
+
+
+def _check_maximizer(space, x, dual, z, z_lp=None):
+    """z attains the form at x within the other direction's unit ball, and
+    equals the LP's maximizer z_lp when given."""
+    value = float(_evaluate(space, x[None], dual)[0])
+    assert float(z @ x) == pytest.approx(value, rel=1e-12)
+    assert _evaluate(space, z[None], not dual)[0] <= 1.0 + 1e-12
+    if z_lp is not None:
+        assert z == pytest.approx(z_lp, abs=1e-9)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+@pytest.mark.parametrize("name, kind", [(n, "base") for n in sorted(NON_SIMPLICIAL_CONES)]
+                         + [(n, "order_unit") for n in FACET_TABLED])
+def test_least_l1_maximizers_match_the_dual_ball_lp(name, kind, draw):
+    # the base norm (primal, over the generator table) at cone points, and
+    # the order-unit dual norm (over the facet table) at dual-cone points
+    ou, base = _tabled_spaces(name)
+    G, H = ou.cone.generators, ou.cone.facet_normals
+    space, dual, V, W = (base, False, G, H) if kind == "base" else (ou, True, H, G)
+    assert spaces._form(space, dual).kind == spaces.L1
+    rng = _rng(name, kind, draw, "maximizer")
+    for _ in range(20):
+        x = _polyhedral_draw(V, W, rng, draw)
+        value, z_lp = _dual_ball_lp(space, x, dual)
+        assert float(_evaluate(space, x[None], dual)[0]) == pytest.approx(value, rel=1e-9)
+        # a boundary draw has a zero coefficient and several maximizers
+        _check_maximizer(space, x, dual, norming(space, x, dual), None if draw == "boundary" else z_lp)
+
+
+@pytest.mark.parametrize("kind", ["base", "order_unit"])
+def test_face_inputs_take_the_dual_ball_lp_and_stay_correct(monkeypatch, kind):
+    # a generator (base norm) or a facet normal (order-unit dual norm) of the
+    # pentagon has zero (or rounding-level) coefficients in its minimizing
+    # basis, whose dual solution may leave the other unit ball: then the
+    # maximizer is the LP's, at most one per input
+    ou, base = _tabled_spaces("pentagon")
+    space, dual = (base, False) if kind == "base" else (ou, True)
+    V = ou.cone.generators if kind == "base" else ou.cone.facet_normals
+    calls = []
+    solve = spaces._dual_ball_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(spaces, "_dual_ball_lp", counted)
+    for v in V:
+        for s in (1e-3, 1.0, 1e6):
+            before = len(calls)
+            _check_maximizer(space, s * v, dual, norming(space, s * v, dual))
+            assert len(calls) - before <= 1
+    assert len(calls) >= 5
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+@pytest.mark.parametrize("name", FACET_TABLED)
+def test_dual_split_of_the_minimizing_basis_matches_its_lp(name, draw):
+    space = _tabled_spaces(name)[0]
+    G, H, e = space.cone.generators, space.cone.facet_normals, space.norm.unit
+    rng = _rng(name, draw, "split")
+    for _ in range(20):
+        f = _polyhedral_draw(H, G, rng, draw)  # inside, on or outside the dual cone
+        f1, f2 = _dual_split(space, f)
+        g1, g2 = _dual_split_lp(space, f)
+        scale = np.abs(f).max()
+        assert f1 - f2 == pytest.approx(f, abs=1e-12 * scale)
+        assert float((f1 + f2) @ e) == pytest.approx(dual_norm(space, f), rel=1e-12)
+        assert float((f1 + f2) @ e) == pytest.approx(float((g1 + g2) @ e), rel=1e-9)
+        for half in (f1, f2):
+            assert np.all(G @ half >= -1e-12 * scale)
+        if name == "pentagon":
+            assert dual_one_orth_decompose(space, f).status == "optimal"
+
+
+def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monkeypatch):
+    # Theorem 3.3 (1) on the normalized pair, not the grid's LP per grid row
+    e = np.array([0.0, 0.0, 1.0])
+    points = [0.7 * PENTAGON[0] + 0.4 * PENTAGON[1], 0.2 * PENTAGON[2] + 1.3 * PENTAGON[3]]
+    tabled = [crust_probe(order_unit_space(ray_cone(PENTAGON), e), u) for u in points]
+    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    for u, want in zip(points, tabled):
+        before = len(lp_calls)
+        res = crust_probe(order_unit_space(ray_cone(PENTAGON), e), u)
+        assert 1 <= len(lp_calls) - before <= 9
+        assert res.partner_orthogonal is want.partner_orthogonal
+        assert res.functional == pytest.approx(want.functional, abs=1e-9)
+
+
 @pytest.fixture
 def lp_calls(monkeypatch):
     """Counts solver calls through every binding of `solve_lp` in portho."""
@@ -272,9 +446,9 @@ def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, k
 
 
 def test_a_tabled_non_simplicial_cone_takes_the_facet_closed_forms(lp_calls):
-    # each membership check (cone_contains) of the pentagon is one LP; the
-    # order-unit support functional, positive support and crust add none
-    calls = _pentagon_calls(lp_calls, "order_unit")
-    assert calls["cone_contains"] == 1 and calls["support_functional"] == 0, calls
-    assert calls["positive_support"] == 1, calls  # the argument's membership
-    assert calls["crust_probe"] == 1, calls  # u's; the orthogonality test solves none
+    # membership reads the facet normals, the maximizers and the dual split a
+    # minimizing basis; only the base positive support keeps its two LPs
+    for kind in ("order_unit", "base"):
+        calls = _pentagon_calls(lp_calls, kind)
+        expected = {name: 2 if (kind, name) == ("base", "positive_support") else 0 for name in calls}
+        assert calls == expected, kind
