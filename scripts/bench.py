@@ -5,11 +5,13 @@ the eigensolver, the constructions and the LP solver, and the suites of
 
 Decider slice: for every default family and every exponent p in
 {1, 1.5, 2, inf}, one fixed seeded pair is decided on the grid by
-`p_orthogonal_numeric` (primal) and `dual_p_orthogonal_numeric` (dual),
-and by `p_orthogonal`, exact where it can be, in the norm (primal_route)
-and with dual=True in the dual norm (dual_route). A portho whose
-`p_orthogonal` has no `dual` option decided dual pairs only on the grid,
-so there dual_route times `dual_p_orthogonal_numeric`. The random pair is
+`p_orthogonal_numeric` in the norm (primal) and with dual=True in the dual
+norm (dual), and by `p_orthogonal`, exact where it can be, in the norm
+(primal_route) and with dual=True in the dual norm (dual_route). On a
+portho whose `p_orthogonal_numeric` has no `dual` option, dual times the
+same decision as `ortho.verdict_from_norm` against `batch_dual_norms`; on
+one whose `p_orthogonal` has no `dual` option, dual_route times the dual
+grid too. The random pair is
 not orthogonal, so on the exact route it times the test and the grid
 witness of its "not_orthogonal". Under "<family>:split" the same sides
 decide the positive and negative parts of the pair's first vector by its
@@ -19,9 +21,10 @@ decided in: the space's own, or its conjugate on the dual sides.
 
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
-`norm` / `dual_norm` calls), DECIDER_ROWS (the default k grid: the block the
-grid decider hands the row oracle at finite p) and 2^15 / dim (the most rows
-one block of the decider may hold, `ortho._BLOCK_ENTRIES` entries). The key
+`norm` / `dual_norm` calls), DECIDER_ROWS (the k grid `ortho.K_GRID`: the
+block the grid decider hands the row oracle at finite p) and 2^15 / dim (the
+most rows one block of the decider may hold, `spaces._BLOCK_ENTRIES`
+entries). The key
 under each family is the row count.
 
 Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded symmetric
@@ -73,7 +76,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_12.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_13.json
 """
 
 import argparse
@@ -98,11 +101,9 @@ import portho  # noqa: E402
 from portho import (  # noqa: E402
     cone_contains,
     LpProblem,
-    OrthoConfig,
     base_space,
     crust_probe,
     dual_one_orth_decompose,
-    dual_p_orthogonal_numeric,
     eigen_sym,
     opt_decompose,
     order_unit_space,
@@ -124,12 +125,18 @@ from portho.harness import (  # noqa: E402
 from portho.spaces import batch_dual_norms, batch_norms  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
+# the dual grid decision, spelled out as the row oracle batch_dual_norms on
+# a portho before the `dual` option of `p_orthogonal_numeric`
+DUAL_GRID = (functools.partial(p_orthogonal_numeric, dual=True)
+             if "dual" in inspect.signature(p_orthogonal_numeric).parameters
+             else lambda space, f, g, p: portho.ortho.verdict_from_norm(
+                 lambda F: batch_dual_norms(space, F), f, g, p))
 SIDES = (
     ("primal", p_orthogonal_numeric),
-    ("dual", dual_p_orthogonal_numeric),
+    ("dual", DUAL_GRID),
     ("primal_route", p_orthogonal),
     ("dual_route", functools.partial(p_orthogonal, dual=True)
-     if "dual" in inspect.signature(p_orthogonal).parameters else dual_p_orthogonal_numeric),
+     if "dual" in inspect.signature(p_orthogonal).parameters else DUAL_GRID),
 )
 ORACLES = (("batch_norms", batch_norms), ("batch_dual_norms", batch_dual_norms))
 WARMUP = 20
@@ -150,7 +157,8 @@ PENTAGON = np.array(
 )
 PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
 LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
-DECIDER_ROWS = len(OrthoConfig().k_grid)  # the default k grid: 35 scalars
+# the k grid, 35 scalars (`ortho._DEFAULT_GRID` in a portho before K_GRID)
+DECIDER_ROWS = len(getattr(portho.ortho, "K_GRID", None) or portho.ortho._DEFAULT_GRID)
 BLOCK_ENTRIES = 2**15  # the most entries one block of the grid decider holds
 EIGEN_SIDES = (2, 4, 8, 16, 32)
 REFERENCE_US = 1600.0  # nominal reference-loop time the figures are scaled to
@@ -382,7 +390,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_12.json")
+    ap.add_argument("--out", default="BENCH_13.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -30,9 +30,8 @@ from .errors import InputError, SpecError, UnsupportedError
 from .harness import SUITE_IDS, SuiteReport, build_example_46, default_families, run_suite
 from .linalg import LpOutcome, LpProblem, eigen_sym, solve_lp
 from .ortho import (
-    OrthoConfig,
+    K_GRID,
     OrthoVerdict,
-    dual_p_orthogonal_numeric,
     orthonormal_set_verify,
     p_orthogonal,
     p_orthogonal_exact,
@@ -86,9 +85,8 @@ __all__ = [
     "LpProblem",
     "eigen_sym",
     "solve_lp",
-    "OrthoConfig",
+    "K_GRID",
     "OrthoVerdict",
-    "dual_p_orthogonal_numeric",
     "orthonormal_set_verify",
     "p_orthogonal",
     "p_orthogonal_exact",

@@ -73,7 +73,9 @@ class ConeSpec:
         """Rows h_i with the cone = {x : H x >= 0}: the rows of B^-1 when
         coefficient_basis exists; otherwise the unit normals of the
         hyperplanes spanned by n-1 independent generators with G h >= 0,
-        deduplicated. None for the psd cone or above the subset cap."""
+        deduplicated; no rows (shape (0, n)) for a cone with no facets, the
+        whole space. None for the psd cone, for generators that span less
+        than R^n, or above the subset cap."""
         if self.coefficient_basis is not None:
             return self.coefficient_basis[1]
         if self.kind != RAYS:
@@ -82,8 +84,9 @@ class ConeSpec:
         m, n = G.shape
         if math.comb(m, n - 1) > MAX_TABLE_SUBSETS or not _full_rank(G):
             return None
-        if n == 1:
-            return np.sign(G[:1])
+        if n == 1:  # a half-line, or the whole line when the signs differ
+            signs = np.unique(np.sign(G))
+            return signs[:, None] if signs.size == 1 else np.empty((0, 1))
         subsets = G[np.array(list(itertools.combinations(range(m), n - 1)))]
         _, s, vt = np.linalg.svd(subsets)
         h = vt[s[:, -1] > _RANK_TOL * s[:, 0], -1]
@@ -95,7 +98,7 @@ class ConeSpec:
         for row in h:
             if not any(np.abs(row - kept).max() <= 1e-9 for kept in normals):
                 normals.append(row)
-        return np.array(normals)
+        return np.array(normals).reshape(-1, n)
 
     @cached_property
     def generator_bases(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -231,6 +234,10 @@ def cone_proper_generating(cone: ConeSpec, tol: float = DEFAULT_TOL) -> ConeRepo
     G = cone.generators
     m, n = G.shape
     generating = np.linalg.matrix_rank(G, tol=1e-10) == n
+    H = cone.facet_normals
+    if H is not None:
+        # the cone {x : H x >= 0} holds the line of x iff H x = 0
+        return ConeReport(bool(np.linalg.matrix_rank(H, tol=1e-10) == n), bool(generating))
     # proper iff no nontrivial nonnegative combination of generators vanishes:
     # feasibility of G^T a = 0, sum(a) = 1, a >= 0 means the cone has a line
     eq = np.vstack([G.T, np.ones(m)])

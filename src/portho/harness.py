@@ -33,7 +33,7 @@ from .decomp import (
     p_aggregate,
 )
 from .errors import InputError
-from .ortho import OrthoConfig, p_orthogonal, p_orthogonal_exact
+from .ortho import check_tol, p_orthogonal, p_orthogonal_exact
 from .spaces import (
     L1,
     LP,
@@ -416,7 +416,7 @@ def _suite_thm33(space, rng, tol):
         return None
     t = max(tol, 1e-8)
     s1, s3, _ = _thm33_statements(space, u1, u2, t)
-    s2 = p_orthogonal(space, u1, u2, INF, OrthoConfig(tol=t)).is_orthogonal
+    s2 = p_orthogonal(space, u1, u2, INF, tol=t).is_orthogonal
     if not (s1 == s2 == s3):
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}{int(s3)}", math.nan, u1=u1, u2=u2)
     return None
@@ -445,7 +445,7 @@ def _suite_cor38(space, rng, tol):
     n1, n2 = norm(space, u1), norm(space, u2)
     if n1 < 1e-9 or n2 < 1e-9:
         return None
-    orth = p_orthogonal(space, u1, u2, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal
+    orth = p_orthogonal(space, u1, u2, INF, tol=max(tol, 1e-8)).is_orthogonal
     dominated = _c.cone_contains(space.cone, e - u1 / n1 - u2 / n2, tol=1e-8)
     if orth != dominated:
         return _cx("order_unit_bound", math.nan, u1=u1, u2=u2)
@@ -508,7 +508,7 @@ def _suite_rem311(space, rng, tol):
         return None
     v = B @ w
     v = v / norm(space, v)
-    if not p_orthogonal(space, u, v, INF, OrthoConfig(tol=max(tol, 1e-8))).is_orthogonal:
+    if not p_orthogonal(space, u, v, INF, tol=max(tol, 1e-8)).is_orthogonal:
         return None  # not a partner; nothing to dominate
     if not _c.cone_contains(space.cone, greatest - v, tol=1e-9):
         return _cx("not_dominated", math.nan, u=u, v=v)
@@ -535,9 +535,9 @@ def _suite_thm41(space, rng, tol):
     f2 = positive_support(space, u2).functional
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
-    s1 = cross_ok and p_orthogonal(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal
+    s1 = cross_ok and p_orthogonal(space, u1, u2, 1.0, tol=t).is_orthogonal
     restricted, g1, g2 = _restrictions(space, u1 / n1, u2 / n2, f1, f2)
-    s2 = p_orthogonal(restricted, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal
+    s2 = p_orthogonal(restricted, g1, g2, INF, tol=t).is_orthogonal
     if s1 != s2:
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}", math.nan, u1=u1, u2=u2)
     return None
@@ -559,7 +559,7 @@ def _suite_rem42(space, rng, tol):
     gap = abs(norm(restricted, g1 + g2) - 1.0)
     if gap > t:
         return _cx("restricted_sum_norm", gap, u1=u1, u2=u2)
-    if not p_orthogonal(restricted, g1, g2, INF, OrthoConfig(tol=t)).is_orthogonal:
+    if not p_orthogonal(restricted, g1, g2, INF, tol=t).is_orthogonal:
         return _cx("restricted_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 
@@ -575,7 +575,7 @@ def _suite_lem43(space, rng, tol):
     t = max(tol, 1e-8)
     if abs(f1 @ u2) > t * n2 or abs(f2 @ u1) > t * n1:
         return None  # hypothesis not met
-    if not p_orthogonal(space, u1, u2, 1.0, OrthoConfig(tol=t)).is_orthogonal:
+    if not p_orthogonal(space, u1, u2, 1.0, tol=t).is_orthogonal:
         return _cx("one_orthogonality", math.nan, u1=u1, u2=u2)
     return None
 
@@ -631,9 +631,9 @@ def _suite_ex46(space, rng, tol, samples, n: int = 2049):
           float(np.abs(f - (g1 - g2)).max()))
     check("parts_sum_norm_one", norm(sp, fplus / fplus.max() + fminus / fminus.max()) == 1.0)
     check("halfangle_sum_norm_one", norm(sp, g1 + g2) == 1.0)
-    v1 = p_orthogonal(sp, fplus, fminus, INF, OrthoConfig(tol=t))
+    v1 = p_orthogonal(sp, fplus, fminus, INF, tol=t)
     check("parts_orthogonal", v1.is_orthogonal, v1.worst_residual)
-    v2 = p_orthogonal(sp, g1, g2, INF, OrthoConfig(tol=t))
+    v2 = p_orthogonal(sp, g1, g2, INF, tol=t)
     check("halfangle_orthogonal", v2.is_orthogonal, v2.worst_residual)
     gap = float(np.abs(fplus - g1).max())
     check("max_gap_half", abs(gap - 0.5) <= t, gap - 0.5)
@@ -763,7 +763,7 @@ def run_suite(
         raise InputError(f"unknown suite {suite!r}")
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    OrthoConfig(tol=tol)  # raises InputError unless tol is finite and nonnegative
+    check_tol(tol)
     if space is None:
         space = default_families()[DEFAULT_FAMILY[suite]]
     body, supports = SUITES[suite]

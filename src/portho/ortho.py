@@ -2,11 +2,11 @@
 
 The defining identity quantifies over every real scalar k, which a norm
 oracle cannot certify in general; the numeric decider is a semi-decision
-over a geometric grid of scalars. Each `OrthoConfig` orders its grid by
-(|k|, k) and deduplicates it once, when it is built (the default grid once,
-at import), so a decision at finite p sorts nothing; only for p = inf does
-a decision pay one lexsort, to merge the sweep around |k| = ||x||/||y||
-(one fixed array of ratios, scaled per decision) into the grid.
+over one geometric grid of scalars, `K_GRID`. Its (|k|, k) order is
+computed once, at import, so a decision at finite p sorts nothing; only for
+p = inf does a decision pay one lexsort, to merge the sweep around
+|k| = ||x||/||y|| (one fixed array of ratios, scaled per decision) into the
+grid. The one setting of a decision is its tolerance `tol`.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead,
 reading the closed form of the norm or of the dual norm (`spaces._form`): at
@@ -27,6 +27,7 @@ import numpy as np
 from .cones import as_matrix
 from .errors import InputError
 from .spaces import (
+    _BLOCK_ENTRIES,
     EIGEN,
     L1,
     MAX,
@@ -43,9 +44,8 @@ from .spaces import (
 
 INF = math.inf
 
-_DEFAULT_GRID = tuple(
-    sorted({0.0} | {s * 2.0**j for j in range(-8, 9) for s in (1.0, -1.0)})
-)
+# the decider's scalars, sorted: 0 and +-2^j for j = -8..8 (35 scalars)
+K_GRID = tuple(sorted({0.0} | {s * 2.0**j for j in range(-8, 9) for s in (1.0, -1.0)}))
 
 # ratios t of the p = inf sweep: the scalars +-t ||x||/||y|| around the
 # crossing of the two sides of the max-form identity
@@ -63,69 +63,31 @@ def _order_unique(k: np.ndarray) -> np.ndarray:
     return k[keep]
 
 
-def _ordered_grid(ks: tuple):
-    """The distinct scalars of ks in (|k|, k) order, as a read-only array,
-    and sorted, as a tuple."""
-    order = _order_unique(np.array(ks))
-    order.flags.writeable = False
-    return order, tuple(np.sort(order).tolist())
+_K_ORDER = _order_unique(np.array(K_GRID))  # K_GRID in (|k|, k) order
+_K_ORDER.flags.writeable = False
 
 
-# shared by every config on the default grid
-_DEFAULT_ORDERED = _ordered_grid(_DEFAULT_GRID)
-
-
-@dataclass(frozen=True)
-class OrthoConfig:
-    """The decider's scalar grid (finite, with 0 and scalars of both signs)
-    and its tolerance (finite, nonnegative): on the residual of the grid
-    route; on the exact route, relative to the norms of x and y scaled to
-    unit largest entry, and the width of the slopes' active sets.
-
-    Each instance holds its grid's distinct scalars in (|k|, k) order and
-    as a sorted tuple, computed once here, never looked up by grid value:
-    grids that differ only in the sign of zero compare equal as tuples."""
-
-    k_grid: tuple = _DEFAULT_GRID
-    tol: float = 1e-9
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
-    _sorted: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.k_grid is _DEFAULT_GRID:
-            order, grid = _DEFAULT_ORDERED
-        else:
-            try:
-                ks = tuple(map(float, self.k_grid))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"k grid must hold real scalars: {exc}") from exc
-            if not all(map(math.isfinite, ks)):
-                raise InputError("k grid must hold finite scalars")
-            if 0.0 not in ks or not any(k > 0 for k in ks) or not any(k < 0 for k in ks):
-                raise InputError("k grid must contain 0 and scalars of both signs")
-            object.__setattr__(self, "k_grid", ks)
-            order, grid = _ordered_grid(ks)
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise InputError(f"tol must be finite and nonnegative, got {self.tol}")
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_sorted", grid)
-
-
-_DEFAULT_CONFIG = OrthoConfig()
+def check_tol(tol: float) -> None:
+    """Raise InputError unless the tolerance tol is finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass(frozen=True)
 class OrthoVerdict:
-    """A decision of x perp_p y.
+    """A decision of x perp_p y at the tolerance tol (finite, nonnegative).
 
     On the grid route (method "grid") worst_residual is the largest scaled
-    residual of the identity over the scalars k_grid, attained at witness_k;
-    its "orthogonal" is evidence, not proof. On the exact route ("exact":
-    the slope rule at p = 1 and inf, or a power form at its own p) the
-    verdict is decided: an "orthogonal" one carries residual 0.0, witness
-    0.0 and an empty k_grid; a "not_orthogonal" one carries the grid
-    decider's residual, witness and grid, so only failures pay for the grid
-    (that residual lies below the tolerance when the violation falls
+    residual of the identity over the scalars k_grid (`K_GRID`, plus the
+    sweep around |k| = ||x||/||y|| at p = inf), attained at witness_k; it is
+    "orthogonal" when that residual is at most tol, which is evidence, not
+    proof. On the exact route ("exact": the slope rule at p = 1 and inf, or
+    a power form at its own p; tol is relative to the norms of x and y
+    scaled to unit largest entry, and the width of the slopes' active sets)
+    the verdict is decided: an "orthogonal" one carries residual 0.0,
+    witness 0.0 and an empty k_grid; a "not_orthogonal" one carries the
+    grid decider's residual, witness and grid, so only failures pay for the
+    grid (that residual lies below the tolerance when the violation falls
     between the grid's scalars)."""
 
     verdict: str  # "orthogonal" | "not_orthogonal"
@@ -139,17 +101,13 @@ class OrthoVerdict:
         return self.verdict == "orthogonal"
 
 
-# entries of the k-grid matrix x + k y handed to the row oracle at once: one
-# block holds the whole grid at small dimension and bounds memory at large
-_BLOCK_ENTRIES = 2**15
-
-
-def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) -> OrthoVerdict:
+def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdict:
     """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
-    returns the norms of the rows of W as an array."""
+    returns the norms of the rows of W as an array. The grid x + k y goes
+    to the oracle in blocks of at most `spaces._BLOCK_ENTRIES` entries."""
+    check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
-    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -160,15 +118,15 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     nx, ny = norms_fn(xy).tolist()
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
-        return OrthoVerdict("orthogonal", 0.0, 0.0, cfg._sorted)
+        return OrthoVerdict("orthogonal", 0.0, 0.0, K_GRID)
     if math.isinf(p):
         # the two sides of the max-form identity cross at |k| = ||x||/||y||;
         # violations concentrate there, so sweep that neighbourhood too
         r = nx / ny
-        k = _order_unique(np.concatenate([cfg._order, r * _SWEEP, -r * _SWEEP]))
+        k = _order_unique(np.concatenate([_K_ORDER, r * _SWEEP, -r * _SWEEP]))
         grid = tuple(np.sort(k).tolist())
     else:
-        k, grid = cfg._order, cfg._sorted
+        k, grid = _K_ORDER, K_GRID
     rows = max(1, _BLOCK_ENTRIES // x.size)
     lhs = np.concatenate(
         [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
@@ -194,42 +152,37 @@ def verdict_from_norm(norms_fn, x, y, p: float, cfg: OrthoConfig | None = None) 
     res[np.isnan(res)] = 0.0
     i = int(np.argmax(res))
     worst = float(res[i])
-    verdict = "orthogonal" if worst <= cfg.tol else "not_orthogonal"
+    verdict = "orthogonal" if worst <= tol else "not_orthogonal"
     return OrthoVerdict(verdict, worst, float(k[i]), grid)
 
 
 def p_orthogonal_numeric(
-    space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None
+    space: SpaceSpec, x, y, p: float, tol: float = 1e-9, dual: bool = False
 ) -> OrthoVerdict:
-    return verdict_from_norm(lambda W: batch_norms(space, W), x, y, p, cfg)
-
-
-def dual_p_orthogonal_numeric(
-    space: SpaceSpec, f, g, p: float, cfg: OrthoConfig | None = None
-) -> OrthoVerdict:
-    """Same decision taken in the dual: the row oracle is batch_dual_norms."""
-    return verdict_from_norm(lambda F: batch_dual_norms(space, F), f, g, p, cfg)
+    """Grid semi-decision of x perp_p y in the norm of the space, or in its
+    dual norm for dual=True (the row oracle is then batch_dual_norms)."""
+    batch = batch_dual_norms if dual else batch_norms
+    return verdict_from_norm(lambda W: batch(space, W), x, y, p, tol)
 
 
 def p_orthogonal(
-    space: SpaceSpec, x, y, p: float, cfg: OrthoConfig | None = None, dual: bool = False
+    space: SpaceSpec, x, y, p: float, tol: float = 1e-9, dual: bool = False
 ) -> OrthoVerdict:
     """Decide x perp_p y in the norm of the space, or in its dual norm for
     dual=True: exactly by the slope rule (`_slope_rule`) or, for a power
     form at its own p, in the lp norm of the coordinates scaled by w^(1/p),
-    on x and y scaled to unit largest entry at the relative tolerance
-    cfg.tol; on the grid where neither applies."""
+    on x and y scaled to unit largest entry at the relative tolerance tol;
+    on the grid where neither applies."""
+    check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
-    cfg = _DEFAULT_CONFIG if cfg is None else cfg
-    grid = dual_p_orthogonal_numeric if dual else p_orthogonal_numeric
     form = _form(space, dual)
     power = form.kind == POWER and p == form.p
     slopes = (p == 1.0 or math.isinf(p)) and (
         form.kind in (MAX, EIGEN) or form.kind == L1 and (form.bases is None or len(form.bases[0]) == 1)
     )
     if not (power or slopes):
-        return grid(space, x, y, p, cfg)
+        return p_orthogonal_numeric(space, x, y, p, tol, dual)
     xy = np.array([_check_vec(space, x), _check_vec(space, y)])
     if power and form.w is not None:
         xy = xy * form.w ** (1.0 / p)
@@ -238,11 +191,12 @@ def p_orthogonal(
     if not (math.isfinite(mx) and math.isfinite(my)):
         raise InputError("x and y must have finite entries")
     if mx == 0.0 or my == 0.0 or (
-        p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, cfg.tol) if power
-        else _slope_rule(space, form, xy / m[:, None], p, cfg.tol, dual)
+        p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol) if power
+        else _slope_rule(space, form, xy / m[:, None], p, tol, dual)
     ):
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
-    return replace(grid(space, x, y, p, cfg), verdict="not_orthogonal", method="exact")
+    grid = p_orthogonal_numeric(space, x, y, p, tol, dual)
+    return replace(grid, verdict="not_orthogonal", method="exact")
 
 
 def _slope_rule(space: SpaceSpec, form, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:
@@ -319,7 +273,7 @@ def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
         scale = 1.0 + np.abs(x).max() * np.abs(y).max()
         return bool(abs(float(x @ y)) <= tol * scale)
     if math.isinf(p):
-        return p_orthogonal(sup_space(x.size), x, y, INF, OrthoConfig(tol=tol)).is_orthogonal
+        return p_orthogonal(sup_space(x.size), x, y, INF, tol).is_orthogonal
     return not bool(np.any((np.abs(x) > tol) & (np.abs(y) > tol)))
 
 
@@ -335,18 +289,16 @@ class OrthoSetReport:
         return self.pairwise_ok and self.unit_norms_ok and self.total
 
 
-def orthonormal_set_verify(
-    space: SpaceSpec, U, p: float, cfg: OrthoConfig | None = None
-) -> OrthoSetReport:
+def orthonormal_set_verify(space: SpaceSpec, U, p: float, tol: float = 1e-9) -> OrthoSetReport:
     """Check that U is a p-orthonormal set, deciding every pair through
     `p_orthogonal`. The report's fields:
 
-    unit_norms_ok  every vector has norm one, within cfg.tol;
+    unit_norms_ok  every vector has norm one, within tol;
     pairwise_ok    every pair is p-orthogonal;
     total          U spans the space (rank equal to the dimension);
     failures       one entry per failed unit norm or pair.
     """
-    cfg = _DEFAULT_CONFIG if cfg is None else cfg
+    check_tol(tol)
     vectors = [np.asarray(u, dtype=float) for u in U]
     if not vectors:
         raise InputError("set must be nonempty")
@@ -356,13 +308,13 @@ def orthonormal_set_verify(
     failures = []
     unit_ok = True
     for i, u in enumerate(vectors):
-        if abs(norm(space, u) - 1.0) > cfg.tol:
+        if abs(norm(space, u) - 1.0) > tol:
             unit_ok = False
             failures.append(("unit_norm", i, norm(space, u)))
     pairwise_ok = True
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            v = p_orthogonal(space, vectors[i], vectors[j], p, cfg)
+            v = p_orthogonal(space, vectors[i], vectors[j], p, tol)
             if not v.is_orthogonal:
                 pairwise_ok = False
                 failures.append(("pairwise", (i, j), v.worst_residual, v.witness_k))

@@ -26,7 +26,11 @@ from .errors import InputError, SpecError
 from .linalg import LpProblem, eigen_sym, solve_lp
 
 INF = math.inf
-_BLOCK_ENTRIES = 2**15  # entries of one block of basic solutions in _least_l1
+# entries of one block: of basic solutions in _least_l1, and of the grid
+# x + k y that the grid decider (`ortho.verdict_from_norm`) hands the row
+# oracle, where one block holds the whole grid at small dimension and bounds
+# memory at large
+_BLOCK_ENTRIES = 2**15
 
 LP = "lp"
 SUP = "sup"

@@ -1,10 +1,11 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from portho import cli
+from portho import cli, cones
 from oracles import serialize_space_spec
 from portho.cli import main, parse_space_spec
 from portho.errors import InputError, SpecError, UnsupportedError
@@ -88,6 +89,13 @@ class TestParseSpaceSpec:
     def test_order_unit_not_interior(self):
         with pytest.raises(SpecError, match="order unit not interior"):
             parse_space_spec(_spec(norm={"kind": "order_unit", "unit": [1.0, 0.0, 1.0]}))
+
+    def test_pentagon_parse_solves_no_lp(self, monkeypatch):
+        # pointedness comes from the rank of the facet normals
+        calls = []
+        monkeypatch.setattr(cones, "solve_lp", lambda *a, **k: calls.append(a))
+        sp = parse_space_spec((pathlib.Path(__file__).parent / "data" / "base_pentagon.json").read_text())
+        assert sp.cone.kind == "rays" and calls == []
 
     def test_cone_not_proper(self):
         with pytest.raises(SpecError, match="cone not proper"):
@@ -350,6 +358,18 @@ class TestCommands:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "no_such_suite"]) == 2
+
+    @pytest.mark.parametrize(
+        "generators",
+        [[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]],
+        ids=["half_plane", "plane"],
+    )
+    def test_cone_with_a_line_exits_2(self, tmp_path, capsys, generators):
+        path = tmp_path / "line.json"
+        path.write_text(_spec(dim=2, cone={"kind": "rays", "generators": generators}), encoding="utf-8")
+        assert main(["support", "--space", str(path), "--v", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cone not proper" in captured.err
 
     def test_bad_space_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

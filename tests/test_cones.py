@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lifted_generators, pairing
+from portho import cones
 from portho.cones import (
     MAX_TABLE_SUBSETS,
     ConeSpec,
@@ -79,6 +80,33 @@ class TestProperGenerating:
         # proper fails (contains the x-axis), but differences span the plane
         rep = cone_proper_generating(ray_cone([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]))
         assert not rep.proper and rep.generating
+
+    @pytest.mark.parametrize(
+        "generators, proper",
+        [
+            (PENTAGON, True),
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], False),  # a half-plane
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], False),  # the plane
+            ([[1.0], [2.0]], True),  # a half-line
+            ([[1.0], [-2.0]], False),  # the line
+        ],
+        ids=["pentagon", "half_plane", "plane", "half_line", "line"],
+    )
+    def test_facet_normals_decide_pointedness_without_an_lp(self, generators, proper, monkeypatch):
+        # {x : H x >= 0} holds a line iff H has rank below n
+        calls = []
+        monkeypatch.setattr(cones, "solve_lp", lambda *a, **k: calls.append(a))
+        cone = ray_cone(generators)
+        rep = cone_proper_generating(cone)
+        assert (rep.proper, rep.generating, calls) == (proper, True, [])
+        assert cone.facet_normals.shape[1] == cone.ambient_dim
+
+    def test_a_cone_without_facets_holds_every_vector(self):
+        for generators in ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [[1.0], [-2.0]]):
+            cone = ray_cone(generators)
+            assert cone.facet_normals.shape == (0, cone.ambient_dim)
+            rng = np.random.default_rng(0)
+            assert all(cone_contains(cone, x) for x in rng.normal(size=(20, cone.ambient_dim)))
 
 
 class TestProperties:

@@ -6,11 +6,10 @@ import pytest
 
 from oracles import PENTAGON, additivity_spotcheck, exact_linf_by_loop, grid_verdict_by_loop
 from portho.errors import InputError
-from portho.harness import build_example_46, default_families
+from portho.harness import build_example_46, default_families, run_suite
 from portho.ortho import (
-    OrthoConfig,
+    K_GRID,
     OrthoVerdict,
-    dual_p_orthogonal_numeric,
     orthonormal_set_verify,
     p_orthogonal,
     p_orthogonal_exact,
@@ -65,30 +64,31 @@ class TestNumericDecider:
         with pytest.raises(InputError):
             p_orthogonal_numeric(lp_space(2, 2.0), [1.0, 0.0], [0.0, 1.0], 0.5)
 
-    def test_grid_requires_both_signs(self):
-        with pytest.raises(InputError):
-            OrthoConfig(k_grid=(0.0, 1.0, 2.0))
-
-    @pytest.mark.parametrize(
-        "grid", [(0.0, 1.0, -1.0, math.nan), (0.0, 1.0, -1.0, INF), (0.0, 1.0, -INF), (0.0, 1.0, -1.0, "a")]
-    )
-    def test_grid_rejects_non_finite_scalars(self, grid):
-        with pytest.raises(InputError, match="k grid"):
-            OrthoConfig(k_grid=grid)
-
     @pytest.mark.parametrize("tol", [math.nan, -1e-9, INF])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(InputError, match="tol"):
-            OrthoConfig(tol=tol)
+        # on the exact route (sup at p = inf), on the grid (lp2 at p = 1.5)
+        # and in both directions of the grid decider
+        x, y = [1.0, 0.0], [0.0, 1.0]
+        decisions = (
+            lambda: p_orthogonal(sup_space(2), x, y, INF, tol),
+            lambda: p_orthogonal(lp_space(2, 2.0), x, y, 1.5, tol),
+            lambda: p_orthogonal_numeric(lp_space(2, 2.0), x, y, 2.0, tol),
+            lambda: p_orthogonal_numeric(lp_space(2, 2.0), x, y, 2.0, tol, dual=True),
+            lambda: orthonormal_set_verify(lp_space(2, 2.0), [x, y], 2.0, tol),
+            lambda: run_suite("thm21_lp_characterization", samples=1, tol=tol),
+        )
+        for decide in decisions:
+            with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+                decide()
 
     @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
     def test_non_finite_input_rejected(self, bad):
         sp = sup_space(2)
-        for decide in (p_orthogonal_numeric, dual_p_orthogonal_numeric):
+        for dual in (False, True):
             with pytest.raises(InputError, match="finite"):
-                decide(sp, [bad, 1.0], [1.0, 0.0], INF)
+                p_orthogonal_numeric(sp, [bad, 1.0], [1.0, 0.0], INF, dual=dual)
             with pytest.raises(InputError, match="finite"):
-                decide(sp, [1.0, 0.0], [0.0, bad], 2.0)
+                p_orthogonal_numeric(sp, [1.0, 0.0], [0.0, bad], 2.0, dual=dual)
 
     def test_finite_input_whose_norm_power_overflows_rejected(self):
         # ||x||^p beyond the float range: an InputError naming the overflow,
@@ -120,7 +120,6 @@ class TestBatchedDeciderAgainstLoop:
     def test_generic_pairs(self, family):
         sp = _FAMILIES[family]
         rng = np.random.default_rng(31)
-        grid = OrthoConfig().k_grid
         for p in (1.0, 1.5, 2.0, INF):
             for _ in range(8):
                 x, y = rng.normal(size=(2, sp.dim))
@@ -128,9 +127,9 @@ class TestBatchedDeciderAgainstLoop:
                     d = sp.cone.side
                     x, y = ((v.reshape(d, d) + v.reshape(d, d).T).ravel() for v in (x, y))
                 got = p_orthogonal_numeric(sp, x, y, p)
-                self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, grid))
-                got = dual_p_orthogonal_numeric(sp, x, y, p)
-                self._check(got, grid_verdict_by_loop(lambda v: dual_norm(sp, v), x, y, p, grid))
+                self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, K_GRID))
+                got = p_orthogonal_numeric(sp, x, y, p, dual=True)
+                self._check(got, grid_verdict_by_loop(lambda v: dual_norm(sp, v), x, y, p, K_GRID))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
     @pytest.mark.parametrize("p", [2.0, INF])
@@ -145,7 +144,7 @@ class TestBatchedDeciderAgainstLoop:
             return
         got = p_orthogonal_numeric(sp, x, y, p)
         assert got.verdict == "orthogonal"
-        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, OrthoConfig().k_grid))
+        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, K_GRID))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
     def test_rows_overflowing_at_large_k_are_skipped(self):
@@ -166,84 +165,42 @@ class TestBatchedDeciderAgainstLoop:
         sp = _FAMILIES[family]
         i, j = (0, sp.dim - 1) if sp.norm.kind == "spectral" else (0, 1)
         x, y = 3.0 * np.eye(sp.dim)[i], 3.0 * np.eye(sp.dim)[j]
-        grid = OrthoConfig().k_grid
-        for decide, fn in ((p_orthogonal_numeric, norm), (dual_p_orthogonal_numeric, dual_norm)):
-            want = grid_verdict_by_loop(lambda v: fn(sp, v), x, y, INF, grid)
-            got = decide(sp, x, y, INF)
+        for dual, fn in ((False, norm), (True, dual_norm)):
+            want = grid_verdict_by_loop(lambda v: fn(sp, v), x, y, INF, K_GRID)
+            got = p_orthogonal_numeric(sp, x, y, INF, dual=dual)
             self._check(got, want)
             if fn(sp, x) == fn(sp, y):
-                assert len(got.k_grid) == len(grid) + 2 * 51 - 6
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, INF])
-    def test_custom_grid_unsorted_with_repeats_and_signed_zeros(self, p):
-        sp = lp_space(3, p)
-        x, y = np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 1.0])
-        for grid in ((3.0, -0.0, 1.0, -2.0, 1.0, 0.0, 3.0, -0.5), (0.0, 2.0, -0.0, -2.0, 2.0, 0.25)):
-            got = p_orthogonal_numeric(sp, x, y, p, OrthoConfig(k_grid=grid))
-            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, tuple(map(float, grid)))
-            self._check(got, want)
-            if p != INF:
-                assert [k.hex() for k in got.k_grid] == [k.hex() for k in want[3]]
-            # of 0.0 and -0.0 the one listed first stays
-            zero = next(k for k in got.k_grid if k == 0.0)
-            assert math.copysign(1.0, zero) == math.copysign(1.0, next(k for k in grid if k == 0.0))
+                assert len(got.k_grid) == len(K_GRID) + 2 * 51 - 6
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     def test_zero_argument_returns_the_sorted_distinct_grid(self, p):
         sp = lp_space(2, p)
-        cfg = OrthoConfig(k_grid=(3.0, -0.0, 1.0, -2.0, 1.0, 0.0))
-        want = [k.hex() for k in (-2.0, -0.0, 1.0, 3.0)]
+        want = [k.hex() for k in sorted(set(K_GRID))]
+        assert want[len(want) // 2] == (0.0).hex() and len(want) == 35
         for x, y in (([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0])):
-            got = p_orthogonal_numeric(sp, x, y, p, cfg)
-            assert (got.verdict, got.worst_residual, got.witness_k) == ("orthogonal", 0.0, 0.0)
-            assert [k.hex() for k in got.k_grid] == want
-            loop = grid_verdict_by_loop(lambda v: norm(sp, v), np.array(x), np.array(y), p, cfg.k_grid)
+            for dual in (False, True):
+                got = p_orthogonal_numeric(sp, x, y, p, dual=dual)
+                assert (got.verdict, got.worst_residual, got.witness_k) == ("orthogonal", 0.0, 0.0)
+                assert [k.hex() for k in got.k_grid] == want
+            loop = grid_verdict_by_loop(lambda v: norm(sp, v), np.array(x), np.array(y), p, K_GRID)
             assert [k.hex() for k in loop[3]] == want
         if p != INF:  # a nonzero pair scans the same grid (p = inf adds its sweep)
-            nonzero = p_orthogonal_numeric(sp, [1.0, 0.0], [0.0, 1.0], p, cfg)
+            nonzero = p_orthogonal_numeric(sp, [1.0, 0.0], [0.0, 1.0], p)
             assert [k.hex() for k in nonzero.k_grid] == want
 
     def test_same_grid_for_a_config_with_another_tol(self):
+        # one pair at two tolerances: the verdict follows tol; the grid,
+        # the residual and the witness do not
         sp = lp_space(2, 2.0)
         x, y = np.array([1.0, 0.0]), np.array([1e-5, 1.0])
-        grid = (0.0, 0.5, -0.5, 4.0, -4.0, 0.5)
-        strict, loose = OrthoConfig(k_grid=grid), OrthoConfig(k_grid=grid, tol=1e-3)
-        first = p_orthogonal_numeric(sp, x, y, 2.0, strict)
-        self._check(first, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, strict.k_grid, strict.tol))
-        got = p_orthogonal_numeric(sp, x, y, 2.0, loose)
-        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, loose.k_grid, loose.tol))
+        first = p_orthogonal_numeric(sp, x, y, 2.0)
+        self._check(first, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, K_GRID))
+        got = p_orthogonal_numeric(sp, x, y, 2.0, 1e-3)
+        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, 2.0, K_GRID, 1e-3))
         assert (first.verdict, got.verdict) == ("not_orthogonal", "orthogonal")
+        assert (got.worst_residual.hex(), got.witness_k.hex()) == (
+            first.worst_residual.hex(), first.witness_k.hex())
         assert [k.hex() for k in got.k_grid] == [k.hex() for k in first.k_grid]
-
-    @pytest.mark.parametrize("p", [1.0, INF])
-    def test_zero_sign_follows_each_grid(self, p):
-        # every residual is exactly 0 here, so the witness is the grid's zero;
-        # grids that differ only in its sign, decided one after the other,
-        # each keep their own
-        sp = lp_space(2, p)
-        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        for grid in ((0.0, 1.0, -1.0), (-0.0, 1.0, -1.0), (0.0, 1.0, -1.0), (-0.0, 0.0, 1.0, -1.0)):
-            got = p_orthogonal_numeric(sp, x, y, p, OrthoConfig(k_grid=grid))
-            assert got.worst_residual == 0.0
-            assert got.witness_k.hex() == grid[0].hex()
-            assert [k.hex() for k in got.k_grid if k == 0.0] == [grid[0].hex()]
-
-    @pytest.mark.parametrize("p", [1.5, INF])
-    def test_configs_whose_grids_differ_in_the_sign_of_zero_keep_their_own(self, p):
-        # the two grids compare equal as tuples, so an order cached by grid
-        # value would hand the second config the first one's zero
-        sp = lp_space(2, p)
-        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        plus, minus = OrthoConfig(k_grid=(0.0, 0.5, -0.5)), OrthoConfig(k_grid=(-0.0, 0.5, -0.5))
-        assert plus.k_grid == minus.k_grid
-        for cfg in (plus, minus, plus, minus):
-            zero = cfg.k_grid[0].hex()
-            got = p_orthogonal_numeric(sp, x, y, p, cfg)
-            assert [k.hex() for k in got.k_grid if k == 0.0] == [zero]
-            if p == INF:  # every residual is exactly 0, so the witness is the zero
-                assert got.witness_k.hex() == zero
-            zero_arg = p_orthogonal_numeric(sp, np.zeros(2), y, p, cfg)
-            assert [k.hex() for k in zero_arg.k_grid if k == 0.0] == [zero]
 
     def test_high_dimension_takes_several_blocks(self):
         sp, _, fplus, fminus, g1, _ = build_example_46(2049)
@@ -258,7 +215,7 @@ class TestBatchedDeciderAgainstLoop:
             got = verdict_from_norm(oracle, x, y, INF)
             assert len(rows) > 2  # ||x||, ||y||, then the grid in several blocks
             assert max(rows[1:]) * sp.dim <= 2**15
-            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, INF, OrthoConfig().k_grid)
+            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, INF, K_GRID)
             self._check(got, want)
         assert got.verdict == "not_orthogonal"
 
@@ -545,7 +502,6 @@ class TestSlopeRule:
     def test_agrees_with_the_grid_and_a_dense_scan(self, name, dual):
         sp = _SLOPE_SPACES[name]
         norms = batch_dual_norms if dual else batch_norms
-        grid = dual_p_orthogonal_numeric if dual else p_orthogonal_numeric
         form = _form(sp, dual)
         covered = form.kind != "l1" or form.bases is None or len(form.bases[0]) == 1
         rng = np.random.default_rng(zlib.crc32(f"{name}-{dual}".encode()))
@@ -554,7 +510,7 @@ class TestSlopeRule:
             for p in (1.0, INF):
                 got = p_orthogonal(sp, x, y, p, dual=dual)
                 assert got.method == ("exact" if covered else "grid")
-                assert got.is_orthogonal == grid(sp, x, y, p).is_orthogonal
+                assert got.is_orthogonal == p_orthogonal_numeric(sp, x, y, p, dual=dual).is_orthogonal
                 assert got.is_orthogonal == _scan_verdict(lambda W: norms(sp, W), x, y, p)
                 if orthogonal_at == p:
                     assert got.is_orthogonal
