@@ -7,13 +7,9 @@ Decider slice: for every default family and every exponent p in
 {1, 1.5, 2, inf}, one fixed seeded pair is decided on the grid by
 `p_orthogonal_numeric` in the norm (primal) and with dual=True in the dual
 norm (dual), and by `p_orthogonal`, exact where it can be, in the norm
-(primal_route) and with dual=True in the dual norm (dual_route). On a
-portho whose `p_orthogonal_numeric` has no `dual` option, dual times the
-same decision as `ortho.verdict_from_norm` against `batch_dual_norms`; on
-one whose `p_orthogonal` has no `dual` option, dual_route times the dual
-grid too. The random pair is
-not orthogonal, so on the exact route it times the test and the grid
-witness of its "not_orthogonal". Under "<family>:split" the same sides
+(primal_route) and with dual=True in the dual norm (dual_route). The
+random pair is not orthogonal, so on the exact route it times the test and
+the grid witness of its "not_orthogonal". Under "<family>:split" the same sides
 decide the positive and negative parts of the pair's first vector by its
 cone coefficients (`decomp.coefficient_parts`; by its dual coefficients on
 the dual sides), which are orthogonal at the exponent of the norm they are
@@ -42,7 +38,7 @@ outside), `support_functional` and `positive_support` under the order-unit
 `dual_one_orth_decompose` under the order-unit norm. Membership reads the
 facet normals, and the maximizers and the dual split a minimizing basis of
 the cone's tables, so these solve no LP, except the base positive support
-(two). A portho that solved LPs for them is timed under the same keys.
+(one LP). A portho that solved LPs for them is timed under the same keys.
 
 Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of
 3 x 5, 8 x 16, 16 x 32 and 32 x 64 (rows x variables), independent of any
@@ -76,12 +72,11 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_13.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_14.json
 """
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -99,6 +94,7 @@ import numpy as np  # noqa: E402
 
 import portho  # noqa: E402
 from portho import (  # noqa: E402
+    K_GRID,
     cone_contains,
     LpProblem,
     base_space,
@@ -125,18 +121,11 @@ from portho.harness import (  # noqa: E402
 from portho.spaces import batch_dual_norms, batch_norms  # noqa: E402
 
 EXPONENTS = (1.0, 1.5, 2.0, math.inf)
-# the dual grid decision, spelled out as the row oracle batch_dual_norms on
-# a portho before the `dual` option of `p_orthogonal_numeric`
-DUAL_GRID = (functools.partial(p_orthogonal_numeric, dual=True)
-             if "dual" in inspect.signature(p_orthogonal_numeric).parameters
-             else lambda space, f, g, p: portho.ortho.verdict_from_norm(
-                 lambda F: batch_dual_norms(space, F), f, g, p))
 SIDES = (
     ("primal", p_orthogonal_numeric),
-    ("dual", DUAL_GRID),
+    ("dual", functools.partial(p_orthogonal_numeric, dual=True)),
     ("primal_route", p_orthogonal),
-    ("dual_route", functools.partial(p_orthogonal, dual=True)
-     if "dual" in inspect.signature(p_orthogonal).parameters else DUAL_GRID),
+    ("dual_route", functools.partial(p_orthogonal, dual=True)),
 )
 ORACLES = (("batch_norms", batch_norms), ("batch_dual_norms", batch_dual_norms))
 WARMUP = 20
@@ -157,8 +146,7 @@ PENTAGON = np.array(
 )
 PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
 LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
-# the k grid, 35 scalars (`ortho._DEFAULT_GRID` in a portho before K_GRID)
-DECIDER_ROWS = len(getattr(portho.ortho, "K_GRID", None) or portho.ortho._DEFAULT_GRID)
+DECIDER_ROWS = len(K_GRID)  # the k grid, 35 scalars
 BLOCK_ENTRIES = 2**15  # the most entries one block of the grid decider holds
 EIGEN_SIDES = (2, 4, 8, 16, 32)
 REFERENCE_US = 1600.0  # nominal reference-loop time the figures are scaled to
@@ -390,7 +378,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_13.json")
+    ap.add_argument("--out", default="BENCH_14.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

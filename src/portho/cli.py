@@ -23,9 +23,9 @@ from . import __version__
 from .cones import ConeSpec, nonneg_orthant, psd_cone, ray_cone
 from .decomp import opt_decompose
 from .errors import InputError
-from .harness import SUITE_IDS, SUITES, default_families, run_suite
+from .harness import SUITE_IDS, run_suite
 from .ortho import p_orthogonal
-from .spaces import NormKind, SpaceSpec, norm, validate_space
+from .spaces import NormKind, SpaceSpec, validate_space
 from .support import crust_probe, positive_support, support_functional
 
 INF = math.inf
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_crust)
 
     p = sub.add_parser("example46", help="two distinct orthogonal decompositions of cos")
-    common(p, space_required=False)
+    p.add_argument("--out", default=None, help="write the JSON result to this file")
     p.add_argument("--n", type=int, default=2049)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_example46)

@@ -184,11 +184,11 @@ def _check_dim(cone: ConeSpec, x) -> np.ndarray:
 
 
 def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
-    """Whether x lies in the cone. tol is an absolute floor on the cone
-    coefficients B^-1 x, on the facet values H x (the facet normals have
-    unit length) and on the orthant's entries and the psd eigenvalues;
-    above the table cap the membership LP takes it as its relative
-    tolerance instead."""
+    """Whether x lies in the cone. tol is an absolute floor on the facet
+    values H x (the cone coefficients B^-1 x on a simplicial cone; the
+    other facet normals have unit length), on the orthant's entries and on
+    the psd eigenvalues; above the table cap the membership LP takes it as
+    its relative tolerance instead."""
     x = _check_dim(cone, x)
     if np.all(x == 0.0):
         return True
@@ -197,8 +197,6 @@ def cone_contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
     if cone.kind == PSD:
         M = as_matrix(cone, x)
         return bool(eigen_sym(M).eigenvalues[-1] >= -tol)
-    if cone.coefficient_basis is not None:  # cone coefficients B^-1 x >= 0
-        return bool(np.all(cone.coefficient_basis[1] @ x >= -tol))
     H = cone.facet_normals
     if H is not None:  # facet values H x >= 0
         return bool(np.all(H @ x >= -tol))

@@ -195,19 +195,10 @@ def _dual_split_lp(space: SpaceSpec, f: np.ndarray):
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    basis: tuple
-    _solver: np.ndarray  # pseudo-inverse of the basis matrix
-    _matrix: np.ndarray
-
-    def coefficients(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        alpha = self._solver @ x
-        if np.abs(self._matrix @ alpha - x).max() > 1e-8 * (1.0 + np.abs(x).max()):
-            raise InputError("vector is not in the span of the basis")
-        return alpha
+    matrix: np.ndarray  # columns are the vectors of the set
 
     def synthesize(self, alpha) -> np.ndarray:
-        return self._matrix @ np.asarray(alpha, dtype=float)
+        return self.matrix @ np.asarray(alpha, dtype=float)
 
 
 def embed_to_lp(space: SpaceSpec, U, p: float) -> EmbeddingMap:
@@ -218,5 +209,4 @@ def embed_to_lp(space: SpaceSpec, U, p: float) -> EmbeddingMap:
     report = orthonormal_set_verify(space, U, p)
     if not (report.pairwise_ok and report.unit_norms_ok):
         raise InputError(f"set is not p-orthonormal: {report.failures}")
-    B = np.stack([np.asarray(u, dtype=float) for u in U]).T
-    return EmbeddingMap(tuple(map(tuple, B.T)), np.linalg.pinv(B), B)
+    return EmbeddingMap(np.stack([np.asarray(u, dtype=float) for u in U]).T)

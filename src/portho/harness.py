@@ -764,7 +764,9 @@ def run_suite(
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
     check_tol(tol)
-    if space is None:
+    if suite == "ex46_nonuniqueness":  # the example checks its own space
+        space = build_example_46(n_grid)[0]
+    elif space is None:
         space = default_families()[DEFAULT_FAMILY[suite]]
     body, supports = SUITES[suite]
     start = time.perf_counter()

@@ -1,15 +1,15 @@
 """Support functionals, positive supports and crusts. A support functional
 is the maximizer of the norm's closed form (`spaces.norming`); positive
-supports and crusts read it too, except that the base norm keeps its own
-positive support (no mass off the support of u: closed form on a lattice
-cone, two LPs on a non-simplicial one) and a cone above the table cap
-answers through LPs over the dual cone.
+supports read it too, except that the base norm keeps its own positive
+support (no mass off the support of u: closed form on a lattice cone, one
+LP on a non-simplicial one) and a cone above the table cap answers through
+an LP over the dual cone. A crust is a positive support of its partner.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,64 +96,41 @@ def _positive_support_base(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
 
 
 def _positive_support_base_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
-    """Two stages: maximize f(u) over the positive f with f(g_i) <= phi(g_i),
-    then, among those optimizers, minimize the total mass on the generators."""
-    G = _c.generator_matrix(space.cone)
-    gphi = G @ space.norm.phi
-    m, n = G.shape
-    ineq, rhs = np.vstack([G, -G]), np.append(gphi, np.zeros(m))
-    first = LpProblem(objective=u, ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool))
-    out = solve_lp(first)
-    if out.status != "optimal":
-        raise InputError("positive support LP failed")
-    out2 = solve_lp(replace(first, objective=-G.sum(axis=0), eq=u[None], eq_rhs=[out.optimum]))
-    return out2.argument if out2.status == "optimal" else out.argument
+    """Among the positive f with f(g_i) <= phi(g_i) that attain f(u) = phi(u)
+    (the most any of them reaches: with u = G^T a, a >= 0, f(u) = a . G f
+    <= a . G phi), one of least total mass on the generators; phi itself,
+    always such an f, if the LP fails."""
+    G, phi = _c.generator_matrix(space.cone), space.norm.phi
+    out = solve_lp(LpProblem(
+        objective=-G.sum(axis=0), eq=u[None], eq_rhs=[float(phi @ u)],
+        ineq=np.vstack([G, -G]), ineq_rhs=np.append(G @ phi, np.zeros(len(G))),
+        free=np.ones(space.dim, bool),
+    ))
+    return out.argument if out.status == "optimal" else phi
 
 
 def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     """Positive norm-one functional vanishing on u, if one exists; restricted
-    to order-unit families where the existence criterion is two-sided. With
-    facet normals H one exists iff some (H u)_j / (H e)_j is zero, i.e. iff
-    the partner e - u/||u|| has norm one: its support functional, a facet
-    normal scaled by the unit. Above the table cap an LP decides. The
-    partner's inf-orthogonality to u is decided by `p_orthogonal`; above the
-    cap by Theorem 3.3 (1) on the positive pair, three norm LPs where the
-    grid would solve one per grid row."""
+    to order-unit families where the existence criterion is two-sided. One
+    exists iff the partner p = e - u/||u|| has norm one (Corollary 3.10),
+    and then it is a positive support of p: a positive f of dual norm one
+    has f(e) = 1, so f(p) = 1 forces f(u) = 0. The partner's
+    inf-orthogonality to u is decided by `p_orthogonal`; above the table cap
+    by Theorem 3.3 (1) on the positive pair with ||p|| reused, two norm LPs
+    where the grid would solve one per grid row."""
     e = order_unit(space)
     if e is None or space.cone.kind == _c.PSD:
         raise InputError("crust probe requires an order-unit family")
     u = _check_positive(space, u)
     nu = norm(space, u)
     partner = e - u / nu
-    solver = _form(space).kind == SOLVER
-    if solver:
-        f = _crust_lp(space, u / nu)
-    elif np.abs(partner).max() == 0.0:  # u / ||u|| = e
+    npartner = norm(space, partner)
+    if npartner < 1.0 - 1e-9:
         return None
-    else:
-        f = norming(space, partner)
-        f = f if f @ partner >= 1.0 - 1e-9 else None
-    if f is None:
-        return None
-    if np.abs(partner).max() <= 1e-12:
-        ok = False
-    elif solver:  # u perp_inf partner iff ||u/||u|| +- partner/||partner|| || = 1
-        a, b = u / nu, partner / norm(space, partner)
+    f = positive_support(space, partner).functional
+    if _form(space).kind == SOLVER:  # u perp_inf p iff ||u/||u|| +- p/||p|| || = 1
+        a, b = u / nu, partner / npartner
         ok = np.abs(batch_norms(space, np.array([a + b, a - b])) - 1.0).max() <= 1e-9
     else:
         ok = p_orthogonal(space, u, partner, math.inf).is_orthogonal
     return CrustResult(f, partner, bool(ok))
-
-
-def _crust_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray | None:
-    """Maximize f(e) over f in the dual cone with f(u) = 0 and f(e) <= 1: the
-    maximizer scaled to f(e) = 1 if the optimum reaches 1, else None."""
-    G, e = _c.generator_matrix(space.cone), order_unit(space)
-    out = solve_lp(LpProblem(
-        objective=e, eq=u[None], eq_rhs=[0.0],
-        ineq=np.vstack([-G, e]), ineq_rhs=np.append(np.zeros(len(G)), 1.0),
-        free=np.ones(space.dim, bool),
-    ))
-    if out.status != "optimal" or out.optimum < 1.0 - 1e-9:
-        return None
-    return out.argument / float(out.argument @ e)

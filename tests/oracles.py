@@ -1,8 +1,9 @@
 """Independent brute-force oracles shared by the test modules, the
 non-simplicial cones the polyhedral table tests share, and helpers that only
 the tests need (the duality pairing, eigendecomposition reconstruction,
-space-spec serialization, an additivity spot check of orthonormal sets and
-the l1 decomposition LP).
+space-spec serialization, an additivity spot check of orthonormal sets, the
+l1 decomposition LP, the crust LP and the two-stage base positive support
+LP).
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from portho.cones import generator_matrix
 from portho.errors import InputError
 from portho.linalg import LpProblem, solve_lp
 from portho.ortho import p_orthogonal
@@ -301,3 +303,34 @@ def decompose_l1_lp(space, v):
     if out.status != "optimal":
         raise InputError("decomposition LP infeasible: v outside the span of the cone")
     return B @ out.argument[:m], B @ out.argument[m:]
+
+
+def crust_lp(space, u):
+    """Maximize f(e) over f in the dual cone with f(u) = 0 and f(e) <= 1: the
+    maximizer scaled to f(e) = 1 if the optimum reaches 1, else None."""
+    G, e = generator_matrix(space.cone), space.norm.unit
+    out = solve_lp(LpProblem(
+        objective=e, eq=u[None], eq_rhs=[0.0],
+        ineq=np.vstack([-G, e]), ineq_rhs=np.append(np.zeros(len(G)), 1.0),
+        free=np.ones(space.dim, bool),
+    ))
+    if out.status != "optimal" or out.optimum < 1.0 - 1e-9:
+        return None
+    return out.argument / float(out.argument @ e)
+
+
+def positive_support_base_two_stage_lp(space, u):
+    """Two stages over the positive f with f(g_i) <= phi(g_i) (g_i the
+    generators): maximize f(u), then, among those optimizers, minimize the
+    total mass on the generators."""
+    G, phi = space.cone.generators, space.norm.phi
+    m, n = G.shape
+    ineq, rhs = np.vstack([G, -G]), np.append(G @ phi, np.zeros(m))
+    out = solve_lp(LpProblem(objective=u, ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool)))
+    if out.status != "optimal":
+        raise InputError("positive support LP failed")
+    out2 = solve_lp(LpProblem(
+        objective=-G.sum(axis=0), eq=u[None], eq_rhs=[out.optimum],
+        ineq=ineq, ineq_rhs=rhs, free=np.ones(n, bool),
+    ))
+    return out2.argument if out2.status == "optimal" else out.argument

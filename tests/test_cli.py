@@ -384,6 +384,17 @@ class TestCommands:
         rep = json.loads(out_file.read_text())
         assert rep["suite"] == "ex46_nonuniqueness"
         assert rep["passes"] == rep["samples"]
+        assert rep["space"] == "order_unit^257[nonneg]"
+
+    def test_example46_takes_no_space(self, tmp_path, capsys):
+        assert main(["example46", "--space", str(tmp_path / "missing.json")]) == 2
+        assert "--space" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_verify_reports_the_space_ex46_checks(self, lp2, given, capsys):
+        argv = ["verify", "ex46_nonuniqueness", "--n", "65"] + (["--space", lp2] if given else [])
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["space"] == "order_unit^65[nonneg]"
 
     @pytest.mark.parametrize("x", ["nan,1,0", "inf,1,0"])
     def test_ortho_non_finite_exits_2(self, sup3, capsys, x):

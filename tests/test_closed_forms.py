@@ -3,7 +3,7 @@ cones (unique cone coefficients), and on non-simplicial cones with tables,
 where membership reads the facet normals and the least-l1 maximizers and
 the dual split read a minimizing basis. Then a count of the solver calls:
 none on the default families, none on a tabled non-simplicial cone but the
-base positive support's two, and the LP fallbacks above the table cap."""
+base positive support's one, and the LP fallbacks above the table cap."""
 
 import contextlib
 import io
@@ -12,7 +12,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import NON_SIMPLICIAL_CONES, PENTAGON, decompose_l1_lp, serialize_space_spec
+from oracles import (
+    NON_SIMPLICIAL_CONES,
+    PENTAGON,
+    crust_lp,
+    decompose_l1_lp,
+    positive_support_base_two_stage_lp,
+    serialize_space_spec,
+)
 from portho import cli, cones, linalg, spaces
 from portho.cones import _contains_lp, cone_contains, dual_cone_contains, nonneg_orthant, ray_cone
 from portho.decomp import (
@@ -29,13 +36,13 @@ from portho.spaces import (
     _evaluate,
     base_space,
     dual_norm,
+    lp_space,
     norm,
     norming,
     order_unit,
     order_unit_space,
 )
 from portho.support import (
-    _crust_lp,
     _positive_support_base_lp,
     _positive_support_lp,
     crust_probe,
@@ -159,7 +166,7 @@ def test_crust_probe_matches_its_lp(family, draw):
                 crust_probe(space, u)
             continue
         res = crust_probe(space, u)
-        f_lp = _crust_lp(_lp_form(space), u / norm(space, u))
+        f_lp = crust_lp(_lp_form(space), u / norm(space, u))
         assert (res is None) is (f_lp is None) is (draw == "interior")
         if res is not None:
             _check_crust(space, u, res.functional)
@@ -346,6 +353,59 @@ def test_dual_split_of_the_minimizing_basis_matches_its_lp(name, draw):
             assert dual_one_orth_decompose(space, f).status == "optimal"
 
 
+@pytest.mark.parametrize("draw", ["interior", "facet", "ray"])
+def test_base_positive_support_lp_matches_the_two_stage_lp(draw):
+    # the first stage's optimum is phi(u), so one LP with f(u) = phi(u) is left
+    space = _tabled_spaces("pentagon")[1]
+    G, H, phi = space.cone.generators, space.cone.facet_normals, space.norm.phi
+    rng = _rng(draw, "base positive support")
+    for i in range(30):
+        if draw == "ray":
+            u = G[i % len(G)] * 10.0 ** rng.uniform(-3.0, 6.0)
+        else:
+            u = _polyhedral_draw(G, H, rng, "boundary" if draw == "facet" else draw)
+        f = _positive_support_base_lp(space, u)
+        assert f == pytest.approx(positive_support_base_two_stage_lp(space, u), abs=1e-12)
+        assert np.all(G @ f >= -1e-12) and np.all(G @ f <= G @ phi + 1e-12)
+        assert float(f @ u) == pytest.approx(float(phi @ u), rel=1e-12)
+
+
+_CRUST_SPACES = {
+    "sup_8": _DEFAULTS["sup_8"],
+    "polyray_4": _DEFAULTS["polyray_4"],
+    "linf_8": lp_space(8, INF),
+    "ou_pentagon": _tabled_spaces("pentagon")[0],
+}
+
+
+@pytest.mark.parametrize("draw", ["boundary", "interior"])
+@pytest.mark.parametrize("family", sorted(_CRUST_SPACES))
+def test_a_crust_is_the_positive_support_of_its_partner(family, draw):
+    space = _CRUST_SPACES[family]
+    rng = _rng(family, draw, "partner")
+    for _ in range(30):
+        if space.cone.coefficient_basis is not None:
+            u = _draw(space, rng, draw)
+        else:
+            u = _polyhedral_draw(space.cone.generators, space.cone.facet_normals, rng, draw)
+        res = crust_probe(space, u)
+        assert (res is None) is (draw == "interior")
+        if res is not None:
+            f = positive_support(space, res.partner).functional
+            assert list(map(float.hex, res.functional)) == list(map(float.hex, f))
+            _check_crust(space, u, res.functional)
+
+
+@pytest.mark.parametrize("t", [1e-15, 1e-12, 1e-9])
+def test_a_pentagon_input_nearly_on_the_unit_has_no_crust(t):
+    # the partner e - u/||u|| is tiny but nonzero: too short for a crust
+    space = _tabled_spaces("pentagon")[0]
+    u = space.norm.unit + t * (PENTAGON[0] + PENTAGON[1])
+    res = crust_probe(space, u)
+    assert 0.0 < np.abs(space.norm.unit - u / norm(space, u)).max() < 1e-8
+    assert res is None
+
+
 def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monkeypatch):
     # Theorem 3.3 (1) on the normalized pair, not the grid's LP per grid row
     e = np.array([0.0, 0.0, 1.0])
@@ -355,7 +415,7 @@ def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monk
     for u, want in zip(points, tabled):
         before = len(lp_calls)
         res = crust_probe(order_unit_space(ray_cone(PENTAGON), e), u)
-        assert 1 <= len(lp_calls) - before <= 9
+        assert 1 <= len(lp_calls) - before <= 7
         assert res.partner_orthogonal is want.partner_orthogonal
         assert res.functional == pytest.approx(want.functional, abs=1e-9)
 
@@ -447,8 +507,8 @@ def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, k
 
 def test_a_tabled_non_simplicial_cone_takes_the_facet_closed_forms(lp_calls):
     # membership reads the facet normals, the maximizers and the dual split a
-    # minimizing basis; only the base positive support keeps its two LPs
+    # minimizing basis; only the base positive support keeps an LP, one
     for kind in ("order_unit", "base"):
         calls = _pentagon_calls(lp_calls, kind)
-        expected = {name: 2 if (kind, name) == ("base", "positive_support") else 0 for name in calls}
+        expected = {name: 1 if (kind, name) == ("base", "positive_support") else 0 for name in calls}
         assert calls == expected, kind

@@ -112,6 +112,7 @@ class TestExample46:
     def test_suite_runs_green(self):
         rep = run_suite("ex46_nonuniqueness", tol=1e-12, n_grid=2049)
         assert rep.status == "ok" and rep.counterexamples == ()
+        assert rep.space == "order_unit^2049[nonneg]"
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(InputError):

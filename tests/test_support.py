@@ -180,3 +180,11 @@ class TestCrust:
         sp = sup_space(3)
         assert crust_probe(sp, [2.0, 1.0, 0.0]) is not None
         assert crust_probe(sp, [0.002, 0.001, 0.0]) is not None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_partner_orthogonal_at_any_scale_of_the_unit(self, scale):
+        # the partner of a unit 1e-13 of ones has entries below 1e-12
+        sp = order_unit_space(nonneg_orthant(3), scale * np.ones(3))
+        res = crust_probe(sp, scale * np.array([1.0, 0.5, 0.0]))
+        assert res.partner == pytest.approx(scale * np.array([0.0, 0.5, 1.0]), rel=1e-12, abs=0.0)
+        assert res.partner_orthogonal
