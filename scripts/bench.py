@@ -51,7 +51,9 @@ unless the environment already sets it.
 
 Suite slice (table `ms_per_suite`): `run_suite` of each of the 22 suites
 on its default family at seed SEED and VERIFY_SAMPLES samples, as
-`portho verify all --samples 50` runs them. After one warm-up round,
+`portho verify all --samples 50` runs them; each time is filed under the
+family's name, and ex46_nonuniqueness's under the space it checks,
+"order_unit^2049[nonneg]". After one warm-up round,
 VERIFY_ROUNDS rounds each run every suite once in turn; `verify_all_ms` is
 the median of the rounds' totals.
 
@@ -112,8 +114,9 @@ from portho import (  # noqa: E402
 )
 from portho.decomp import coefficient_parts  # noqa: E402
 from portho.harness import (  # noqa: E402
-    DEFAULT_FAMILY,
     SUITE_IDS,
+    SUITES,
+    build_example_46,
     default_families,
     run_suite,
     sample_cone,
@@ -321,6 +324,12 @@ def _solver_cases():
         yield ("us_per_solve", "solve_lp", f"{rows}x{n}", "-"), functools.partial(solve_lp, problem)
 
 
+def _suite_space(suite: str) -> str:
+    """The name of the space a suite runs on by default: its default family,
+    or the space Example 4.6 checks, which has no family."""
+    return SUITES[suite][2] or build_example_46(2049)[0].describe()
+
+
 def _measure_suites():
     """Per suite, the median scaled and raw ms over VERIFY_ROUNDS rounds
     (after one warm-up round); the medians of the rounds' scaled and raw
@@ -335,7 +344,7 @@ def _measure_suites():
     for times in (scaled, raw):
         totals = [sum(ts[i] for ts in times.values()) for i in range(VERIFY_ROUNDS)]
         per_suite = {
-            s: {DEFAULT_FAMILY[s]: round(statistics.median(ts) * 1e3, 2)} for s, ts in times.items()
+            s: {_suite_space(s): round(statistics.median(ts) * 1e3, 2)} for s, ts in times.items()
         }
         out.append((per_suite, round(statistics.median(totals) * 1e3, 1)))
     return out, refs

@@ -185,7 +185,6 @@ def _round17(obj):
 
 def _report_json(report) -> dict:
     out = asdict(report)
-    out.pop("status")
     out["counterexamples"] = _round17(list(report.counterexamples))
     out["version"] = __version__
     return out

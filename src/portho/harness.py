@@ -1,6 +1,15 @@
 """Seeded random generators per space family and a suite runner that turns
 each structural property of p-orthogonality into a pass/fail report.
 
+`SUITES` is the one catalogue: each suite is a row (body, supports,
+default_family). `supports(space)` says whether the suite can sample the
+space; the default family names an entry of `default_families()`, except
+for Example 4.6, which checks its own space `build_example_46(n_grid)`.
+A body is a generator `body(space, rng, tol, samples)` that yields one
+outcome per sample: None for a pass, or a counterexample dict (`_cx`) with
+its location, residual and sampled input. `run_suite` runs the only sample
+loop and is the one place that counts samples, passes and counterexamples.
+
 Every suite draws from its own deterministic stream derived from (seed,
 suite name), so reports are reproducible and independent of execution order.
 Samplers build positive elements from cone coefficients
@@ -69,7 +78,13 @@ class SuiteReport:
     seed: int
     tolerance: float
     elapsed_ms: float
-    status: str  # "ok" | "failed" | "unsupported"
+
+    @property
+    def status(self) -> str:
+        """"unsupported" when nothing was sampled, else "ok" or "failed"."""
+        if self.samples == 0:
+            return "unsupported"
+        return "failed" if self.counterexamples else "ok"
 
     @property
     def all_passed(self) -> bool:
@@ -147,13 +162,14 @@ def _split_coefficients(rng: np.random.Generator, n: int, disjoint: bool):
 
 
 def _orthogonal_positive_pair(space: SpaceSpec, rng: np.random.Generator):
+    """An inf-orthogonal positive pair u1, u2 with its norms n1, n2."""
     for _ in range(_MAX_DRAWS):
         u1, u2 = _sample_positive_pair(space, rng)
         n1, n2 = norm(space, u1), norm(space, u2)
         if n1 == 0.0 or n2 == 0.0:
             continue
         if abs(norm(space, u1 / n1 + u2 / n2) - 1.0) <= 1e-9:
-            return u1, u2
+            return u1, u2, n1, n2
     raise InputError(
         f"no inf-orthogonal positive pair in {_MAX_DRAWS} draws on {space.describe()}"
     )
@@ -190,23 +206,14 @@ def _cx(location: str, residual: float, **vectors):
 
 
 # ---------------------------------------------------------------------------
-# suite bodies: each runs `samples` checks, returning (passes, counterexamples)
+# suite bodies: each yields one outcome per sample, None or a counterexample
 
 def _per_sample(check):
-    def run(space, rng, tol, samples):
-        passes, cxs = 0, []
-        for _ in range(samples):
-            bad = check(space, rng, tol)
-            if bad is None:
-                passes += 1
-            else:
-                cxs.append(bad)
-        return passes, cxs
-
-    return run
+    """The body that yields `check(space, rng, tol)` once per sample."""
+    return lambda space, rng, tol, samples: (check(space, rng, tol) for _ in range(samples))
 
 
-def _sample_orthonormal_set(space: SpaceSpec, rng, p: float, positive: bool):
+def _sample_orthonormal_set(space: SpaceSpec, rng, positive: bool):
     """Disjointly supported unit vectors: p-orthonormal for every p."""
     n = space.dim
     m = int(rng.integers(min(n, 2), min(n, 4) + 1))  # a single vector in dimension one
@@ -221,31 +228,33 @@ def _sample_orthonormal_set(space: SpaceSpec, rng, p: float, positive: bool):
     return U
 
 
+def _embedded_sets(space: SpaceSpec, rng, samples: int, positive: bool, every: int):
+    """Per sample, the embedding of a p-orthonormal set and the lp space of
+    its coefficients; a fresh set is drawn every `every` samples."""
+    p = space.p_class
+    for i in range(samples):
+        if i % every == 0:
+            U = _sample_orthonormal_set(space, rng, positive)
+            emb, sub = embed_to_lp(space, U, p), lp_space(len(U), p)
+        yield emb, sub
+
+
 def _embedding_suite(positive: bool, order_check: bool):
     def run(space, rng, tol, samples):
-        passes, cxs = 0, []
-        p = space.p_class
-        emb, sub = None, None
-        for i in range(samples):
-            if i % 10 == 0:  # a fresh orthonormal set every few checks
-                U = _sample_orthonormal_set(space, rng, p, positive)
-                emb = embed_to_lp(space, U, p)
-                sub = lp_space(len(U), p)
+        for emb, sub in _embedded_sets(space, rng, samples, positive, every=10):
             alpha = rng.normal(size=sub.dim)
             if rng.random() < 0.3:
                 alpha = np.abs(alpha)
             x = emb.synthesize(alpha)
             gap = abs(norm(space, x) - norm(sub, alpha))
             if gap > tol * (1.0 + norm(sub, alpha)):
-                cxs.append(_cx("isometry", gap, alpha=alpha))
-                continue
-            if order_check and _c.cone_contains(space.cone, x, tol=1e-12) != bool(
+                yield _cx("isometry", gap, alpha=alpha)
+            elif order_check and _c.cone_contains(space.cone, x, tol=1e-12) != bool(
                 np.all(alpha >= -1e-9)
             ):
-                cxs.append(_cx("order_isomorphism", float(alpha.min()), alpha=alpha))
-                continue
-            passes += 1
-        return passes, cxs
+                yield _cx("order_isomorphism", float(alpha.min()), alpha=alpha)
+            else:
+                yield None
 
     return run
 
@@ -304,33 +313,26 @@ def _suite_duality(exact: bool):
 
 
 def _suite_prop25(space, rng, tol, samples):
-    passes, cxs = 0, []
     p = space.p_class
-    U, emb, sub = None, None, None
-    for i in range(samples):
-        if i % 25 == 0:
-            U = _sample_orthonormal_set(space, rng, p, positive=True)
-            emb = embed_to_lp(space, U, p)
-            sub = lp_space(len(U), p)
-        m = len(U)
-        a = emb.synthesize(rng.exponential(size=m))
-        b = emb.synthesize(rng.exponential(size=m))
-        alpha = rng.normal(size=m)
+    for emb, sub in _embedded_sets(space, rng, samples, positive=True, every=25):
+        a = emb.synthesize(rng.exponential(size=sub.dim))
+        b = emb.synthesize(rng.exponential(size=sub.dim))
+        alpha = rng.normal(size=sub.dim)
         v = emb.synthesize(alpha)
+        nv = norm(space, v)
         # interval norm bound within the span
         rhs = p_aggregate(norm(space, v - a), norm(space, v + b), p)
-        if norm(space, v) - rhs > tol * (1.0 + rhs):
-            cxs.append(_cx("span_interval_bound", norm(space, v) - rhs, alpha=alpha))
+        if nv - rhs > tol * (1.0 + rhs):
+            yield _cx("span_interval_bound", nv - rhs, alpha=alpha)
             continue
         # exact positive decomposition from the coefficient split
         u1 = emb.synthesize(np.clip(alpha, 0.0, None))
         u2 = emb.synthesize(np.clip(-alpha, 0.0, None))
         agg = p_aggregate(norm(space, u1), norm(space, u2), p)
-        if abs(agg - norm(space, v)) > tol * (1.0 + agg):
-            cxs.append(_cx("span_decomposition", agg - norm(space, v), alpha=alpha))
-            continue
-        passes += 1
-    return passes, cxs
+        if abs(agg - nv) > tol * (1.0 + agg):
+            yield _cx("span_decomposition", agg - nv, alpha=alpha)
+        else:
+            yield None
 
 
 @_per_sample
@@ -345,7 +347,7 @@ def _suite_lem27(space, rng, tol):
 
 @_per_sample
 def _suite_cor35(space, rng, tol):
-    u1, u2 = _orthogonal_positive_pair(space, rng)
+    u1, u2, _, _ = _orthogonal_positive_pair(space, rng)
     if np.abs(u2).max() < 1e-9:
         return None
     if _c.cone_contains(space.cone, u1 - u2, tol=1e-12):
@@ -354,25 +356,18 @@ def _suite_cor35(space, rng, tol):
 
 
 def _suite_lem28(space, rng, tol, samples):
-    passes, cxs = 0, []
-    U, emb = None, None
-    for i in range(samples):
-        if i % 25 == 0:
-            U = _sample_orthonormal_set(space, rng, space.p_class, positive=True)
-            emb = embed_to_lp(space, U, space.p_class)
-        alpha = rng.uniform(0.05, 1.0, size=len(U))
+    for emb, sub in _embedded_sets(space, rng, samples, positive=True, every=25):
+        alpha = rng.uniform(0.05, 1.0, size=sub.dim)
         if rng.random() < 0.5:
-            flips = rng.random(size=len(U)) < 0.5
+            flips = rng.random(size=sub.dim) < 0.5
             if not flips.any():
                 flips[0] = True
             alpha = np.where(flips, -alpha, alpha)
-        x = emb.synthesize(alpha)
-        inside = _c.cone_contains(space.cone, x, tol=1e-12)
+        inside = _c.cone_contains(space.cone, emb.synthesize(alpha), tol=1e-12)
         if inside != bool(np.all(alpha >= -1e-9)):
-            cxs.append(_cx("coefficient_sign", float(alpha.min()), alpha=alpha))
+            yield _cx("coefficient_sign", float(alpha.min()), alpha=alpha)
         else:
-            passes += 1
-    return passes, cxs
+            yield None
 
 
 @_per_sample
@@ -392,30 +387,42 @@ def _suite_prop32(space, rng, tol):
     return None
 
 
-def _thm33_statements(space, u1, u2, tol):
-    """Theorem 3.3's statements (1) and (3) for a positive pair, with the
-    normalized supports of (3); statement (2), u1 perp_inf u2, is left to
-    the caller that reads it."""
-    n1, n2 = norm(space, u1), norm(space, u2)
+def _positive_pair_suite(supports: bool):
+    """The body that hands `check(space, tol, u1, u2, n1, n2)` a sampled
+    positive pair and its norms, followed by the pair's positive supports
+    f1, f2 if `supports`; a pair with a part of norm below 1e-9 passes."""
+    def wrap(check):
+        @_per_sample
+        def run(space, rng, tol):
+            u1, u2 = _sample_positive_pair(space, rng)
+            n1, n2 = norm(space, u1), norm(space, u2)
+            if n1 < 1e-9 or n2 < 1e-9:
+                return None
+            fs = [positive_support(space, u).functional for u in (u1, u2)] if supports else []
+            return check(space, tol, u1, u2, n1, n2, *fs)
+
+        return run
+
+    return wrap
+
+
+def _thm33_statements(space, u1, u2, n1, n2, tol):
+    """Theorem 3.3's statements (1) and (3) for a positive pair of norms n1,
+    n2, with the normalized supports of (3); statement (2), u1 perp_inf u2,
+    is left to the caller that reads it."""
     v1, v2 = u1 / n1, u2 / n2
     s1 = abs(norm(space, v1 + v2) - 1.0) <= tol
     f1, a1, c12 = _support_min_cross(space, u1, u2)
     f2, a2, c21 = _support_min_cross(space, u2, u1)
     cross = max(abs(c12) / n2, abs(c21) / n1)
-    corners = (
-        abs(norm(space, v1 + v2) - 1.0) <= tol and abs(norm(space, v1 - v2) - 1.0) <= tol
-    )
-    s3 = cross <= tol and corners
+    s3 = cross <= tol and s1 and abs(norm(space, v1 - v2) - 1.0) <= tol
     return s1, s3, (f1 / a1 * n1, f2 / a2 * n2)
 
 
-@_per_sample
-def _suite_thm33(space, rng, tol):
-    u1, u2 = _sample_positive_pair(space, rng)
-    if norm(space, u1) < 1e-9 or norm(space, u2) < 1e-9:
-        return None
+@_positive_pair_suite(supports=False)
+def _suite_thm33(space, tol, u1, u2, n1, n2):
     t = max(tol, 1e-8)
-    s1, s3, _ = _thm33_statements(space, u1, u2, t)
+    s1, s3, _ = _thm33_statements(space, u1, u2, n1, n2, t)
     s2 = p_orthogonal(space, u1, u2, INF, tol=t).is_orthogonal
     if not (s1 == s2 == s3):
         return _cx(f"statements_disagree:{int(s1)}{int(s2)}{int(s3)}", math.nan, u1=u1, u2=u2)
@@ -424,9 +431,9 @@ def _suite_thm33(space, rng, tol):
 
 @_per_sample
 def _suite_rem34(space, rng, tol):
-    u1, u2 = _orthogonal_positive_pair(space, rng)
+    u1, u2, n1, n2 = _orthogonal_positive_pair(space, rng)
     t = max(tol, 1e-8)
-    _, s3, (f1, f2) = _thm33_statements(space, u1, u2, t)
+    _, s3, (f1, f2) = _thm33_statements(space, u1, u2, n1, n2, t)
     if not s3:
         return _cx("expected_orthogonal", math.nan, u1=u1, u2=u2)
     for _ in range(3):
@@ -438,15 +445,10 @@ def _suite_rem34(space, rng, tol):
     return None
 
 
-@_per_sample
-def _suite_cor38(space, rng, tol):
-    e = order_unit(space)
-    u1, u2 = _sample_positive_pair(space, rng)
-    n1, n2 = norm(space, u1), norm(space, u2)
-    if n1 < 1e-9 or n2 < 1e-9:
-        return None
+@_positive_pair_suite(supports=False)
+def _suite_cor38(space, tol, u1, u2, n1, n2):
     orth = p_orthogonal(space, u1, u2, INF, tol=max(tol, 1e-8)).is_orthogonal
-    dominated = _c.cone_contains(space.cone, e - u1 / n1 - u2 / n2, tol=1e-8)
+    dominated = _c.cone_contains(space.cone, order_unit(space) - u1 / n1 - u2 / n2, tol=1e-8)
     if orth != dominated:
         return _cx("order_unit_bound", math.nan, u1=u1, u2=u2)
     return None
@@ -525,14 +527,8 @@ def _restrictions(space, v1, v2, f1, f2):
     return sup_space(len(V)), g1, g2
 
 
-@_per_sample
-def _suite_thm41(space, rng, tol):
-    u1, u2 = _sample_positive_pair(space, rng)
-    n1, n2 = norm(space, u1), norm(space, u2)
-    if n1 < 1e-9 or n2 < 1e-9:
-        return None
-    f1 = positive_support(space, u1).functional
-    f2 = positive_support(space, u2).functional
+@_positive_pair_suite(supports=True)
+def _suite_thm41(space, tol, u1, u2, n1, n2, f1, f2):
     t = max(tol, 1e-8)
     cross_ok = abs(f1 @ u2) <= t * n2 and abs(f2 @ u1) <= t * n1
     s1 = cross_ok and p_orthogonal(space, u1, u2, 1.0, tol=t).is_orthogonal
@@ -543,14 +539,8 @@ def _suite_thm41(space, rng, tol):
     return None
 
 
-@_per_sample
-def _suite_rem42(space, rng, tol):
-    u1, u2 = _sample_positive_pair(space, rng)
-    n1, n2 = norm(space, u1), norm(space, u2)
-    if n1 < 1e-9 or n2 < 1e-9:
-        return None
-    f1 = positive_support(space, u1).functional
-    f2 = positive_support(space, u2).functional
+@_positive_pair_suite(supports=True)
+def _suite_rem42(space, tol, u1, u2, n1, n2, f1, f2):
     t = max(tol, 1e-8)
     # hypothesis (as used in the proof): the supports' sum has dual norm one
     if dual_norm(space, f1 + f2) > 1.0 + t:
@@ -564,14 +554,8 @@ def _suite_rem42(space, rng, tol):
     return None
 
 
-@_per_sample
-def _suite_lem43(space, rng, tol):
-    u1, u2 = _sample_positive_pair(space, rng)
-    n1, n2 = norm(space, u1), norm(space, u2)
-    if n1 < 1e-9 or n2 < 1e-9:
-        return None
-    f1 = positive_support(space, u1).functional
-    f2 = positive_support(space, u2).functional
+@_positive_pair_suite(supports=True)
+def _suite_lem43(space, tol, u1, u2, n1, n2, f1, f2):
     t = max(tol, 1e-8)
     if abs(f1 @ u2) > t * n2 or abs(f2 @ u1) > t * n1:
         return None  # hypothesis not met
@@ -614,31 +598,29 @@ def build_example_46(n: int):
     return space, f, fplus, fminus, g1, g2
 
 
-def _suite_ex46(space, rng, tol, samples, n: int = 2049):
-    del space, rng, samples
-    sp, f, fplus, fminus, g1, g2 = build_example_46(n)
+def _suite_ex46(space, rng, tol, samples):
+    """Example 4.6's eight checks, whatever `samples` asks, on the example's
+    own space of dimension n (`build_example_46(n)`)."""
+    n = space.dim
+    _, f, fplus, fminus, g1, g2 = build_example_46(n)
     t = max(tol, 1e-12)
-    cxs = []
-    checks = []
 
     def check(name, ok, residual=math.nan):
-        checks.append(name)
-        if not ok:
-            cxs.append({"location": name, "residual": float(residual), "input": {"n": n}})
+        return None if ok else {"location": name, "residual": float(residual), "input": {"n": n}}
 
-    check("reconstruct_parts", np.abs(f - (fplus - fminus)).max() <= t)
-    check("reconstruct_halfangle", np.abs(f - (g1 - g2)).max() <= t,
-          float(np.abs(f - (g1 - g2)).max()))
-    check("parts_sum_norm_one", norm(sp, fplus / fplus.max() + fminus / fminus.max()) == 1.0)
-    check("halfangle_sum_norm_one", norm(sp, g1 + g2) == 1.0)
-    v1 = p_orthogonal(sp, fplus, fminus, INF, tol=t)
-    check("parts_orthogonal", v1.is_orthogonal, v1.worst_residual)
-    v2 = p_orthogonal(sp, g1, g2, INF, tol=t)
-    check("halfangle_orthogonal", v2.is_orthogonal, v2.worst_residual)
+    yield check("reconstruct_parts", np.abs(f - (fplus - fminus)).max() <= t)
+    yield check("reconstruct_halfangle", np.abs(f - (g1 - g2)).max() <= t,
+                float(np.abs(f - (g1 - g2)).max()))
+    parts_sum = fplus / fplus.max() + fminus / fminus.max()
+    yield check("parts_sum_norm_one", norm(space, parts_sum) == 1.0)
+    yield check("halfangle_sum_norm_one", norm(space, g1 + g2) == 1.0)
+    v1 = p_orthogonal(space, fplus, fminus, INF, tol=t)
+    yield check("parts_orthogonal", v1.is_orthogonal, v1.worst_residual)
+    v2 = p_orthogonal(space, g1, g2, INF, tol=t)
+    yield check("halfangle_orthogonal", v2.is_orthogonal, v2.worst_residual)
     gap = float(np.abs(fplus - g1).max())
-    check("max_gap_half", abs(gap - 0.5) <= t, gap - 0.5)
-    check("decompositions_differ", gap > 0.1, gap)
-    return len(checks) - len(cxs), cxs
+    yield check("max_gap_half", abs(gap - 0.5) <= t, gap - 0.5)
+    yield check("decompositions_differ", gap > 0.1, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -682,29 +664,32 @@ def _one_smooth(space: SpaceSpec) -> bool:
     return space.p_class == 1.0 and space.cone.kind == _c.NONNEG and _form(space).kind == L1
 
 
+# suite -> (body, supports, default family); ex46 checks its own space
 SUITES = {
-    "thm21_lp_characterization": (_suite_thm21, _finite_p_coordinate),
-    "def22_Op1": (_suite_def22_op1, lambda sp: True),
-    "def22_Op2": (_suite_def22_op2, monotone_norm),
-    "thm23_duality": (_suite_duality(exact=False), lambda sp: _is_lattice(sp)),
-    "thm24_OSp2": (_suite_duality(exact=True), lambda sp: _is_lattice(sp)),
-    "prop25_span_smooth": (_suite_prop25, _is_coordinate),
-    "thm26_order_iso": (_suite_thm26, _finite_p_coordinate),
-    "lem27_positive_pair": (_suite_lem27, _disjoint_pair_coordinate),
-    "lem28_cone_coeffs": (_suite_lem28, _is_coordinate),
-    "prop32_supp_nonempty": (_suite_prop32, lambda sp: True),
-    "thm33_equivalence": (_suite_thm33, _is_order_unit_like),
-    "rem34_extension": (_suite_rem34, _is_order_unit_like),
-    "cor35_infty_pair": (_suite_cor35, _is_order_unit_like),
-    "thm36_c0": (_suite_thm36, lambda sp: _is_coordinate(sp) and math.isinf(sp.p_class)),
-    "cor38_order_unit": (_suite_cor38, _is_order_unit_like),
-    "cor310_crust": (_suite_cor310, _is_polyhedral_order_unit),
-    "rem311_greatest": (_suite_rem311, _is_polyhedral_order_unit),
-    "thm41_one_orth": (_suite_thm41, _one_smooth),
-    "rem42_restriction": (_suite_rem42, _one_smooth),
-    "lem43_base_orth": (_suite_lem43, lambda sp: sp.p_class == 1.0 and _is_lattice(sp)),
-    "thm44_duality": (_suite_thm44, lambda sp: math.isinf(sp.p_class) and _is_lattice(sp)),
-    "ex46_nonuniqueness": (_suite_ex46, lambda sp: True),
+    "thm21_lp_characterization": (_suite_thm21, _finite_p_coordinate, "lp15_8"),
+    "def22_Op1": (_suite_def22_op1, lambda sp: True, "lp3_8"),
+    "def22_Op2": (_suite_def22_op2, monotone_norm, "lp15_8"),
+    "thm23_duality": (_suite_duality(exact=False), _is_lattice, "lp3_8"),
+    "thm24_OSp2": (_suite_duality(exact=True), _is_lattice, "sup_8"),
+    "prop25_span_smooth": (_suite_prop25, _is_coordinate, "lp15_8"),
+    "thm26_order_iso": (_suite_thm26, _finite_p_coordinate, "lp1_8"),
+    "lem27_positive_pair": (_suite_lem27, _disjoint_pair_coordinate, "lp2_8"),
+    "lem28_cone_coeffs": (_suite_lem28, _is_coordinate, "lp3_8"),
+    "prop32_supp_nonempty": (_suite_prop32, lambda sp: True, "base_8"),
+    "thm33_equivalence": (_suite_thm33, _is_order_unit_like, "sup_8"),
+    "rem34_extension": (_suite_rem34, _is_order_unit_like, "sup_8"),
+    "cor35_infty_pair": (_suite_cor35, _is_order_unit_like, "spectral_4"),
+    "thm36_c0": (_suite_thm36, lambda sp: _is_coordinate(sp) and math.isinf(sp.p_class), "sup_8"),
+    "cor38_order_unit": (_suite_cor38, _is_order_unit_like, "polyray_4"),
+    "cor310_crust": (_suite_cor310, _is_polyhedral_order_unit, "sup_8"),
+    "rem311_greatest": (_suite_rem311, _is_polyhedral_order_unit, "sup_8"),
+    "thm41_one_orth": (_suite_thm41, _one_smooth, "lp1_8"),
+    "rem42_restriction": (_suite_rem42, _one_smooth, "lp1_8"),
+    "lem43_base_orth": (_suite_lem43, lambda sp: sp.p_class == 1.0 and _is_lattice(sp), "base_8"),
+    "thm44_duality": (
+        _suite_thm44, lambda sp: math.isinf(sp.p_class) and _is_lattice(sp), "spectral_4"
+    ),
+    "ex46_nonuniqueness": (_suite_ex46, lambda sp: True, None),
 }
 
 SUITE_IDS = tuple(SUITES)
@@ -725,32 +710,6 @@ def default_families() -> dict:
     }
 
 
-DEFAULT_FAMILY = {
-    "thm21_lp_characterization": "lp15_8",
-    "def22_Op1": "lp3_8",
-    "def22_Op2": "lp15_8",
-    "thm23_duality": "lp3_8",
-    "thm24_OSp2": "sup_8",
-    "prop25_span_smooth": "lp15_8",
-    "thm26_order_iso": "lp1_8",
-    "lem27_positive_pair": "lp2_8",
-    "lem28_cone_coeffs": "lp3_8",
-    "prop32_supp_nonempty": "base_8",
-    "thm33_equivalence": "sup_8",
-    "rem34_extension": "sup_8",
-    "cor35_infty_pair": "spectral_4",
-    "thm36_c0": "sup_8",
-    "cor38_order_unit": "polyray_4",
-    "cor310_crust": "sup_8",
-    "rem311_greatest": "sup_8",
-    "thm41_one_orth": "lp1_8",
-    "rem42_restriction": "lp1_8",
-    "lem43_base_orth": "base_8",
-    "thm44_duality": "spectral_4",
-    "ex46_nonuniqueness": "sup_8",
-}
-
-
 def run_suite(
     suite: str,
     space: SpaceSpec | None = None,
@@ -759,30 +718,26 @@ def run_suite(
     seed: int = 0,
     n_grid: int = 2049,
 ) -> SuiteReport:
+    """Run `suite` on `space` (its default family if None; Example 4.6 on
+    its own grid of n_grid points): one outcome per sample, or no sample at
+    all, and status "unsupported", where the suite cannot sample the space."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}")
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
     check_tol(tol)
-    if suite == "ex46_nonuniqueness":  # the example checks its own space
+    body, supports, family = SUITES[suite]
+    if family is None:
         space = build_example_46(n_grid)[0]
     elif space is None:
-        space = default_families()[DEFAULT_FAMILY[suite]]
-    body, supports = SUITES[suite]
+        space = default_families()[family]
     start = time.perf_counter()
-    if not supports(space):
-        return SuiteReport(
-            suite, space.describe(), 0, 0, (), seed, tol,
-            (time.perf_counter() - start) * 1e3, "unsupported",
-        )
-    rng = np.random.default_rng([seed, zlib.crc32(suite.encode())])
-    if suite == "ex46_nonuniqueness":
-        passes, cxs = body(space, rng, tol, samples, n=n_grid)
-    else:
-        passes, cxs = body(space, rng, tol, samples)
-    samples = passes + len(cxs)
+    outcomes = []
+    if supports(space):
+        rng = np.random.default_rng([seed, zlib.crc32(suite.encode())])
+        outcomes = list(body(space, rng, tol, samples))
+    cxs = tuple(o for o in outcomes if o is not None)
     elapsed = (time.perf_counter() - start) * 1e3
-    status = "ok" if not cxs else "failed"
     return SuiteReport(
-        suite, space.describe(), samples, passes, tuple(cxs), seed, tol, elapsed, status
+        suite, space.describe(), len(outcomes), len(outcomes) - len(cxs), cxs, seed, tol, elapsed
     )

@@ -53,7 +53,11 @@ def positive_support(space: SpaceSpec, u) -> SupportResult:
     """A positive support of u in the cone. An lp norm over a ray cone takes
     the cut support functional, which is_positive reports positive or not:
     it is whenever the cone lies in the orthant."""
-    u = _check_positive(space, u)
+    return _positive_support(space, _check_positive(space, u))
+
+
+def _positive_support(space: SpaceSpec, u: np.ndarray) -> SupportResult:
+    """`positive_support` of a nonzero u known to lie in the cone."""
     kind = space.norm.kind
     if kind == BASE:
         f = _positive_support_base(space, u)
@@ -127,7 +131,8 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     npartner = norm(space, partner)
     if npartner < 1.0 - 1e-9:
         return None
-    f = positive_support(space, partner).functional
+    # the partner lies in the cone (u <= ||u|| e): no membership check
+    f = _positive_support(space, partner).functional
     if _form(space).kind == SOLVER:  # u perp_inf p iff ||u/||u|| +- p/||p|| || = 1
         a, b = u / nu, partner / npartner
         ok = np.abs(batch_norms(space, np.array([a + b, a - b])) - 1.0).max() <= 1e-9

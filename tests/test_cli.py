@@ -342,6 +342,19 @@ class TestCommands:
         assert rep["samples"] == rep["passes"] == 15
         assert rep["seed"] == 5 and rep["counterexamples"] == []
 
+    def test_verify_with_counterexamples_exits_1(self, tmp_path, capsys):
+        # at tolerance 0 the isometry check fails on rounding alone
+        out_file = tmp_path / "rep.json"
+        argv = ["verify", "thm21_lp_characterization", "--seed", "0", "--samples", "50",
+                "--tol", "0", "--out", str(out_file)]
+        assert main(argv) == 1
+        rep = json.loads(out_file.read_text())
+        assert rep["samples"] == 50 and rep["passes"] < rep["samples"]
+        assert len(rep["counterexamples"]) == rep["samples"] - rep["passes"]
+        for cx in rep["counterexamples"]:
+            assert {"location", "residual", "input"} <= cx.keys()
+            assert cx["location"] == "isometry" and "alpha" in cx["input"]
+
     def test_verify_all_skips_unsupported(self, lp2, capsys):
         code = main(["verify", "all", "--space", lp2, "--samples", "5"])
         captured = capsys.readouterr()

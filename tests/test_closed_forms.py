@@ -415,7 +415,7 @@ def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monk
     for u, want in zip(points, tabled):
         before = len(lp_calls)
         res = crust_probe(order_unit_space(ray_cone(PENTAGON), e), u)
-        assert 1 <= len(lp_calls) - before <= 7
+        assert 1 <= len(lp_calls) - before <= 6
         assert res.partner_orthogonal is want.partner_orthogonal
         assert res.functional == pytest.approx(want.functional, abs=1e-9)
 

@@ -8,7 +8,6 @@ import pytest
 from portho import harness
 from portho.errors import InputError
 from portho.harness import (
-    DEFAULT_FAMILY,
     SUITE_IDS,
     SUITES,
     build_example_46,
@@ -25,14 +24,17 @@ INF = math.inf
 class TestSuiteCatalog:
     def test_every_suite_has_a_default_family(self):
         fams = default_families()
-        for suite in SUITE_IDS:
-            assert suite in DEFAULT_FAMILY
-            assert DEFAULT_FAMILY[suite] in fams
+        for suite, (_, _, family) in SUITES.items():
+            if suite == "ex46_nonuniqueness":  # the example checks its own space
+                assert family is None
+            else:
+                assert family in fams, suite
 
     def test_default_space_supports_its_suite(self):
         fams = default_families()
-        for suite, (_, supports) in SUITES.items():
-            assert supports(fams[DEFAULT_FAMILY[suite]]), suite
+        for suite, (_, supports, family) in SUITES.items():
+            space = build_example_46(2049)[0] if family is None else fams[family]
+            assert supports(space), suite
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(InputError):
@@ -58,7 +60,8 @@ def test_suite_green_on_default_family(suite):
     assert rep.status == "ok"
     assert rep.counterexamples == ()
     assert rep.passes == rep.samples
-    assert rep.samples > 0
+    # one outcome per requested sample; Example 4.6 makes its eight checks
+    assert rep.samples == (8 if suite == "ex46_nonuniqueness" else 25)
 
 
 class TestDeterminism:
