@@ -35,10 +35,17 @@ of either code compare per call: `support_functional`, `positive_support`,
 non-simplicial pentagon cone in R^3: `cone_contains` (a point inside, one
 outside), `support_functional` and `positive_support` under the order-unit
 (`ou_ray5`) and base (`base_ray5`) norms, and `crust_probe` and
-`dual_one_orth_decompose` under the order-unit norm. Membership reads the
-facet normals, and the maximizers and the dual split a minimizing basis of
-the cone's tables, so these solve no LP, except the base positive support
-(one LP). A portho that solved LPs for them is timed under the same keys.
+`dual_one_orth_decompose` under the order-unit norm; then, under both
+norms, `norm` of a random vector, `support_functional` and
+`positive_support` of a generator (key "ray", a face input), and
+`p_orthogonal` at p = 1 and p = inf of a random pair (key "1" or "inf")
+and of a pair orthogonal at the space's own p (key "1:orthogonal" or
+"inf:orthogonal": two non-adjacent generators under the base norm, and
+u on a facet with its partner e - u/||u|| under the order-unit norm).
+Membership reads the facet normals, the maximizers and the base positive
+support the vertex tables of the dual balls, and the dual split a
+minimizing basis of the cone's facet table, so these solve no LP. A portho
+that solved LPs for them is timed under the same keys.
 
 Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of
 3 x 5, 8 x 16, 16 x 32 and 32 x 64 (rows x variables), independent of any
@@ -74,7 +81,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_14.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_16.json
 """
 
 import argparse
@@ -103,6 +110,7 @@ from portho import (  # noqa: E402
     crust_probe,
     dual_one_orth_decompose,
     eigen_sym,
+    norm,
     opt_decompose,
     order_unit_space,
     p_orthogonal,
@@ -305,6 +313,23 @@ def _pentagon_cases(pentagon):
             crust_probe, spaces["ou_ray5"], u)
     yield ("us_per_lp_call", "dual_one_orth_decompose", "ou_ray5", "-"), functools.partial(
         dual_one_orth_decompose, spaces["ou_ray5"], rng.normal(size=3))
+    # the norm, face inputs and decisions, drawn after the inputs above so
+    # that those stay the inputs of earlier runs
+    orthogonal = {"base_ray5": (1.0, PENTAGON[0], PENTAGON[2]),
+                  "ou_ray5": (math.inf, boundary, PENTAGON_UNIT - boundary / norm(spaces["ou_ray5"], boundary))}
+    for name, space in spaces.items():
+        yield ("us_per_lp_call", "norm", name, "-"), functools.partial(norm, space, rng.normal(size=3))
+        yield ("us_per_lp_call", "support_functional", name, "ray"), functools.partial(
+            support_functional, space, PENTAGON[0])
+        yield ("us_per_lp_call", "positive_support", name, "ray"), functools.partial(
+            positive_support, space, PENTAGON[0])
+        x, y = rng.normal(size=(2, 3))
+        for p in (1.0, math.inf):
+            yield ("us_per_lp_call", "p_orthogonal", name, _p_key(p)), functools.partial(
+                p_orthogonal, space, x, y, p)
+        p, x, y = orthogonal[name]
+        yield ("us_per_lp_call", "p_orthogonal", name, f"{_p_key(p)}:orthogonal"), functools.partial(
+            p_orthogonal, space, x, y, p)
 
 
 def _solver_cases():
@@ -387,7 +412,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_14.json")
+    ap.add_argument("--out", default="BENCH_16.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -6,8 +6,8 @@ splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
 "unsupported". On a non-simplicial cone the dual route splits a
-minimizing basis of the dual norm's facet table, and an LP remains only
-above the table cap. Orthogonality is decided by `ortho.p_orthogonal`.
+minimizing basis of the cone's facet table, and an LP remains only above
+the table cap. Orthogonality is decided by `ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from .linalg import LpProblem, eigen_sym, solve_lp
 from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
-    L1,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
-    _form,
     _minimizing_basis,
     dual_norm,
     norm,
@@ -133,7 +131,7 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     with additive dual norms, then certify the halves are 1-orthogonal and
     vanish crosswise on an orthogonal split of a norming element. The halves
     are the coefficient split; for an order-unit norm on a non-simplicial
-    ray cone the split of a minimizing basis of the dual norm's facet table
+    ray cone the split of a minimizing basis of the cone's facet table
     (`_dual_split`), or an LP's above the table cap."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
@@ -168,16 +166,20 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
 
 def _dual_split(space: SpaceSpec, f: np.ndarray):
     """f = f1 - f2 with f1, f2 in the dual cone of an order-unit space on a
-    ray cone and (f1 + f2)(e) = dual_norm(f). Over the facet table the dual
-    norm is least-l1: with f = H_S^T c at a minimizing basis S, the halves
-    H_S^T c+ and H_S^T c- are nonnegative combinations of facet normals and
-    sum to sum_S (H e)_S |c_S| at e. Above the table cap an LP decides."""
-    form = _form(space, dual=True)
-    if form.kind != L1:
+    ray cone and (f1 + f2)(e) = dual_norm(f). Over the cone's facet table
+    the dual norm is least-l1 (the least sum_j h_j(e) |c_j| over f = H^T c):
+    with f = H_S^T c at a minimizing basis S, the halves H_S^T c+ and
+    H_S^T c- are nonnegative combinations of facet normals and sum to
+    sum_S (H e)_S |c_S| at e. Coefficients within 1e-12 of the largest in
+    magnitude are rounding and count as zero, so that neither half is made
+    of rounding alone. Above the table cap an LP decides."""
+    bases = space.cone.facet_bases
+    if bases is None:
         return _dual_split_lp(space, f)
-    S, _, c = _minimizing_basis(form, f)
-    H = form.V[S]
-    return np.clip(c, 0.0, None) @ H, np.clip(-c, 0.0, None) @ H
+    H = space.cone.facet_normals
+    S, _, c = _minimizing_basis(bases, H @ space.norm.unit, f)
+    c = np.where(np.abs(c) <= 1e-12 * np.abs(c).max(), 0.0, c)
+    return np.clip(c, 0.0, None) @ H[S], np.clip(-c, 0.0, None) @ H[S]
 
 
 def _dual_split_lp(space: SpaceSpec, f: np.ndarray):

@@ -6,15 +6,19 @@ base, and spectral (operator norm on symmetric matrices).
 
 Each norm and dual norm resolves once per space (`_form`) to one closed
 form: max-ratio max_j |v_j . x| / w_j (sup, the order-unit norm over the
-facet normals, the base dual norm over the generators), least-l1 (lp 1, the
-base norm and the order-unit dual norm over the cone's basis tables), power
-(lp at 1 < p < inf), eigen (spectral) or, for a ray cone whose table would
-exceed `cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms` and
+facet normals, the base dual norm over the generators, and the base norm
+and the order-unit dual norm on a non-simplicial cone over the vertices of
+the other direction's unit ball), least-l1 (lp 1, the base norm and the
+order-unit dual norm over a simplicial cone's one basis, or over a basis
+table whose vertex candidates exceed `MAX_VERTEX_CANDIDATES`), power (lp at
+1 < p < inf), eigen (spectral) or, for a ray cone whose table would exceed
+`cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms` and
 `batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,6 +35,8 @@ INF = math.inf
 # oracle, where one block holds the whole grid at small dimension and bounds
 # memory at large
 _BLOCK_ENTRIES = 2**15
+# cap on the candidates (bases times 2^n sign vectors) of a vertex table
+MAX_VERTEX_CANDIDATES = 2**14
 
 LP = "lp"
 SUP = "sup"
@@ -234,7 +240,8 @@ def _resolve(space: SpaceSpec, dual: bool) -> _Form:
     # the order-unit / base duality: the order-unit norm and the base dual
     # norm are max-ratio forms, the base norm and the order-unit dual norm
     # least-l1 forms, over the facet normals H with w = H e, or the
-    # generators G with w = G phi
+    # generators G with w = G phi; over more than one basis a least-l1 form
+    # is the max-ratio form of its dual ball's vertices
     ou = nk.kind == ORDER_UNIT
     u = nk.unit if ou else nk.phi
     kind = MAX if ou != dual else L1
@@ -244,7 +251,28 @@ def _resolve(space: SpaceSpec, dual: bool) -> _Form:
     bases = None if kind == MAX else cone.facet_bases if ou else cone.generator_bases
     if V is None or (kind == L1 and bases is None):
         return _Form(SOLVER)
-    return _Form(kind, V=V, w=V @ u, bases=bases)
+    w = V @ u
+    if kind == L1 and len(bases[0]) > 1 and len(bases[0]) << V.shape[1] <= MAX_VERTEX_CANDIDATES:
+        return _Form(MAX, V=_vertices(V, w, bases))
+    return _Form(kind, V=V, w=w, bases=bases)
+
+
+def _vertices(V: np.ndarray, w: np.ndarray, bases) -> np.ndarray:
+    """The vertices z_k of the polytope {z : |V z| <= w}, whose max-ratio
+    form max_k |z_k . x| is, by LP duality, the least-l1 form
+    min sum_j w_j |c_j| over V^T c = x. Every vertex is a basic solution
+    z = inv^T (w_S s) of a basis (S, inv) of the table and a sign vector
+    s in {+-1}^n; a candidate is kept when |V z| <= w (1 + 1e-12), and
+    candidates equal within 1e-9 of the largest entry are merged. The
+    polytope is symmetric, so the table holds both z and -z."""
+    S, inv = bases
+    n = V.shape[1]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    # z = inv^T (w_S s): the columns of inv^T scaled by w_S, times each s
+    Z = ((inv.transpose(0, 2, 1) * w[S][:, None, :]) @ signs.T).transpose(0, 2, 1).reshape(-1, n)
+    Z = Z[np.all(np.abs(Z @ V.T) <= w * (1.0 + 1e-12), axis=1)]
+    key = np.round(Z / np.abs(Z).max(), 9) + 0.0
+    return Z[np.sort(np.unique(key, axis=0, return_index=True)[1])]
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -327,12 +355,12 @@ def _least_l1(X: np.ndarray, bases, w: np.ndarray, argmin: bool = False):
     return (best, at) if argmin else best
 
 
-def _minimizing_basis(form: _Form, x: np.ndarray):
-    """(S, inv, c) of a basis of a least-l1 form's table that attains its
-    minimum at x: c = inv x are the coefficients of x = V_S^T c, and
-    sum_i w_S_i |c_i| is the form's value at x."""
-    S, inv = form.bases
-    k = 0 if len(S) == 1 else int(_least_l1(x[None], form.bases, form.w, argmin=True)[1][0])
+def _minimizing_basis(bases, w: np.ndarray, x: np.ndarray):
+    """(S, inv, c) of a basis of the table `bases` at which the least-l1
+    form of the weights w attains its minimum at x: c = inv x are the
+    coefficients of x = V_S^T c, and sum_i w_S_i |c_i| is the minimum."""
+    S, inv = bases
+    k = 0 if len(S) == 1 else int(_least_l1(x[None], bases, w, argmin=True)[1][0])
     return S[k], inv[k], inv[k] @ x
 
 
@@ -341,15 +369,15 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
     with dual_norm(f) <= 1 and f(x) = norm(x) (a support functional of x),
     for dual=True a vector y with norm(y) <= 1 and x(y) = dual_norm(x) (a
     norming element of the functional x). Of a max-ratio form it is
-    sign(v_j . x) v_j / w_j at a maximizing j; given `tiebreak`, j is the
-    maximizer (within 1e-12 (1 + max)) with the least v_j . tiebreak / w_j.
-    Of a least-l1 form over a basis table it is the dual solution
-    inv^T (w_S sign(c)) of a minimizing basis (`_minimizing_basis`): it
-    attains the form's value, and over more than one basis it is taken
-    when the other direction's max-ratio form reads at most 1 + 1e-12 on it
-    (always when c has no zero entry, as the basis is then a nondegenerate
-    optimum); otherwise, and for the solver form, the maximizer of the
-    dual-ball LP."""
+    z_j = sign(v_j . x) v_j / w_j at a maximizing j; given `tiebreak`, j is
+    the maximizer (within 1e-12 of the max, relative) whose z_j has the
+    least value z_j . tiebreak (the first of ties). Of a vertex table this
+    is a vertex of the other direction's unit ball, so face inputs need no
+    LP. Of a
+    coordinate least-l1 form it is w sign(x); of a one-basis least-l1 form
+    the dual solution inv^T (w_S sign(c)) of that basis; of a least-l1 form
+    over several bases (above the vertex cap) and of the solver form, the
+    maximizer of the dual-ball LP."""
     x = _check_vec(space, x)
     if np.abs(x).max() == 0.0:
         raise InputError(f"{'norming element' if dual else 'support functional'} undefined at 0")
@@ -360,19 +388,17 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
         a = np.abs(r) if w is None else np.abs(r) / w
         j = int(np.argmax(a))
         if tiebreak is not None:
-            top = np.flatnonzero(a >= a[j] - 1e-12 * (1.0 + a[j]))
+            top = np.flatnonzero(a >= a[j] * (1.0 - 1e-12))
             tiebreak = np.asarray(tiebreak, dtype=float)
-            t = tiebreak[top] if V is None else V[top] @ tiebreak
+            t = np.sign(r[top]) * (tiebreak[top] if V is None else V[top] @ tiebreak)
             j = top[np.argmin(t if w is None else t / w[top])]
         v = np.eye(1, space.dim, j)[0] if V is None else V[j]
         return np.sign(r[j]) * v if w is None else np.sign(r[j]) * v / w[j]
     if form.kind == L1 and form.bases is None:
         return np.sign(x) if w is None else w * np.sign(x)
-    if form.kind == L1:
-        S, inv, c = _minimizing_basis(form, x)
-        f = inv.T @ (w[S] * np.sign(c))
-        if len(form.bases[0]) == 1 or _evaluate(space, f[None], not dual)[0] <= 1.0 + 1e-12:
-            return f
+    if form.kind == L1 and len(form.bases[0]) == 1:
+        S, inv, c = _minimizing_basis(form.bases, w, x)
+        return inv.T @ (w[S] * np.sign(c))
     if form.kind == POWER:
         f = np.sign(x) * np.abs(x) ** (form.p - 1.0)
         if w is not None:
@@ -397,8 +423,9 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
 def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
     """(value, maximizer) of the largest x(z) over the unit ball of the other
     direction, for the order-unit and base norms (dual=False) and the
-    order-unit dual norm (the base dual norm is always a max-ratio form),
-    with G the generators:
+    order-unit dual norm (the base dual norm is always a max-ratio form):
+    the solver form, and the maximizer of a least-l1 form above the vertex
+    cap. With G the generators:
     - base norm: z = f with |G f| <= G phi;
     - order-unit norm: z = f1 - f2 with G f1 >= 0, G f2 >= 0 and
       (f1 + f2)(e) <= 1, variables (f1, f2);

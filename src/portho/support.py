@@ -1,9 +1,11 @@
 """Support functionals, positive supports and crusts. A support functional
 is the maximizer of the norm's closed form (`spaces.norming`); positive
 supports read it too, except that the base norm keeps its own positive
-support (no mass off the support of u: closed form on a lattice cone, one
-LP on a non-simplicial one) and a cone above the table cap answers through
-an LP over the dual cone. A crust is a positive support of its partner.
+support (no mass off the support of u on a lattice cone; on a
+non-simplicial one the least-mass support, half of phi plus a norming
+vertex, and one LP only above the vertex cap) and a cone above the table
+cap answers through an LP over the dual cone. A crust is a positive
+support of its partner.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import cones as _c
 from .errors import InputError
 from .linalg import LpProblem, solve_lp
 from .ortho import p_orthogonal
-from .spaces import BASE, LP, SOLVER, SpaceSpec, _form, batch_norms, norm, norming, order_unit
+from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, batch_norms, norm, norming, order_unit
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,19 @@ def _positive_support_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
 def _positive_support_base(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
     """A positive f with f(g_i) <= phi(g_i) supporting u and with no mass off
     u's support, so disjointly supported elements get mutually vanishing
-    supports: with unique coefficients c = B^-1 u, phi(g_j) where c_j > 0."""
+    supports: with unique coefficients c = B^-1 u, phi(g_j) where c_j > 0.
+    On a non-simplicial cone, one of least total mass on the generators:
+    f -> 2f - phi maps those f onto the dual unit ball {z : |G z| <= G phi},
+    so f = (phi + z)/2 with z the norming vertex of u of least 1^T G z
+    (`norming` with that tiebreak); above the vertex cap an LP."""
     basis = space.cone.coefficient_basis
-    if basis is None:
+    if basis is not None:
+        B, H = basis
+        c = H @ u
+        return H.T @ np.where(c > 1e-12 * np.abs(c).max(), B.T @ space.norm.phi, 0.0)
+    if _form(space).kind != MAX:
         return _positive_support_base_lp(space, u)
-    B, H = basis
-    c = H @ u
-    return H.T @ np.where(c > 1e-12 * np.abs(c).max(), B.T @ space.norm.phi, 0.0)
+    return 0.5 * (space.norm.phi + norming(space, u, tiebreak=space.cone.generators.sum(axis=0)))
 
 
 def _positive_support_base_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Closed forms against the LPs they replace, called directly: on lattice
 cones (unique cone coefficients), and on non-simplicial cones with tables,
-where membership reads the facet normals and the least-l1 maximizers and
-the dual split read a minimizing basis. Then a count of the solver calls:
-none on the default families, none on a tabled non-simplicial cone but the
-base positive support's one, and the LP fallbacks above the table cap."""
+where membership reads the facet normals, the base norm and the order-unit
+dual norm are the max-ratio forms of their dual balls' vertices (checked
+against the least-l1 form and the dual-ball LP), the base positive support
+is half of phi plus a norming vertex, and the dual split reads a minimizing
+basis. Then a count of the solver calls: none on the default families, none
+on a tabled non-simplicial cone, and the LP fallbacks above the vertex and
+table caps."""
 
 import contextlib
 import io
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from oracles import (
     PENTAGON,
     crust_lp,
     decompose_l1_lp,
+    lifted_generators,
     positive_support_base_two_stage_lp,
     serialize_space_spec,
 )
@@ -30,6 +35,7 @@ from portho.decomp import (
     opt_decompose,
 )
 from portho.errors import InputError
+from portho.ortho import p_orthogonal
 from portho.harness import default_families, sample_cone
 from portho.spaces import (
     _dual_ball_lp,
@@ -263,20 +269,21 @@ def test_facet_membership_matches_the_membership_lp(name, draw):
 
 @pytest.mark.parametrize("block", [spaces._BLOCK_ENTRIES, 3 * 5])
 def test_least_l1_argmin_is_a_minimizing_basis_in_every_block(monkeypatch, block):
-    # 15 entries hold less than one basis's 6 x 5: then each basis is a block
+    # 15 entries hold less than one basis's 6 x 5: then each basis is a block;
+    # the base norm's least-l1 form over the generator table of m8n5
     monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", block)
     base = _tabled_spaces("m8n5")[1]
-    form = spaces._form(base)
-    S, inv = form.bases
+    bases, w = base.cone.generator_bases, base.cone.generators @ base.norm.phi
+    S, inv = bases
     X = np.random.default_rng(8).normal(size=(6, 5))
-    best, at = spaces._least_l1(X, form.bases, form.w, argmin=True)
-    sums = (np.abs(np.einsum("kij,rj->rki", inv, X)) * form.w[S]).sum(axis=2)
+    best, at = spaces._least_l1(X, bases, w, argmin=True)
+    sums = (np.abs(np.einsum("kij,rj->rki", inv, X)) * w[S]).sum(axis=2)
     assert best == pytest.approx(sums.min(axis=1), rel=1e-12)
     assert sums[np.arange(len(X)), at] == pytest.approx(best, rel=1e-12)
-    assert np.array_equal(best, spaces._least_l1(X, form.bases, form.w))
+    assert np.array_equal(best, spaces._least_l1(X, bases, w))
     for x, b in zip(X, best):
-        S_k, _, c = spaces._minimizing_basis(form, x)
-        assert float(form.w[S_k] @ np.abs(c)) == pytest.approx(b, rel=1e-12)
+        S_k, _, c = spaces._minimizing_basis(bases, w, x)
+        assert float(w[S_k] @ np.abs(c)) == pytest.approx(b, rel=1e-12)
 
 
 def _check_maximizer(space, x, dual, z, z_lp=None):
@@ -289,48 +296,59 @@ def _check_maximizer(space, x, dual, z, z_lp=None):
         assert z == pytest.approx(z_lp, abs=1e-9)
 
 
+def _least_l1_table(space, dual):
+    """(bases, w) of the least-l1 form that the vertex table replaces: the
+    generator table with w = G phi (base norm), or the facet table with
+    w = H e (order-unit dual norm)."""
+    cone = space.cone
+    if dual:
+        return cone.facet_bases, cone.facet_normals @ space.norm.unit
+    return cone.generator_bases, cone.generators @ space.norm.phi
+
+
 @pytest.mark.parametrize("draw", DRAWS)
 @pytest.mark.parametrize("name, kind", [(n, "base") for n in sorted(NON_SIMPLICIAL_CONES)]
                          + [(n, "order_unit") for n in FACET_TABLED])
 def test_least_l1_maximizers_match_the_dual_ball_lp(name, kind, draw):
     # the base norm (primal, over the generator table) at cone points, and
-    # the order-unit dual norm (over the facet table) at dual-cone points
+    # the order-unit dual norm (over the facet table) at dual-cone points:
+    # the vertex form reads the least-l1 value and its argmax is the LP's
     ou, base = _tabled_spaces(name)
     G, H = ou.cone.generators, ou.cone.facet_normals
     space, dual, V, W = (base, False, G, H) if kind == "base" else (ou, True, H, G)
-    assert spaces._form(space, dual).kind == spaces.L1
+    form = spaces._form(space, dual)
+    bases, w = _least_l1_table(space, dual)
+    if len(bases[0]) > 1:  # the vertex table
+        assert form.kind == spaces.MAX and form.w is None and form.bases is None
+    else:  # one basis (m3n2's two facets) keeps its least-l1 form
+        assert form.kind == spaces.L1 and form.bases is bases
     rng = _rng(name, kind, draw, "maximizer")
     for _ in range(20):
         x = _polyhedral_draw(V, W, rng, draw)
         value, z_lp = _dual_ball_lp(space, x, dual)
-        assert float(_evaluate(space, x[None], dual)[0]) == pytest.approx(value, rel=1e-9)
+        got = float(_evaluate(space, x[None], dual)[0])
+        assert got == pytest.approx(value, rel=1e-9)
+        assert got == pytest.approx(float(spaces._least_l1(x[None], bases, w)[0]), rel=1e-12)
         # a boundary draw has a zero coefficient and several maximizers
         _check_maximizer(space, x, dual, norming(space, x, dual), None if draw == "boundary" else z_lp)
 
 
 @pytest.mark.parametrize("kind", ["base", "order_unit"])
-def test_face_inputs_take_the_dual_ball_lp_and_stay_correct(monkeypatch, kind):
+def test_face_inputs_take_no_dual_ball_lp_and_stay_correct(monkeypatch, kind):
     # a generator (base norm) or a facet normal (order-unit dual norm) of the
-    # pentagon has zero (or rounding-level) coefficients in its minimizing
-    # basis, whose dual solution may leave the other unit ball: then the
-    # maximizer is the LP's, at most one per input
+    # pentagon is a face input: its maximizers are a face of the other unit
+    # ball, and the vertex table answers with one of its vertices, no LP
     ou, base = _tabled_spaces("pentagon")
     space, dual = (base, False) if kind == "base" else (ou, True)
     V = ou.cone.generators if kind == "base" else ou.cone.facet_normals
     calls = []
-    solve = spaces._dual_ball_lp
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(spaces, "_dual_ball_lp", counted)
+    monkeypatch.setattr(spaces, "_dual_ball_lp", lambda *args: calls.append(args))
     for v in V:
         for s in (1e-3, 1.0, 1e6):
-            before = len(calls)
-            _check_maximizer(space, s * v, dual, norming(space, s * v, dual))
-            assert len(calls) - before <= 1
-    assert len(calls) >= 5
+            z = norming(space, s * v, dual)
+            _check_maximizer(space, s * v, dual, z)
+            assert np.any(np.all(np.isclose(spaces._form(space, dual).V, z), axis=1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("draw", DRAWS)
@@ -368,6 +386,148 @@ def test_base_positive_support_lp_matches_the_two_stage_lp(draw):
         assert f == pytest.approx(positive_support_base_two_stage_lp(space, u), abs=1e-12)
         assert np.all(G @ f >= -1e-12) and np.all(G @ f <= G @ phi + 1e-12)
         assert float(f @ u) == pytest.approx(float(phi @ u), rel=1e-12)
+
+
+@pytest.mark.parametrize("draw", ["ray", "facet", "interior"])
+def test_base_positive_support_is_the_least_mass_support_with_no_lp(lp_calls, draw):
+    # (phi + z)/2 with z the norming vertex of u of least 1^T G z is the
+    # two-stage LP's support: on five inputs at each of three scales, and at
+    # 1e-12 and 1e12, where the LP's absolute tolerances fail, it is still
+    # the support of u (the supports of s u and u coincide for s > 0)
+    space = _tabled_spaces("pentagon")[1]
+    G = space.cone.generators
+    rng = _rng(draw, "least mass")
+    for i in range(5):
+        if draw == "ray":
+            u = G[i]
+        elif draw == "facet":  # adjacent generators of the pentagon span a facet
+            u = rng.uniform(0.2, 1.5) * G[i] + rng.uniform(0.2, 1.5) * G[(i + 1) % 5]
+        else:
+            u = rng.uniform(0.2, 1.5, size=5) @ G
+        for s in (1e-12, 1e-3, 1.0, 1e6, 1e12):
+            f = positive_support(space, s * u).functional
+            reference = s * u if 1e-3 <= s <= 1e6 else u
+            assert f == pytest.approx(positive_support_base_two_stage_lp(space, reference), abs=1e-12)
+    assert lp_calls == []
+
+
+def test_the_base_positive_support_of_a_generator_is_not_phi():
+    # at g0 = (1, 0, 1) phi has mass 5 on the generators; the least-mass
+    # support (5/9, 0, 4/9) has 20/9
+    space = _tabled_spaces("pentagon")[1]
+    f = positive_support(space, PENTAGON[0]).functional
+    assert f == pytest.approx([5.0 / 9.0, 0.0, 4.0 / 9.0], abs=1e-15)
+    assert float(PENTAGON.sum(axis=0) @ f) == pytest.approx(20.0 / 9.0, rel=1e-15)
+
+
+def test_face_constructions_on_the_pentagon_make_no_lp(lp_calls):
+    # generators and facet normals at three scales, as vectors and as
+    # functionals: support functionals, positive supports, norming elements,
+    # crusts and dual splits all read the vertex and facet tables
+    ou, base = _tabled_spaces("pentagon")
+    G, H = ou.cone.generators, ou.cone.facet_normals
+    for s in (1e-3, 1.0, 1e6):
+        for space in (ou, base):
+            for v in np.vstack([G, H, -G, -H]):
+                res = support_functional(space, s * v)
+                assert res.attained_value == pytest.approx(norm(space, s * v), rel=1e-12)
+                assert dual_norm(space, res.functional) <= 1.0 + 1e-12
+            for g in G:
+                res = positive_support(space, s * g)
+                assert res.is_positive and res.attained_value == pytest.approx(norm(space, s * g), rel=1e-12)
+        for h in H:
+            _check_maximizer(ou, s * h, True, spaces.norming_element(ou, s * h))
+            assert dual_one_orth_decompose(ou, s * h).status == "optimal"
+            assert dual_one_orth_decompose(ou, -s * h).status == "optimal"
+        for g, g_next in zip(G, np.roll(G, -1, axis=0)):
+            _check_crust(ou, s * (g + g_next), crust_probe(ou, s * (g + g_next)).functional)
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("spec", ["ou_pentagon.json", "base_pentagon.json"])
+def test_verify_all_on_a_pentagon_spec_takes_the_grid_only_for_witnesses(lp_calls, monkeypatch, tmp_path, spec):
+    import portho.ortho as ortho_module
+
+    grid = []
+    verdict_from_norm, decide, decisions = ortho_module.verdict_from_norm, ortho_module.p_orthogonal, []
+    monkeypatch.setattr(ortho_module, "verdict_from_norm", lambda *a, **k: grid.append(1) or verdict_from_norm(*a, **k))
+
+    def counted(*args, **kwargs):
+        before = len(grid)
+        v = decide(*args, **kwargs)
+        decisions.append((v.method, v.verdict, len(grid) - before))
+        return v
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("portho") and getattr(module, "p_orthogonal", None) is decide:
+            monkeypatch.setattr(module, "p_orthogonal", counted)
+    path = str(Path(__file__).parent / "data" / spec)
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["verify", "all", "--seed", "0", "--samples", "50", "--space", path,
+                       "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert {method for method, _, _ in decisions} <= {"exact"}
+    assert len(grid) == sum(verdict == "not_orthogonal" for _, verdict, _ in decisions)
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("cap, kind", [(79, "l1"), (80, "max")])
+def test_the_vertex_cap_counts_bases_times_sign_vectors(monkeypatch, cap, kind):
+    # the pentagon's tables hold 10 bases of 3 rows: 80 candidates
+    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", cap)
+    ou, base = _tabled_spaces("pentagon")
+    assert spaces._form(base).kind == spaces._form(ou, True).kind == kind
+
+
+def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkeypatch):
+    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+    ou, base = _tabled_spaces("pentagon")
+    G, H = ou.cone.generators, ou.cone.facet_normals
+    for space, dual, V in ((base, False, G), (ou, True, H)):
+        for v in V:
+            before = len(lp_calls)
+            _check_maximizer(space, v, dual, norming(space, v, dual))
+            assert len(lp_calls) - before == 1
+    u = 0.7 * G[0] + 0.4 * G[1]
+    before = len(lp_calls)
+    f = positive_support(base, u).functional
+    assert len(lp_calls) - before == 1
+    assert f == pytest.approx(positive_support_base_two_stage_lp(base, u), abs=1e-12)
+    # the p = 1 decisions of the base norm go to the grid
+    assert p_orthogonal(base, G[0], G[2], 1.0).method == "grid"
+
+
+def test_vertex_tables_are_built_at_the_first_form(monkeypatch):
+    built = []
+    vertices = spaces._vertices
+    monkeypatch.setattr(spaces, "_vertices", lambda *args: built.append(1) or vertices(*args))
+    space = cli.parse_space_spec(serialize_space_spec(_tabled_spaces("pentagon")[1]))
+    assert built == []
+    norm(space, PENTAGON[0])
+    norm(space, PENTAGON[1])
+    assert built == [1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["base", "order_unit"])
+def test_vertex_form_matches_the_least_l1_form_and_the_dual_ball_lp(kind, n):
+    # random non-simplicial cones in R^3 and R^4 (n + 2 to n + 4
+    # generators), at rows of either sign over nine decades
+    for seed in range(3):
+        G = lifted_generators(n + 2 + seed, n, 40 + 10 * n + seed)
+        cone = ray_cone(G)
+        space, dual = ((base_space(cone, np.eye(n)[-1]), False) if kind == "base"
+                       else (order_unit_space(cone, G.sum(axis=0)), True))
+        assert spaces._form(space, dual).kind == spaces.MAX
+        bases, w = _least_l1_table(space, dual)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(10, n)) * 10.0 ** rng.uniform(-3.0, 6.0, size=(10, 1))
+        values = _evaluate(space, X, dual)
+        assert values == pytest.approx(spaces._least_l1(X, bases, w), rel=1e-12)
+        for x, value in zip(X, values):
+            lp_value, z_lp = _dual_ball_lp(space, x, dual)
+            assert value == pytest.approx(lp_value, rel=1e-9)
+            _check_maximizer(space, x, dual, norming(space, x, dual), z_lp)
 
 
 _CRUST_SPACES = {
@@ -506,9 +666,8 @@ def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, k
 
 
 def test_a_tabled_non_simplicial_cone_takes_the_facet_closed_forms(lp_calls):
-    # membership reads the facet normals, the maximizers and the dual split a
-    # minimizing basis; only the base positive support keeps an LP, one
+    # membership reads the facet normals, the maximizers the vertex tables
+    # (the base positive support too) and the dual split a minimizing basis
     for kind in ("order_unit", "base"):
         calls = _pentagon_calls(lp_calls, kind)
-        expected = {name: 1 if (kind, name) == ("base", "positive_support") else 0 for name in calls}
-        assert calls == expected, kind
+        assert calls == {name: 0 for name in calls}, kind

@@ -465,6 +465,14 @@ class TestNorming:
         # tiebreak ratios 3/1 and 2/2 on the two maximizers
         assert norming(sp, x, tiebreak=[3.0, 2.0, 0.0]).tolist() == [0.0, 0.5, 0.0]
 
+    def test_tiebreak_ranks_the_returned_functionals(self):
+        # both -e0 and e1 norm (-1, 1); the tiebreak (1, 0) reads -1 on -e0
+        # and 0 on e1, so -e0 is the least, whatever the sign of v_j . t
+        assert norming(sup_space(2), [-1.0, 1.0], tiebreak=[1.0, 0.0]).tolist() == [-1.0, 0.0]
+        assert norming(sup_space(2), [1.0, -1.0], tiebreak=[0.0, -1.0]).tolist() == [1.0, 0.0]
+        sp = order_unit_space(nonneg_orthant(2), [1.0, 2.0])
+        assert norming(sp, [-1.0, 2.0], tiebreak=[1.0, 1.0]).tolist() == [-1.0, 0.0]
+
 
 class TestRestrictedNorm:
     def test_sup_square(self):
