@@ -19,7 +19,7 @@ Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
 `norm` / `dual_norm` calls), DECIDER_ROWS (the k grid `ortho.K_GRID`: the
 block the grid decider hands the row oracle at finite p) and 2^15 / dim (the
-most rows one block of the decider may hold, `spaces._BLOCK_ENTRIES`
+most rows one block of the decider may hold, `ortho._BLOCK_ENTRIES`
 entries). The key
 under each family is the row count.
 

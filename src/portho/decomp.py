@@ -5,9 +5,10 @@ inf-orthogonal splits into positive/negative parts, and the dual route that
 splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
-"unsupported". On a non-simplicial cone the dual route splits a
-minimizing basis of the cone's facet table, and an LP remains only above
-the table cap. Orthogonality is decided by `ortho.p_orthogonal`.
+"unsupported". On a non-simplicial cone the dual route splits at the
+basis of the cone's facet table with the least weighted l1 coefficients,
+and an LP remains only above the table cap. Orthogonality is decided by
+`ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, UnsupportedError
-from .linalg import LpProblem, eigen_sym, solve_lp
+from .linalg import LpProblem, eigen_sym, solve_lp, unit_scaled
 from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
-    _minimizing_basis,
     dual_norm,
     norm,
     norming_element,
@@ -167,32 +167,39 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
 def _dual_split(space: SpaceSpec, f: np.ndarray):
     """f = f1 - f2 with f1, f2 in the dual cone of an order-unit space on a
     ray cone and (f1 + f2)(e) = dual_norm(f). Over the cone's facet table
-    the dual norm is least-l1 (the least sum_j h_j(e) |c_j| over f = H^T c):
-    with f = H_S^T c at a minimizing basis S, the halves H_S^T c+ and
-    H_S^T c- are nonnegative combinations of facet normals and sum to
+    (S, inv) the dual norm is least-l1, the least sum_j h_j(e) |c_j| over
+    f = H^T c, attained at a basic solution c = inv_k f: with f = H_S^T c at
+    the first minimizing basis S, the halves H_S^T c+ and H_S^T c- are
+    nonnegative combinations of facet normals and sum to
     sum_S (H e)_S |c_S| at e. Coefficients within 1e-12 of the largest in
     magnitude are rounding and count as zero, so that neither half is made
     of rounding alone. Above the table cap an LP decides."""
     bases = space.cone.facet_bases
     if bases is None:
         return _dual_split_lp(space, f)
+    S, inv = bases
     H = space.cone.facet_normals
-    S, _, c = _minimizing_basis(bases, H @ space.norm.unit, f)
+    w = (H @ space.norm.unit)[S]
+    k = int(np.argmin(np.sum(w * np.abs(inv @ f), axis=1)))
+    S, c = S[k], inv[k] @ f
     c = np.where(np.abs(c) <= 1e-12 * np.abs(c).max(), 0.0, c)
     return np.clip(c, 0.0, None) @ H[S], np.clip(-c, 0.0, None) @ H[S]
 
 
 def _dual_split_lp(space: SpaceSpec, f: np.ndarray):
     """f = f1 - f2 minimizing (f1 + f2)(e) over f1, f2 in the dual cone of
-    an order-unit space; the variables are f1 (free), with f2 = f1 - f."""
+    an order-unit space; the variables are f1 (free), with f2 = f1 - f. The
+    LP splits f scaled to unit largest entry, and f1 is scaled back."""
     G = _c.generator_matrix(space.cone)
+    unit_f, scale = unit_scaled(f)
     out = solve_lp(LpProblem(
         objective=-2.0 * space.norm.unit, ineq=np.vstack([-G, -G]),
-        ineq_rhs=np.append(np.zeros(len(G)), -(G @ f)), free=np.ones(space.dim, bool),
+        ineq_rhs=np.append(np.zeros(len(G)), -(G @ unit_f)), free=np.ones(space.dim, bool),
     ))
     if out.status != "optimal":
         raise UnsupportedError("dual decomposition LP failed")
-    return out.argument, out.argument - f
+    f1 = scale * out.argument
+    return f1, f1 - f
 
 
 @dataclass(frozen=True)

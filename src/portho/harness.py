@@ -62,7 +62,7 @@ from .spaces import (
     spectral_space,
     sup_space,
 )
-from .support import crust_probe, positive_support
+from .support import crust_probe, has_positive_support, positive_support
 
 INF = math.inf
 _MAX_DRAWS = 1000  # sampler retries before a space counts as unsampleable
@@ -192,14 +192,6 @@ def _support_min_cross(space: SpaceSpec, u1, u2):
     return f, float(f @ u1), float(f @ u2)
 
 
-def _dual_split(space: SpaceSpec, f: np.ndarray):
-    """f = f1 - f2, norm-minimal: by the dual cone coefficients where the
-    norm is monotone in the cone coefficients, else by coordinates."""
-    if monotone_norm(space):
-        return coefficient_parts(space, f, dual=True)
-    return np.clip(f, 0.0, None), np.clip(-f, 0.0, None)
-
-
 def _cx(location: str, residual: float, **vectors):
     inputs = {k: np.asarray(v, dtype=float).tolist() for k, v in vectors.items()}
     return {"location": location, "residual": float(residual), "input": inputs}
@@ -300,7 +292,7 @@ def _suite_duality(exact: bool):
     @_per_sample
     def run(space, rng, tol):
         f = sample_vector(space, rng)
-        f1, f2 = _dual_split(space, f)
+        f1, f2 = coefficient_parts(space, f, dual=True)
         q = conjugate(space.p_class)
         agg = p_aggregate(dual_norm(space, f1), dual_norm(space, f2), q)
         nf = dual_norm(space, f)
@@ -669,13 +661,13 @@ SUITES = {
     "thm21_lp_characterization": (_suite_thm21, _finite_p_coordinate, "lp15_8"),
     "def22_Op1": (_suite_def22_op1, lambda sp: True, "lp3_8"),
     "def22_Op2": (_suite_def22_op2, monotone_norm, "lp15_8"),
-    "thm23_duality": (_suite_duality(exact=False), _is_lattice, "lp3_8"),
-    "thm24_OSp2": (_suite_duality(exact=True), _is_lattice, "sup_8"),
+    "thm23_duality": (_suite_duality(exact=False), monotone_norm, "lp3_8"),
+    "thm24_OSp2": (_suite_duality(exact=True), monotone_norm, "sup_8"),
     "prop25_span_smooth": (_suite_prop25, _is_coordinate, "lp15_8"),
     "thm26_order_iso": (_suite_thm26, _finite_p_coordinate, "lp1_8"),
     "lem27_positive_pair": (_suite_lem27, _disjoint_pair_coordinate, "lp2_8"),
     "lem28_cone_coeffs": (_suite_lem28, _is_coordinate, "lp3_8"),
-    "prop32_supp_nonempty": (_suite_prop32, lambda sp: True, "base_8"),
+    "prop32_supp_nonempty": (_suite_prop32, has_positive_support, "base_8"),
     "thm33_equivalence": (_suite_thm33, _is_order_unit_like, "sup_8"),
     "rem34_extension": (_suite_rem34, _is_order_unit_like, "sup_8"),
     "cor35_infty_pair": (_suite_cor35, _is_order_unit_like, "spectral_4"),

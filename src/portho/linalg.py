@@ -196,6 +196,14 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     return LpOutcome("optimal", float(problem.objective @ x), x)
 
 
+def unit_scaled(x: np.ndarray):
+    """(x / m, m) with m = max |x_i|, or (x, 1.0) for x = 0. The solver's
+    tolerances are absolute, so an LP whose objective or constraint is x
+    solves for x / m, and its value, or its solution, is scaled back by m."""
+    m = float(np.abs(x).max())
+    return (x / m, m) if m > 0.0 else (x, 1.0)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in descending order; eigenvectors[k] is the unit eigenvector

@@ -10,11 +10,11 @@ grid. The one setting of a decision is its tolerance `tol`.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead,
 reading the closed form of the norm or of the dual norm (`spaces._form`): at
-p = 1 and p = inf the slope rule decides every max-ratio, eigen, and
-coordinate or one-basis least-l1 form; a weighted lp norm at its own p,
-scaled to the plain lp norm, is decided by `p_orthogonal_exact` (disjoint
-supports, or a zero inner product at p = 2). Every other case goes to the
-grid. The verdict's `method` says which route answered.
+p = 1 and p = inf the slope rule decides every max-ratio, l1 and eigen
+form; a weighted lp norm at its own p, scaled to the plain lp norm, is
+decided by `p_orthogonal_exact` (disjoint supports, or a zero inner product
+at p = 2). Every other case goes to the grid. The verdict's `method` says
+which route answered.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .cones import as_matrix
 from .errors import InputError
 from .spaces import (
-    _BLOCK_ENTRIES,
     EIGEN,
     L1,
     MAX,
@@ -43,6 +42,11 @@ from .spaces import (
 )
 
 INF = math.inf
+
+# entries of one block of the grid x + k y that the grid decider hands the
+# row oracle: one block holds the whole grid at small dimension and bounds
+# memory at large
+_BLOCK_ENTRIES = 2**15
 
 # the decider's scalars, sorted: 0 and +-2^j for j = -8..8 (35 scalars)
 K_GRID = tuple(sorted({0.0} | {s * 2.0**j for j in range(-8, 9) for s in (1.0, -1.0)}))
@@ -104,7 +108,7 @@ class OrthoVerdict:
 def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdict:
     """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
     returns the norms of the rows of W as an array. The grid x + k y goes
-    to the oracle in blocks of at most `spaces._BLOCK_ENTRIES` entries."""
+    to the oracle in blocks of at most `_BLOCK_ENTRIES` entries."""
     check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
@@ -169,18 +173,17 @@ def p_orthogonal(
     space: SpaceSpec, x, y, p: float, tol: float = 1e-9, dual: bool = False
 ) -> OrthoVerdict:
     """Decide x perp_p y in the norm of the space, or in its dual norm for
-    dual=True: exactly by the slope rule (`_slope_rule`) or, for a power
-    form at its own p, in the lp norm of the coordinates scaled by w^(1/p),
-    on x and y scaled to unit largest entry at the relative tolerance tol;
-    on the grid where neither applies."""
+    dual=True: exactly by the slope rule (`_slope_rule`, every form but
+    power and solver at p = 1 and inf) or, for a power form at its own p,
+    in the lp norm of the coordinates scaled by w^(1/p), on x and y scaled
+    to unit largest entry at the relative tolerance tol; on the grid where
+    neither applies."""
     check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
     form = _form(space, dual)
     power = form.kind == POWER and p == form.p
-    slopes = (p == 1.0 or math.isinf(p)) and (
-        form.kind in (MAX, EIGEN) or form.kind == L1 and (form.bases is None or len(form.bases[0]) == 1)
-    )
+    slopes = (p == 1.0 or math.isinf(p)) and form.kind in (MAX, L1, EIGEN)
     if not (power or slopes):
         return p_orthogonal_numeric(space, x, y, p, tol, dual)
     xy = np.array([_check_vec(space, x), _check_vec(space, y)])
@@ -225,26 +228,23 @@ def _slopes(space: SpaceSpec, form, y: np.ndarray, D: np.ndarray, tol: float) ->
     form at y != 0, one per row d of D; entries within the relative
     tolerance tol of the largest (or of zero) count as equal to it:
     - max-ratio: max sign(v_j . y) (v_j . d) / w_j over the largest |v_j . y| / w_j;
-    - least-l1, c and e the coefficients of y and d: sum w_j sign(c_j) e_j
-      over c_j != 0, plus sum w_j |e_j| over c_j = 0;
+    - l1: sum w_j sign(v_j . y) (v_j . d) over v_j . y != 0, plus
+      sum w_j |v_j . d| over v_j . y = 0;
     - operator norm: the largest eigenvalue of Q+^T d Q+ and of -Q-^T d Q-,
       Q+ (Q-) the eigenvectors of y's eigenvalue ||y|| (-||y||);
     - trace norm: sum sign(l_i) q_i^T d q_i over y's eigenvalues l_i != 0,
       plus the trace norm of d compressed to the kernel of y."""
-    if form.kind == MAX:
+    if form.kind in (MAX, L1):
+        w = form.w
         r, R = (y, D) if form.V is None else (form.V @ y, D @ form.V.T)
-        a = np.abs(r) if form.w is None else np.abs(r) / form.w
+        if form.kind == L1:
+            a = np.abs(r) if w is None else w * np.abs(r)
+            T = np.where(a <= tol * a.sum(), np.abs(R), np.sign(r) * R)
+            return T.sum(axis=1) if w is None else T @ w
+        a = np.abs(r) if w is None else np.abs(r) / w
         top = a >= a.max() * (1.0 - tol)
-        s = np.sign(r[top]) if form.w is None else np.sign(r[top]) / form.w[top]
+        s = np.sign(r[top]) if w is None else np.sign(r[top]) / w[top]
         return (R[:, top] * s).max(axis=1)
-    if form.kind == L1:
-        c, E, w = y, D, form.w
-        if form.bases is not None:
-            S, inv = form.bases[0][0], form.bases[1][0]
-            c, E, w = inv @ y, D @ inv.T, w[S]
-        a = np.abs(c) if w is None else w * np.abs(c)
-        T = np.where(a <= tol * a.sum(), np.abs(E), np.sign(c) * E)
-        return T.sum(axis=1) if w is None else T @ w
     lam, Q = np.linalg.eigh(as_matrix(space.cone, y))
     M = Q.T @ as_matrix(space.cone, D) @ Q
     a = np.abs(lam)

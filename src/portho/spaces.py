@@ -8,12 +8,12 @@ Each norm and dual norm resolves once per space (`_form`) to one closed
 form: max-ratio max_j |v_j . x| / w_j (sup, the order-unit norm over the
 facet normals, the base dual norm over the generators, and the base norm
 and the order-unit dual norm on a non-simplicial cone over the vertices of
-the other direction's unit ball), least-l1 (lp 1, the base norm and the
-order-unit dual norm over a simplicial cone's one basis, or over a basis
-table whose vertex candidates exceed `MAX_VERTEX_CANDIDATES`), power (lp at
-1 < p < inf), eigen (spectral) or, for a ray cone whose table would exceed
-`cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms` and
-`batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
+the other direction's unit ball), its mirror l1 sum_j w_j |v_j . x| (lp 1,
+and the base norm and the order-unit dual norm on a simplicial cone, over
+its cone coefficients), power (lp at 1 < p < inf), eigen (spectral) or,
+where the vertex table would exceed `MAX_VERTEX_CANDIDATES` candidates or
+a cone table `cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms`
+and `batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, SpecError
-from .linalg import LpProblem, eigen_sym, solve_lp
+from .linalg import LpProblem, eigen_sym, solve_lp, unit_scaled
 
 INF = math.inf
-# entries of one block: of basic solutions in _least_l1, and of the grid
-# x + k y that the grid decider (`ortho.verdict_from_norm`) hands the row
-# oracle, where one block holds the whole grid at small dimension and bounds
-# memory at large
-_BLOCK_ENTRIES = 2**15
 # cap on the candidates (bases times 2^n sign vectors) of a vertex table
 MAX_VERTEX_CANDIDATES = 2**14
 
@@ -46,7 +41,7 @@ SPECTRAL = "spectral"
 
 # the closed forms of a norm or dual norm (see `_Form`)
 MAX = "max"  # max_j |v_j . x| / w_j
-L1 = "l1"  # min sum_j w_j |c_j| over x = V^T c
+L1 = "l1"  # sum_j w_j |v_j . x|
 POWER = "power"  # (sum_j w_j |x_j|^p)^(1/p)
 EIGEN = "eigen"  # max or sum of |eigenvalues|
 SOLVER = "solver"  # an LP over the dual ball
@@ -209,9 +204,8 @@ def order_unit(space: SpaceSpec) -> np.ndarray | None:
 
 class _Form(NamedTuple):
     kind: str  # MAX, L1, POWER, EIGEN or SOLVER
-    V: np.ndarray | None = None  # max: rows v_j, None for the coordinates
+    V: np.ndarray | None = None  # max, l1: rows v_j, None for the coordinates
     w: np.ndarray | None = None  # weights, None for weight 1
-    bases: tuple | None = None  # l1: basis table (S, inv) of V, None for the coordinates
     p: float | None = None  # power: the exponent; eigen: inf (max) or 1 (sum)
 
 
@@ -239,22 +233,27 @@ def _resolve(space: SpaceSpec, dual: bool) -> _Form:
         return _Form(POWER, w=None if nk.weights is None else nk.weights ** (1.0 - q), p=q)
     # the order-unit / base duality: the order-unit norm and the base dual
     # norm are max-ratio forms, the base norm and the order-unit dual norm
-    # least-l1 forms, over the facet normals H with w = H e, or the
-    # generators G with w = G phi; over more than one basis a least-l1 form
-    # is the max-ratio form of its dual ball's vertices
+    # least-l1 forms min sum_j w_j |c_j| over V^T c = x, over the facet
+    # normals H with w = H e, or the generators G with w = G phi. Over one
+    # basis (S, inv) c = inv x is unique: an l1 form; over several, the
+    # max-ratio form of the dual ball's vertices
     ou = nk.kind == ORDER_UNIT
     u = nk.unit if ou else nk.phi
-    kind = MAX if ou != dual else L1
     if cone.kind == _c.NONNEG:
-        return _Form(kind, w=u)
+        return _Form(MAX if ou != dual else L1, w=u)
     V = cone.facet_normals if ou else cone.generators
-    bases = None if kind == MAX else cone.facet_bases if ou else cone.generator_bases
-    if V is None or (kind == L1 and bases is None):
+    if ou != dual:
+        return _Form(SOLVER) if V is None else _Form(MAX, V=V, w=V @ u)
+    bases = cone.facet_bases if ou else cone.generator_bases
+    if bases is None:
         return _Form(SOLVER)
+    S, inv = bases
     w = V @ u
-    if kind == L1 and len(bases[0]) > 1 and len(bases[0]) << V.shape[1] <= MAX_VERTEX_CANDIDATES:
+    if len(S) == 1:
+        return _Form(L1, V=inv[0], w=w[S[0]])
+    if len(S) << V.shape[1] <= MAX_VERTEX_CANDIDATES:
         return _Form(MAX, V=_vertices(V, w, bases))
-    return _Form(kind, V=V, w=w, bases=bases)
+    return _Form(SOLVER)
 
 
 def _vertices(V: np.ndarray, w: np.ndarray, bases) -> np.ndarray:
@@ -295,13 +294,10 @@ def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
 
 def _evaluate(space: SpaceSpec, X: np.ndarray, dual: bool) -> np.ndarray:
     form = _form(space, dual)
-    if form.kind == MAX:
+    if form.kind in (MAX, L1):
         A = np.abs(X if form.V is None else X @ form.V.T)
-        return (A if form.w is None else A / form.w).max(axis=1)
-    if form.kind == L1:
-        if form.bases is not None:
-            return _least_l1(X, form.bases, form.w)
-        A = np.abs(X)
+        if form.kind == MAX:
+            return (A if form.w is None else A / form.w).max(axis=1)
         return (A if form.w is None else A * form.w).sum(axis=1)
     if form.kind == POWER:
         return _power(X, form.p, form.w)
@@ -330,40 +326,6 @@ def _power(X: np.ndarray, p: float, w) -> np.ndarray:
     return out
 
 
-def _least_l1(X: np.ndarray, bases, w: np.ndarray, argmin: bool = False):
-    """min sum_i w_i |c_i| over V^T c = x, for each row x of X: w > 0, so
-    the LP has an optimal basic solution c_S = (V_S^T)^-1 x, and the answer
-    is a running minimum over the bases (S, inv) of the table, taken in
-    blocks of at most _BLOCK_ENTRIES intermediate entries. With argmin, also
-    the table index of a minimizing basis of each row (the first of ties)."""
-    S, inv = bases
-    rows, n = X.shape
-    ws = w[S]
-    step = max(1, _BLOCK_ENTRIES // max(1, rows * n))
-    best = np.full(rows, np.inf)
-    at = np.zeros(rows, dtype=int) if argmin else None
-    for b in range(0, len(S), step):
-        block = inv[b:b + step]
-        k = len(block)
-        C = (X @ block.reshape(k * n, n).T).reshape(rows, k, n)
-        sums = np.sum(ws[b:b + step] * np.abs(C), axis=2)
-        low = sums.min(axis=1)
-        if argmin:
-            better = low < best
-            at[better] = b + sums.argmin(axis=1)[better]
-        np.minimum(best, low, out=best)
-    return (best, at) if argmin else best
-
-
-def _minimizing_basis(bases, w: np.ndarray, x: np.ndarray):
-    """(S, inv, c) of a basis of the table `bases` at which the least-l1
-    form of the weights w attains its minimum at x: c = inv x are the
-    coefficients of x = V_S^T c, and sum_i w_S_i |c_i| is the minimum."""
-    S, inv = bases
-    k = 0 if len(S) == 1 else int(_least_l1(x[None], bases, w, argmin=True)[1][0])
-    return S[k], inv[k], inv[k] @ x
-
-
 def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarray:
     """The maximizer of the form at x != 0: for dual=False a functional f
     with dual_norm(f) <= 1 and f(x) = norm(x) (a support functional of x),
@@ -373,18 +335,15 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
     the maximizer (within 1e-12 of the max, relative) whose z_j has the
     least value z_j . tiebreak (the first of ties). Of a vertex table this
     is a vertex of the other direction's unit ball, so face inputs need no
-    LP. Of a
-    coordinate least-l1 form it is w sign(x); of a one-basis least-l1 form
-    the dual solution inv^T (w_S sign(c)) of that basis; of a least-l1 form
-    over several bases (above the vertex cap) and of the solver form, the
-    maximizer of the dual-ball LP."""
+    LP. Of an l1 form it is sum_j w_j sign(v_j . x) v_j (w sign(x) over the
+    coordinates); of the solver form, the maximizer of the dual-ball LP."""
     x = _check_vec(space, x)
     if np.abs(x).max() == 0.0:
         raise InputError(f"{'norming element' if dual else 'support functional'} undefined at 0")
     form = _form(space, dual)
     V, w = form.V, form.w
+    r = x if V is None else V @ x
     if form.kind == MAX:
-        r = x if V is None else V @ x
         a = np.abs(r) if w is None else np.abs(r) / w
         j = int(np.argmax(a))
         if tiebreak is not None:
@@ -394,11 +353,9 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
             j = top[np.argmin(t if w is None else t / w[top])]
         v = np.eye(1, space.dim, j)[0] if V is None else V[j]
         return np.sign(r[j]) * v if w is None else np.sign(r[j]) * v / w[j]
-    if form.kind == L1 and form.bases is None:
-        return np.sign(x) if w is None else w * np.sign(x)
-    if form.kind == L1 and len(form.bases[0]) == 1:
-        S, inv, c = _minimizing_basis(form.bases, w, x)
-        return inv.T @ (w[S] * np.sign(c))
+    if form.kind == L1:
+        s = np.sign(r) if w is None else w * np.sign(r)
+        return s if V is None else V.T @ s
     if form.kind == POWER:
         f = np.sign(x) * np.abs(x) ** (form.p - 1.0)
         if w is not None:
@@ -422,17 +379,18 @@ def norming_element(space: SpaceSpec, f) -> np.ndarray:
 
 def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
     """(value, maximizer) of the largest x(z) over the unit ball of the other
-    direction, for the order-unit and base norms (dual=False) and the
-    order-unit dual norm (the base dual norm is always a max-ratio form):
-    the solver form, and the maximizer of a least-l1 form above the vertex
-    cap. With G the generators:
+    direction: the solver form of the order-unit and base norms (dual=False)
+    and of the order-unit dual norm (the base dual norm is always a
+    max-ratio form). With G the generators:
     - base norm: z = f with |G f| <= G phi;
     - order-unit norm: z = f1 - f2 with G f1 >= 0, G f2 >= 0 and
       (f1 + f2)(e) <= 1, variables (f1, f2);
     - order-unit dual norm: z with e - z = G^T s, e + z = G^T t, s, t >= 0,
-      variables (z, s, t), the two rows of coordinate j adjacent."""
+      variables (z, s, t), the two rows of coordinate j adjacent.
+    It solves for x scaled to unit largest entry (`linalg.unit_scaled`)."""
     G = _c.generator_matrix(space.cone)
     m, n = G.shape
+    x, scale = unit_scaled(x)
     if not dual and space.norm.kind == BASE:
         gphi = G @ space.norm.phi
         problem = LpProblem(objective=x, ineq=np.vstack([G, -G]),
@@ -450,7 +408,7 @@ def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
     if out.status != "optimal":
         raise InputError(f"{space.norm.kind} {'dual ' if dual else ''}norm LP failed")
     z = out.argument
-    return float(out.optimum), (z[:n] - z[n:] if not dual and space.norm.kind == ORDER_UNIT else z[:n])
+    return scale * float(out.optimum), (z[:n] - z[n:] if not dual and space.norm.kind == ORDER_UNIT else z[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +417,7 @@ def _dual_ball_lp(space: SpaceSpec, x: np.ndarray, dual: bool):
 
 def restricted_dual_norms(space: SpaceSpec, u1, u2) -> np.ndarray:
     """The dual norm on span{u1, u2} (linearly independent) for a weighted
-    l1 norm (a coordinate least-l1 form), as the vertices V (rows) of the
+    l1 norm (an l1 form over the coordinates), as the vertices V (rows) of the
     span's unit ball in (l1, l2): a functional with values g = (g(u1), g(u2))
     has the dual norm sup |g . l| over ||l1 u1 + l2 u2|| <= 1, max_j |V_j . g|.
 
@@ -468,7 +426,7 @@ def restricted_dual_norms(space: SpaceSpec, u1, u2) -> np.ndarray:
     whose vertices lie on the directions +-(u2_i, -u1_i); a linear
     functional attains its sup over the polygon at a vertex."""
     form = _form(space)
-    if form.kind != L1 or form.bases is not None:
+    if form.kind != L1 or form.V is not None:
         raise InputError(f"restricted dual norm needs a weighted l1 norm, not {space.describe()}")
     U = np.stack([_check_vec(space, u1), _check_vec(space, u2)])
     D = np.stack([U[1], -U[0]], axis=1)

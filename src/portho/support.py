@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError
-from .linalg import LpProblem, solve_lp
+from .linalg import LpProblem, solve_lp, unit_scaled
 from .ortho import p_orthogonal
 from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, batch_norms, norm, norming, order_unit
 
@@ -51,6 +51,12 @@ def _check_positive(space: SpaceSpec, u) -> np.ndarray:
     return u
 
 
+def has_positive_support(space: SpaceSpec) -> bool:
+    """Whether `positive_support` serves the space's family: the base and
+    lp norms, and every norm that is an order-unit norm (`order_unit`)."""
+    return space.norm.kind in (BASE, LP) or order_unit(space) is not None
+
+
 def positive_support(space: SpaceSpec, u) -> SupportResult:
     """A positive support of u in the cone. An lp norm over a ray cone takes
     the cut support functional, which is_positive reports positive or not:
@@ -61,10 +67,10 @@ def positive_support(space: SpaceSpec, u) -> SupportResult:
 def _positive_support(space: SpaceSpec, u: np.ndarray) -> SupportResult:
     """`positive_support` of a nonzero u known to lie in the cone."""
     kind = space.norm.kind
+    if not has_positive_support(space):
+        raise InputError(f"unsupported family for positive_support: {kind!r}")
     if kind == BASE:
         f = _positive_support_base(space, u)
-    elif kind != LP and order_unit(space) is None:
-        raise InputError(f"unsupported family for positive_support: {kind!r}")
     elif _form(space).kind == SOLVER:
         f = _positive_support_lp(space, u)
     else:
@@ -78,10 +84,11 @@ def _positive_support(space: SpaceSpec, u: np.ndarray) -> SupportResult:
 
 
 def _positive_support_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
-    """Maximize f(u) over f in the dual cone with f(e) = 1."""
+    """Maximize f(u) over f in the dual cone with f(e) = 1, for u scaled to
+    unit largest entry."""
     G = _c.generator_matrix(space.cone)
     out = solve_lp(LpProblem(
-        objective=u, eq=order_unit(space)[None], eq_rhs=[1.0], ineq=-G,
+        objective=unit_scaled(u)[0], eq=order_unit(space)[None], eq_rhs=[1.0], ineq=-G,
         ineq_rhs=np.zeros(len(G)), free=np.ones(space.dim, bool),
     ))
     if out.status != "optimal":
@@ -111,8 +118,9 @@ def _positive_support_base_lp(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
     """Among the positive f with f(g_i) <= phi(g_i) that attain f(u) = phi(u)
     (the most any of them reaches: with u = G^T a, a >= 0, f(u) = a . G f
     <= a . G phi), one of least total mass on the generators; phi itself,
-    always such an f, if the LP fails."""
+    always such an f, if the LP fails. u is scaled to unit largest entry."""
     G, phi = _c.generator_matrix(space.cone), space.norm.phi
+    u = unit_scaled(u)[0]
     out = solve_lp(LpProblem(
         objective=-G.sum(axis=0), eq=u[None], eq_rhs=[float(phi @ u)],
         ineq=np.vstack([G, -G]), ineq_rhs=np.append(G @ phi, np.zeros(len(G))),

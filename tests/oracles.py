@@ -2,8 +2,8 @@
 non-simplicial cones the polyhedral table tests share, and helpers that only
 the tests need (the duality pairing, eigendecomposition reconstruction,
 space-spec serialization, an additivity spot check of orthonormal sets, the
-l1 decomposition LP, the crust LP and the two-stage base positive support
-LP).
+least-l1 form over a basis table, the l1 decomposition LP, the crust LP and
+the two-stage base positive support LP).
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
@@ -224,6 +224,25 @@ NON_SIMPLICIAL_CONES = {
     "duplicated": np.vstack([_G6B, 3.0 * _G6B[2]]),
     "pentagon": PENTAGON,
 }
+
+
+def least_l1(X, bases, w):
+    """min sum_i w_i |c_i| over V^T c = x, for each row x of X, by brute
+    force over the table (S, inv) of V's bases: w > 0, so the LP has an
+    optimal basic solution c_S = inv_k x. The base norm (V the generators,
+    w = G phi) and the order-unit dual norm (V the facet normals, w = H e)
+    are this form; portho evaluates it as the max-ratio form of its dual
+    ball's vertices or, above the vertex cap, by the dual-ball LP."""
+    S, inv = bases
+    return (np.abs(np.einsum("kij,rj->rki", inv, np.asarray(X, dtype=float))) * w[S]).sum(axis=2).min(axis=1)
+
+
+# a cone between the caps: 462 generator bases in R^6, so 462 * 2^6 = 29,568
+# vertex candidates, above spaces.MAX_VERTEX_CANDIDATES, while the generator
+# table (C(11, 6) = 462 subsets) is within cones.MAX_TABLE_SUBSETS; its 50
+# facets make C(50, 6) subsets, so the facet table is above that cap. The
+# generators are rounded to six decimals, as in tests/data/base_between_caps.json
+BETWEEN_CAPS = np.round(lifted_generators(11, 6, 17), 6)
 
 
 def pairing(f, x) -> float:

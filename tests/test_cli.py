@@ -355,6 +355,20 @@ class TestCommands:
             assert {"location", "residual", "input"} <= cx.keys()
             assert cx["location"] == "isometry" and "alpha" in cx["input"]
 
+    def test_verify_all_on_a_family_without_positive_supports_runs_every_suite(self, tmp_path, capsys):
+        # the sup norm over a simplicial ray cone: positive_support rejects
+        # the family, so prop32 is skipped and the later suites still report
+        path = tmp_path / "sup_rays.json"
+        cone = {"kind": "rays", "generators": [[1.0, -0.3, 0.0], [0.0, 1.0, -0.3], [-0.3, 0.0, 1.0]]}
+        path.write_text(_spec(cone=cone), encoding="utf-8")
+        code = main(["verify", "all", "--space", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and "error" not in captured.err
+        ran = {r["suite"] for r in json.loads(captured.out)}
+        assert "ex46_nonuniqueness" in ran and "prop32_supp_nonempty" not in ran
+        skipped = captured.err.split("skipped (unsupported on this space): ")[1]
+        assert {"prop32_supp_nonempty", "thm23_duality", "thm24_OSp2"} <= set(skipped.strip().split(", "))
+
     def test_verify_all_skips_unsupported(self, lp2, capsys):
         code = main(["verify", "all", "--space", lp2, "--samples", "5"])
         captured = capsys.readouterr()

@@ -2,11 +2,12 @@
 cones (unique cone coefficients), and on non-simplicial cones with tables,
 where membership reads the facet normals, the base norm and the order-unit
 dual norm are the max-ratio forms of their dual balls' vertices (checked
-against the least-l1 form and the dual-ball LP), the base positive support
-is half of phi plus a norming vertex, and the dual split reads a minimizing
-basis. Then a count of the solver calls: none on the default families, none
-on a tabled non-simplicial cone, and the LP fallbacks above the vertex and
-table caps."""
+against the brute-force least-l1 form and the dual-ball LP), the base
+positive support is half of phi plus a norming vertex, and the dual split
+reads a minimizing basis. Then a count of the solver calls: none on the
+default families, none on a tabled non-simplicial cone, and the LP
+fallbacks above the vertex and table caps, on a cone that reaches the
+vertex cap unpatched and at input scales from 1e-12 to 1e12."""
 
 import contextlib
 import io
@@ -17,10 +18,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    BETWEEN_CAPS,
     NON_SIMPLICIAL_CONES,
     PENTAGON,
     crust_lp,
     decompose_l1_lp,
+    least_l1,
     positive_support_base_two_stage_lp,
     serialize_space_spec,
 )
@@ -266,25 +269,6 @@ def test_facet_membership_matches_the_membership_lp(name, draw):
         assert _contains_lp(cone, x, tol) is expected
 
 
-@pytest.mark.parametrize("block", [spaces._BLOCK_ENTRIES, 3 * 5])
-def test_least_l1_argmin_is_a_minimizing_basis_in_every_block(monkeypatch, block):
-    # 15 entries hold less than one basis's 6 x 5: then each basis is a block;
-    # the base norm's least-l1 form over the generator table of m8n5
-    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", block)
-    base = _tabled_spaces("m8n5")[1]
-    bases, w = base.cone.generator_bases, base.cone.generators @ base.norm.phi
-    S, inv = bases
-    X = np.random.default_rng(8).normal(size=(6, 5))
-    best, at = spaces._least_l1(X, bases, w, argmin=True)
-    sums = (np.abs(np.einsum("kij,rj->rki", inv, X)) * w[S]).sum(axis=2)
-    assert best == pytest.approx(sums.min(axis=1), rel=1e-12)
-    assert sums[np.arange(len(X)), at] == pytest.approx(best, rel=1e-12)
-    assert np.array_equal(best, spaces._least_l1(X, bases, w))
-    for x, b in zip(X, best):
-        S_k, _, c = spaces._minimizing_basis(bases, w, x)
-        assert float(w[S_k] @ np.abs(c)) == pytest.approx(b, rel=1e-12)
-
-
 def _check_maximizer(space, x, dual, z, z_lp=None):
     """z attains the form at x within the other direction's unit ball, and
     equals the LP's maximizer z_lp when given."""
@@ -319,18 +303,19 @@ def test_least_l1_maximizers_match_the_dual_ball_lp(name, kind, draw):
     form = spaces._form(space, dual)
     bases, w = _least_l1_table(space, dual)
     if len(bases[0]) > 1:  # the vertex table
-        assert form.kind == spaces.MAX and form.w is None and form.bases is None
-    else:  # one basis (m3n2's two facets) keeps its least-l1 form
-        assert form.kind == spaces.L1 and form.bases is bases
+        assert form.kind == spaces.MAX and form.w is None
+    else:  # one basis (m3n2's two facets): the l1 form of its coefficients
+        assert form.kind == spaces.L1 and np.array_equal(form.V, bases[1][0])
+        assert np.array_equal(form.w, w[bases[0][0]])
     rng = _rng(name, kind, draw, "maximizer")
     X = rng.normal(size=(20, V.shape[1])) * 10.0 ** rng.uniform(-3.0, 6.0, size=(20, 1))
-    assert _evaluate(space, X, dual) == pytest.approx(spaces._least_l1(X, bases, w), rel=1e-12)
+    assert _evaluate(space, X, dual) == pytest.approx(least_l1(X, bases, w), rel=1e-12)
     for _ in range(20):
         x = _polyhedral_draw(V, W, rng, draw)
         value, z_lp = _dual_ball_lp(space, x, dual)
         got = float(_evaluate(space, x[None], dual)[0])
         assert got == pytest.approx(value, rel=1e-9)
-        assert got == pytest.approx(float(spaces._least_l1(x[None], bases, w)[0]), rel=1e-12)
+        assert got == pytest.approx(float(least_l1(x[None], bases, w)[0]), rel=1e-12)
         # a boundary draw has a zero coefficient and several maximizers
         _check_maximizer(space, x, dual, norming(space, x, dual), None if draw == "boundary" else z_lp)
 
@@ -472,7 +457,7 @@ def test_verify_all_on_a_pentagon_spec_takes_the_grid_only_for_witnesses(lp_call
     assert lp_calls == []
 
 
-@pytest.mark.parametrize("cap, kind", [(79, "l1"), (80, "max")])
+@pytest.mark.parametrize("cap, kind", [(79, "solver"), (80, "max")])
 def test_the_vertex_cap_counts_bases_times_sign_vectors(monkeypatch, cap, kind):
     # the pentagon's tables hold 10 bases of 3 rows: 80 candidates
     monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", cap)
@@ -481,14 +466,19 @@ def test_the_vertex_cap_counts_bases_times_sign_vectors(monkeypatch, cap, kind):
 
 
 def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkeypatch):
+    # the solver form: one dual-ball LP per value and per maximizer
     monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
     ou, base = _tabled_spaces("pentagon")
     G, H = ou.cone.generators, ou.cone.facet_normals
     for space, dual, V in ((base, False, G), (ou, True, H)):
+        bases, w = _least_l1_table(space, dual)
         for v in V:
             before = len(lp_calls)
-            _check_maximizer(space, v, dual, norming(space, v, dual))
+            z = norming(space, v, dual)
             assert len(lp_calls) - before == 1
+            assert float(_evaluate(space, v[None], dual)[0]) == pytest.approx(float(least_l1(v[None], bases, w)[0]), rel=1e-12)
+            assert len(lp_calls) - before == 2
+            _check_maximizer(space, v, dual, z)
     u = 0.7 * G[0] + 0.4 * G[1]
     before = len(lp_calls)
     f = positive_support(base, u).functional
@@ -496,6 +486,62 @@ def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkey
     assert f == pytest.approx(positive_support_base_two_stage_lp(base, u), abs=1e-12)
     # the p = 1 decisions of the base norm go to the grid
     assert p_orthogonal(base, G[0], G[2], 1.0).method == "grid"
+
+
+def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
+    # 462 generator bases in R^6 make 29,568 vertex candidates, above the
+    # vertex cap; the 50 facets make no facet table. So the base norm and
+    # the order-unit dual norm are the dual-ball LP, unpatched
+    G = BETWEEN_CAPS
+    base, ou = base_space(ray_cone(G), np.eye(6)[-1]), order_unit_space(ray_cone(G), G.sum(axis=0))
+    bases = base.cone.generator_bases
+    assert len(bases[0]) == 462 and len(bases[0]) << 6 > spaces.MAX_VERTEX_CANDIDATES
+    assert base.cone.facet_bases is None
+    assert spaces._form(base).kind == spaces._form(ou, True).kind == spaces.SOLVER
+    rng = _rng("between the caps")
+    X = rng.normal(size=(10, 6)) * np.logspace(-3.0, 6.0, 10)[:, None]  # nine decades
+    assert spaces.batch_norms(base, X) == pytest.approx(least_l1(X, bases, G @ base.norm.phi), rel=1e-9)
+    for x in X:
+        _check_maximizer(base, x, False, norming(base, x))
+        # the norming element of the order-unit dual norm attains it, and the
+        # dual split LP's aggregate, an upper bound, meets it
+        f1, f2 = _dual_split_lp(ou, x)
+        z = norming(ou, x, dual=True)
+        assert float(x @ z) == pytest.approx(dual_norm(ou, x), rel=1e-9)
+        assert float((f1 + f2) @ ou.norm.unit) == pytest.approx(dual_norm(ou, x), rel=1e-9)
+        assert norm(ou, z) <= 1.0 + 1e-9
+    assert len(lp_calls) > 0
+    for x, y in ((G[0], G[1]), (X[0], X[1])):
+        assert p_orthogonal(base, x, y, 1.0).method == "grid"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])
+def test_the_lp_fallbacks_scale_with_their_input(lp_calls, monkeypatch, scale):
+    # above the table cap every construction on the pentagon is an LP, with
+    # the solver's absolute tolerances: each LP takes its input scaled to
+    # unit largest entry, so values scale with the input and maximizers,
+    # supports and splits match the tabled closed forms'
+    ou_t, base_t = _tabled_spaces("pentagon")
+    u = 0.7 * PENTAGON[0] + 0.4 * PENTAGON[1]
+    f = np.array([0.3, -0.5, 0.2])
+    want = {"base norm": norm(base_t, u), "ou dual norm": dual_norm(ou_t, f), "ou norm": norm(ou_t, u),
+            "base support": positive_support(base_t, u).functional}
+    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    ou, base = order_unit_space(ray_cone(PENTAGON), ou_t.norm.unit), base_space(ray_cone(PENTAGON), base_t.norm.phi)
+    assert spaces._form(base).kind == spaces._form(ou).kind == spaces._form(ou, True).kind == spaces.SOLVER
+    assert norm(base, scale * u) == pytest.approx(scale * want["base norm"], rel=1e-9)
+    assert dual_norm(ou, scale * f) == pytest.approx(scale * want["ou dual norm"], rel=1e-9)
+    assert support_functional(base, scale * u).attained_value == pytest.approx(scale * want["base norm"], rel=1e-9)
+    assert positive_support(base, scale * u).functional == pytest.approx(want["base support"], abs=1e-9)
+    res = positive_support(ou, scale * u)
+    assert res.attained_value == pytest.approx(scale * want["ou norm"], rel=1e-9)
+    assert float(res.functional @ ou.norm.unit) == pytest.approx(1.0, abs=1e-9)
+    dec = dual_one_orth_decompose(ou, scale * f)
+    assert dec.status == "optimal"
+    assert dec.norm_aggregate == pytest.approx(scale * want["ou dual norm"], rel=1e-9)
+    for half in (dec.u1, dec.u2):
+        assert np.all(PENTAGON @ half >= -1e-9 * scale)
+    assert len(lp_calls) >= 6
 
 
 def test_vertex_tables_are_built_at_the_first_form(monkeypatch):

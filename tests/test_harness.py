@@ -16,9 +16,12 @@ from portho.harness import (
 )
 from portho.ortho import p_orthogonal_numeric
 from portho.cones import ray_cone
-from portho.spaces import base_space, lp_space, sup_space
+from portho.decomp import monotone_norm
+from portho.spaces import NormKind, SpaceSpec, base_space, lp_space, sup_space
 
 INF = math.inf
+# a simplicial ray cone that is not the orthant
+_SKEW_CONE = ray_cone([[1.0, -0.3, 0.0], [0.0, 1.0, -0.3], [-0.3, 0.0, 1.0]])
 
 
 class TestSuiteCatalog:
@@ -89,6 +92,21 @@ class TestUnsupported:
     def test_order_unit_suite_on_l2(self):
         rep = run_suite("cor310_crust", lp_space(4, 2.0))
         assert rep.status == "unsupported"
+
+    @pytest.mark.parametrize("suite", ["thm23_duality", "thm24_OSp2"])
+    def test_duality_suites_skip_a_norm_not_monotone_in_the_coefficients(self, suite):
+        # the sup norm over a simplicial ray cone: the split of f by its
+        # coordinates is not a split into the dual cone (for 45 of 50 such
+        # f one half lies outside it), and the split by the dual cone
+        # coefficients need not be norm-minimal, so nothing is checked
+        space = SpaceSpec(3, _SKEW_CONE, NormKind("sup"), INF)
+        assert not monotone_norm(space)
+        rep = run_suite(suite, space, samples=20)
+        assert rep.status == "unsupported" and rep.samples == 0
+
+    def test_prop32_skips_a_family_without_positive_supports(self):
+        space = SpaceSpec(3, _SKEW_CONE, NormKind("sup"), INF)
+        assert run_suite("prop32_supp_nonempty", space, samples=5).status == "unsupported"
 
 
 class TestExample46:

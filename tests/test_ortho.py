@@ -426,22 +426,20 @@ def _scan_verdict(norms, x, y, p, tol=1e-9):
 def _isometry(sp, dual, rng):
     """(z, p) with z(t) an isometry from l_inf (p = inf) or l_1 (p = 1) onto
     the space, for the forms whose coordinates are invertible: a max-ratio
-    form over the coordinates or a square V, a least-l1 form over the
-    coordinates or one basis, and diagonal matrices in a random orthonormal
+    form over the coordinates or a square V, an l1 form (over the
+    coordinates or a simplicial cone's one basis), and diagonal matrices in a random orthonormal
     basis for the eigen forms. None for the pentagon's forms."""
     form = _form(sp, dual)
     n = sp.dim
     if form.kind == "eigen":
         Q, _ = np.linalg.qr(rng.normal(size=(sp.cone.side, sp.cone.side)))
         return (lambda t: ((Q * t) @ Q.T).ravel()), form.p
-    if form.kind == "max" and (form.V is None or form.V.shape[0] == n):
+    if form.kind in ("max", "l1") and (form.V is None or form.V.shape[0] == n):
         V = np.eye(n) if form.V is None else form.V
         w = np.ones(n) if form.w is None else form.w
+        if form.kind == "l1":
+            return (lambda t: np.linalg.solve(V, t / w)), 1.0
         return (lambda t: np.linalg.solve(V, w * t)), INF
-    if form.kind == "l1" and (form.bases is None or len(form.bases[0]) == 1):
-        inv = np.eye(n) if form.bases is None else form.bases[1][0]
-        w = np.ones(n) if form.w is None else form.w if form.bases is None else form.w[form.bases[0][0]]
-        return (lambda t: np.linalg.solve(inv, t / w)), 1.0
     return None
 
 
@@ -503,7 +501,7 @@ class TestSlopeRule:
         sp = _SLOPE_SPACES[name]
         norms = batch_dual_norms if dual else batch_norms
         form = _form(sp, dual)
-        covered = form.kind != "l1" or form.bases is None or len(form.bases[0]) == 1
+        covered = form.kind != "solver"
         rng = np.random.default_rng(zlib.crc32(f"{name}-{dual}".encode()))
         seen = set()
         for x, y, orthogonal_at in _slope_pairs(name, sp, dual, rng):
