@@ -9,7 +9,8 @@ Decider slice: for every default family and every exponent p in
 norm (dual), and by `p_orthogonal`, exact where it can be, in the norm
 (primal_route) and with dual=True in the dual norm (dual_route). The
 random pair is not orthogonal, so on the exact route it times the test and
-the grid witness of its "not_orthogonal". Under "<family>:split" the same sides
+the witness of its "not_orthogonal" (the residual at six scalars, with no
+grid). Under "<family>:split" the same sides
 decide the positive and negative parts of the pair's first vector by its
 cone coefficients (`decomp.coefficient_parts`; by its dual coefficients on
 the dual sides), which are orthogonal at the exponent of the norm they are
@@ -23,8 +24,11 @@ most rows one block of the decider may hold, `ortho._BLOCK_ENTRIES`
 entries). The key
 under each family is the row count.
 
-Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded symmetric
-matrix of each side in EIGEN_SIDES.
+Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded matrix
+of each side in EIGEN_SIDES, symmetric bit for bit (key "-"), and on the
+same matrix with one off-diagonal entry moved by one ulp (key
+"ulp_asymmetric"), which times the slow path of the symmetry validation
+(`linalg.check_symmetric`) that a matrix built as (Q^T L) Q used to take.
 
 Construction slice (table `us_per_lp_call`): public calls, each on a fixed
 seeded input. On the default families these are the calls that solved LPs
@@ -81,7 +85,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_16.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_18.json
 """
 
 import argparse
@@ -257,8 +261,12 @@ def _eigen_cases():
     rng = np.random.default_rng(SEED + 4)
     for side in EIGEN_SIDES:
         A = rng.normal(size=(side, side))
-        yield ("us_per_eigen", "eigen_sym", str(side), "-"), functools.partial(
-            eigen_sym, A + A.T)
+        M = A + A.T
+        yield ("us_per_eigen", "eigen_sym", str(side), "-"), functools.partial(eigen_sym, M)
+        M = M.copy()
+        M[0, -1] = np.nextafter(M[0, -1], math.inf)
+        yield ("us_per_eigen", "eigen_sym", str(side), "ulp_asymmetric"), functools.partial(
+            eigen_sym, M)
 
 
 def _lp_cases():
@@ -412,7 +420,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_16.json")
+    ap.add_argument("--out", default="BENCH_18.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

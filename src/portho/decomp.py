@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, UnsupportedError
-from .linalg import LpProblem, eigen_sym, solve_lp, unit_scaled
+from .linalg import LpProblem, eigen_sym, solve_lp, symmetric_part, unit_scaled
 from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
@@ -58,13 +58,14 @@ def p_aggregate(a: float, b: float, p: float) -> float:
 
 def _spectral_parts(space: SpaceSpec, v: np.ndarray):
     """Positive and negative parts of a symmetric matrix by its spectrum,
-    with eigenvalues below 1e-10 of the spectral radius set to zero."""
+    with eigenvalues below 1e-10 of the spectral radius set to zero; each
+    part is symmetric bit for bit (`linalg.symmetric_part`)."""
     dec = eigen_sym(_c.as_matrix(space.cone, v))
     cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-300)
     lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
     Q = dec.eigenvectors
-    v1 = (Q.T * np.clip(lam, 0.0, None)) @ Q
-    v2 = (Q.T * np.clip(-lam, 0.0, None)) @ Q
+    v1 = symmetric_part((Q.T * np.clip(lam, 0.0, None)) @ Q)
+    v2 = symmetric_part((Q.T * np.clip(-lam, 0.0, None)) @ Q)
     return v1.ravel(), v2.ravel()
 
 
@@ -126,23 +127,34 @@ def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     return Decomposition(v1, v2, INF, agg, "optimal", verdict)
 
 
+def has_dual_split(space: SpaceSpec) -> bool:
+    """Whether `dual_one_orth_decompose` splits the functionals of the
+    space: by their coefficients where `monotone_norm` holds, except under
+    a base norm (its dual norm is a max, which no split makes additive),
+    and by the cone's facet table under an order-unit norm on any ray
+    cone. Elsewhere it answers "unsupported"."""
+    kind = space.norm.kind
+    return (monotone_norm(space) and kind != BASE) or (kind == ORDER_UNIT and space.cone.kind == _c.RAYS)
+
+
 def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     """Split a functional on an infinity-smooth space into positive halves
     with additive dual norms, then certify the halves are 1-orthogonal and
     vanish crosswise on an orthogonal split of a norming element. The halves
     are the coefficient split; for an order-unit norm on a non-simplicial
     ray cone the split of a minimizing basis of the cone's facet table
-    (`_dual_split`), or an LP's above the table cap."""
+    (`_dual_split`), or an LP's above the table cap. "unsupported" where
+    `has_dual_split` fails."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
 
-    if monotone_norm(space) and space.norm.kind != BASE:  # a base dual norm is a max
-        f1, f2 = coefficient_parts(space, f, dual=True)
-    elif space.norm.kind == ORDER_UNIT and space.cone.kind == _c.RAYS:
-        f1, f2 = _dual_split(space, f)
-    else:
+    if not has_dual_split(space):
         return Decomposition(f, np.zeros_like(f), 1.0, math.nan, "unsupported")
+    if monotone_norm(space):
+        f1, f2 = coefficient_parts(space, f, dual=True)
+    else:
+        f1, f2 = _dual_split(space, f)
 
     nagg = dual_norm(space, f1) + dual_norm(space, f2)
     nf = dual_norm(space, f)

@@ -16,9 +16,8 @@ Samplers build positive elements from cone coefficients
 (`ConeSpec.coefficient_basis`) and the order unit (`spaces.order_unit`); a
 sampler that finds no valid sample in _MAX_DRAWS draws raises InputError.
 Every orthogonality check decides through `ortho.p_orthogonal`, exactly on
-the default families; the grid decider runs only for the witness of an
-exact "not_orthogonal". The checks on the two-dimensional restricted ball
-(thm41, rem42) decide in the sup norm of the functionals' values on the
+the default families, where no decision runs the grid decider. The checks
+on the two-dimensional restricted ball (thm41, rem42) decide in the sup norm of the functionals' values on the
 ball's vertices (`spaces.restricted_dual_norms`), an isometric copy of the
 restricted dual norm.
 """
@@ -37,11 +36,13 @@ from .decomp import (
     coefficient_parts,
     dual_one_orth_decompose,
     embed_to_lp,
+    has_dual_split,
     monotone_norm,
     opt_decompose,
     p_aggregate,
 )
 from .errors import InputError
+from .linalg import symmetric_part
 from .ortho import check_tol, p_orthogonal, p_orthogonal_exact
 from .spaces import (
     L1,
@@ -118,7 +119,8 @@ def sample_vector(space: SpaceSpec, rng: np.random.Generator) -> np.ndarray:
 def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
     """A positive pair of one of three textures: disjointly supported
     (orthogonal by construction), generic overlapping, or the canonical
-    partner e - u/||u|| (orthogonal with overlapping support)."""
+    partner e - u/||u|| (orthogonal with overlapping support). A spectral
+    pair is symmetric bit for bit (`linalg.symmetric_part`)."""
     mode = int(rng.integers(3))
     if space.norm.kind == SPECTRAL:
         d = space.cone.side
@@ -132,7 +134,7 @@ def _sample_positive_pair(space: SpaceSpec, rng: np.random.Generator):
             u2 = (Q * lam2) @ Q.T
         else:
             u2 = np.eye(d) - (Q * (lam1 / lam1.max())) @ Q.T
-        return ((Q * lam1) @ Q.T).ravel(), np.asarray(u2).ravel()
+        return symmetric_part((Q * lam1) @ Q.T).ravel(), symmetric_part(u2).ravel()
     B = space.cone.coefficient_basis[0]
     n = B.shape[1]
     if mode == 1:
@@ -679,7 +681,7 @@ SUITES = {
     "rem42_restriction": (_suite_rem42, _one_smooth, "lp1_8"),
     "lem43_base_orth": (_suite_lem43, lambda sp: sp.p_class == 1.0 and _is_lattice(sp), "base_8"),
     "thm44_duality": (
-        _suite_thm44, lambda sp: math.isinf(sp.p_class) and _is_lattice(sp), "spectral_4"
+        _suite_thm44, lambda sp: math.isinf(sp.p_class) and has_dual_split(sp), "spectral_4"
     ),
     "ex46_nonuniqueness": (_suite_ex46, lambda sp: True, None),
 }

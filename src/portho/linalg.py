@@ -213,13 +213,22 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
+def symmetric_part(M: np.ndarray) -> np.ndarray:
+    """0.5 M + 0.5 M^T of a square matrix, or of each matrix in a stack
+    along the leading axes: the halves are added so that entries near the
+    largest float do not overflow, and the sum is symmetric bit for bit
+    (floating-point addition commutes). A matrix built as (Q^T L) Q is
+    symmetric only up to rounding; its symmetric part passes
+    `check_symmetric` on the copy path."""
+    return 0.5 * M + 0.5 * np.swapaxes(M, -1, -2)
+
+
 def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Return the symmetric part of a square matrix, or of each matrix in a
     stack along the leading axes; raise InputError when any one is asymmetric
     beyond rel_tol * max(1, its largest entry). A stack that equals its
     transpose bit for bit is its own symmetric part and is returned as a
-    copy; otherwise the halves are added, as 0.5 M + 0.5 M^T, so that
-    entries near the largest float do not overflow."""
+    copy; otherwise `symmetric_part` is."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InputError("matrix must be square")
@@ -229,7 +238,7 @@ def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
     if np.any(np.abs(M - Mt).max(axis=(-2, -1)) > rel_tol * scale):
         raise InputError("matrix is not symmetric")
-    return 0.5 * M + 0.5 * Mt
+    return symmetric_part(M)
 
 
 def eigen_sym(M: np.ndarray) -> SpectralDecomposition:

@@ -11,16 +11,19 @@ grid. The one setting of a decision is its tolerance `tol`.
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead,
 reading the closed form of the norm or of the dual norm (`spaces._form`): at
 p = 1 and p = inf the slope rule decides every max-ratio, l1 and eigen
-form; a weighted lp norm at its own p, scaled to the plain lp norm, is
-decided by `p_orthogonal_exact` (disjoint supports, or a zero inner product
-at p = 2). Every other case goes to the grid. The verdict's `method` says
-which route answered.
+form; at 1 < p < inf no pair of nonzero vectors is orthogonal in a
+max-ratio or l1 form, which is piecewise linear; a weighted lp norm at its
+own p, scaled to the plain lp norm, is decided by `p_orthogonal_exact`
+(disjoint supports, or a zero inner product at p = 2). An exact
+"not_orthogonal" reports the largest residual of the identity over six
+scalars, +-{1, 16, 256} ||x||/||y||, and runs no grid. Every other case
+goes to the grid. The verdict's `method` says which route answered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +73,10 @@ def _order_unique(k: np.ndarray) -> np.ndarray:
 _K_ORDER = _order_unique(np.array(K_GRID))  # K_GRID in (|k|, k) order
 _K_ORDER.flags.writeable = False
 
+# the scalars of an exact "not_orthogonal"'s witness, in units of
+# ||x||/||y||, in (|k|, k) order
+_WITNESS_T = np.array([-1.0, 1.0, -16.0, 16.0, -256.0, 256.0])
+
 
 def check_tol(tol: float) -> None:
     """Raise InputError unless the tolerance tol is finite and nonnegative."""
@@ -85,14 +92,15 @@ class OrthoVerdict:
     residual of the identity over the scalars k_grid (`K_GRID`, plus the
     sweep around |k| = ||x||/||y|| at p = inf), attained at witness_k; it is
     "orthogonal" when that residual is at most tol, which is evidence, not
-    proof. On the exact route ("exact": the slope rule at p = 1 and inf, or
-    a power form at its own p; tol is relative to the norms of x and y
-    scaled to unit largest entry, and the width of the slopes' active sets)
-    the verdict is decided: an "orthogonal" one carries residual 0.0,
-    witness 0.0 and an empty k_grid; a "not_orthogonal" one carries the
-    grid decider's residual, witness and grid, so only failures pay for the
-    grid (that residual lies below the tolerance when the violation falls
-    between the grid's scalars)."""
+    proof. On the exact route ("exact": the slope rule at p = 1 and inf, a
+    power form at its own p, or a max-ratio or l1 form at 1 < p < inf; tol
+    is relative to the norms of x and y scaled to unit largest entry, and
+    the width of the slopes' active sets) the verdict is decided: an
+    "orthogonal" one carries residual 0.0, witness 0.0 and an empty k_grid;
+    a "not_orthogonal" one carries the largest scaled residual over the six
+    scalars k_grid = +-{1, 16, 256} ||x||/||y||, attained at witness_k, with
+    no grid run (that residual lies below the tolerance when the violation
+    falls between those scalars)."""
 
     verdict: str  # "orthogonal" | "not_orthogonal"
     worst_residual: float
@@ -135,8 +143,19 @@ def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdi
     lhs = np.concatenate(
         [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
     )
-    # the normalizer includes the |k| term so the tolerance is scale-stable
-    # across the whole scalar grid
+    res = _residuals(lhs, nx, ny, k, p)
+    i = int(np.argmax(res))
+    worst = float(res[i])
+    verdict = "orthogonal" if worst <= tol else "not_orthogonal"
+    return OrthoVerdict(verdict, worst, float(k[i]), grid)
+
+
+def _residuals(lhs: np.ndarray, nx: float, ny: float, k: np.ndarray, p: float) -> np.ndarray:
+    """The scaled residuals of the identity at the scalars k, given
+    lhs = ||x + k y||, nx = ||x|| and ny = ||y||: at p = inf
+    |lhs - max(nx, |k| ny)| / (1 + nx + |k| ny), else |lhs^p - rhs| / (1 + rhs)
+    with rhs = nx^p + |k|^p ny^p. The normalizer includes the |k| term so the
+    tolerance is scale-stable across the whole scalar grid."""
     ak = np.abs(k)
     if math.isinf(p):
         res = np.abs(lhs - np.maximum(nx, ak * ny)) / (1.0 + nx + ak * ny)
@@ -154,10 +173,7 @@ def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdi
     # a residual lost to overflow (inf - inf at large |k|) shows no violation;
     # argmax would otherwise stop at the NaN
     res[np.isnan(res)] = 0.0
-    i = int(np.argmax(res))
-    worst = float(res[i])
-    verdict = "orthogonal" if worst <= tol else "not_orthogonal"
-    return OrthoVerdict(verdict, worst, float(k[i]), grid)
+    return res
 
 
 def p_orthogonal_numeric(
@@ -174,19 +190,26 @@ def p_orthogonal(
 ) -> OrthoVerdict:
     """Decide x perp_p y in the norm of the space, or in its dual norm for
     dual=True: exactly by the slope rule (`_slope_rule`, every form but
-    power and solver at p = 1 and inf) or, for a power form at its own p,
-    in the lp norm of the coordinates scaled by w^(1/p), on x and y scaled
-    to unit largest entry at the relative tolerance tol; on the grid where
-    neither applies."""
+    power and solver at p = 1 and inf), for a power form at its own p in
+    the lp norm of the coordinates scaled by w^(1/p), on x and y scaled to
+    unit largest entry at the relative tolerance tol, and for a max-ratio
+    or l1 form at 1 < p < inf as "not_orthogonal" whenever x, y != 0 (the
+    form is piecewise linear: near k = 0, ||x + k y|| = ||x|| + s k on each
+    side, and the identity's o(k) right side forces s = 0, after which the
+    left side stays ||x||^p while the right side grows); on the grid where
+    none applies. An exact "not_orthogonal" carries `_witness`'s residual."""
     check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
     form = _form(space, dual)
     power = form.kind == POWER and p == form.p
-    slopes = (p == 1.0 or math.isinf(p)) and form.kind in (MAX, L1, EIGEN)
-    if not (power or slopes):
+    ends = p == 1.0 or math.isinf(p)
+    slopes = ends and form.kind in (MAX, L1, EIGEN)
+    kinked = not ends and form.kind in (MAX, L1)
+    if not (power or slopes or kinked):
         return p_orthogonal_numeric(space, x, y, p, tol, dual)
-    xy = np.array([_check_vec(space, x), _check_vec(space, y)])
+    x, y = _check_vec(space, x), _check_vec(space, y)
+    xy = np.array([x, y])
     if power and form.w is not None:
         xy = xy * form.w ** (1.0 / p)
     m = np.abs(xy).max(axis=1)
@@ -195,11 +218,27 @@ def p_orthogonal(
         raise InputError("x and y must have finite entries")
     if mx == 0.0 or my == 0.0 or (
         p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol) if power
-        else _slope_rule(space, form, xy / m[:, None], p, tol, dual)
+        else slopes and _slope_rule(space, form, xy / m[:, None], p, tol, dual)
     ):
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
-    grid = p_orthogonal_numeric(space, x, y, p, tol, dual)
-    return replace(grid, verdict="not_orthogonal", method="exact")
+    return _witness(space, x, y, p, dual)
+
+
+def _witness(space: SpaceSpec, x: np.ndarray, y: np.ndarray, p: float, dual: bool) -> OrthoVerdict:
+    """The exact "not_orthogonal" of x, y != 0 with the largest residual of
+    the identity (`_residuals`) over the six scalars k = +-r {1, 16, 256},
+    r = ||x|| / ||y||, and its witness: the first, in (|k|, k) order, to
+    attain it. It evaluates the norms of x and y, then the six rows x + k y
+    (not the scaled or weighted copies the exact tests read). The residual
+    lies below the tolerance where the violation falls between these
+    scalars. Where r is 0 or not finite (a norm lost to underflow or
+    overflow), the scalars are +-{1, 16, 256}."""
+    nx, ny = _evaluate(space, np.array([x, y]), dual).tolist()
+    r = nx / ny if ny > 0.0 else INF
+    k = (r if 0.0 < r < INF else 1.0) * _WITNESS_T
+    res = _residuals(_evaluate(space, x + k[:, None] * y, dual), nx, ny, k, p)
+    i = int(np.argmax(res))
+    return OrthoVerdict("not_orthogonal", float(res[i]), float(k[i]), tuple(np.sort(k).tolist()), "exact")
 
 
 def _slope_rule(space: SpaceSpec, form, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, SpecError
-from .linalg import LpProblem, eigen_sym, solve_lp, unit_scaled
+from .linalg import LpProblem, eigen_sym, solve_lp, symmetric_part, unit_scaled
 
 INF = math.inf
 # cap on the candidates (bases times 2^n sign vectors) of a vertex table
@@ -368,7 +368,7 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
             vec = dec.eigenvectors[i]
             return float(np.sign(dec.eigenvalues[i])) * np.outer(vec, vec).ravel()
         s = np.sign(dec.eigenvalues)
-        return (dec.eigenvectors.T @ np.diag(s) @ dec.eigenvectors).ravel()
+        return symmetric_part((dec.eigenvectors.T * s) @ dec.eigenvectors).ravel()
     return _dual_ball_lp(space, x, dual)[1]
 
 

@@ -108,15 +108,25 @@ def grid_verdict_by_loop(norm_fn, x, y, p, k_grid, tol=1e-9):
             ks.update((r * t, -r * t))
     worst, witness = 0.0, 0.0
     for k in sorted(ks, key=lambda k: (abs(k), k)):
-        lhs = norm_fn(x + k * y)
-        if math.isinf(p):
-            res = abs(lhs - max(nx, abs(k) * ny)) / (1.0 + nx + abs(k) * ny)
-        else:
-            rhs = nx**p + abs(k) ** p * ny**p
-            res = abs(lhs**p - rhs) / (1.0 + rhs)
+        res = identity_residual(norm_fn, x, y, p, k, nx, ny)
         if res > worst:
             worst, witness = res, k
     return ("orthogonal" if worst <= tol else "not_orthogonal"), worst, witness, tuple(sorted(ks))
+
+
+def identity_residual(norm_fn, x, y, p, k, nx=None, ny=None):
+    """The grid decider's scaled residual of the identity at one scalar k,
+    from scalar norm_fn calls: |lhs - max(nx, |k| ny)| / (1 + nx + |k| ny)
+    at p = inf, else |lhs^p - rhs| / (1 + rhs), rhs = nx^p + |k|^p ny^p,
+    with lhs = ||x + k y|| and nx, ny the norms of x and y (evaluated when
+    not given)."""
+    nx = norm_fn(x) if nx is None else nx
+    ny = norm_fn(y) if ny is None else ny
+    lhs = norm_fn(x + k * y)
+    if math.isinf(p):
+        return abs(lhs - max(nx, abs(k) * ny)) / (1.0 + nx + abs(k) * ny)
+    rhs = nx**p + abs(k) ** p * ny**p
+    return abs(lhs**p - rhs) / (1.0 + rhs)
 
 
 def exact_linf_by_loop(x, y, tol):

@@ -189,9 +189,15 @@ class TestCommands:
         assert main(["ortho", "--space", sup3, "--x", "1,1,0", "--y", "0,2,0", "--p", "inf"]) == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "not_orthogonal"
 
-    def test_ortho_prints_the_method(self, sup3, capsys):
-        for p, method, code in (("inf", "exact", 0), ("2", "grid", 1)):
-            assert main(["ortho", "--space", sup3, "--x", "1,0,0", "--y", "0,2,0", "--p", p]) == code
+    def test_ortho_prints_the_method(self, sup3, lp2, capsys):
+        # the sup norm is piecewise linear, so at p = 2 the decision is exact
+        # too; lp2 at p = 3 (a power form away from its own p) takes the grid
+        for spec, x, y, p, method, code in (
+            (sup3, "1,0,0", "0,2,0", "inf", "exact", 0),
+            (sup3, "1,0,0", "0,2,0", "2", "exact", 1),
+            (lp2, "1,0", "0,2", "3", "grid", 1),
+        ):
+            assert main(["ortho", "--space", spec, "--x", x, "--y", y, "--p", p]) == code
             assert json.loads(capsys.readouterr().out)["method"] == method
 
     @pytest.mark.parametrize("v", ["1,2", "1,2,3,4", "1,nan,0"])

@@ -24,6 +24,7 @@ from portho.spaces import (
     dual_norm,
     lp_space,
     norm,
+    norming,
     order_unit_space,
     spectral_space,
     sup_space,
@@ -127,6 +128,28 @@ class TestInftyOrthDecompose:
         assert d.u1 == pytest.approx(np.diag([1.0, 0.0]).ravel(), abs=1e-12)
         assert d.u2 == pytest.approx(np.diag([0.0, 1.0]).ravel(), abs=1e-12)
         assert d.ortho_verdict.is_orthogonal
+
+    def test_spectral_matrices_are_symmetric_bit_for_bit(self, monkeypatch):
+        # the parts (Q^T L) Q and the trace-norm maximizer Q^T diag(s) Q are
+        # built symmetric, so `as_matrix` takes its copy path on each of them
+        import portho.linalg as linalg_module
+
+        sp = default_families()["spectral_4"]
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            A = rng.normal(size=(4, 4))
+            v = (A + A.T).ravel()
+            for M in (*coefficient_parts(sp, v), *coefficient_parts(sp, v, dual=True),
+                      norming(sp, v, dual=True)):
+                M = M.reshape(4, 4)
+                assert M.view(np.int64).tolist() == M.T.view(np.int64).tolist()
+        slow = []
+        monkeypatch.setattr(linalg_module, "symmetric_part",
+                            lambda M, part=linalg_module.symmetric_part: slow.append(1) or part(M))
+        for M in coefficient_parts(sp, v):
+            infty_orth_decompose(sp, M)
+        dual_one_orth_decompose(sp, v)
+        assert slow == []
 
     def test_positive_input(self):
         sp = sup_space(2)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import identity_residual
 from portho import harness
 from portho.errors import InputError
 from portho.harness import (
@@ -14,12 +16,14 @@ from portho.harness import (
     default_families,
     run_suite,
 )
+from portho.cli import parse_space_spec
 from portho.ortho import p_orthogonal_numeric
 from portho.cones import ray_cone
-from portho.decomp import monotone_norm
-from portho.spaces import NormKind, SpaceSpec, base_space, lp_space, sup_space
+from portho.decomp import dual_one_orth_decompose, has_dual_split, monotone_norm
+from portho.spaces import NormKind, SpaceSpec, base_space, dual_norm, lp_space, norm, sup_space
 
 INF = math.inf
+DATA = Path(__file__).parent / "data"
 # a simplicial ray cone that is not the orthant
 _SKEW_CONE = ray_cone([[1.0, -0.3, 0.0], [0.0, 1.0, -0.3], [-0.3, 0.0, 1.0]])
 
@@ -108,6 +112,24 @@ class TestUnsupported:
         space = SpaceSpec(3, _SKEW_CONE, NormKind("sup"), INF)
         assert run_suite("prop32_supp_nonempty", space, samples=5).status == "unsupported"
 
+    def test_thm44_skips_a_family_without_a_dual_split(self):
+        # the sup norm over a simplicial ray cone: `dual_one_orth_decompose`
+        # answers "unsupported" there, which the suite would count as a
+        # counterexample per sample
+        space = SpaceSpec(3, _SKEW_CONE, NormKind("sup"), INF)
+        assert not has_dual_split(space)
+        assert dual_one_orth_decompose(space, [0.3, -0.5, 0.2]).status == "unsupported"
+        rep = run_suite("thm44_duality", space, samples=20)
+        assert rep.status == "unsupported" and rep.samples == 0
+
+
+def test_thm44_runs_on_the_order_unit_pentagon():
+    # a non-simplicial ray cone: the dual split reads the cone's facet table
+    space = parse_space_spec((DATA / "ou_pentagon.json").read_text())
+    assert has_dual_split(space)
+    rep = run_suite("thm44_duality", space, samples=200, seed=0)
+    assert rep.status == "ok" and rep.passes == rep.samples == 200
+
 
 class TestExample46:
     def test_small_grid_vectors(self):
@@ -173,6 +195,24 @@ def test_duality_suites_green_on_a_simplicial_base_space(suite):
     assert rep.passes == rep.samples == 50
 
 
+def _record_decisions(monkeypatch):
+    """Route every `p_orthogonal` of the portho modules through a wrapper
+    that records (space, x, y, p, dual, verdict) of each decision."""
+    import portho.ortho as ortho_module
+
+    decide, verdicts = ortho_module.p_orthogonal, []
+
+    def recorded(space, x, y, p, tol=1e-9, dual=False):
+        v = decide(space, x, y, p, tol, dual)
+        verdicts.append((space, x, y, p, dual, v))
+        return v
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("portho") and getattr(module, "p_orthogonal", None) is decide:
+            monkeypatch.setattr(module, "p_orthogonal", recorded)
+    return verdicts
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -200,33 +240,36 @@ class TestDecisionsPerSuite:
         rep = run_suite("thm33_equivalence", default_families()["sup_8"], samples=50, seed=0)
         assert rep.status == "ok" and rep.samples == 50
         assert len(decisions) == 50  # no sample of sup_8 has a zero part
-        # sup_8 at p = inf is decided exactly: only a failing pair takes the grid
-        assert 0 < len(grid) < 50
+        # sup_8 at p = inf is decided exactly, failing pairs included
+        assert grid == []
 
     def test_verify_all_runs_the_grid_only_for_witnesses(self, monkeypatch):
-        # every decision of a seed-0, 50-sample `verify all` is exact; the
-        # grid decider runs once under each exact "not_orthogonal", for the
-        # residual and witness it reports, and nowhere else
+        # every decision of a seed-0, 50-sample `verify all` is exact, and an
+        # exact "not_orthogonal" takes its residual and witness from six
+        # scalars (`ortho._witness`), so the grid decider never runs
         import portho.ortho as ortho_module
 
         grid = _count_calls(monkeypatch, ortho_module, "verdict_from_norm")
-        decide, decisions = ortho_module.p_orthogonal, []
-
-        def counted(*args, **kwargs):
-            before = len(grid)
-            v = decide(*args, **kwargs)
-            decisions.append((v.method, v.verdict, len(grid) - before))
-            return v
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("portho") and getattr(module, "p_orthogonal", None) is decide:
-                monkeypatch.setattr(module, "p_orthogonal", counted)
+        verdicts = _record_decisions(monkeypatch)
         for suite in SUITE_IDS:
             assert run_suite(suite, samples=50, seed=0).status == "ok", suite
-        assert {method for method, _, _ in decisions} == {"exact"}
-        for _, verdict, calls in decisions:
-            assert calls == (verdict == "not_orthogonal")
-        assert 0 < len(grid) == sum(calls for _, _, calls in decisions) < len(decisions)
+        assert {v.method for *_, v in verdicts} == {"exact"}
+        assert 0 < sum(not v.is_orthogonal for *_, v in verdicts) < len(verdicts)
+        assert grid == []
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_exact_failures_report_the_oracle_residual_at_their_witness(self, monkeypatch, seed):
+        verdicts = _record_decisions(monkeypatch)
+        for suite in SUITE_IDS:
+            run_suite(suite, samples=200, seed=seed)
+        failures = [d for d in verdicts if not d[-1].is_orthogonal]
+        assert failures
+        for space, x, y, p, dual, v in failures:
+            norm_fn = (lambda w: dual_norm(space, w)) if dual else (lambda w: norm(space, w))
+            assert v.method == "exact" and v.witness_k in v.k_grid and len(v.k_grid) == 6
+            assert v.worst_residual > 0.0
+            want = identity_residual(norm_fn, np.asarray(x, float), np.asarray(y, float), p, v.witness_k)
+            assert v.worst_residual == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("family", ["sup_8", "polyray_4"])
     def test_rem311_checks_domination(self, family, monkeypatch):

@@ -4,7 +4,13 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import PENTAGON, additivity_spotcheck, exact_linf_by_loop, grid_verdict_by_loop
+from oracles import (
+    PENTAGON,
+    additivity_spotcheck,
+    exact_linf_by_loop,
+    grid_verdict_by_loop,
+    identity_residual,
+)
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families, run_suite
 from portho.ortho import (
@@ -305,6 +311,36 @@ class TestExactDispatcher:
         else:
             assert "not_orthogonal" in seen
 
+    @pytest.mark.parametrize("family", ["lp1_8", "sup_8", "base_8", "polyray_4"])
+    def test_piecewise_linear_forms_are_never_orthogonal_at_1_lt_p_lt_inf(self, family):
+        # a max-ratio or l1 form is linear on each side of k = 0, so at
+        # 1 < p < inf the identity fails for every nonzero pair; the grid
+        # agrees, and the exact verdict's residual is the loop's at its witness
+        sp = _FAMILIES[family]
+        rng = np.random.default_rng(zlib.crc32(family.encode()))
+        for dual in (False, True):
+            norm_fn = (lambda w: dual_norm(sp, w)) if dual else (lambda w: norm(sp, w))
+            for texture in ("disjoint", "shared", "equal_norms"):
+                for _ in range(10):
+                    x, y = _textured_pair(rng, sp.dim, texture)
+                    for p in (1.5, 2.0, 3.0):
+                        got = p_orthogonal(sp, x, y, p, dual=dual)
+                        assert (got.verdict, got.method) == ("not_orthogonal", "exact")
+                        assert not p_orthogonal_numeric(sp, x, y, p, dual=dual).is_orthogonal
+                        want = identity_residual(norm_fn, x, y, p, got.witness_k)
+                        assert got.worst_residual == pytest.approx(want, rel=1e-12, abs=1e-15)
+                        assert got.worst_residual > 0.0
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_witness_of_a_norm_lost_to_underflow_is_finite(self, p):
+        # ||y|| is the least subnormal, so ||x|| / ||y|| overflows; the six
+        # scalars fall back to +-{1, 16, 256} rather than +-inf
+        sp = _FAMILIES["polyray_4"]
+        got = p_orthogonal(sp, [1.0, 0.5, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0], p)
+        assert (got.verdict, got.method) == ("not_orthogonal", "exact")
+        assert got.k_grid == (-256.0, -16.0, -1.0, 1.0, 16.0, 256.0)
+        assert math.isfinite(got.witness_k) and math.isfinite(got.worst_residual)
+
     def test_weighted_inner_product(self):
         x, y = _WEIGHTED_PAIR
         assert not p_orthogonal_exact(x, y, 2.0)  # the unscaled oracle misses it
@@ -317,12 +353,17 @@ class TestExactDispatcher:
         sp = lp_space(3, 1.0)
         got = p_orthogonal(sp, [1.0, 0.0, 2.0], [0.0, 3.0, 0.0], 1.0)
         assert got == OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
+        # an exact failure reports the largest residual over +-r {1, 16, 256},
+        # r = ||x|| / ||y|| = 1: |2 - 4| / 5 at k = -1, where the grid's is too
         x, y = [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]
         got = p_orthogonal(sp, x, y, 1.0)
+        assert got == OrthoVerdict(
+            "not_orthogonal", 0.4, -1.0, (-256.0, -16.0, -1.0, 1.0, 16.0, 256.0), "exact")
         grid = p_orthogonal_numeric(sp, x, y, 1.0)
-        assert (got.verdict, got.method, grid.method) == ("not_orthogonal", "exact", "grid")
-        assert (got.worst_residual, got.witness_k, got.k_grid) == (
-            grid.worst_residual, grid.witness_k, grid.k_grid)
+        assert (grid.verdict, grid.worst_residual, grid.witness_k) == ("not_orthogonal", 0.4, -1.0)
+        # the six scalars scale with r, here 3 / 1.5 = 2
+        got = p_orthogonal(sp, [3.0, 0.0, 0.0], [0.5, 0.5, 0.5], 1.0)
+        assert got.k_grid == (-512.0, -32.0, -2.0, 2.0, 32.0, 512.0)
 
     @pytest.mark.parametrize(
         "space, p, method",
@@ -332,13 +373,14 @@ class TestExactDispatcher:
             (lp_space(3, INF), INF, "exact"),
             (sup_space(3), INF, "exact"),
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), 1.0, "exact"),
-            (lp_space(3, 1.0), 2.0, "grid"),  # lp away from its own p
+            (lp_space(3, 1.0), 2.0, "exact"),  # piecewise linear at 1 < p < inf
             (lp_space(3, 2.0), INF, "grid"),
             (sup_space(3), 1.0, "exact"),
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "exact"),
             (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "exact"),
             (SpaceSpec(3, ray_cone(np.eye(3) + 0.2), NormKind("lp", p=1.0), 1.0), 1.0, "exact"),
             (spectral_space(2), INF, "exact"),
+            (lp_space(3, 3.0), 2.0, "grid"),  # a power form away from its own p
         ],
     )
     def test_method_follows_the_routing(self, space, p, method):
