@@ -16,6 +16,15 @@ cone coefficients (`decomp.coefficient_parts`; by its dual coefficients on
 the dual sides), which are orthogonal at the exponent of the norm they are
 decided in: the space's own, or its conjugate on the dual sides.
 
+Between-caps slice (table `us_per_decision`, family `base_between_caps`):
+`p_orthogonal` at p in {1, 1.5, inf} under the base norm of
+`tests/data/base_between_caps.json` (primal_route: the solver form, one LP
+per row; dual_route: a max-ratio form over the generators), on a fixed
+seeded pair and, under "base_between_caps:generators", on the generators 0
+and 2, which are 1-orthogonal. A decision there took up to 0.2 s on the
+grid, so these cases are timed in CAPS_ROUNDS rounds after one warm-up
+call each, with the reference loop around every round as below.
+
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
 `norm` / `dual_norm` calls), DECIDER_ROWS (the k grid `ortho.K_GRID`: the
@@ -85,7 +94,7 @@ commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
 that checkout first on the path and a label per run:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_18.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_19.json
 """
 
 import argparse
@@ -124,6 +133,7 @@ from portho import (  # noqa: E402
     solve_lp,
     support_functional,
 )
+from portho.cli import parse_space_spec  # noqa: E402
 from portho.decomp import coefficient_parts  # noqa: E402
 from portho.harness import (  # noqa: E402
     SUITE_IDS,
@@ -149,10 +159,13 @@ REPEATS = 301
 # construction slice draws its default-family inputs from one generator
 # seeded with SEED, its pentagon inputs from SEED + 1 and the solver slice
 # its LPs from SEED + 2, the norm slice its rows from SEED + 3 and the eigen
-# slice its matrices from SEED + 4
+# slice its matrices from SEED + 4, the between-caps slice its pair from
+# SEED + 5
 SEED = 0
 VERIFY_SAMPLES = 50  # samples per suite, as perfbench's verify_all workload
 VERIFY_ROUNDS = 15  # timed rounds of the suite slice, each running all 22 suites
+CAPS_ROUNDS = 15  # timed rounds of the between-caps slice
+BETWEEN_CAPS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "base_between_caps.json"
 
 # the non-simplicial ray cone of the pentagon cases: five rays in R^3, with
 # the order unit (and base functional) (0, 0, 1)
@@ -246,6 +259,17 @@ def _decision_cases():
                 for p in EXPONENTS:
                     key = ("us_per_decision", label, side, _p_key(p))
                     yield key, functools.partial(decide, space, *pair, p)
+
+
+def _caps_cases():
+    space = parse_space_spec(BETWEEN_CAPS.read_text())
+    G = space.cone.generators
+    pairs = (("base_between_caps", _pair(space, SEED + 5)), ("base_between_caps:generators", (G[0], G[2])))
+    for label, pair in pairs:
+        for side, decide in SIDES[2:]:  # the p_orthogonal sides
+            for p in (1.0, 1.5, math.inf):
+                key = ("us_per_decision", label, side, _p_key(p))
+                yield key, functools.partial(decide, space, *pair, p)
 
 
 def _norm_cases():
@@ -394,6 +418,13 @@ def measure() -> dict:
     for _ in range(WARMUP):
         reference_loop()
     raw, scaled, refs = _rounds(cases, REPEATS)
+    caps = list(_caps_cases())
+    for _, call in caps:
+        call()
+    caps_raw, caps_scaled, caps_refs = _rounds(caps, CAPS_ROUNDS)
+    raw.update(caps_raw)
+    scaled.update(caps_scaled)
+    refs += caps_refs
     run = {
         "commit": _source_commit(package_dir),
         "python": platform.python_version(),
@@ -405,6 +436,7 @@ def measure() -> dict:
         "seed": SEED,
         "verify_samples": VERIFY_SAMPLES,
         "verify_rounds": VERIFY_ROUNDS,
+        "caps_rounds": CAPS_ROUNDS,
         "reference_nominal_us": REFERENCE_US,
     }
     for doc, times in ((run, scaled), (run.setdefault("raw", {}), raw)):
@@ -420,7 +452,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_18.json")
+    ap.add_argument("--out", default="BENCH_19.json")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

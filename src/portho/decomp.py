@@ -201,7 +201,9 @@ def _dual_split(space: SpaceSpec, f: np.ndarray):
 def _dual_split_lp(space: SpaceSpec, f: np.ndarray):
     """f = f1 - f2 minimizing (f1 + f2)(e) over f1, f2 in the dual cone of
     an order-unit space; the variables are f1 (free), with f2 = f1 - f. The
-    LP splits f scaled to unit largest entry, and f1 is scaled back."""
+    LP splits f scaled to unit largest entry, and f1 is scaled back. A half
+    within 1e-12 of that scale is rounding and is zeroed, as in
+    `_dual_split`."""
     G = _c.generator_matrix(space.cone)
     unit_f, scale = unit_scaled(f)
     out = solve_lp(LpProblem(
@@ -211,7 +213,8 @@ def _dual_split_lp(space: SpaceSpec, f: np.ndarray):
     if out.status != "optimal":
         raise UnsupportedError("dual decomposition LP failed")
     f1 = scale * out.argument
-    return f1, f1 - f
+    f2 = f1 - f
+    return tuple(np.zeros_like(h) if np.abs(h).max() <= 1e-12 * scale else h for h in (f1, f2))
 
 
 @dataclass(frozen=True)

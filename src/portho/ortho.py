@@ -8,16 +8,17 @@ p = inf does a decision pay one lexsort, to merge the sweep around
 |k| = ||x||/||y|| (one fixed array of ratios, scaled per decision) into the
 grid. The one setting of a decision is its tolerance `tol`.
 
-Where the geometry gives an exact answer, `p_orthogonal` takes it instead,
-reading the closed form of the norm or of the dual norm (`spaces._form`): at
-p = 1 and p = inf the slope rule decides every max-ratio, l1 and eigen
-form; at 1 < p < inf no pair of nonzero vectors is orthogonal in a
-max-ratio or l1 form, which is piecewise linear; a weighted lp norm at its
-own p, scaled to the plain lp norm, is decided by `p_orthogonal_exact`
+Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
+at p = 1 and p = inf every norm is decided by `_unit_rule`, which reads
+the norms of x/||x|| +- y/||y|| (Theorem 3.3 (1)'s test with both signs);
+at 1 < p < inf no pair of nonzero vectors is orthogonal in a max-ratio, l1
+or solver form, which is piecewise linear; a weighted lp norm at its own
+p, scaled to the plain lp norm, is decided by `p_orthogonal_exact`
 (disjoint supports, or a zero inner product at p = 2). An exact
 "not_orthogonal" reports the largest residual of the identity over six
-scalars, +-{1, 16, 256} ||x||/||y||, and runs no grid. Every other case
-goes to the grid. The verdict's `method` says which route answered.
+scalars, +-{1, 16, 256} ||x||/||y||, and runs no grid. The grid decides the
+rest: a power form away from its own p and an eigen form at 1 < p < inf.
+The verdict's `method` says which route answered.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import as_matrix
 from .errors import InputError
 from .spaces import (
-    EIGEN,
     L1,
     MAX,
     POWER,
+    SOLVER,
     SpaceSpec,
     _check_vec,
     _evaluate,
@@ -92,14 +92,14 @@ class OrthoVerdict:
     residual of the identity over the scalars k_grid (`K_GRID`, plus the
     sweep around |k| = ||x||/||y|| at p = inf), attained at witness_k; it is
     "orthogonal" when that residual is at most tol, which is evidence, not
-    proof. On the exact route ("exact": the slope rule at p = 1 and inf, a
-    power form at its own p, or a max-ratio or l1 form at 1 < p < inf; tol
-    is relative to the norms of x and y scaled to unit largest entry, and
-    the width of the slopes' active sets) the verdict is decided: an
-    "orthogonal" one carries residual 0.0, witness 0.0 and an empty k_grid;
-    a "not_orthogonal" one carries the largest scaled residual over the six
-    scalars k_grid = +-{1, 16, 256} ||x||/||y||, attained at witness_k, with
-    no grid run (that residual lies below the tolerance when the violation
+    proof. On the exact route ("exact": `_unit_rule` at p = 1 and inf, a
+    power form at its own p, or a max-ratio, l1 or solver form at
+    1 < p < inf; tol is relative to the norms of x and y scaled to unit
+    largest entry) the verdict is decided: an "orthogonal" one carries
+    residual 0.0, witness 0.0 and an empty k_grid; a "not_orthogonal" one
+    carries the largest scaled residual over the six scalars
+    k_grid = +-{1, 16, 256} ||x||/||y||, attained at witness_k, with no grid
+    run (that residual lies below the tolerance when the violation
     falls between those scalars)."""
 
     verdict: str  # "orthogonal" | "not_orthogonal"
@@ -189,24 +189,24 @@ def p_orthogonal(
     space: SpaceSpec, x, y, p: float, tol: float = 1e-9, dual: bool = False
 ) -> OrthoVerdict:
     """Decide x perp_p y in the norm of the space, or in its dual norm for
-    dual=True: exactly by the slope rule (`_slope_rule`, every form but
-    power and solver at p = 1 and inf), for a power form at its own p in
-    the lp norm of the coordinates scaled by w^(1/p), on x and y scaled to
-    unit largest entry at the relative tolerance tol, and for a max-ratio
-    or l1 form at 1 < p < inf as "not_orthogonal" whenever x, y != 0 (the
-    form is piecewise linear: near k = 0, ||x + k y|| = ||x|| + s k on each
-    side, and the identity's o(k) right side forces s = 0, after which the
-    left side stays ||x||^p while the right side grows); on the grid where
-    none applies. An exact "not_orthogonal" carries `_witness`'s residual."""
+    dual=True. Exactly, on x and y scaled to unit largest entry at the
+    relative tolerance tol: at p = 1 and inf for every form by `_unit_rule`;
+    for a power form at its own p in the lp norm of the coordinates scaled
+    by w^(1/p) (`p_orthogonal_exact`); and for a max-ratio, l1 or solver
+    form at 1 < p < inf as "not_orthogonal" whenever x, y != 0 (the form is
+    piecewise linear: near k = 0, ||x + k y|| = ||x|| + s k on each side,
+    and the identity's o(k) right side forces s = 0, after which the left
+    side stays ||x||^p while the right side grows). On the grid where none
+    applies: a power form away from its own p, an eigen form at
+    1 < p < inf. An exact "not_orthogonal" carries `_witness`'s residual."""
     check_tol(tol)
     if p < 1:
         raise InputError("invalid exponent")
     form = _form(space, dual)
     power = form.kind == POWER and p == form.p
     ends = p == 1.0 or math.isinf(p)
-    slopes = ends and form.kind in (MAX, L1, EIGEN)
-    kinked = not ends and form.kind in (MAX, L1)
-    if not (power or slopes or kinked):
+    kinked = not ends and form.kind in (MAX, L1, SOLVER)
+    if not (ends or power or kinked):
         return p_orthogonal_numeric(space, x, y, p, tol, dual)
     x, y = _check_vec(space, x), _check_vec(space, y)
     xy = np.array([x, y])
@@ -218,7 +218,7 @@ def p_orthogonal(
         raise InputError("x and y must have finite entries")
     if mx == 0.0 or my == 0.0 or (
         p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol) if power
-        else slopes and _slope_rule(space, form, xy / m[:, None], p, tol, dual)
+        else ends and _unit_rule(space, xy / m[:, None], p, tol, dual)
     ):
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
     return _witness(space, x, y, p, dual)
@@ -241,67 +241,27 @@ def _witness(space: SpaceSpec, x: np.ndarray, y: np.ndarray, p: float, dual: boo
     return OrthoVerdict("not_orthogonal", float(res[i]), float(k[i]), tuple(np.sort(k).tolist()), "exact")
 
 
-def _slope_rule(space: SpaceSpec, form, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:
-    """x perp_p y for the rows x, y != 0 of xy, at p = 1 or inf. With
-    A = ||x||, B = ||y||, r = A/B and D the one-sided slope (`_slopes`):
-
-    x perp_1 y    iff  D(y; x) = A = D(y; -x);
-    x perp_inf y  iff  ||x + r y|| = ||x - r y|| = A and D(y; x) = 0 = D(y; -x).
-
-    On each half-line ||x + k y|| - A - |k| B (p = 1), or ||x + k y|| - |k| B
-    beyond +-r (p = inf, where convexity gives A on [-r, r]), is convex with
-    the finite limit D - A (or D), so it vanishes iff that limit does."""
-    A, B = _evaluate(space, xy, dual)
-    x, y = xy
-    d = _slopes(space, form, y, np.array([x, -x]), tol)
-    if p == 1.0:
-        return bool(d.min() >= A * (1.0 - tol))
-    if np.abs(d).max() > tol * A:
-        return False
-    r = A / B
-    return bool(np.abs(_evaluate(space, np.array([x + r * y, x - r * y]), dual) - A).max() <= tol * A)
-
-
-def _slopes(space: SpaceSpec, form, y: np.ndarray, D: np.ndarray, tol: float) -> np.ndarray:
-    """The one-sided slopes lim_{t -> 0+} (||y + t d|| - ||y||) / t of the
-    form at y != 0, one per row d of D; entries within the relative
-    tolerance tol of the largest (or of zero) count as equal to it:
-    - max-ratio: max sign(v_j . y) (v_j . d) / w_j over the largest |v_j . y| / w_j;
-    - l1: sum w_j sign(v_j . y) (v_j . d) over v_j . y != 0, plus
-      sum w_j |v_j . d| over v_j . y = 0;
-    - operator norm: the largest eigenvalue of Q+^T d Q+ and of -Q-^T d Q-,
-      Q+ (Q-) the eigenvectors of y's eigenvalue ||y|| (-||y||);
-    - trace norm: sum sign(l_i) q_i^T d q_i over y's eigenvalues l_i != 0,
-      plus the trace norm of d compressed to the kernel of y."""
-    if form.kind in (MAX, L1):
-        w = form.w
-        r, R = (y, D) if form.V is None else (form.V @ y, D @ form.V.T)
-        if form.kind == L1:
-            a = np.abs(r) if w is None else w * np.abs(r)
-            T = np.where(a <= tol * a.sum(), np.abs(R), np.sign(r) * R)
-            return T.sum(axis=1) if w is None else T @ w
-        a = np.abs(r) if w is None else np.abs(r) / w
-        top = a >= a.max() * (1.0 - tol)
-        s = np.sign(r[top]) if w is None else np.sign(r[top]) / w[top]
-        return (R[:, top] * s).max(axis=1)
-    lam, Q = np.linalg.eigh(as_matrix(space.cone, y))
-    M = Q.T @ as_matrix(space.cone, D) @ Q
-    a = np.abs(lam)
-    if math.isinf(form.p):
-        top = a >= a.max() * (1.0 - tol)
-        s = np.sign(lam[top])
-        # the blocks of the positive and of the negative top eigenvalues,
-        # the latter negated: s_i M_ij where s_i = s_j, 0 elsewhere
-        return np.linalg.eigvalsh(0.5 * (s[:, None] + s) * M[:, top][:, :, top])[:, -1]
-    zero = a <= tol * a.sum()
-    kernel = np.abs(np.linalg.eigvalsh(M[:, zero][:, :, zero])).sum(axis=1)
-    return (np.diagonal(M, axis1=1, axis2=2)[:, ~zero] * np.sign(lam[~zero])).sum(axis=1) + kernel
+def _unit_rule(space: SpaceSpec, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:
+    """x perp_p y for the rows x, y != 0 of xy, at p = 1 or inf, in any norm:
+    with u = x/||x|| and v = y/||y||, x perp_1 y iff ||u +- v|| = 2 and
+    x perp_inf y iff ||u +- v|| = 1, within the relative tolerance tol.
+    These are the identity at k = +-r, r = ||x||/||y||, and the convexity of
+    g(k) = ||x + k y|| carries them to every k. At p = 1, L(k) = ||x|| +
+    |k| ||y|| bounds g above and meets it at +-r, so it bounds g below too:
+    for |k| <= r by the triangle inequality from x + k y to x +- r y, beyond
+    by convexity (g lies above its secant through 0 and +-r). At p = inf,
+    g <= ||x|| on [-r, r] and g(k) + g(-k) >= 2 g(0) give g = ||x|| there,
+    and ||y + s x|| on [-1/r, 1/r] gives the rest."""
+    uv = xy / _evaluate(space, xy, dual)[:, None]
+    c = 2.0 if p == 1.0 else 1.0
+    s = _evaluate(space, np.array([uv[0] + uv[1], uv[0] - uv[1]]), dual)
+    return bool(np.abs(s - c).max() <= tol * c)
 
 
 def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
     """Exact oracle in the standard coordinate lp space: zero inner product
-    for p = 2, disjoint supports for finite p != 2, and the slope rule of
-    `p_orthogonal` on the sup space for p = inf."""
+    for p = 2, disjoint supports for finite p != 2, and `p_orthogonal` on
+    the sup space for p = inf."""
     if p < 1:
         raise InputError("invalid exponent")
     x = np.asarray(x, dtype=float)

@@ -5,7 +5,8 @@ support (no mass off the support of u on a lattice cone; on a
 non-simplicial one the least-mass support, half of phi plus a norming
 vertex, and one LP only above the vertex cap) and a cone above the table
 cap answers through an LP over the dual cone. A crust is a positive
-support of its partner.
+support of its partner; whether the partner is inf-orthogonal to u is
+decided by `ortho.p_orthogonal`, exactly for every form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import cones as _c
 from .errors import InputError
 from .linalg import LpProblem, solve_lp, unit_scaled
 from .ortho import p_orthogonal
-from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, batch_norms, norm, norming, order_unit
+from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, norm, norming, order_unit
 
 
 @dataclass(frozen=True)
@@ -135,23 +136,15 @@ def crust_probe(space: SpaceSpec, u) -> CrustResult | None:
     exists iff the partner p = e - u/||u|| has norm one (Corollary 3.10),
     and then it is a positive support of p: a positive f of dual norm one
     has f(e) = 1, so f(p) = 1 forces f(u) = 0. The partner's
-    inf-orthogonality to u is decided by `p_orthogonal`; above the table cap
-    by Theorem 3.3 (1) on the positive pair with ||p|| reused, two norm LPs
-    where the grid would solve one per grid row."""
+    inf-orthogonality to u is decided by `p_orthogonal`, exactly for every
+    form."""
     e = order_unit(space)
     if e is None or space.cone.kind == _c.PSD:
         raise InputError("crust probe requires an order-unit family")
     u = _check_positive(space, u)
-    nu = norm(space, u)
-    partner = e - u / nu
-    npartner = norm(space, partner)
-    if npartner < 1.0 - 1e-9:
+    partner = e - u / norm(space, u)
+    if norm(space, partner) < 1.0 - 1e-9:
         return None
     # the partner lies in the cone (u <= ||u|| e): no membership check
     f = _positive_support(space, partner).functional
-    if _form(space).kind == SOLVER:  # u perp_inf p iff ||u/||u|| +- p/||p|| || = 1
-        a, b = u / nu, partner / npartner
-        ok = np.abs(batch_norms(space, np.array([a + b, a - b])) - 1.0).max() <= 1e-9
-    else:
-        ok = p_orthogonal(space, u, partner, math.inf).is_orthogonal
-    return CrustResult(f, partner, bool(ok))
+    return CrustResult(f, partner, p_orthogonal(space, u, partner, math.inf).is_orthogonal)

@@ -37,7 +37,7 @@ from portho.decomp import (
     opt_decompose,
 )
 from portho.errors import InputError
-from portho.ortho import p_orthogonal
+from portho.ortho import p_orthogonal, p_orthogonal_numeric
 from portho.harness import default_families, sample_cone
 from portho.spaces import (
     _dual_ball_lp,
@@ -484,8 +484,12 @@ def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkey
     f = positive_support(base, u).functional
     assert len(lp_calls) - before == 1
     assert f == pytest.approx(positive_support_base_two_stage_lp(base, u), abs=1e-12)
-    # the p = 1 decisions of the base norm go to the grid
-    assert p_orthogonal(base, G[0], G[2], 1.0).method == "grid"
+    # the p = 1 decisions of the base norm are exact: two norm evaluations
+    # of two rows each, four LPs
+    before = len(lp_calls)
+    got = p_orthogonal(base, G[0], G[2], 1.0)
+    assert (got.method, len(lp_calls) - before) == ("exact", 4)
+    assert got.is_orthogonal == p_orthogonal_numeric(base, G[0], G[2], 1.0).is_orthogonal
 
 
 def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
@@ -512,7 +516,9 @@ def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
         assert norm(ou, z) <= 1.0 + 1e-9
     assert len(lp_calls) > 0
     for x, y in ((G[0], G[1]), (X[0], X[1])):
-        assert p_orthogonal(base, x, y, 1.0).method == "grid"
+        got = p_orthogonal(base, x, y, 1.0)
+        assert got.method == "exact"
+        assert got.is_orthogonal == p_orthogonal_numeric(base, x, y, 1.0).is_orthogonal
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])
@@ -592,7 +598,9 @@ def test_a_pentagon_input_nearly_on_the_unit_has_no_crust(t):
 
 
 def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monkeypatch):
-    # Theorem 3.3 (1) on the normalized pair, not the grid's LP per grid row
+    # the rule at p = inf on the normalized pair, not the grid's LP per grid
+    # row: one LP for membership, two for the norms, one for the support
+    # and four for the rule
     e = np.array([0.0, 0.0, 1.0])
     points = [0.7 * PENTAGON[0] + 0.4 * PENTAGON[1], 0.2 * PENTAGON[2] + 1.3 * PENTAGON[3]]
     tabled = [crust_probe(order_unit_space(ray_cone(PENTAGON), e), u) for u in points]
@@ -600,7 +608,7 @@ def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monk
     for u, want in zip(points, tabled):
         before = len(lp_calls)
         res = crust_probe(order_unit_space(ray_cone(PENTAGON), e), u)
-        assert 1 <= len(lp_calls) - before <= 6
+        assert 1 <= len(lp_calls) - before <= 8
         assert res.partner_orthogonal is want.partner_orthogonal
         assert res.functional == pytest.approx(want.functional, abs=1e-9)
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    BETWEEN_CAPS,
     PENTAGON,
     additivity_spotcheck,
     exact_linf_by_loop,
     grid_verdict_by_loop,
     identity_residual,
 )
+from portho import spaces
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families, run_suite
 from portho.ortho import (
@@ -290,6 +292,10 @@ _EXACT_SPACES = {
     "lp15_ray_5": SpaceSpec(5, ray_cone(np.eye(5) + 0.2), NormKind("lp", p=1.5), 1.5),
 }
 
+# the base norm on a cone between the vertex and table caps is the solver
+# form (its dual norm is a max-ratio form over the generators)
+_SOLVER_SPACES = {"base_between_caps": base_space(ray_cone(BETWEEN_CAPS), np.eye(6)[-1])}
+
 
 class TestExactDispatcher:
     @pytest.mark.parametrize("texture", ["disjoint", "shared", "equal_norms"])
@@ -311,17 +317,18 @@ class TestExactDispatcher:
         else:
             assert "not_orthogonal" in seen
 
-    @pytest.mark.parametrize("family", ["lp1_8", "sup_8", "base_8", "polyray_4"])
+    @pytest.mark.parametrize("family", ["lp1_8", "sup_8", "base_8", "polyray_4", "base_between_caps"])
     def test_piecewise_linear_forms_are_never_orthogonal_at_1_lt_p_lt_inf(self, family):
-        # a max-ratio or l1 form is linear on each side of k = 0, so at
-        # 1 < p < inf the identity fails for every nonzero pair; the grid
-        # agrees, and the exact verdict's residual is the loop's at its witness
-        sp = _FAMILIES[family]
+        # a max-ratio, l1 or solver form is linear on each side of k = 0, so
+        # at 1 < p < inf the identity fails for every nonzero pair; the grid
+        # agrees, and the exact verdict's residual is the loop's at its
+        # witness. The solver form's grid solves an LP per row: fewer pairs
+        sp = _SOLVER_SPACES.get(family) or _FAMILIES[family]
         rng = np.random.default_rng(zlib.crc32(family.encode()))
         for dual in (False, True):
             norm_fn = (lambda w: dual_norm(sp, w)) if dual else (lambda w: norm(sp, w))
             for texture in ("disjoint", "shared", "equal_norms"):
-                for _ in range(10):
+                for _ in range(2 if _form(sp, dual).kind == "solver" else 10):
                     x, y = _textured_pair(rng, sp.dim, texture)
                     for p in (1.5, 2.0, 3.0):
                         got = p_orthogonal(sp, x, y, p, dual=dual)
@@ -374,7 +381,7 @@ class TestExactDispatcher:
             (sup_space(3), INF, "exact"),
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), 1.0, "exact"),
             (lp_space(3, 1.0), 2.0, "exact"),  # piecewise linear at 1 < p < inf
-            (lp_space(3, 2.0), INF, "grid"),
+            (lp_space(3, 2.0), INF, "exact"),  # every norm at p = 1 and inf
             (sup_space(3), 1.0, "exact"),
             (base_space(nonneg_orthant(3), [1.0, 2.0, 3.0]), INF, "exact"),
             (order_unit_space(nonneg_orthant(3), [1.0, 1.0, 1.0]), INF, "exact"),
@@ -441,9 +448,8 @@ class TestExactDispatcher:
 
 _RAY4 = _FAMILIES["polyray_4"].cone
 _E3 = np.array([0.0, 0.0, 1.0])
-# every form the slope rule covers, in both directions, and the pentagon's
-# least-l1 forms over several bases (the order-unit dual norm and the base
-# norm), which stay on the grid
+# max-ratio, l1 and eigen forms in both directions, among them the
+# pentagon's vertex tables (the order-unit dual norm and the base norm)
 _SLOPE_SPACES = {
     **{name: _FAMILIES[name] for name in ("lp1_8", "sup_8", "base_8", "spectral_4", "polyray_4")},
     "base_ray4": base_space(_RAY4, np.ones(4)),
@@ -470,7 +476,7 @@ def _isometry(sp, dual, rng):
     the space, for the forms whose coordinates are invertible: a max-ratio
     form over the coordinates or a square V, an l1 form (over the
     coordinates or a simplicial cone's one basis), and diagonal matrices in a random orthonormal
-    basis for the eigen forms. None for the pentagon's forms."""
+    basis for the eigen forms. None for the other forms."""
     form = _form(sp, dual)
     n = sp.dim
     if form.kind == "eigen":
@@ -485,14 +491,15 @@ def _isometry(sp, dual, rng):
     return None
 
 
-def _slope_pairs(name, sp, dual, rng):
-    """(x, y, p) triples: random pairs (p None), pairs orthogonal at p by
-    construction and pairs sharing one coordinate (p None). An orthogonal
-    pair x perp_p y spans an isometric copy of l_inf^2 (p = inf) or l_1^2
-    (p = 1), so x/||x|| +- y/||y|| is orthogonal at the other exponent."""
+def _slope_pairs(sp, dual, rng, draws=4):
+    """(x, y, p) triples: `draws` random pairs (p None), pairs orthogonal at
+    p by construction and pairs sharing one coordinate (p None). An
+    orthogonal pair x perp_p y spans an isometric copy of l_inf^2 (p = inf)
+    or l_1^2 (p = 1), so x/||x|| +- y/||y|| is orthogonal at the other
+    exponent."""
     norms = batch_dual_norms if dual else batch_norms
     pairs = []
-    for _ in range(4):
+    for _ in range(draws):
         x, y = rng.normal(size=(2, sp.dim))
         if sp.norm.kind == "spectral":
             d = sp.cone.side
@@ -511,17 +518,19 @@ def _slope_pairs(name, sp, dual, rng):
             t2[0] = rng.normal()
             pairs.append((z(t1), z(t2), None))
     else:
-        # the pentagon: one direction is a max-ratio form over rows R with
-        # weights w = R e, e = (0, 0, 1) (ou_ray5's norm over the facet
-        # normals, base_ray5's dual norm over the generators), an order-unit
-        # norm over the cone {R z >= 0}. Take u on a facet of that cone. In
-        # that direction u perp_inf e - u/||u||; in the other, the positive
-        # supports R_j / w_j of u (the largest ratio (R u)_j / w_j) and of
-        # e - u/||u|| (a zero ratio) are 1-orthogonal
-        top = _form(sp, name == "base_ray5")
-        u = sp.cone.facet_normals[0] if name == "base_ray5" else 0.7 * PENTAGON[0] + 0.4 * PENTAGON[1]
+        # a non-simplicial ray cone: one direction is a max-ratio form over
+        # rows R with weights w = R e (an order-unit norm over the facet
+        # normals, or a base dual norm over the generators, e = phi), an
+        # order-unit norm over the cone {R z >= 0}. Take u on a facet of
+        # that cone. In that direction u perp_inf e - u/||u||; in the other,
+        # the positive supports R_j / w_j of u (the largest ratio
+        # (R u)_j / w_j) and of e - u/||u|| (a zero ratio) are 1-orthogonal
+        base = sp.norm.kind == "base"
+        top, e = _form(sp, base), sp.norm.phi if base else sp.norm.unit
+        G = sp.cone.generators
+        u = sp.cone.facet_normals[0] if base else 0.7 * G[0] + 0.4 * G[1]
         if top is _form(sp, dual):
-            pairs.append((u, _E3 - u / norms(sp, u[None])[0], INF))
+            pairs.append((u, e - u / norms(sp, u[None])[0], INF))
         else:
             ratios = top.V @ u / top.w
             j, i = np.argmax(ratios), np.argmin(ratios)
@@ -533,27 +542,71 @@ def _slope_pairs(name, sp, dual, rng):
 
 
 class TestSlopeRule:
-    """p_orthogonal (exact wherever the form has slopes), the grid and the
-    dense scan agree at p = 1 and inf, primal and dual, on pairs of both
-    verdicts."""
+    """p_orthogonal (exact for every form at p = 1 and inf, by the norms of
+    x/||x|| +- y/||y||), the grid and the dense scan agree, primal and
+    dual, on pairs of both verdicts."""
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     @pytest.mark.parametrize("name", sorted(_SLOPE_SPACES))
     def test_agrees_with_the_grid_and_a_dense_scan(self, name, dual):
         sp = _SLOPE_SPACES[name]
         norms = batch_dual_norms if dual else batch_norms
-        form = _form(sp, dual)
-        covered = form.kind != "solver"
         rng = np.random.default_rng(zlib.crc32(f"{name}-{dual}".encode()))
         seen = set()
-        for x, y, orthogonal_at in _slope_pairs(name, sp, dual, rng):
+        for x, y, orthogonal_at in _slope_pairs(sp, dual, rng):
             for p in (1.0, INF):
                 got = p_orthogonal(sp, x, y, p, dual=dual)
-                assert got.method == ("exact" if covered else "grid")
+                assert got.method == "exact"
                 assert got.is_orthogonal == p_orthogonal_numeric(sp, x, y, p, dual=dual).is_orthogonal
                 assert got.is_orthogonal == _scan_verdict(lambda W: norms(sp, W), x, y, p)
                 if orthogonal_at == p:
                     assert got.is_orthogonal
+                seen.add(got.verdict)
+        assert seen == {"orthogonal", "not_orthogonal"}
+
+    @pytest.mark.parametrize(
+        "name, dual",
+        [("lp15_8", False), ("lp15_8", True), ("lp3_8", False), ("weighted_lp3", True),
+         ("base_ray5", False), ("ou_ray5", True), ("base_between_caps", False)],
+    )
+    def test_power_and_solver_forms_agree_with_the_grid(self, monkeypatch, name, dual):
+        # below its 80 vertex candidates the pentagon's least-l1 forms (the
+        # base norm, the order-unit dual norm) are the solver form; spaces
+        # resolve their forms at first use, so they are built after the patch
+        monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+        sp = {
+            "weighted_lp3": lambda: lp_space(5, 3.0, weights=[1.0, 2.0, 0.5, 1.5, 3.0]),
+            "base_ray5": lambda: base_space(ray_cone(PENTAGON), _E3),
+            "ou_ray5": lambda: order_unit_space(ray_cone(PENTAGON), _E3),
+            "base_between_caps": lambda: _SOLVER_SPACES[name],
+        }.get(name, lambda: _FAMILIES[name])()
+        kind = _form(sp, dual).kind
+        assert kind in ("power", "solver")
+        power = kind == "power"
+        norm_fn = (lambda w: dual_norm(sp, w)) if dual else (lambda w: norm(sp, w))
+        rng = np.random.default_rng(zlib.crc32(f"{name}-{dual}-ends".encode()))
+        if power:
+            # a power form is strictly convex: at p = 1 and inf only a pair
+            # with a zero argument is orthogonal
+            pairs = [(*_textured_pair(rng, sp.dim, t), None) for t in ("disjoint", "shared", "equal_norms")]
+            pairs += [(x, y, None) for x, y in rng.normal(size=(3, 2, sp.dim))]
+            pairs.append((pairs[0][0], np.zeros(sp.dim), None))
+        else:
+            pairs = _slope_pairs(sp, dual, rng, draws=1 if name == "base_between_caps" else 4)
+        seen = set()
+        for x, y, orthogonal_at in pairs:
+            for p in (1.0, INF):
+                got = p_orthogonal(sp, x, y, p, dual=dual)
+                assert got.method == "exact"
+                assert got.is_orthogonal == p_orthogonal_numeric(sp, x, y, p, dual=dual).is_orthogonal
+                if power:
+                    assert got.is_orthogonal == (not y.any())
+                elif orthogonal_at == p:
+                    assert got.is_orthogonal
+                if not got.is_orthogonal:
+                    want = identity_residual(norm_fn, x, y, p, got.witness_k)
+                    assert got.worst_residual == pytest.approx(want, rel=1e-12, abs=1e-15)
+                    assert got.worst_residual > 0.0
                 seen.add(got.verdict)
         assert seen == {"orthogonal", "not_orthogonal"}
 
