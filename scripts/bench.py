@@ -27,11 +27,11 @@ call each, with the reference loop around every round as below.
 
 Norm slice (table `us_per_batch`): `batch_norms` and `batch_dual_norms` of
 every default family on fixed seeded rows, at three row counts: 1 (the
-`norm` / `dual_norm` calls), DECIDER_ROWS (the k grid `ortho.K_GRID`: the
-block the grid decider hands the row oracle at finite p) and 2^15 / dim (the
-most rows one block of the decider may hold, `ortho._BLOCK_ENTRIES`
-entries). The key
-under each family is the row count.
+`norm` / `dual_norm` calls), DECIDER_ROWS (x, y and the rows x + k y of
+the k grid `ortho.K_GRID`: the one block the grid decider hands the row
+oracle at finite p) and 2^15 / dim (the most rows one block of the decider
+may hold, `ortho._BLOCK_ENTRIES` entries). The key under each family is
+the row count.
 
 Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded matrix
 of each side in EIGEN_SIDES, symmetric bit for bit (key "-"), and on the
@@ -92,9 +92,10 @@ already there, with the commit of the measured source, the Python and numpy
 versions, `nproc` and the line count of the measured `portho` package (the
 commit ends in "-dirty" when the checkout has uncommitted changes). To
 compare two commits, run the script once per checkout with the `portho` of
-that checkout first on the path and a label per run:
+that checkout first on the path and a label per run; `--out` is required,
+so that no run rewrites an earlier record by default:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_19.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_new.json
 """
 
 import argparse
@@ -174,7 +175,7 @@ PENTAGON = np.array(
 )
 PENTAGON_UNIT = np.array([0.0, 0.0, 1.0])
 LP_SIZES = ((3, 5), (8, 16), (16, 32), (32, 64))  # rows x variables
-DECIDER_ROWS = len(K_GRID)  # the k grid, 35 scalars
+DECIDER_ROWS = 2 + len(K_GRID)  # x, y and the k grid of 35 scalars
 BLOCK_ENTRIES = 2**15  # the most entries one block of the grid decider holds
 EIGEN_SIDES = (2, 4, 8, 16, 32)
 REFERENCE_US = 1600.0  # nominal reference-loop time the figures are scaled to
@@ -452,7 +453,7 @@ def measure() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="change", help="key of this run under runs")
-    ap.add_argument("--out", default="BENCH_19.json")
+    ap.add_argument("--out", required=True, help="the JSON record to add the run to")
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

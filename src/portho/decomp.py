@@ -27,7 +27,8 @@ from .spaces import (
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
-    dual_norm,
+    batch_dual_norms,
+    check_exponent,
     norm,
     norming_element,
 )
@@ -104,6 +105,7 @@ def opt_decompose(space: SpaceSpec, v, p: float) -> Decomposition:
     where `monotone_norm` holds, else "unsupported": a non-simplicial cone,
     or an lp or sup norm over a simplicial ray cone, where the split need
     not be optimal."""
+    check_exponent(p)
     v = np.asarray(v, dtype=float)
     if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + np.abs(v).max())):
         return Decomposition(v, np.zeros_like(v), p, norm(space, v), "optimal")
@@ -156,8 +158,8 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     else:
         f1, f2 = _dual_split(space, f)
 
-    nagg = dual_norm(space, f1) + dual_norm(space, f2)
-    nf = dual_norm(space, f)
+    n1, n2, nf = batch_dual_norms(space, np.array([f1, f2, f])).tolist()
+    nagg = n1 + n2
     if abs(nagg - nf) > 1e-8 * (1.0 + nf):
         return Decomposition(f1, f2, 1.0, nagg, "failed")
     verdict = p_orthogonal(space, f1, f2, 1.0, dual=True)

@@ -6,7 +6,10 @@ over one geometric grid of scalars, `K_GRID`. Its (|k|, k) order is
 computed once, at import, so a decision at finite p sorts nothing; only for
 p = inf does a decision pay one lexsort, to merge the sweep around
 |k| = ||x||/||y|| (one fixed array of ratios, scaled per decision) into the
-grid. The one setting of a decision is its tolerance `tol`.
+grid. At finite p a decision is one pass of the row oracle: x and y ride
+in the first block of the grid rows x + k y. At p = inf it is two, since
+the sweep needs ||x|| and ||y|| first. The one setting of a decision is
+its tolerance `tol`.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
 at p = 1 and p = inf every norm is decided by `_unit_rule`, which reads
@@ -40,6 +43,7 @@ from .spaces import (
     _form,
     batch_dual_norms,
     batch_norms,
+    check_exponent,
     norm,
     sup_space,
 )
@@ -115,19 +119,31 @@ class OrthoVerdict:
 
 def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdict:
     """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
-    returns the norms of the rows of W as an array. The grid x + k y goes
-    to the oracle in blocks of at most `_BLOCK_ENTRIES` entries."""
+    returns the norms of the rows of W as an array. The oracle gets blocks
+    of at most `_BLOCK_ENTRIES` entries (above half that many a row, one
+    row each, and x and y together). At finite p the first block holds x
+    and y ahead of the first rows x + k y, so one pass reads the norms and
+    the grid; at p = inf the sweep scales with ||x||/||y||, so x and y go
+    first on their own, then the grid."""
     check_tol(tol)
-    if p < 1:
-        raise InputError("invalid exponent")
+    check_exponent(p)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise InputError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
-    xy = np.stack([x, y])
-    if not np.isfinite(xy).all():
+    rows = max(1, _BLOCK_ENTRIES // max(1, x.size))
+    k = _K_ORDER
+    head = 0 if math.isinf(p) else min(k.size, max(0, rows - 2))  # grid rows in the first block
+    W = np.empty((2 + head, x.size))
+    W[0], W[1] = x, y
+    if not np.isfinite(W[:2]).all():
         raise InputError("x and y must have finite entries")
-    nx, ny = norms_fn(xy).tolist()
+    if head:
+        G = W[2:]
+        np.multiply(k[:head, None], y, out=G)
+        np.add(G, x, out=G)  # x + k y, bit for bit: IEEE addition commutes
+    first = norms_fn(W)
+    nx, ny = first[:2].tolist()
     if nx == 0.0 or ny == 0.0:
         # the identity holds identically when either argument is zero
         return OrthoVerdict("orthogonal", 0.0, 0.0, K_GRID)
@@ -138,11 +154,10 @@ def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdi
         k = _order_unique(np.concatenate([_K_ORDER, r * _SWEEP, -r * _SWEEP]))
         grid = tuple(np.sort(k).tolist())
     else:
-        k, grid = _K_ORDER, K_GRID
-    rows = max(1, _BLOCK_ENTRIES // x.size)
-    lhs = np.concatenate(
-        [norms_fn(x + k[i:i + rows, None] * y) for i in range(0, k.size, rows)]
-    )
+        grid = K_GRID
+    parts = [first[2:]] if head else []
+    parts += [norms_fn(x + k[i:i + rows, None] * y) for i in range(head, k.size, rows)]
+    lhs = parts[0] if len(parts) == 1 else np.concatenate(parts)
     res = _residuals(lhs, nx, ny, k, p)
     i = int(np.argmax(res))
     worst = float(res[i])
@@ -200,8 +215,7 @@ def p_orthogonal(
     applies: a power form away from its own p, an eigen form at
     1 < p < inf. An exact "not_orthogonal" carries `_witness`'s residual."""
     check_tol(tol)
-    if p < 1:
-        raise InputError("invalid exponent")
+    check_exponent(p)
     form = _form(space, dual)
     power = form.kind == POWER and p == form.p
     ends = p == 1.0 or math.isinf(p)
@@ -216,24 +230,39 @@ def p_orthogonal(
     mx, my = m.tolist()  # NaN or inf if an entry is
     if not (math.isfinite(mx) and math.isfinite(my)):
         raise InputError("x and y must have finite entries")
-    if mx == 0.0 or my == 0.0 or (
-        p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol) if power
-        else ends and _unit_rule(space, xy / m[:, None], p, tol, dual)
-    ):
+    nxy = None  # the norms of x and y, where the exact test has read them
+    if mx == 0.0 or my == 0.0:
+        orthogonal = True
+    elif power:
+        orthogonal = p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol)
+    elif ends:
+        unit = xy / m[:, None]
+        n = _evaluate(space, unit, dual)
+        orthogonal = _unit_rule(space, unit / n[:, None], p, tol, dual)
+        nxy = m * n  # homogeneity: ||x|| = mx ||x / mx||
+    else:
+        orthogonal = False
+    if orthogonal:
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
-    return _witness(space, x, y, p, dual)
+    return _witness(space, x, y, p, dual, nxy)
 
 
-def _witness(space: SpaceSpec, x: np.ndarray, y: np.ndarray, p: float, dual: bool) -> OrthoVerdict:
+def _witness(
+    space: SpaceSpec, x: np.ndarray, y: np.ndarray, p: float, dual: bool, nxy: np.ndarray | None
+) -> OrthoVerdict:
     """The exact "not_orthogonal" of x, y != 0 with the largest residual of
     the identity (`_residuals`) over the six scalars k = +-r {1, 16, 256},
     r = ||x|| / ||y||, and its witness: the first, in (|k|, k) order, to
-    attain it. It evaluates the norms of x and y, then the six rows x + k y
-    (not the scaled or weighted copies the exact tests read). The residual
-    lies below the tolerance where the violation falls between these
-    scalars. Where r is 0 or not finite (a norm lost to underflow or
+    attain it. It evaluates the six rows x + k y (not the scaled or
+    weighted copies the exact tests read), and the norms of x and y unless
+    the caller passes them as nxy (at p = 1 and inf, the norms of x and y
+    scaled to unit largest entry that `_unit_rule` reads, times the scale).
+    The residual lies below the tolerance where the violation falls between
+    these scalars. Where r is 0 or not finite (a norm lost to underflow or
     overflow), the scalars are +-{1, 16, 256}."""
-    nx, ny = _evaluate(space, np.array([x, y]), dual).tolist()
+    if nxy is None:
+        nxy = _evaluate(space, np.array([x, y]), dual)
+    nx, ny = nxy.tolist()
     r = nx / ny if ny > 0.0 else INF
     k = (r if 0.0 < r < INF else 1.0) * _WITNESS_T
     res = _residuals(_evaluate(space, x + k[:, None] * y, dual), nx, ny, k, p)
@@ -241,9 +270,9 @@ def _witness(space: SpaceSpec, x: np.ndarray, y: np.ndarray, p: float, dual: boo
     return OrthoVerdict("not_orthogonal", float(res[i]), float(k[i]), tuple(np.sort(k).tolist()), "exact")
 
 
-def _unit_rule(space: SpaceSpec, xy: np.ndarray, p: float, tol: float, dual: bool) -> bool:
-    """x perp_p y for the rows x, y != 0 of xy, at p = 1 or inf, in any norm:
-    with u = x/||x|| and v = y/||y||, x perp_1 y iff ||u +- v|| = 2 and
+def _unit_rule(space: SpaceSpec, uv: np.ndarray, p: float, tol: float, dual: bool) -> bool:
+    """x perp_p y for x, y != 0, at p = 1 or inf, in any norm, from the rows
+    u = x/||x|| and v = y/||y|| of uv: x perp_1 y iff ||u +- v|| = 2 and
     x perp_inf y iff ||u +- v|| = 1, within the relative tolerance tol.
     These are the identity at k = +-r, r = ||x||/||y||, and the convexity of
     g(k) = ||x + k y|| carries them to every k. At p = 1, L(k) = ||x|| +
@@ -252,7 +281,6 @@ def _unit_rule(space: SpaceSpec, xy: np.ndarray, p: float, tol: float, dual: boo
     by convexity (g lies above its secant through 0 and +-r). At p = inf,
     g <= ||x|| on [-r, r] and g(k) + g(-k) >= 2 g(0) give g = ||x|| there,
     and ||y + s x|| on [-1/r, 1/r] gives the rest."""
-    uv = xy / _evaluate(space, xy, dual)[:, None]
     c = 2.0 if p == 1.0 else 1.0
     s = _evaluate(space, np.array([uv[0] + uv[1], uv[0] - uv[1]]), dual)
     return bool(np.abs(s - c).max() <= tol * c)
@@ -262,8 +290,7 @@ def p_orthogonal_exact(x, y, p: float, tol: float = 1e-12) -> bool:
     """Exact oracle in the standard coordinate lp space: zero inner product
     for p = 2, disjoint supports for finite p != 2, and `p_orthogonal` on
     the sup space for p = inf."""
-    if p < 1:
-        raise InputError("invalid exponent")
+    check_exponent(p)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -298,6 +325,7 @@ def orthonormal_set_verify(space: SpaceSpec, U, p: float, tol: float = 1e-9) -> 
     failures       one entry per failed unit norm or pair.
     """
     check_tol(tol)
+    check_exponent(p)  # a set of one vector decides no pair
     vectors = [np.asarray(u, dtype=float) for u in U]
     if not vectors:
         raise InputError("set must be nonempty")

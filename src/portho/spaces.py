@@ -47,10 +47,16 @@ EIGEN = "eigen"  # max or sum of |eigenvalues|
 SOLVER = "solver"  # an LP over the dual ball
 
 
+def check_exponent(p: float) -> None:
+    """Raise InputError unless the exponent p is at least 1 (inf allowed);
+    written so that a NaN fails too."""
+    if not p >= 1.0:
+        raise InputError(f"invalid exponent: p must be at least 1, got {p}")
+
+
 def conjugate(p: float) -> float:
     """Conjugate exponent: 1 <-> inf, else p/(p-1)."""
-    if p < 1:
-        raise InputError("invalid exponent")
+    check_exponent(p)
     if p == 1.0:
         return INF
     if math.isinf(p):

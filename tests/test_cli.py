@@ -435,6 +435,25 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ortho", "--x", "1,1,0", "--y", "1,0,0", "--p", "nan"],
+            ["ortho", "--x", "1,1,0", "--y", "1,0,0", "--p", "0.5"],
+            ["decompose", "--v", "2,-3,0", "--p", "nan"],
+            ["decompose", "--v", "2,-3,0", "--p", "0.5"],
+        ],
+    )
+    def test_invalid_exponent_exits_2(self, sup3, tmp_path, capsys, argv):
+        # a NaN exponent fails p < 1 as well as p >= 1: it must not pass as
+        # a verdict ("orthogonal" on the grid) or an aggregate ("nan")
+        path = tmp_path / "lp2_3.json"
+        path.write_text(_spec(norm={"kind": "lp", "p": 2}, p_class=2), encoding="utf-8")
+        for space in (str(path), sup3):
+            assert main([argv[0], "--space", space, *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "p must be at least 1" in captured.err
+
     @pytest.mark.parametrize("suite", ["lem27_positive_pair", "all"])
     def test_verify_sample_count_below_one_exits_2(self, suite, capsys):
         assert main(["verify", suite, "--samples", "-5"]) == 2

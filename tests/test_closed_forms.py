@@ -516,9 +516,13 @@ def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
         assert norm(ou, z) <= 1.0 + 1e-9
     assert len(lp_calls) > 0
     for x, y in ((G[0], G[1]), (X[0], X[1])):
+        before = len(lp_calls)
         got = p_orthogonal(base, x, y, 1.0)
-        assert got.method == "exact"
+        # the unit rule's two evaluations of two rows; a "not_orthogonal"
+        # adds the witness's six rows and reuses the rule's norms of x and y
+        assert (got.method, len(lp_calls) - before) == ("exact", 4 if got.is_orthogonal else 10)
         assert got.is_orthogonal == p_orthogonal_numeric(base, x, y, 1.0).is_orthogonal
+    assert not got.is_orthogonal
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])

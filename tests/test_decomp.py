@@ -52,6 +52,13 @@ class TestOptDecompose:
         assert d.norm_aggregate == pytest.approx(3.0)
         assert d.u1 - d.u2 == pytest.approx([3.0, -2.0])
 
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_invalid_exponent(self, p):
+        # the aggregate would read (a^p + b^p)^(1/p): NaN, or no norm at p < 1
+        for v in ([3.0, -2.0, 0.0], [1.0, 2.0, 0.5]):
+            with pytest.raises(InputError, match="exponent: p must be at least 1"):
+                opt_decompose(lp_space(3, 2.0), v, p)
+
     def test_positive_input_trivial(self):
         sp = lp_space(3, 2.0)
         d = opt_decompose(sp, [1.0, 2.0, 0.5], 2.0)

@@ -12,10 +12,11 @@ from oracles import (
     grid_verdict_by_loop,
     identity_residual,
 )
-from portho import spaces
+from portho import ortho, spaces
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families, run_suite
 from portho.ortho import (
+    _BLOCK_ENTRIES,
     K_GRID,
     OrthoVerdict,
     orthonormal_set_verify,
@@ -69,8 +70,19 @@ class TestNumericDecider:
         assert p_orthogonal_numeric(sp, [1.0, 2.0], [0.0, 0.0], 3.0).is_orthogonal
 
     def test_invalid_exponent(self):
-        with pytest.raises(InputError):
-            p_orthogonal_numeric(lp_space(2, 2.0), [1.0, 0.0], [0.0, 1.0], 0.5)
+        # a NaN exponent fails every comparison, p >= 1 included
+        sp, x, y = lp_space(3, 2.0), [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]
+        for p in (0.5, math.nan, -INF):
+            for decide in (
+                lambda: p_orthogonal_numeric(sp, x, y, p),
+                lambda: p_orthogonal_numeric(sp, x, y, p, dual=True),
+                lambda: verdict_from_norm(lambda W: batch_norms(sp, W), x, y, p),
+                lambda: p_orthogonal(sp, x, y, p),
+                lambda: p_orthogonal_exact(x, y, p),
+                lambda: orthonormal_set_verify(sp, [x], p),
+            ):
+                with pytest.raises(InputError, match="exponent: p must be at least 1"):
+                    decide()
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-9, INF])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
@@ -210,7 +222,8 @@ class TestBatchedDeciderAgainstLoop:
             first.worst_residual.hex(), first.witness_k.hex())
         assert [k.hex() for k in got.k_grid] == [k.hex() for k in first.k_grid]
 
-    def test_high_dimension_takes_several_blocks(self):
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_high_dimension_takes_several_blocks(self, p):
         sp, _, fplus, fminus, g1, _ = build_example_46(2049)
         rows = []
 
@@ -220,12 +233,34 @@ class TestBatchedDeciderAgainstLoop:
 
         for x, y in ((fplus, fminus), (fplus, g1)):
             rows.clear()
-            got = verdict_from_norm(oracle, x, y, INF)
-            assert len(rows) > 2  # ||x||, ||y||, then the grid in several blocks
-            assert max(rows[1:]) * sp.dim <= 2**15
-            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, INF, K_GRID)
+            got = verdict_from_norm(oracle, x, y, p)
+            assert len(rows) > 2  # the grid in several blocks
+            assert max(rows) * sp.dim <= _BLOCK_ENTRIES
+            want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, K_GRID)
             self._check(got, want)
         assert got.verdict == "not_orthogonal"
+
+    @pytest.mark.parametrize("p, passes", [(1.0, 1), (1.5, 1), (2.0, 1), (3.0, 1), (INF, 2)])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_oracle_passes_per_decision(self, monkeypatch, p, passes, dual):
+        # at finite p, x and y ride in the one block of the grid; at p = inf
+        # the sweep needs their norms first, so they take a pass of their own
+        sp = _FAMILIES["lp15_8"]
+        name = "batch_dual_norms" if dual else "batch_norms"
+        oracle = getattr(ortho, name)
+        rows = []
+
+        def counting(space, W):
+            rows.append(W.shape[0])
+            return oracle(space, W)
+
+        monkeypatch.setattr(ortho, name, counting)
+        x, y = np.random.default_rng(17).normal(size=(2, sp.dim))
+        got = p_orthogonal_numeric(sp, x, y, p, dual=dual)
+        assert len(rows) == passes
+        assert max(rows) * sp.dim <= _BLOCK_ENTRIES
+        fn = dual_norm if dual else norm
+        self._check(got, grid_verdict_by_loop(lambda v: fn(sp, v), x, y, p, K_GRID))
 
 
 class TestExactOracle:
@@ -406,8 +441,9 @@ class TestExactDispatcher:
             p_orthogonal(sp, [math.nan, 1.0], [1.0, 0.0], 2.0)
         with pytest.raises(InputError, match="shape"):
             p_orthogonal(sp, [1.0, 0.0, 0.0], [1.0, 0.0], 2.0)
-        with pytest.raises(InputError, match="exponent"):
-            p_orthogonal(sp, [1.0, 0.0], [0.0, 1.0], 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(InputError, match="exponent"):
+                p_orthogonal(sp, [1.0, 0.0], [0.0, 1.0], p)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
