@@ -56,8 +56,8 @@ and of a pair orthogonal at the space's own p (key "1:orthogonal" or
 "inf:orthogonal": two non-adjacent generators under the base norm, and
 u on a facet with its partner e - u/||u|| under the order-unit norm).
 Membership reads the facet normals, the maximizers and the base positive
-support the vertex tables of the dual balls, and the dual split a
-minimizing basis of the cone's facet table, so these solve no LP. A portho
+support the vertex tables of the dual balls, and the dual split the
+facets active at the norming vertex, so these solve no LP. A portho
 that solved LPs for them is timed under the same keys.
 
 Solver slice (table `us_per_solve`): `solve_lp` on fixed seeded LPs of

@@ -1,13 +1,11 @@
 """Positive cones: nonnegative orthant, finitely generated ray cones, and the
 PSD cone (symmetric matrices stored row-major with all d*d entries).
 
-A polyhedral cone carries two lazily built tables: its facet normals H (the
-cone is {x : H x >= 0}) and, for a row set V (the generators or the facet
-normals), the inverse of V_S^T for every invertible n-subset S of V's rows.
-Each table is built only while its subset count stays within
-MAX_TABLE_SUBSETS; above that the property is None. Membership reads the
-cone coefficients or the facet normals, and an LP decides it only above the
-cap.
+A polyhedral cone carries one lazily built table, its facet normals H (the
+cone is {x : H x >= 0}), built only while the (n-1)-subsets of generators
+it enumerates stay within MAX_TABLE_SUBSETS; above that the property is
+None. Membership reads the cone coefficients or the facet normals, and an
+LP decides it only above the cap.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ NONNEG = "nonneg"
 RAYS = "rays"
 PSD = "psd"
 
-MAX_TABLE_SUBSETS = 4096  # cap on the subsets enumerated for one table
-_RANK_TOL = 1e-10  # relative singular-value floor of a full-rank subset
+MAX_TABLE_SUBSETS = 4096  # cap on the generator subsets enumerated for the facet normals
+RANK_TOL = 1e-10  # relative singular-value floor of a full-rank subset
 
 
 @dataclass(frozen=True)
@@ -82,68 +80,31 @@ class ConeSpec:
             return None
         G = self.generators
         m, n = G.shape
-        if math.comb(m, n - 1) > MAX_TABLE_SUBSETS or not _full_rank(G):
+        if math.comb(m, n - 1) > MAX_TABLE_SUBSETS or not full_rank(G):
             return None
         if n == 1:  # a half-line, or the whole line when the signs differ
             signs = np.unique(np.sign(G))
             return signs[:, None] if signs.size == 1 else np.empty((0, 1))
         subsets = G[np.array(list(itertools.combinations(range(m), n - 1)))]
         _, s, vt = np.linalg.svd(subsets)
-        h = vt[s[:, -1] > _RANK_TOL * s[:, 0], -1]
+        h = vt[s[:, -1] > RANK_TOL * s[:, 0], -1]
         P = h @ G.T
         flip = P.sum(axis=1) < 0.0
         h[flip], P[flip] = -h[flip], -P[flip]
-        h = h[np.all(P >= -_RANK_TOL * np.linalg.norm(G, axis=1), axis=1)]
+        h = h[np.all(P >= -RANK_TOL * np.linalg.norm(G, axis=1), axis=1)]
         normals = []
         for row in h:
             if not any(np.abs(row - kept).max() <= 1e-9 for kept in normals):
                 normals.append(row)
         return np.array(normals).reshape(-1, n)
 
-    @cached_property
-    def generator_bases(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """basis_inverses of the generator rows (None for the psd cone)."""
-        if self.coefficient_basis is not None:
-            return self._single_basis(self.coefficient_basis[1])
-        return basis_inverses(self.generators) if self.kind == RAYS else None
 
-    @cached_property
-    def facet_bases(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """basis_inverses of the facet normals (None when they are)."""
-        if self.coefficient_basis is not None:
-            return self._single_basis(self.coefficient_basis[0].T)
-        H = self.facet_normals
-        return None if H is None else basis_inverses(H)
-
-    def _single_basis(self, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the inverse itself, not a recomputed one, so that the kernels over
-        # one basis reproduce the coefficient_basis formulas bit for bit
-        return np.arange(self.ambient_dim)[None], inv[None]
-
-
-def _full_rank(V: np.ndarray) -> bool:
+def full_rank(V: np.ndarray) -> bool:
     """Whether the rows of V span R^n (n = number of columns)."""
     if V.shape[0] < V.shape[1]:
         return False
     s = np.linalg.svd(V, compute_uv=False)
-    return bool(s[-1] > _RANK_TOL * s[0])
-
-
-def basis_inverses(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(S, inv): row k of S lists an n-subset of the rows of V that is
-    linearly independent, and inv[k] = (V_S^T)^-1, so that for x = V^T c the
-    basic solution on S is c_S = inv[k] x. None when there are more than
-    MAX_TABLE_SUBSETS subsets or V has rank below n."""
-    m, n = V.shape
-    if math.comb(m, n) > MAX_TABLE_SUBSETS or not _full_rank(V):
-        return None
-    S = np.array(list(itertools.combinations(range(m), n)))
-    VS = V[S]
-    s = np.linalg.svd(VS, compute_uv=False)
-    keep = s[:, -1] > _RANK_TOL * s[:, 0]
-    if not keep.any():
-        return None
-    return S[keep], np.linalg.inv(VS[keep].transpose(0, 2, 1))
+    return bool(s[-1] > RANK_TOL * s[0])
 
 
 def nonneg_orthant(n: int) -> ConeSpec:

@@ -5,9 +5,9 @@ inf-orthogonal splits into positive/negative parts, and the dual route that
 splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
-"unsupported". On a non-simplicial cone the dual route splits at the
-basis of the cone's facet table with the least weighted l1 coefficients,
-and an LP remains only above the table cap. Orthogonality is decided by
+"unsupported". On a non-simplicial cone the dual route splits over the
+facets active at a norming element, and an LP remains only above the
+facet cap. Orthogonality is decided by
 `ortho.p_orthogonal`.
 """
 
@@ -133,7 +133,7 @@ def has_dual_split(space: SpaceSpec) -> bool:
     """Whether `dual_one_orth_decompose` splits the functionals of the
     space: by their coefficients where `monotone_norm` holds, except under
     a base norm (its dual norm is a max, which no split makes additive),
-    and by the cone's facet table under an order-unit norm on any ray
+    and over the cone's facet normals under an order-unit norm on any ray
     cone. Elsewhere it answers "unsupported"."""
     kind = space.norm.kind
     return (monotone_norm(space) and kind != BASE) or (kind == ORDER_UNIT and space.cone.kind == _c.RAYS)
@@ -141,19 +141,21 @@ def has_dual_split(space: SpaceSpec) -> bool:
 
 def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     """Split a functional on an infinity-smooth space into positive halves
-    with additive dual norms, then certify the halves are 1-orthogonal and
-    vanish crosswise on an orthogonal split of a norming element. The halves
+    with additive dual norms, then certify the halves are 1-orthogonal and,
+    for a coefficient split, vanish crosswise on the orthogonal split of a
+    norming element. The halves
     are the coefficient split; for an order-unit norm on a non-simplicial
-    ray cone the split of a minimizing basis of the cone's facet table
-    (`_dual_split`), or an LP's above the table cap. "unsupported" where
-    `has_dual_split` fails."""
+    ray cone the split over the facets active at a norming element
+    (`_dual_split`), or an LP's. "unsupported" where `has_dual_split`
+    fails."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
 
     if not has_dual_split(space):
         return Decomposition(f, np.zeros_like(f), 1.0, math.nan, "unsupported")
-    if monotone_norm(space):
+    coefficients = monotone_norm(space)
+    if coefficients:
         f1, f2 = coefficient_parts(space, f, dual=True)
     else:
         f1, f2 = _dual_split(space, f)
@@ -165,39 +167,46 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     verdict = p_orthogonal(space, f1, f2, 1.0, dual=True)
     status = "optimal" if verdict.is_orthogonal else "failed"
 
-    # cross-check against the orthogonal split of a norming element (its
-    # coefficient split, where coefficients are unique): each half must
-    # vanish on the opposite part of the split
-    if status == "optimal" and np.abs(f1).max() > 1e-12 and np.abs(f2).max() > 1e-12:
+    # cross-check a coefficient split against the orthogonal (coefficient)
+    # split v1 - v2 of a norming element v: each half must vanish on the
+    # opposite part
+    if status == "optimal" and coefficients and np.abs(f1).max() > 1e-12 and np.abs(f2).max() > 1e-12:
         v = norming_element(space, f)
-        split = coefficient_parts(space, v)
-        if split is not None:
-            scale = 1.0 + nf * (1.0 + np.abs(v).max())
-            if abs(f1 @ split[1]) > 1e-8 * scale or abs(f2 @ split[0]) > 1e-8 * scale:
-                status = "failed"
+        v1, v2 = coefficient_parts(space, v)
+        scale = 1.0 + nf * (1.0 + np.abs(v).max())
+        if abs(f1 @ v2) > 1e-8 * scale or abs(f2 @ v1) > 1e-8 * scale:
+            status = "failed"
     return Decomposition(f1, f2, 1.0, nagg, status, verdict)
 
 
 def _dual_split(space: SpaceSpec, f: np.ndarray):
     """f = f1 - f2 with f1, f2 in the dual cone of an order-unit space on a
-    ray cone and (f1 + f2)(e) = dual_norm(f). Over the cone's facet table
-    (S, inv) the dual norm is least-l1, the least sum_j h_j(e) |c_j| over
-    f = H^T c, attained at a basic solution c = inv_k f: with f = H_S^T c at
-    the first minimizing basis S, the halves H_S^T c+ and H_S^T c- are
-    nonnegative combinations of facet normals and sum to
-    sum_S (H e)_S |c_S| at e. Coefficients within 1e-12 of the largest in
-    magnitude are rounding and count as zero, so that neither half is made
-    of rounding alone. Above the table cap an LP decides."""
-    bases = space.cone.facet_bases
-    if bases is None:
-        return _dual_split_lp(space, f)
-    S, inv = bases
+    ray cone and (f1 + f2)(e) = dual_norm(f). The dual norm is least-l1, the
+    least sum_j h_j(e) |c_j| over f = H^T c, and by complementary slackness
+    an optimal c lives on the facets active at a norming element z,
+    A = {j : |h_j . z| = h_j(e)} (within 1e-9), with the sign s_j of
+    h_j . z. So f = (s H_A)^T d, with d solved by least squares; f1 sums the
+    rows with s_j = +1 and f2 those with s_j = -1, and then
+    (f1 + f2)(e) = sum_A d_j h_j(e) = f(z). Coefficients within 1e-12 of the
+    largest in magnitude are rounding and count as zero, so that neither
+    half is made of rounding alone. The halves are kept when f1 - f2 = f
+    and both lie in the dual cone (within 1e-12 of f's scale); otherwise,
+    above the facet cap and at f = 0, where z is undefined, an LP decides.
+    Splitting by the signs of c instead fails at degenerate vertices, with
+    more than n active facets."""
     H = space.cone.facet_normals
-    w = (H @ space.norm.unit)[S]
-    k = int(np.argmin(np.sum(w * np.abs(inv @ f), axis=1)))
-    S, c = S[k], inv[k] @ f
-    c = np.where(np.abs(c) <= 1e-12 * np.abs(c).max(), 0.0, c)
-    return np.clip(c, 0.0, None) @ H[S], np.clip(-c, 0.0, None) @ H[S]
+    if H is None or not f.any():
+        return _dual_split_lp(space, f)
+    r = (H @ norming_element(space, f)) / (H @ space.norm.unit)
+    active = np.abs(r) >= 1.0 - 1e-9
+    s, HA = np.sign(r[active]), H[active]
+    d = np.linalg.lstsq((s[:, None] * HA).T, f, rcond=None)[0]
+    d = np.where(np.abs(d) <= 1e-12 * np.abs(d).max(initial=0.0), 0.0, d)
+    f1, f2 = d[s > 0] @ HA[s > 0], d[s < 0] @ HA[s < 0]
+    G, scale = _c.generator_matrix(space.cone), 1e-12 * np.abs(f).max()
+    if np.abs(f1 - f2 - f).max() <= scale and (G @ f1).min() >= -scale and (G @ f2).min() >= -scale:
+        return f1, f2
+    return _dual_split_lp(space, f)
 
 
 def _dual_split_lp(space: SpaceSpec, f: np.ndarray):

@@ -52,7 +52,8 @@ INF = math.inf
 
 # entries of one block of the grid x + k y that the grid decider hands the
 # row oracle: one block holds the whole grid at small dimension and bounds
-# memory at large
+# memory at large. A block is at least one row, and the first at finite p
+# holds x and y, so an oracle call gets at most max(2^15 entries, two rows)
 _BLOCK_ENTRIES = 2**15
 
 # the decider's scalars, sorted: 0 and +-2^j for j = -8..8 (35 scalars)
@@ -119,12 +120,13 @@ class OrthoVerdict:
 
 def verdict_from_norm(norms_fn, x, y, p: float, tol: float = 1e-9) -> OrthoVerdict:
     """Grid semi-decision of x perp_p y against a row oracle: norms_fn(W)
-    returns the norms of the rows of W as an array. The oracle gets blocks
-    of at most `_BLOCK_ENTRIES` entries (above half that many a row, one
-    row each, and x and y together). At finite p the first block holds x
-    and y ahead of the first rows x + k y, so one pass reads the norms and
-    the grid; at p = inf the sweep scales with ||x||/||y||, so x and y go
-    first on their own, then the grid."""
+    returns the norms of the rows of W as an array. Each oracle call gets
+    at most max(`_BLOCK_ENTRIES` entries, two rows): blocks of grid rows
+    within `_BLOCK_ENTRIES`, one row each above that many entries a row,
+    and x and y together. At finite p the first block holds x and y ahead
+    of the first rows x + k y, so one pass reads the norms and the grid; at
+    p = inf the sweep scales with ||x||/||y||, so x and y go first on their
+    own, then the grid."""
     check_tol(tol)
     check_exponent(p)
     x = np.asarray(x, dtype=float)

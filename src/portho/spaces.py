@@ -9,11 +9,12 @@ form: max-ratio max_j |v_j . x| / w_j (sup, the order-unit norm over the
 facet normals, the base dual norm over the generators, and the base norm
 and the order-unit dual norm on a non-simplicial cone over the vertices of
 the other direction's unit ball), its mirror l1 sum_j w_j |v_j . x| (lp 1,
-and the base norm and the order-unit dual norm on a simplicial cone, over
-its cone coefficients), power (lp at 1 < p < inf), eigen (spectral) or,
-where the vertex table would exceed `MAX_VERTEX_CANDIDATES` candidates or
-a cone table `cones.MAX_TABLE_SUBSETS` subsets, the solver. `batch_norms`
-and `batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
+and the base norm and the order-unit dual norm over n rows, as on a
+simplicial cone, over its cone coefficients), power (lp at 1 < p < inf),
+eigen (spectral) or, where the vertex table would exceed
+`MAX_VERTEX_CANDIDATES` candidates or the cone has no facet normals (above
+`cones.MAX_TABLE_SUBSETS`), the solver. `batch_norms` and
+`batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .errors import InputError, SpecError
 from .linalg import LpProblem, eigen_sym, solve_lp, symmetric_part, unit_scaled
 
 INF = math.inf
-# cap on the candidates (bases times 2^n sign vectors) of a vertex table
+# cap on the candidates of a vertex table: C(m, n) n-subsets of m rows times
+# 2^n sign vectors
 MAX_VERTEX_CANDIDATES = 2**14
 
 LP = "lp"
@@ -240,38 +242,46 @@ def _resolve(space: SpaceSpec, dual: bool) -> _Form:
     # the order-unit / base duality: the order-unit norm and the base dual
     # norm are max-ratio forms, the base norm and the order-unit dual norm
     # least-l1 forms min sum_j w_j |c_j| over V^T c = x, over the facet
-    # normals H with w = H e, or the generators G with w = G phi. Over one
-    # basis (S, inv) c = inv x is unique: an l1 form; over several, the
-    # max-ratio form of the dual ball's vertices
+    # normals H with w = H e, or the generators G with w = G phi. Over n rows
+    # c = (V^T)^-1 x is unique: an l1 form; over more, the max-ratio form of
+    # the dual ball's vertices
     ou = nk.kind == ORDER_UNIT
     u = nk.unit if ou else nk.phi
     if cone.kind == _c.NONNEG:
         return _Form(MAX if ou != dual else L1, w=u)
     V = cone.facet_normals if ou else cone.generators
-    if ou != dual:
-        return _Form(SOLVER) if V is None else _Form(MAX, V=V, w=V @ u)
-    bases = cone.facet_bases if ou else cone.generator_bases
-    if bases is None:
+    if V is None:
         return _Form(SOLVER)
-    S, inv = bases
     w = V @ u
-    if len(S) == 1:
-        return _Form(L1, V=inv[0], w=w[S[0]])
-    if len(S) << V.shape[1] <= MAX_VERTEX_CANDIDATES:
-        return _Form(MAX, V=_vertices(V, w, bases))
+    if ou != dual:
+        return _Form(MAX, V=V, w=w)
+    if cone.coefficient_basis is not None:  # (V^T)^-1 is B^T over H = B^-1, B^-1 over G = B^T
+        B, Binv = cone.coefficient_basis
+        return _Form(L1, V=B.T if ou else Binv, w=w)
+    m, n = V.shape
+    if not _c.full_rank(V):
+        return _Form(SOLVER)
+    if m == n:  # one basis, as m3n2's two facets
+        return _Form(L1, V=np.linalg.inv(V.T), w=w)
+    if math.comb(m, n) << n <= MAX_VERTEX_CANDIDATES:
+        return _Form(MAX, V=_vertices(V, w))
     return _Form(SOLVER)
 
 
-def _vertices(V: np.ndarray, w: np.ndarray, bases) -> np.ndarray:
+def _vertices(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The vertices z_k of the polytope {z : |V z| <= w}, whose max-ratio
     form max_k |z_k . x| is, by LP duality, the least-l1 form
     min sum_j w_j |c_j| over V^T c = x. Every vertex is a basic solution
-    z = inv^T (w_S s) of a basis (S, inv) of the table and a sign vector
-    s in {+-1}^n; a candidate is kept when |V z| <= w (1 + 1e-12), and
-    candidates equal within 1e-9 of the largest entry are merged. The
+    z = (V_S^T)^-1 (w_S s) of an invertible n-subset S of V's rows and a
+    sign vector s in {+-1}^n; a candidate is kept when |V z| <= w (1 + 1e-12),
+    and candidates equal within 1e-9 of the largest entry are merged. The
     polytope is symmetric, so the table holds both z and -z."""
-    S, inv = bases
     n = V.shape[1]
+    S = np.array(list(itertools.combinations(range(len(V)), n)))
+    VS = V[S]
+    s = np.linalg.svd(VS, compute_uv=False)
+    keep = s[:, -1] > _c.RANK_TOL * s[:, 0]
+    S, inv = S[keep], np.linalg.inv(VS[keep].transpose(0, 2, 1))
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     # z = inv^T (w_S s): the columns of inv^T scaled by w_S, times each s
     Z = ((inv.transpose(0, 2, 1) * w[S][:, None, :]) @ signs.T).transpose(0, 2, 1).reshape(-1, n)

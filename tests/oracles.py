@@ -2,8 +2,8 @@
 non-simplicial cones the polyhedral table tests share, and helpers that only
 the tests need (the duality pairing, eigendecomposition reconstruction,
 space-spec serialization, an additivity spot check of orthonormal sets, the
-least-l1 form over a basis table, the l1 decomposition LP, the crust LP and
-the two-stage base positive support LP).
+table of basis inverses, the vertices and the least-l1 form over it, the l1
+decomposition LP, the crust LP and the two-stage base positive support LP).
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
@@ -236,6 +236,31 @@ NON_SIMPLICIAL_CONES = {
 }
 
 
+def basis_table(V):
+    """(S, inv): row k of S lists an n-subset of the rows of V of rank n,
+    by `np.linalg.matrix_rank` over every n-subset, and
+    inv[k] = (V_S^T)^-1, so that for x = V^T c the basic solution on S is
+    c_S = inv[k] x. The reference table of `least_l1` and
+    `vertices_by_bases`; portho keeps no such table."""
+    n = V.shape[1]
+    S = np.array([rows for rows in itertools.combinations(range(len(V)), n)
+                  if np.linalg.matrix_rank(V[list(rows)], tol=1e-9) == n])
+    return S, np.linalg.inv(V[S].transpose(0, 2, 1))
+
+
+def vertices_by_bases(V, w):
+    """The vertices of {z : |V z| <= w}, by a loop over the bases of
+    `basis_table` and the sign vectors s: the basic solutions
+    z = inv_k^T (w_S s) with |V z| <= w (1 + 1e-9)."""
+    found = []
+    for rows, inv in zip(*basis_table(V)):
+        for s in itertools.product((1.0, -1.0), repeat=V.shape[1]):
+            z = inv.T @ (w[rows] * np.array(s))
+            if np.all(np.abs(V @ z) <= w * (1.0 + 1e-9)):
+                found.append(z)
+    return np.array(found)
+
+
 def least_l1(X, bases, w):
     """min sum_i w_i |c_i| over V^T c = x, for each row x of X, by brute
     force over the table (S, inv) of V's bases: w > 0, so the LP has an
@@ -247,11 +272,11 @@ def least_l1(X, bases, w):
     return (np.abs(np.einsum("kij,rj->rki", inv, np.asarray(X, dtype=float))) * w[S]).sum(axis=2).min(axis=1)
 
 
-# a cone between the caps: 462 generator bases in R^6, so 462 * 2^6 = 29,568
-# vertex candidates, above spaces.MAX_VERTEX_CANDIDATES, while the generator
-# table (C(11, 6) = 462 subsets) is within cones.MAX_TABLE_SUBSETS; its 50
-# facets make C(50, 6) subsets, so the facet table is above that cap. The
-# generators are rounded to six decimals, as in tests/data/base_between_caps.json
+# a cone between the caps: its C(11, 5) = 462 subsets of n - 1 generators are
+# within cones.MAX_TABLE_SUBSETS, so it has its 50 facet normals, while its
+# C(11, 6) * 2^6 = 29,568 generator vertex candidates (and C(50, 6) * 2^6
+# facet ones) are above spaces.MAX_VERTEX_CANDIDATES. The generators are
+# rounded to six decimals, as in tests/data/base_between_caps.json
 BETWEEN_CAPS = np.round(lifted_generators(11, 6, 17), 6)
 
 

@@ -21,6 +21,7 @@ from oracles import (
     BETWEEN_CAPS,
     NON_SIMPLICIAL_CONES,
     PENTAGON,
+    basis_table,
     crust_lp,
     decompose_l1_lp,
     least_l1,
@@ -217,10 +218,6 @@ def test_l1_decomposition_lp_matches_the_split(family, draw):
 # base_ray5 families, unit (0, 0, 1)) and the other test cones
 
 
-# the test cones whose facet table is within the cap (m8n5 has C(16, 5) subsets)
-FACET_TABLED = [n for n in sorted(NON_SIMPLICIAL_CONES) if ray_cone(NON_SIMPLICIAL_CONES[n]).facet_bases is not None]
-
-
 def _tabled_spaces(name):
     """The order-unit and base spaces over a non-simplicial test cone: on
     the pentagon those of (0, 0, 1), elsewhere the order unit sum(G) and a
@@ -232,6 +229,11 @@ def _tabled_spaces(name):
     else:
         e, phi = G.sum(axis=0), np.eye(cone.ambient_dim)[-1]
     return order_unit_space(cone, e), base_space(cone, phi)
+
+
+# the test cones whose order-unit dual norm is a closed form over the facet
+# normals (m8n5's 16 facets make C(16, 5) * 2^5 vertex candidates)
+FACET_TABLED = [n for n in sorted(NON_SIMPLICIAL_CONES) if spaces._form(_tabled_spaces(n)[0], True).kind != spaces.SOLVER]
 
 
 def _polyhedral_draw(V, W, rng, draw):
@@ -285,8 +287,8 @@ def _least_l1_table(space, dual):
     w = H e (order-unit dual norm)."""
     cone = space.cone
     if dual:
-        return cone.facet_bases, cone.facet_normals @ space.norm.unit
-    return cone.generator_bases, cone.generators @ space.norm.phi
+        return basis_table(cone.facet_normals), cone.facet_normals @ space.norm.unit
+    return basis_table(cone.generators), cone.generators @ space.norm.phi
 
 
 @pytest.mark.parametrize("draw", DRAWS)
@@ -465,6 +467,33 @@ def test_the_vertex_cap_counts_bases_times_sign_vectors(monkeypatch, cap, kind):
     assert spaces._form(base).kind == spaces._form(ou, True).kind == kind
 
 
+# the forms (order-unit norm, its dual, base norm, its dual) of the test
+# cones under a vertex cap that counts C(m, n) * 2^n candidates, n-subsets
+# times sign vectors, of which only the invertible subsets are built
+_ROUTES = {
+    "m3n2": ("max", "l1", "max", "max"),
+    "m5n3": ("max", "max", "max", "max"),
+    "m8n3": ("max", "max", "max", "max"),
+    "m6n4": ("max", "max", "max", "max"),
+    "m8n5": ("max", "solver", "max", "max"),
+    "redundant": ("max", "max", "max", "max"),
+    "duplicated": ("max", "max", "max", "max"),
+    "pentagon": ("max", "max", "max", "max"),
+    "between_caps": ("max", "solver", "solver", "max"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+def test_each_test_cone_keeps_its_forms(name):
+    if name == "between_caps":
+        cone = ray_cone(BETWEEN_CAPS)
+        ou, base = order_unit_space(cone, BETWEEN_CAPS.sum(axis=0)), base_space(cone, np.eye(6)[-1])
+    else:
+        ou, base = _tabled_spaces(name)
+    forms = (spaces._form(ou), spaces._form(ou, True), spaces._form(base), spaces._form(base, True))
+    assert tuple(form.kind for form in forms) == _ROUTES[name]
+
+
 def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkeypatch):
     # the solver form: one dual-ball LP per value and per maximizer
     monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
@@ -494,13 +523,13 @@ def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkey
 
 def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
     # 462 generator bases in R^6 make 29,568 vertex candidates, above the
-    # vertex cap; the 50 facets make no facet table. So the base norm and
-    # the order-unit dual norm are the dual-ball LP, unpatched
+    # vertex cap, and the 50 facets far more. So the base norm and the
+    # order-unit dual norm are the dual-ball LP, unpatched
     G = BETWEEN_CAPS
     base, ou = base_space(ray_cone(G), np.eye(6)[-1]), order_unit_space(ray_cone(G), G.sum(axis=0))
-    bases = base.cone.generator_bases
+    bases = basis_table(G)
     assert len(bases[0]) == 462 and len(bases[0]) << 6 > spaces.MAX_VERTEX_CANDIDATES
-    assert base.cone.facet_bases is None
+    assert len(ou.cone.facet_normals) == 50
     assert spaces._form(base).kind == spaces._form(ou, True).kind == spaces.SOLVER
     rng = _rng("between the caps")
     X = rng.normal(size=(10, 6)) * np.logspace(-3.0, 6.0, 10)[:, None]  # nine decades
@@ -527,7 +556,7 @@ def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9, 1e12])
 def test_the_lp_fallbacks_scale_with_their_input(lp_calls, monkeypatch, scale):
-    # above the table cap every construction on the pentagon is an LP, with
+    # above the caps every construction on the pentagon is an LP, with
     # the solver's absolute tolerances: each LP takes its input scaled to
     # unit largest entry, so values scale with the input and maximizers,
     # supports and splits match the tabled closed forms'
@@ -537,6 +566,7 @@ def test_the_lp_fallbacks_scale_with_their_input(lp_calls, monkeypatch, scale):
     want = {"base norm": norm(base_t, u), "ou dual norm": dual_norm(ou_t, f), "ou norm": norm(ou_t, u),
             "base support": positive_support(base_t, u).functional}
     monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
     ou, base = order_unit_space(ray_cone(PENTAGON), ou_t.norm.unit), base_space(ray_cone(PENTAGON), base_t.norm.phi)
     assert spaces._form(base).kind == spaces._form(ou).kind == spaces._form(ou, True).kind == spaces.SOLVER
     assert norm(base, scale * u) == pytest.approx(scale * want["base norm"], rel=1e-9)
@@ -694,9 +724,10 @@ def _pentagon_calls(lp_calls, kind):
 
 @pytest.mark.parametrize("kind", ["order_unit", "base"])
 def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, kind):
-    # with the cap lowered below the pentagon's 10 subsets it keeps no table,
-    # so every construction falls back to its LP
+    # with the caps lowered below the pentagon's 10 subsets and 80 vertex
+    # candidates it keeps no table, so every construction falls back to its LP
     monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
     assert ray_cone(PENTAGON).facet_normals is None
     calls = _pentagon_calls(lp_calls, kind)
     assert all(n >= 1 for n in calls.values()), calls

@@ -1,15 +1,13 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lifted_generators, pairing
+from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lifted_generators, pairing, vertices_by_bases
 from portho import cones
 from portho.cones import (
     MAX_TABLE_SUBSETS,
     ConeSpec,
-    basis_inverses,
     cone_contains,
     cone_proper_generating,
     dual_cone_contains,
@@ -18,6 +16,7 @@ from portho.cones import (
     ray_cone,
 )
 from portho.errors import InputError
+from portho.spaces import MAX_VERTEX_CANDIDATES, _form, _vertices, base_space, order_unit_space
 
 
 WEDGE = ray_cone([[1.0, 1.0], [1.0, -1.0]])
@@ -167,43 +166,40 @@ class TestTables:
 
     @pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL_CONES))
     def test_basis_inverses(self, name):
+        # a vertex table holds the basic solutions of every invertible
+        # n-subset of its rows, each once: the oracle's loop over its own
+        # table of basis inverses finds the same points
         cone = ray_cone(NON_SIMPLICIAL_CONES[name])
         n = cone.ambient_dim
-        for V, table in (
-            (cone.generators, cone.generator_bases),
-            (cone.facet_normals, cone.facet_bases),
-        ):
-            if table is None:  # too many facets: C(#facets, n) above the cap
-                assert math.comb(len(V), n) > MAX_TABLE_SUBSETS
+        G, H = cone.generators, cone.facet_normals
+        for V, w in ((G, G @ H.sum(axis=0)), (H, H @ G.sum(axis=0))):
+            if math.comb(len(V), n) << n > MAX_VERTEX_CANDIDATES:  # m8n5's 16 facets
                 continue
-            S, inv = table
-            assert S.shape[1] == n and len(S) == len(inv) >= 1
-            for rows, M in zip(S, inv):
-                assert M @ V[rows].T == pytest.approx(np.eye(n), abs=1e-9)
-            # every invertible n-subset is listed, no singular one is
-            listed = {tuple(r) for r in S}
-            for rows in itertools.combinations(range(len(V)), n):
-                invertible = np.linalg.matrix_rank(V[list(rows)], tol=1e-9) == n
-                assert (rows in listed) == invertible
+            Z, want = _vertices(V, w), vertices_by_bases(V, w)
+            scale = np.abs(want).max()
+            assert len(np.unique(np.round(Z / scale, 9), axis=0)) == len(Z)
+            for a, b in ((Z, want), (want, Z)):
+                assert all(np.abs(b - z).max(axis=1).min() <= 1e-9 * scale for z in a)
 
     def test_coefficient_cones_reuse_their_inverse(self):
-        for cone in (nonneg_orthant(3), ray_cone(np.eye(3) + 0.2)):
-            B, Binv = cone.coefficient_basis
-            assert cone.facet_normals is Binv
-            assert np.array_equal(cone.generator_bases[1][0], Binv)
-            assert np.array_equal(cone.facet_bases[1][0], B.T)
+        # a simplicial cone's facet normals are B^-1, and its l1 forms read
+        # B^-1 (the base norm) and B^T (the order-unit dual norm) as they are
+        simplicial = ray_cone(np.eye(3) + 0.2)
+        for cone in (nonneg_orthant(3), simplicial):
+            assert cone.facet_normals is cone.coefficient_basis[1]
+        B, Binv = simplicial.coefficient_basis
+        assert _form(base_space(simplicial, np.ones(3))).V is Binv
+        assert np.array_equal(_form(order_unit_space(simplicial, B.sum(axis=1)), True).V, B.T)
 
     def test_psd_has_no_tables(self):
-        c = psd_cone(2)
-        assert c.facet_normals is None and c.generator_bases is None and c.facet_bases is None
+        assert psd_cone(2).facet_normals is None
 
     def test_cap_is_decided_by_size(self):
-        # C(m, n) above the cap: no table, whatever the generators are
-        m = next(m for m in range(3, 200) if math.comb(m, 3) > MAX_TABLE_SUBSETS)
-        assert basis_inverses(lifted_generators(m, 3, 7)) is None
-        assert basis_inverses(lifted_generators(m - 1, 3, 7)) is not None
+        # C(k, n - 1) generator subsets above the cap: no facet normals,
+        # whatever the generators are
         k = next(k for k in range(3, 200) if math.comb(k, 2) > MAX_TABLE_SUBSETS)
         assert ray_cone(lifted_generators(k, 3, 8)).facet_normals is None
+        assert ray_cone(lifted_generators(k - 1, 3, 8)).facet_normals is not None
 
 
 def test_zero_generator_rejected():

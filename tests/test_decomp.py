@@ -1,11 +1,15 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from oracles import BETWEEN_CAPS, NON_SIMPLICIAL_CONES
 from portho.cones import cone_contains, dual_cone_contains, ray_cone
 from portho.decomp import (
+    _dual_split,
+    _dual_split_lp,
     coefficient_parts,
     dual_one_orth_decompose,
     embed_to_lp,
@@ -19,12 +23,14 @@ from portho.harness import default_families
 from portho.linalg import LpProblem, solve_lp
 from portho.ortho import p_orthogonal_exact
 from portho.spaces import (
+    _form,
     base_space,
     batch_norms,
     dual_norm,
     lp_space,
     norm,
     norming,
+    norming_element,
     order_unit_space,
     spectral_space,
     sup_space,
@@ -251,6 +257,42 @@ class TestDualOneOrth:
             assert dual_cone_contains(sp.cone, dec.u1, tol=1e-8)
             assert dual_cone_contains(sp.cone, dec.u2, tol=1e-8)
             assert dec.norm_aggregate == pytest.approx(dual_norm(sp, f), abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted({*NON_SIMPLICIAL_CONES, "between_caps"}))
+    def test_the_split_at_the_norming_vertex(self, monkeypatch, name):
+        # random functionals at three scales, and +-g for g inside the dual
+        # cone, whose norming element is +-e with every facet active: the
+        # halves lie in the dual cone, f1 - f2 = f and (f1 + f2)(e) is the
+        # dual norm, the split LP's value; no split falls back to that LP,
+        # and on a vertex-form cone none makes an LP at all
+        import portho.decomp as decomp_module
+        import portho.spaces as spaces_module
+
+        G = BETWEEN_CAPS if name == "between_caps" else NON_SIMPLICIAL_CONES[name]
+        sp = order_unit_space(ray_cone(G), G.sum(axis=0))
+        H, e = sp.cone.facet_normals, sp.norm.unit
+        split_lp, solve, calls = _dual_split_lp, spaces_module.solve_lp, []
+        monkeypatch.setattr(decomp_module, "_dual_split_lp", lambda *a: calls.append("split") or split_lp(*a))
+        monkeypatch.setattr(spaces_module, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        g = rng.uniform(0.2, 1.5, size=(3, len(H))) @ H
+        F = np.vstack([rng.normal(size=(8, sp.dim)), g, -g])
+        for scale in (1e-12, 1.0, 1e12):
+            for i, f in enumerate(scale * F):
+                f1, f2 = _dual_split(sp, f)
+                nf = dual_norm(sp, f)
+                top = np.abs(f).max()
+                assert np.all(G @ f1 >= -1e-12 * top) and np.all(G @ f2 >= -1e-12 * top)
+                assert np.abs(f1 - f2 - f).max() <= 1e-12 * top
+                assert float((f1 + f2) @ e) == pytest.approx(nf, rel=1e-12)
+                if i >= 8:  # +-g: the norming element is +-e, one half is 0
+                    assert norming_element(sp, f) == pytest.approx(np.sign(f @ e) * e, abs=1e-9)
+                    assert not (f2 if f @ e > 0.0 else f1).any()
+                g1, g2 = split_lp(sp, f)
+                assert float((f1 + f2) @ e) == pytest.approx(float((g1 + g2) @ e), rel=1e-9)
+        assert "split" not in calls
+        if _form(sp, True).kind != "solver":
+            assert calls == []
 
 
 def _coefficients(emb, x):

@@ -239,6 +239,14 @@ class TestBatchedDeciderAgainstLoop:
             want = grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, K_GRID)
             self._check(got, want)
         assert got.verdict == "not_orthogonal"
+        # above 2^14 entries a row a block is one row, and x and y go
+        # together: every call holds at most max(2^15 entries, two rows)
+        sp = lp_space(20_000, 2.0)
+        x, y = np.random.default_rng(20).normal(size=(2, sp.dim))
+        rows.clear()
+        got = verdict_from_norm(oracle, x, y, p)
+        assert max(rows) * sp.dim == max(_BLOCK_ENTRIES, 2 * sp.dim) and len(rows) > 2
+        self._check(got, grid_verdict_by_loop(lambda v: norm(sp, v), x, y, p, K_GRID))
 
     @pytest.mark.parametrize("p, passes", [(1.0, 1), (1.5, 1), (2.0, 1), (3.0, 1), (INF, 2)])
     @pytest.mark.parametrize("dual", [False, True])

@@ -319,7 +319,7 @@ class TestPolyhedralClosedForms:
         G = NON_SIMPLICIAL_CONES[name]
         cone = ray_cone(G)
         assert cone.coefficient_basis is None
-        assert cone.facet_normals is not None and cone.generator_bases is not None
+        assert cone.facet_normals is not None
         rng = np.random.default_rng(17)
         phi = np.eye(cone.ambient_dim)[-1]
         phi[:-1] = 0.05 * rng.normal(size=cone.ambient_dim - 1)
@@ -337,16 +337,17 @@ class TestPolyhedralClosedForms:
                     assert got == pytest.approx(want_dual, rel=1e-9)
 
     def test_cone_above_the_cap_answers_through_lp(self, monkeypatch):
-        # the pentagon with the cap lowered below its 10 subsets keeps no table
+        # the pentagon with the caps lowered below its 10 subsets and 80
+        # vertex candidates keeps no table
         e = phi = [0.0, 0.0, 1.0]
         rng = np.random.default_rng(18)
         X = rng.normal(size=(6, 3))
         tabled = (order_unit_space(ray_cone(PENTAGON), e), base_space(ray_cone(PENTAGON), phi))
         want = [(batch_norms(sp, X), batch_dual_norms(sp, X)) for sp in tabled]
         monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+        monkeypatch.setattr("portho.spaces.MAX_VERTEX_CANDIDATES", 79)
         capped = ray_cone(PENTAGON)
-        assert capped.facet_normals is None and capped.generator_bases is None
-        assert capped.facet_bases is None
+        assert capped.facet_normals is None
         calls = []
 
         def counted_solve_lp(*args, **kwargs):
@@ -370,7 +371,7 @@ class TestPolyhedralClosedForms:
         t = 2.0 * np.pi * np.arange(k) / k
         G = np.stack([np.cos(t), np.sin(t), np.ones(k)], axis=1)
         cone = ray_cone(G)
-        assert cone.facet_normals is None and cone.generator_bases is None
+        assert cone.facet_normals is None
         e = np.array([0.0, 0.0, 1.0])
         sp = order_unit_space(cone, e)
         H = np.cross(G, np.roll(G, -1, axis=0))
@@ -426,8 +427,9 @@ class TestNorming:
     def test_attains_on_the_unit_ball(self, name, dual, monkeypatch):
         """The maximizer of each form, in both directions, attains the norm
         (or dual norm) and lies in the other direction's unit ball."""
-        if name.endswith("_capped"):  # the pentagon's 10 subsets exceed a cap of 4
+        if name.endswith("_capped"):  # the pentagon's 10 subsets and 80 candidates exceed 4 and 79
             monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+            monkeypatch.setattr("portho.spaces.MAX_VERTEX_CANDIDATES", 79)
         if name in _PENTAGON_NAMES:
             cone = ray_cone(PENTAGON)
             sp = (order_unit_space if name.startswith("ou") else base_space)(cone, _PENTAGON_E)
