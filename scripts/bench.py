@@ -37,14 +37,20 @@ Eigen slice (table `us_per_eigen`): `eigen_sym` on a fixed seeded matrix
 of each side in EIGEN_SIDES, symmetric bit for bit (key "-"), and on the
 same matrix with one off-diagonal entry moved by one ulp (key
 "ulp_asymmetric"), which times the slow path of the symmetry validation
-(`linalg.check_symmetric`) that a matrix built as (Q^T L) Q used to take.
+(`linalg.check_symmetric`) that a matrix built as (Q^T L) Q used to take;
+and `cones.as_matrix` of the first matrix, flattened, on the psd cone of
+its side (the reshape and the validation every spectral call pays once).
 
 Construction slice (table `us_per_lp_call`): public calls, each on a fixed
 seeded input. On the default families these are the calls that solved LPs
 before the lattice-cone closed forms, kept under the same keys so that runs
 of either code compare per call: `support_functional`, `positive_support`,
 `crust_probe` (a cone element on the boundary and one inside),
-`opt_decompose` at p = 1 and p = inf, and `dual_one_orth_decompose`. On the
+`opt_decompose` at p = 1 and p = inf, and `dual_one_orth_decompose`. On
+`spectral_4` (inputs from SEED + 6): `support_functional` and
+`opt_decompose` at p = inf of a symmetric matrix, `positive_support` of a
+psd one, and `dual_one_orth_decompose` of a symmetric one, whose halves
+and norming element come from eigendecompositions. On the
 non-simplicial pentagon cone in R^3: `cone_contains` (a point inside, one
 outside), `support_functional` and `positive_support` under the order-unit
 (`ou_ray5`) and base (`base_ray5`) norms, and `crust_probe` and
@@ -135,6 +141,7 @@ from portho import (  # noqa: E402
     support_functional,
 )
 from portho.cli import parse_space_spec  # noqa: E402
+from portho.cones import as_matrix, psd_cone  # noqa: E402
 from portho.decomp import coefficient_parts  # noqa: E402
 from portho.harness import (  # noqa: E402
     SUITE_IDS,
@@ -161,7 +168,7 @@ REPEATS = 301
 # seeded with SEED, its pentagon inputs from SEED + 1 and the solver slice
 # its LPs from SEED + 2, the norm slice its rows from SEED + 3 and the eigen
 # slice its matrices from SEED + 4, the between-caps slice its pair from
-# SEED + 5
+# SEED + 5 and the construction slice its spectral inputs from SEED + 6
 SEED = 0
 VERIFY_SAMPLES = 50  # samples per suite, as perfbench's verify_all workload
 VERIFY_ROUNDS = 15  # timed rounds of the suite slice, each running all 22 suites
@@ -288,6 +295,8 @@ def _eigen_cases():
         A = rng.normal(size=(side, side))
         M = A + A.T
         yield ("us_per_eigen", "eigen_sym", str(side), "-"), functools.partial(eigen_sym, M)
+        yield ("us_per_eigen", "as_matrix", str(side), "-"), functools.partial(
+            as_matrix, psd_cone(side), M.ravel())
         M = M.copy()
         M[0, -1] = np.nextafter(M[0, -1], math.inf)
         yield ("us_per_eigen", "eigen_sym", str(side), "ulp_asymmetric"), functools.partial(
@@ -326,6 +335,19 @@ def _lp_cases():
         for name in names:
             yield ("us_per_lp_call", "opt_decompose", name, _p_key(p)), functools.partial(
                 opt_decompose, families[name], rng.normal(size=families[name].dim), p)
+    yield from _spectral_cases(families["spectral_4"])
+
+
+def _spectral_cases(space):
+    rng = np.random.default_rng(SEED + 6)
+    x, f = _rows(space, rng, 2)
+    psd = sample_cone(space, rng)
+    for name, call in (("support_functional", functools.partial(support_functional, space, x)),
+                       ("positive_support", functools.partial(positive_support, space, psd)),
+                       ("dual_one_orth_decompose", functools.partial(dual_one_orth_decompose, space, f))):
+        yield ("us_per_lp_call", name, "spectral_4", "-"), call
+    yield ("us_per_lp_call", "opt_decompose", "spectral_4", "inf"), functools.partial(
+        opt_decompose, space, x, math.inf)
 
 
 def _pentagon_cases(pentagon):

@@ -7,8 +7,8 @@ with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
 "unsupported". On a non-simplicial cone the dual route splits over the
 facets active at a norming element, and an LP remains only above the
-facet cap. Orthogonality is decided by
-`ortho.p_orthogonal`.
+facet cap. A symmetric matrix is validated once and decomposed once per
+split. Orthogonality is decided by `ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, UnsupportedError
-from .linalg import LpProblem, eigen_sym, solve_lp, symmetric_part, unit_scaled
+from .linalg import LpProblem, SpectralDecomposition, _eigen_checked, solve_lp, symmetric_part, unit_scaled
 from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
+    _eigen_norming,
     batch_dual_norms,
     check_exponent,
     norm,
@@ -57,11 +58,10 @@ def p_aggregate(a: float, b: float, p: float) -> float:
         raise InputError(f"input magnitude out of range: a^p + b^p overflows at p = {p:g}") from exc
 
 
-def _spectral_parts(space: SpaceSpec, v: np.ndarray):
-    """Positive and negative parts of a symmetric matrix by its spectrum,
-    with eigenvalues below 1e-10 of the spectral radius set to zero; each
-    part is symmetric bit for bit (`linalg.symmetric_part`)."""
-    dec = eigen_sym(_c.as_matrix(space.cone, v))
+def _spectral_parts(dec: SpectralDecomposition):
+    """Positive and negative parts of a symmetric matrix by its spectrum
+    dec, with eigenvalues below 1e-10 of the spectral radius set to zero;
+    each part is symmetric bit for bit (`linalg.symmetric_part`)."""
     cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-300)
     lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
     Q = dec.eigenvectors
@@ -75,7 +75,7 @@ def coefficient_parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
     they are not unique): x = B c as (B c+, B c-), a functional f = H^T c
     (H = B^-1) as (H^T c+, H^T c-), a symmetric matrix by its spectrum."""
     if space.norm.kind == SPECTRAL:
-        return _spectral_parts(space, x)
+        return _spectral_parts(_eigen_checked(_c.as_matrix(space.cone, x)))
     basis = space.cone.coefficient_basis
     if basis is None:
         return None
@@ -143,11 +143,11 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     """Split a functional on an infinity-smooth space into positive halves
     with additive dual norms, then certify the halves are 1-orthogonal and,
     for a coefficient split, vanish crosswise on the orthogonal split of a
-    norming element. The halves
-    are the coefficient split; for an order-unit norm on a non-simplicial
-    ray cone the split over the facets active at a norming element
-    (`_dual_split`), or an LP's. "unsupported" where `has_dual_split`
-    fails."""
+    norming element. The halves are the coefficient split (on a spectral
+    space, read with the norming element off one eigendecomposition of f);
+    for an order-unit norm on a non-simplicial ray cone the split over the
+    facets active at a norming element (`_dual_split`), or an LP's.
+    "unsupported" where `has_dual_split` fails."""
     f = np.asarray(f, dtype=float)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
@@ -155,8 +155,9 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     if not has_dual_split(space):
         return Decomposition(f, np.zeros_like(f), 1.0, math.nan, "unsupported")
     coefficients = monotone_norm(space)
+    dec = _eigen_checked(_c.as_matrix(space.cone, f)) if space.norm.kind == SPECTRAL else None
     if coefficients:
-        f1, f2 = coefficient_parts(space, f, dual=True)
+        f1, f2 = coefficient_parts(space, f, dual=True) if dec is None else _spectral_parts(dec)
     else:
         f1, f2 = _dual_split(space, f)
 
@@ -169,9 +170,9 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
 
     # cross-check a coefficient split against the orthogonal (coefficient)
     # split v1 - v2 of a norming element v: each half must vanish on the
-    # opposite part
+    # opposite part (a spectral v, read off f's spectrum, is decomposed anew)
     if status == "optimal" and coefficients and np.abs(f1).max() > 1e-12 and np.abs(f2).max() > 1e-12:
-        v = norming_element(space, f)
+        v = norming_element(space, f) if dec is None else _eigen_norming(dec, 1.0)
         v1, v2 = coefficient_parts(space, v)
         scale = 1.0 + nf * (1.0 + np.abs(v).max())
         if abs(f1 @ v2) > 1e-8 * scale or abs(f2 @ v1) > 1e-8 * scale:

@@ -219,22 +219,21 @@ def symmetric_part(M: np.ndarray) -> np.ndarray:
     largest float do not overflow, and the sum is symmetric bit for bit
     (floating-point addition commutes). A matrix built as (Q^T L) Q is
     symmetric only up to rounding; its symmetric part passes
-    `check_symmetric` on the copy path."""
+    `check_symmetric` on the byte-comparison path."""
     return 0.5 * M + 0.5 * np.swapaxes(M, -1, -2)
 
 
 def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Return the symmetric part of a square matrix, or of each matrix in a
-    stack along the leading axes; raise InputError when any one is asymmetric
-    beyond rel_tol * max(1, its largest entry). A stack that equals its
-    transpose bit for bit is its own symmetric part and is returned as a
-    copy; otherwise `symmetric_part` is."""
+    """The symmetric part of a square matrix, or of each in a stack along the
+    leading axes, as a new array; InputError when one is asymmetric beyond
+    rel_tol * max(1, its largest entry). A stack with the bytes of its C-order
+    transpose returns that transpose, any other (0.0 facing -0.0 too) `symmetric_part`."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InputError("matrix must be square")
-    Mt = np.swapaxes(M, -1, -2)
-    if (M.view(np.int64) == Mt.view(np.int64)).all():
-        return M.copy()
+    Mt = np.swapaxes(M, -1, -2).copy()
+    if M.tobytes() == Mt.tobytes():
+        return Mt
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
     if np.any(np.abs(M - Mt).max(axis=(-2, -1)) > rel_tol * scale):
         raise InputError("matrix is not symmetric")
@@ -243,5 +242,10 @@ def check_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 
 def eigen_sym(M: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    lam, Q = np.linalg.eigh(check_symmetric(M))
+    return _eigen_checked(check_symmetric(M))
+
+
+def _eigen_checked(S: np.ndarray) -> SpectralDecomposition:
+    """`eigen_sym` of a matrix `check_symmetric` returned, not validated again."""
+    lam, Q = np.linalg.eigh(S)
     return SpectralDecomposition(lam[::-1], Q.T[::-1])

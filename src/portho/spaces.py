@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cones as _c
 from .errors import InputError, SpecError
-from .linalg import LpProblem, eigen_sym, solve_lp, symmetric_part, unit_scaled
+from .linalg import LpProblem, SpectralDecomposition, _eigen_checked, solve_lp, symmetric_part, unit_scaled
 
 INF = math.inf
 # cap on the candidates of a vertex table: C(m, n) n-subsets of m rows times
@@ -309,6 +309,8 @@ def batch_dual_norms(space: SpaceSpec, F) -> np.ndarray:
 
 
 def _evaluate(space: SpaceSpec, X: np.ndarray, dual: bool) -> np.ndarray:
+    """Each row's value is that of the row alone, bit for bit, except on a form read through
+    V: BLAS rounds one row of X @ V.T and several apart, by a few ulps (`test_spaces`)."""
     form = _form(space, dual)
     if form.kind in (MAX, L1):
         A = np.abs(X if form.V is None else X @ form.V.T)
@@ -378,14 +380,16 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
             f = w * f
         return f / _evaluate(space, x[None], dual)[0] ** (form.p - 1.0)
     if form.kind == EIGEN:
-        dec = eigen_sym(_c.as_matrix(space.cone, x))
-        if math.isinf(form.p):  # the top eigenvalue in absolute value
-            i = int(np.argmax(np.abs(dec.eigenvalues)))
-            vec = dec.eigenvectors[i]
-            return float(np.sign(dec.eigenvalues[i])) * np.outer(vec, vec).ravel()
-        s = np.sign(dec.eigenvalues)
-        return symmetric_part((dec.eigenvectors.T * s) @ dec.eigenvectors).ravel()
+        return _eigen_norming(_eigen_checked(_c.as_matrix(space.cone, x)), form.p)
     return _dual_ball_lp(space, x, dual)[1]
+
+
+def _eigen_norming(dec: SpectralDecomposition, p: float) -> np.ndarray:
+    """`norming` of an eigen form (p = inf or 1) at the matrix whose spectrum is dec."""
+    if math.isinf(p):  # the top eigenvalue in absolute value
+        i = int(np.argmax(np.abs(dec.eigenvalues)))
+        return float(np.sign(dec.eigenvalues[i])) * np.outer(dec.eigenvectors[i], dec.eigenvectors[i]).ravel()
+    return symmetric_part((dec.eigenvectors.T * np.sign(dec.eigenvalues)) @ dec.eigenvectors).ravel()
 
 
 def norming_element(space: SpaceSpec, f) -> np.ndarray:

@@ -144,7 +144,7 @@ class TestInftyOrthDecompose:
 
     def test_spectral_matrices_are_symmetric_bit_for_bit(self, monkeypatch):
         # the parts (Q^T L) Q and the trace-norm maximizer Q^T diag(s) Q are
-        # built symmetric, so `as_matrix` takes its copy path on each of them
+        # built symmetric, so `as_matrix` takes its byte-comparison path on each
         import portho.linalg as linalg_module
 
         sp = default_families()["spectral_4"]
@@ -208,6 +208,21 @@ class TestDualOneOrth:
     def test_rejects_one_smooth_space(self):
         with pytest.raises(InputError):
             dual_one_orth_decompose(lp_space(2, 2.0), [1.0, -1.0])
+
+    def test_a_spectral_split_decomposes_f_once(self, monkeypatch):
+        # the halves and the norming element Q^T diag(sign lambda) Q come from
+        # one eigendecomposition of f; the cross-check decomposes that element
+        # on its own (at the earlier code, f was decomposed twice)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        sp = default_families()["spectral_4"]
+        A = np.random.default_rng(47).normal(size=(4, 4))
+        d = dual_one_orth_decompose(sp, (A + A.T).ravel())
+        assert d.status == "optimal" and min(np.abs(d.u1).max(), np.abs(d.u2).max()) > 0.1
+        assert calls == [(4, 4), (4, 4)]
+        # the caller's matrix is still validated
+        with pytest.raises(InputError, match="not symmetric"):
+            dual_one_orth_decompose(sp, A.ravel())
 
     def test_one_grid_decision_per_decomposition(self, monkeypatch):
         # the norming element is split by its cone coefficients, with no

@@ -149,6 +149,56 @@ class TestLpProblem:
         assert negative > 10  # the free column is exercised on both signs
 
 
+def _counted_symmetric_part(monkeypatch):
+    """Patch `linalg.symmetric_part` to record each call; returns the record."""
+    import portho.linalg as linalg_module
+
+    calls, part = [], linalg_module.symmetric_part
+    monkeypatch.setattr(linalg_module, "symmetric_part", lambda M: calls.append(1) or part(M))
+    return calls
+
+
+class TestCheckSymmetric:
+    def test_a_bit_symmetric_stack_comes_back_new_and_equal(self, monkeypatch):
+        slow = _counted_symmetric_part(monkeypatch)
+        A = np.random.default_rng(7).normal(size=(5, 4, 4))
+        S = A + np.swapaxes(A, -1, -2)
+        # C-ordered, Fortran-ordered and strided inputs
+        for M in (S, S[1], S[1].T, np.swapaxes(S, -1, -2), S[:, ::-1, ::-1]):
+            got = check_symmetric(M)
+            assert not np.shares_memory(got, M)
+            assert got.shape == M.shape and got.tobytes() == np.ascontiguousarray(M).tobytes()
+        assert slow == []
+
+    def test_a_signed_zero_mirror_pair_is_symmetrized_to_plus_zero(self, monkeypatch):
+        slow = _counted_symmetric_part(monkeypatch)
+        for M in ([[1.0, 0.0], [-0.0, 2.0]], [[1.0, -0.0], [0.0, 2.0]]):
+            got = check_symmetric(np.array(M))
+            assert got.tolist() == [[1.0, 0.0], [0.0, 2.0]] and not np.signbit(got).any()
+        assert slow == [1, 1]
+
+    def test_one_asymmetric_matrix_in_a_stack_is_rejected(self):
+        A = np.random.default_rng(9).normal(size=(6, 3, 3))
+        S = A + np.swapaxes(A, -1, -2)
+        S[3, 0, 2] += 1e-6
+        with pytest.raises(InputError, match="not symmetric"):
+            check_symmetric(S)
+        got = check_symmetric(S, rel_tol=1e-5)
+        assert got[3, 0, 2] == got[3, 2, 0] and (got[:3] == S[:3]).all()
+
+    def test_nan_is_kept_not_rejected(self):
+        nan = np.nan
+        # a NaN mirror pair comes back as it is, and a NaN facing a number
+        # spreads to both sides
+        got = check_symmetric(np.array([[1.0, nan], [nan, 2.0]]))
+        assert np.isnan(got[0, 1]) and np.isnan(got[1, 0]) and got[1, 1] == 2.0
+        got = check_symmetric(np.array([[1.0, nan], [3.0, 2.0]]))
+        assert np.isnan(got[0, 1]) and np.isnan(got[1, 0]) and got[1, 1] == 2.0
+        # but hides no other matrix's asymmetry
+        with pytest.raises(InputError, match="not symmetric"):
+            check_symmetric(np.array([[[1.0, nan], [3.0, 2.0]], [[1.0, 1.0], [3.0, 2.0]]]))
+
+
 class TestEigenSym:
     def test_identity(self):
         dec = eigen_sym(np.eye(3))

@@ -455,6 +455,18 @@ class TestNorming:
             assert float(z @ x) == pytest.approx(nx, rel=1e-9, abs=1e-12)
             assert other(sp, z) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("dual", [False, True], ids=["norm", "dual"])
+    def test_a_spectral_maximizer_validates_its_matrix_once(self, monkeypatch, dual):
+        import portho.linalg as linalg_module
+
+        calls, check = [], linalg_module.check_symmetric
+        counted = lambda *a, **k: calls.append(1) or check(*a, **k)  # noqa: E731
+        monkeypatch.setattr(cones, "check_symmetric", counted)
+        monkeypatch.setattr(linalg_module, "check_symmetric", counted)
+        A = np.random.default_rng(29).normal(size=(4, 4))
+        norming(default_families()["spectral_4"], (A + A.T).ravel(), dual=dual)
+        assert calls == [1]
+
     def test_zero_has_no_maximizer(self):
         for dual in (False, True):
             with pytest.raises(InputError, match="undefined"):
@@ -474,6 +486,45 @@ class TestNorming:
         assert norming(sup_space(2), [1.0, -1.0], tiebreak=[0.0, -1.0]).tolist() == [1.0, 0.0]
         sp = order_unit_space(nonneg_orthant(2), [1.0, 2.0])
         assert norming(sp, [-1.0, 2.0], tiebreak=[1.0, 1.0]).tolist() == [-1.0, 0.0]
+
+
+def _rows_at_scales(sp, rng, n):
+    """n normal rows at scales 1e-3 to 1e3, symmetrized as matrices on a
+    spectral space."""
+    W = rng.normal(size=(n, sp.dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    if sp.norm.kind == "spectral":
+        d = sp.cone.side
+        M = W.reshape(n, d, d)
+        W = (M + np.swapaxes(M, -1, -2)).reshape(n, -1)
+    return W
+
+
+class TestRowCount:
+    """A row's norm in a batch against the same row alone."""
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["norm", "dual"])
+    @pytest.mark.parametrize("name", sorted(set(default_families()) - {"polyray_4"}))
+    def test_coordinate_power_and_eigen_forms_agree_bit_for_bit(self, name, dual):
+        sp = default_families()[name]
+        assert _form(sp, dual).V is None
+        batch, one = (batch_dual_norms, dual_norm) if dual else (batch_norms, norm)
+        rng = np.random.default_rng(31)
+        for n in (2, 7, 37):
+            W = _rows_at_scales(sp, rng, n)
+            assert [v.hex() for v in batch(sp, W).tolist()] == [one(sp, w).hex() for w in W]
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["norm", "dual"])
+    def test_forms_read_through_a_matrix_agree_within_16_ulps(self, dual):
+        # X @ V.T takes one BLAS kernel for one row and another for several,
+        # which round apart (up to 4 ulps seen on 2,000 random rows)
+        sp = default_families()["polyray_4"]
+        assert _form(sp, dual).V is not None
+        batch, one = (batch_dual_norms, dual_norm) if dual else (batch_norms, norm)
+        rng = np.random.default_rng(37)
+        for n in (2, 7, 37, 200):
+            W = _rows_at_scales(sp, rng, n)
+            got, want = batch(sp, W), np.array([one(sp, w) for w in W])
+            assert np.all(np.abs(got - want) <= 16 * np.spacing(want))
 
 
 class TestRestrictedNorm:
