@@ -16,12 +16,15 @@ cone coefficients (`decomp.coefficient_parts`; by its dual coefficients on
 the dual sides), which are orthogonal at the exponent of the norm they are
 decided in: the space's own, or its conjugate on the dual sides.
 
-Between-caps slice (table `us_per_decision`, family `base_between_caps`):
-`p_orthogonal` at p in {1, 1.5, inf} under the base norm of
-`tests/data/base_between_caps.json` (primal_route: the solver form, one LP
-per row; dual_route: a max-ratio form over the generators), on a fixed
-seeded pair and, under "base_between_caps:generators", on the generators 0
-and 2, which are 1-orthogonal. A decision there took up to 0.2 s on the
+Between-caps slice (tables `us_per_decision` and `us_per_batch`, family
+`base_between_caps`): `p_orthogonal` at p in {1, 1.5, inf} under the base
+norm of `tests/data/base_between_caps.json` (primal_route: a max-ratio form
+over the 336 vertices of its dual ball, which the subset enumeration portho
+once used could not build, so that it took the solver form, one LP per row;
+dual_route: a max-ratio form over the generators), on a fixed seeded pair
+and, under "base_between_caps:generators", on the generators 0 and 2, which
+are 1-orthogonal; and `batch_norms` and `batch_dual_norms` of the pair's
+first vector, one row (key "1"). A decision there took up to 0.2 s on the
 grid, so these cases are timed in CAPS_ROUNDS rounds after one warm-up
 call each, with the reference loop around every round as below.
 
@@ -72,8 +75,11 @@ caller.
 
 Every case is warmed up with WARMUP calls; then each of REPEATS rounds times
 one call of each case in turn with `time.perf_counter`, so a change in host
-load during the run reaches all of them alike. BLAS is pinned to one thread
-unless the environment already sets it.
+load during the run reaches all of them alike. Right before each timed call
+one untimed call of the same case runs, so that no case is timed on the
+caches the case before it left (the first eigen case, right after the norm
+slice's largest batches, once read two to three times its hot time). BLAS
+is pinned to one thread unless the environment already sets it.
 
 Suite slice (table `ms_per_suite`): `run_suite` of each of the 22 suites
 on its default family at seed SEED and VERIFY_SAMPLES samples, as
@@ -212,14 +218,16 @@ def reference_loop() -> float:
 
 
 def _rounds(cases, rounds: int):
-    """Times one call of each case per round, for `rounds` rounds, with the
-    reference loop before the first round and after every round. Returns
-    each case's times in seconds, raw and scaled to the nominal reference
-    time, and the loop's times."""
+    """Times one call of each case per round, for `rounds` rounds, each
+    right after one untimed call of the same case, with the reference loop
+    before the first round and after every round. Returns each case's times
+    in seconds, raw and scaled to the nominal reference time, and the loop's
+    times."""
     refs = [reference_loop()]
     raw = {key: [] for key, _ in cases}
     for _ in range(rounds):
         for key, call in cases:
+            call()
             t0 = time.perf_counter()
             call()
             raw[key].append(time.perf_counter() - t0)
@@ -278,6 +286,8 @@ def _caps_cases():
             for p in (1.0, 1.5, math.inf):
                 key = ("us_per_decision", label, side, _p_key(p))
                 yield key, functools.partial(decide, space, *pair, p)
+    for oracle, fn in ORACLES:
+        yield ("us_per_batch", oracle, "base_between_caps", "1"), functools.partial(fn, space, pairs[0][1][0][None])
 
 
 def _norm_cases():

@@ -2,16 +2,14 @@
 PSD cone (symmetric matrices stored row-major with all d*d entries).
 
 A polyhedral cone carries one lazily built table, its facet normals H (the
-cone is {x : H x >= 0}), built only while the (n-1)-subsets of generators
-it enumerates stay within MAX_TABLE_SUBSETS; above that the property is
-None. Membership reads the cone coefficients or the facet normals, and an
-LP decides it only above the cap.
+cone is {x : H x >= 0}), built by `_extreme_rays`, which builds the spaces'
+vertex tables too and gives up above MAX_TABLE_ROWS rays; the property is
+then None. Membership reads the cone coefficients or the facet normals, and
+an LP decides it only above the cap.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,8 +22,8 @@ NONNEG = "nonneg"
 RAYS = "rays"
 PSD = "psd"
 
-MAX_TABLE_SUBSETS = 4096  # cap on the generator subsets enumerated for the facet normals
-RANK_TOL = 1e-10  # relative singular-value floor of a full-rank subset
+MAX_TABLE_ROWS = 4096  # cap on the rays `_extreme_rays` holds, so on a facet or vertex table
+RANK_TOL = 1e-10  # the engine's zero on unit rows and rays; 1/RANK_TOL bounds a basis's condition
 
 
 @dataclass(frozen=True)
@@ -44,6 +42,8 @@ class ConeSpec:
             G = np.asarray(self.generators, dtype=float)
             if G.ndim != 2 or G.shape[1] != self.ambient_dim:
                 raise InputError("generators must be rows of length ambient_dim")
+            if not np.all(np.isfinite(G)):
+                raise InputError("generators must be finite")
             if np.any(np.linalg.norm(G, axis=1) < 1e-300):
                 raise InputError("generators must be nonzero")
             object.__setattr__(self, "generators", G)
@@ -69,42 +69,55 @@ class ConeSpec:
     @cached_property
     def facet_normals(self) -> np.ndarray | None:
         """Rows h_i with the cone = {x : H x >= 0}: the rows of B^-1 when
-        coefficient_basis exists; otherwise the unit normals of the
-        hyperplanes spanned by n-1 independent generators with G h >= 0,
-        deduplicated; no rows (shape (0, n)) for a cone with no facets, the
-        whole space. None for the psd cone, for generators that span less
-        than R^n, or above the subset cap."""
+        coefficient_basis exists; otherwise the unit extreme rays of the dual
+        cone {h : G h >= 0}, the cone's facet normals; no rows (shape (0, n))
+        for a cone with no facets, the whole space. None for the psd cone,
+        for generators that span less than R^n, or above the table cap."""
         if self.coefficient_basis is not None:
             return self.coefficient_basis[1]
-        if self.kind != RAYS:
-            return None
-        G = self.generators
-        m, n = G.shape
-        if math.comb(m, n - 1) > MAX_TABLE_SUBSETS or not full_rank(G):
-            return None
-        if n == 1:  # a half-line, or the whole line when the signs differ
-            signs = np.unique(np.sign(G))
-            return signs[:, None] if signs.size == 1 else np.empty((0, 1))
-        subsets = G[np.array(list(itertools.combinations(range(m), n - 1)))]
-        _, s, vt = np.linalg.svd(subsets)
-        h = vt[s[:, -1] > RANK_TOL * s[:, 0], -1]
-        P = h @ G.T
-        flip = P.sum(axis=1) < 0.0
-        h[flip], P[flip] = -h[flip], -P[flip]
-        h = h[np.all(P >= -RANK_TOL * np.linalg.norm(G, axis=1), axis=1)]
-        normals = []
-        for row in h:
-            if not any(np.abs(row - kept).max() <= 1e-9 for kept in normals):
-                normals.append(row)
-        return np.array(normals).reshape(-1, n)
+        return _extreme_rays(self.generators) if self.kind == RAYS else None
 
 
-def full_rank(V: np.ndarray) -> bool:
-    """Whether the rows of V span R^n (n = number of columns)."""
-    if V.shape[0] < V.shape[1]:
-        return False
-    s = np.linalg.svd(V, compute_uv=False)
-    return bool(s[-1] > RANK_TOL * s[0])
+def _extreme_rays(A: np.ndarray) -> np.ndarray | None:
+    """The unit extreme rays of the pointed cone {x : A x >= 0}, by double
+    description (Fukuda and Prodon 1996): from the simplicial cone of n rows,
+    each farthest from the span of those before it, each other row cuts off
+    the rays on its negative side and joins each adjacent pair across it; two
+    rays are adjacent when no third is tight on every row both are (a value
+    within RANK_TOL of 0, on unit rows and rays). None when the rows span
+    less than R^n, or once more than MAX_TABLE_ROWS rays are held."""
+    A = A / np.linalg.norm(A, axis=1, keepdims=True)
+    m, n = A.shape
+    basis, rest = [], A.copy()
+    for _ in range(n):
+        lengths = np.linalg.norm(rest, axis=1)
+        i = int(np.argmax(lengths))
+        if not lengths[i] > RANK_TOL:
+            return None
+        basis.append(i)
+        rest -= np.outer(rest @ rest[i], rest[i] / lengths[i] ** 2)
+    rays = np.linalg.inv(A[basis]).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    tight = np.zeros((n, m), dtype=np.float32)  # 1 where ray k is tight on row j; products count rows
+    tight[:, basis] = 1.0 - np.eye(n)
+    for j in sorted(set(range(m)) - set(basis)):
+        s = rays @ A[j]
+        pos, neg = s > RANK_TOL, s < -RANK_TOL
+        tight[:, j] = ~(pos | neg)
+        if not neg.any():
+            continue
+        p, q = np.nonzero(tight[pos] @ tight[neg].T >= n - 2)
+        p, q = np.flatnonzero(pos)[p], np.flatnonzero(neg)[q]
+        meet = tight[p] * tight[q]
+        adjacent = (meet @ tight.T == meet.sum(axis=1, keepdims=True)).sum(axis=1) == 2
+        p, q, meet = p[adjacent], q[adjacent], meet[adjacent]
+        meet[:, j] = 1.0
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        rays = np.vstack([rays[~neg], new / np.linalg.norm(new, axis=1, keepdims=True)])
+        tight = np.vstack([tight[~neg], meet])
+        if len(rays) > MAX_TABLE_ROWS:
+            return None
+    return rays
 
 
 def nonneg_orthant(n: int) -> ConeSpec:

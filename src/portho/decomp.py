@@ -6,9 +6,9 @@ splits a functional into 1-orthogonal positive halves. Where the norm grows
 with the absolute values of unique cone coefficients (`monotone_norm`) all
 three are the coefficient split; elsewhere an optimal decomposition is
 "unsupported". On a non-simplicial cone the dual route splits over the
-facets active at a norming element, and an LP remains only above the
-facet cap. A symmetric matrix is validated once and decomposed once per
-split. Orthogonality is decided by `ortho.p_orthogonal`.
+facets active at a norming vertex, and an LP remains only above the table
+cap (`cones.MAX_TABLE_ROWS`). A symmetric matrix is validated once and
+decomposed once per split. Orthogonality is decided by `ortho.p_orthogonal`.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def _dual_split(space: SpaceSpec, f: np.ndarray):
     largest in magnitude are rounding and count as zero, so that neither
     half is made of rounding alone. The halves are kept when f1 - f2 = f
     and both lie in the dual cone (within 1e-12 of f's scale); otherwise,
-    above the facet cap and at f = 0, where z is undefined, an LP decides.
+    above the table cap and at f = 0, where z is undefined, an LP decides.
     Splitting by the signs of c instead fails at degenerate vertices, with
     more than n active facets."""
     H = space.cone.facet_normals

@@ -108,10 +108,11 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, cols: np.ndarray, tol: floa
         pos = np.nonzero(T[:m, c] > tol)[0]
         if pos.size == 0:
             return "unbounded"
-        ratios = T[pos, -1] / T[pos, c]
-        best = ratios.min()
-        tied = pos[ratios <= best + tol]
-        r = int(tied[np.argmin(basis[tied])])  # Bland tie-break on basis index
+        a, b = T[pos, c], T[pos, -1]
+        near = pos[b / a <= ((b + tol) / a).min()]  # Harris's ratio test
+        if near.size > 1:  # no tiny pivot: only those of at least 1e-3 of the largest
+            near = near[T[near, c] >= 1e-3 * T[near, c].max()]
+        r = int(near[np.argmin(basis[near])])  # Bland tie-break on basis index
         _pivot(T, basis, r, c)
     raise RuntimeError("simplex pivot limit exceeded")
 

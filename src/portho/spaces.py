@@ -11,15 +11,14 @@ and the order-unit dual norm on a non-simplicial cone over the vertices of
 the other direction's unit ball), its mirror l1 sum_j w_j |v_j . x| (lp 1,
 and the base norm and the order-unit dual norm over n rows, as on a
 simplicial cone, over its cone coefficients), power (lp at 1 < p < inf),
-eigen (spectral) or, where the vertex table would exceed
-`MAX_VERTEX_CANDIDATES` candidates or the cone has no facet normals (above
-`cones.MAX_TABLE_SUBSETS`), the solver. `batch_norms` and
-`batch_dual_norms` evaluate it on rows; `norming` returns its maximizer.
+eigen (spectral) or, where a facet or vertex table would hold more than
+`cones.MAX_TABLE_ROWS` rows, the solver. Both tables come from one double
+description engine, `cones._extreme_rays`. `batch_norms` and
+`batch_dual_norms` evaluate a form on rows; `norming` returns its maximizer.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,9 +30,6 @@ from .errors import InputError, SpecError
 from .linalg import LpProblem, SpectralDecomposition, _eigen_checked, solve_lp, symmetric_part, unit_scaled
 
 INF = math.inf
-# cap on the candidates of a vertex table: C(m, n) n-subsets of m rows times
-# 2^n sign vectors
-MAX_VERTEX_CANDIDATES = 2**14
 
 LP = "lp"
 SUP = "sup"
@@ -113,6 +109,9 @@ def validate_space(space: SpaceSpec) -> None:
     if not rep.generating:
         raise SpecError("cone not generating")
     n = space.norm
+    for name in ("weights", "unit", "phi"):
+        if getattr(n, name) is not None and not np.all(np.isfinite(getattr(n, name))):
+            raise SpecError(f"norm.{name} must be finite")
     if n.kind == LP:
         if n.p is None or not (n.p >= 1.0):
             raise SpecError("invalid exponent")
@@ -258,36 +257,21 @@ def _resolve(space: SpaceSpec, dual: bool) -> _Form:
     if cone.coefficient_basis is not None:  # (V^T)^-1 is B^T over H = B^-1, B^-1 over G = B^T
         B, Binv = cone.coefficient_basis
         return _Form(L1, V=B.T if ou else Binv, w=w)
-    m, n = V.shape
-    if not _c.full_rank(V):
-        return _Form(SOLVER)
-    if m == n:  # one basis, as m3n2's two facets
+    if len(V) == V.shape[1] and np.linalg.cond(V) < 1.0 / _c.RANK_TOL:  # one basis, as m3n2's two facets
         return _Form(L1, V=np.linalg.inv(V.T), w=w)
-    if math.comb(m, n) << n <= MAX_VERTEX_CANDIDATES:
-        return _Form(MAX, V=_vertices(V, w))
-    return _Form(SOLVER)
+    Z = _vertices(V, w)
+    return _Form(SOLVER) if Z is None else _Form(MAX, V=Z)
 
 
-def _vertices(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _vertices(V: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     """The vertices z_k of the polytope {z : |V z| <= w}, whose max-ratio
     form max_k |z_k . x| is, by LP duality, the least-l1 form
-    min sum_j w_j |c_j| over V^T c = x. Every vertex is a basic solution
-    z = (V_S^T)^-1 (w_S s) of an invertible n-subset S of V's rows and a
-    sign vector s in {+-1}^n; a candidate is kept when |V z| <= w (1 + 1e-12),
-    and candidates equal within 1e-9 of the largest entry are merged. The
-    polytope is symmetric, so the table holds both z and -z."""
+    min sum_j w_j |c_j| over V^T c = x: the extreme rays r of the cone
+    {(z, t) : |V z| <= w t}, read as z = r[:n] / r[n], both z and -z. None
+    when V spans less than R^n or above the table cap."""
     n = V.shape[1]
-    S = np.array(list(itertools.combinations(range(len(V)), n)))
-    VS = V[S]
-    s = np.linalg.svd(VS, compute_uv=False)
-    keep = s[:, -1] > _c.RANK_TOL * s[:, 0]
-    S, inv = S[keep], np.linalg.inv(VS[keep].transpose(0, 2, 1))
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    # z = inv^T (w_S s): the columns of inv^T scaled by w_S, times each s
-    Z = ((inv.transpose(0, 2, 1) * w[S][:, None, :]) @ signs.T).transpose(0, 2, 1).reshape(-1, n)
-    Z = Z[np.all(np.abs(Z @ V.T) <= w * (1.0 + 1e-12), axis=1)]
-    key = np.round(Z / np.abs(Z).max(), 9) + 0.0
-    return Z[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+    R = _c._extreme_rays(np.vstack([np.column_stack([-V, w]), np.column_stack([V, w])]))
+    return None if R is None else R[:, :n] / R[:, n:]
 
 
 def norm(space: SpaceSpec, x) -> float:

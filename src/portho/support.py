@@ -3,10 +3,10 @@ is the maximizer of the norm's closed form (`spaces.norming`); positive
 supports read it too, except that the base norm keeps its own positive
 support (no mass off the support of u on a lattice cone; on a
 non-simplicial one the least-mass support, half of phi plus a norming
-vertex, and one LP only above the vertex cap) and a cone above the table
-cap answers through an LP over the dual cone. A crust is a positive
-support of its partner; whether the partner is inf-orthogonal to u is
-decided by `ortho.p_orthogonal`, exactly for every form.
+vertex, and one LP only above the table cap, `cones.MAX_TABLE_ROWS`) and a
+cone with no facet table answers through an LP over the dual cone. A crust
+is a positive support of its partner; whether the partner is inf-orthogonal
+to u is decided by `ortho.p_orthogonal`, exactly for every form.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _positive_support_base(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
     On a non-simplicial cone, one of least total mass on the generators:
     f -> 2f - phi maps those f onto the dual unit ball {z : |G z| <= G phi},
     so f = (phi + z)/2 with z the norming vertex of u of least 1^T G z
-    (`norming` with that tiebreak); above the vertex cap an LP."""
+    (`norming` with that tiebreak); above the table cap an LP."""
     basis = space.cone.coefficient_basis
     if basis is not None:
         B, H = basis

@@ -2,8 +2,9 @@
 non-simplicial cones the polyhedral table tests share, and helpers that only
 the tests need (the duality pairing, eigendecomposition reconstruction,
 space-spec serialization, an additivity spot check of orthonormal sets, the
-table of basis inverses, the vertices and the least-l1 form over it, the l1
-decomposition LP, the crust LP and the two-stage base positive support LP).
+table of basis inverses, the vertices and the least-l1 form over it, the
+facet normals by subsets of generators, the l1 decomposition LP, the crust
+LP and the two-stage base positive support LP).
 
 These never call the code paths they are used to check. (`restricted_norm`
 evaluates ambient norms through portho's norm layer; what it checks is the
@@ -243,22 +244,53 @@ def basis_table(V):
     c_S = inv[k] x. The reference table of `least_l1` and
     `vertices_by_bases`; portho keeps no such table."""
     n = V.shape[1]
-    S = np.array([rows for rows in itertools.combinations(range(len(V)), n)
-                  if np.linalg.matrix_rank(V[list(rows)], tol=1e-9) == n])
+    S = np.array(list(itertools.combinations(range(len(V)), n)))
+    S = S[np.linalg.matrix_rank(V[S], tol=1e-9) == n]
     return S, np.linalg.inv(V[S].transpose(0, 2, 1))
 
 
+def distinct_rows(Z, tol=1e-9):
+    """The rows of Z, each kept unless it lies within tol times Z's largest
+    entry of a row kept before it."""
+    kept = np.empty_like(Z)
+    k, scale = 0, np.abs(Z).max(initial=0.0)
+    for z in Z:
+        if k == 0 or np.abs(kept[:k] - z).max(axis=1).min() > tol * scale:
+            kept[k], k = z, k + 1
+    return kept[:k]
+
+
 def vertices_by_bases(V, w):
-    """The vertices of {z : |V z| <= w}, by a loop over the bases of
-    `basis_table` and the sign vectors s: the basic solutions
-    z = inv_k^T (w_S s) with |V z| <= w (1 + 1e-9)."""
+    """The vertices of {z : |V z| <= w}, by the bases of `basis_table`:
+    the basic solutions z = inv_k^T (w_S s) over the sign vectors s with
+    |V z| <= w (1 + 1e-9), each vertex once (`distinct_rows`; a degenerate
+    vertex is the basic solution of several bases)."""
+    n = V.shape[1]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    S, inv = basis_table(V)
+    Z = np.einsum("kji,ksj->ksi", inv, w[S][:, None, :] * signs).reshape(-1, n)
+    return distinct_rows(Z[np.all(np.abs(Z @ V.T) <= w * (1.0 + 1e-9), axis=1)])
+
+
+def facets_by_subsets(G):
+    """The unit facet normals of the cone spanned by the rows of G (which
+    span R^n, n >= 2), by a loop over the (n-1)-subsets of G of rank n - 1:
+    the unit normal h of the subset's span, signed so that G h >= 0, is a
+    facet normal when G h >= -1e-10 |g| holds for every generator g; each
+    facet once (`distinct_rows`)."""
+    n = G.shape[1]
     found = []
-    for rows, inv in zip(*basis_table(V)):
-        for s in itertools.product((1.0, -1.0), repeat=V.shape[1]):
-            z = inv.T @ (w[rows] * np.array(s))
-            if np.all(np.abs(V @ z) <= w * (1.0 + 1e-9)):
-                found.append(z)
-    return np.array(found)
+    for rows in itertools.combinations(range(len(G)), n - 1):
+        _, s, vt = np.linalg.svd(G[list(rows)])
+        if s[-1] <= 1e-10 * s[0]:
+            continue
+        h = vt[-1]
+        P = G @ h
+        if P.sum() < 0.0:
+            h, P = -h, -P
+        if np.all(P >= -1e-10 * np.linalg.norm(G, axis=1)):
+            found.append(h)
+    return distinct_rows(np.array(found).reshape(-1, n))
 
 
 def least_l1(X, bases, w):
@@ -267,15 +299,17 @@ def least_l1(X, bases, w):
     optimal basic solution c_S = inv_k x. The base norm (V the generators,
     w = G phi) and the order-unit dual norm (V the facet normals, w = H e)
     are this form; portho evaluates it as the max-ratio form of its dual
-    ball's vertices or, above the vertex cap, by the dual-ball LP."""
+    ball's vertices or, above the table cap, by the dual-ball LP."""
     S, inv = bases
     return (np.abs(np.einsum("kij,rj->rki", inv, np.asarray(X, dtype=float))) * w[S]).sum(axis=2).min(axis=1)
 
 
-# a cone between the caps: its C(11, 5) = 462 subsets of n - 1 generators are
-# within cones.MAX_TABLE_SUBSETS, so it has its 50 facet normals, while its
-# C(11, 6) * 2^6 = 29,568 generator vertex candidates (and C(50, 6) * 2^6
-# facet ones) are above spaces.MAX_VERTEX_CANDIDATES. The generators are
+# a cone whose tables the subset enumerations portho once used could not
+# build: its C(11, 5) = 462 subsets of n - 1 generators gave its 50 facet
+# normals, but its C(11, 6) * 2^6 = 29,568 generator vertex candidates (and
+# C(50, 6) * 2^6 facet ones) were above their cap, so its base norm and
+# order-unit dual norm took one LP per row. The double description engine
+# builds its 336 generator and 724 facet vertices. The generators are
 # rounded to six decimals, as in tests/data/base_between_caps.json
 BETWEEN_CAPS = np.round(lifted_generators(11, 6, 17), 6)
 

@@ -5,9 +5,9 @@ dual norm are the max-ratio forms of their dual balls' vertices (checked
 against the brute-force least-l1 form and the dual-ball LP), the base
 positive support is half of phi plus a norming vertex, and the dual split
 reads a minimizing basis. Then a count of the solver calls: none on the
-default families, none on a tabled non-simplicial cone, and the LP
-fallbacks above the vertex and table caps, on a cone that reaches the
-vertex cap unpatched and at input scales from 1e-12 to 1e12."""
+default families, none on a tabled non-simplicial cone (the between-caps
+cone included, whose tables the subset enumerations could not build), and
+the LP fallbacks above the table cap at input scales from 1e-12 to 1e12."""
 
 import contextlib
 import io
@@ -232,7 +232,7 @@ def _tabled_spaces(name):
 
 
 # the test cones whose order-unit dual norm is a closed form over the facet
-# normals (m8n5's 16 facets make C(16, 5) * 2^5 vertex candidates)
+# normals: all of them, m8n5's 116-vertex table included
 FACET_TABLED = [n for n in sorted(NON_SIMPLICIAL_CONES) if spaces._form(_tabled_spaces(n)[0], True).kind != spaces.SOLVER]
 
 
@@ -459,27 +459,26 @@ def test_verify_all_on_a_pentagon_spec_takes_the_grid_only_for_witnesses(lp_call
     assert lp_calls == []
 
 
-@pytest.mark.parametrize("cap, kind", [(79, "solver"), (80, "max")])
-def test_the_vertex_cap_counts_bases_times_sign_vectors(monkeypatch, cap, kind):
-    # the pentagon's tables hold 10 bases of 3 rows: 80 candidates
-    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", cap)
+@pytest.mark.parametrize("cap, kind", [(11, "solver"), (12, "max")])
+def test_the_table_cap_counts_rows(monkeypatch, cap, kind):
+    # the pentagon's vertex tables hold 12 rows each, its facet table 5
+    monkeypatch.setattr(cones, "MAX_TABLE_ROWS", cap)
     ou, base = _tabled_spaces("pentagon")
     assert spaces._form(base).kind == spaces._form(ou, True).kind == kind
 
 
 # the forms (order-unit norm, its dual, base norm, its dual) of the test
-# cones under a vertex cap that counts C(m, n) * 2^n candidates, n-subsets
-# times sign vectors, of which only the invertible subsets are built
+# cones under a table cap that counts the rows the engine holds
 _ROUTES = {
     "m3n2": ("max", "l1", "max", "max"),
     "m5n3": ("max", "max", "max", "max"),
     "m8n3": ("max", "max", "max", "max"),
     "m6n4": ("max", "max", "max", "max"),
-    "m8n5": ("max", "solver", "max", "max"),
+    "m8n5": ("max", "max", "max", "max"),
     "redundant": ("max", "max", "max", "max"),
     "duplicated": ("max", "max", "max", "max"),
     "pentagon": ("max", "max", "max", "max"),
-    "between_caps": ("max", "solver", "solver", "max"),
+    "between_caps": ("max", "max", "max", "max"),
 }
 
 
@@ -496,7 +495,7 @@ def test_each_test_cone_keeps_its_forms(name):
 
 def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkeypatch):
     # the solver form: one dual-ball LP per value and per maximizer
-    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+    monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 11)
     ou, base = _tabled_spaces("pentagon")
     G, H = ou.cone.generators, ou.cone.facet_normals
     for space, dual, V in ((base, False, G), (ou, True, H)):
@@ -521,16 +520,18 @@ def test_above_the_vertex_cap_the_least_l1_forms_take_their_lps(lp_calls, monkey
     assert got.is_orthogonal == p_orthogonal_numeric(base, G[0], G[2], 1.0).is_orthogonal
 
 
-def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
-    # 462 generator bases in R^6 make 29,568 vertex candidates, above the
-    # vertex cap, and the 50 facets far more. So the base norm and the
-    # order-unit dual norm are the dual-ball LP, unpatched
+def test_a_cone_between_the_old_caps_takes_the_vertex_forms(lp_calls):
+    # 462 generator bases in R^6 made 29,568 vertex candidates, too many for
+    # the subset enumeration; the engine builds the 336 generator and 724
+    # facet vertices, so the base norm and the order-unit dual norm are
+    # max-ratio forms, unpatched, and reach no LP
     G = BETWEEN_CAPS
     base, ou = base_space(ray_cone(G), np.eye(6)[-1]), order_unit_space(ray_cone(G), G.sum(axis=0))
     bases = basis_table(G)
-    assert len(bases[0]) == 462 and len(bases[0]) << 6 > spaces.MAX_VERTEX_CANDIDATES
+    assert len(bases[0]) == 462
     assert len(ou.cone.facet_normals) == 50
-    assert spaces._form(base).kind == spaces._form(ou, True).kind == spaces.SOLVER
+    forms = spaces._form(base), spaces._form(ou, True)
+    assert [(form.kind, len(form.V)) for form in forms] == [(spaces.MAX, 336), (spaces.MAX, 724)]
     rng = _rng("between the caps")
     X = rng.normal(size=(10, 6)) * np.logspace(-3.0, 6.0, 10)[:, None]  # nine decades
     assert spaces.batch_norms(base, X) == pytest.approx(least_l1(X, bases, G @ base.norm.phi), rel=1e-9)
@@ -538,19 +539,17 @@ def test_a_cone_between_the_caps_takes_the_solver_form(lp_calls):
         _check_maximizer(base, x, False, norming(base, x))
         # the norming element of the order-unit dual norm attains it, and the
         # dual split LP's aggregate, an upper bound, meets it
-        f1, f2 = _dual_split_lp(ou, x)
         z = norming(ou, x, dual=True)
+        f1, f2 = _dual_split_lp(ou, x)
         assert float(x @ z) == pytest.approx(dual_norm(ou, x), rel=1e-9)
         assert float((f1 + f2) @ ou.norm.unit) == pytest.approx(dual_norm(ou, x), rel=1e-9)
         assert norm(ou, z) <= 1.0 + 1e-9
-    assert len(lp_calls) > 0
-    for x, y in ((G[0], G[1]), (X[0], X[1])):
-        before = len(lp_calls)
+    assert len(lp_calls) == len(X)  # the split LPs of the check
+    for x, y in ((G[0], G[2]), (G[0], G[1]), (X[0], X[1])):
         got = p_orthogonal(base, x, y, 1.0)
-        # the unit rule's two evaluations of two rows; a "not_orthogonal"
-        # adds the witness's six rows and reuses the rule's norms of x and y
-        assert (got.method, len(lp_calls) - before) == ("exact", 4 if got.is_orthogonal else 10)
+        assert got.method == "exact"
         assert got.is_orthogonal == p_orthogonal_numeric(base, x, y, 1.0).is_orthogonal
+    assert len(lp_calls) == len(X)
     assert not got.is_orthogonal
 
 
@@ -565,8 +564,7 @@ def test_the_lp_fallbacks_scale_with_their_input(lp_calls, monkeypatch, scale):
     f = np.array([0.3, -0.5, 0.2])
     want = {"base norm": norm(base_t, u), "ou dual norm": dual_norm(ou_t, f), "ou norm": norm(ou_t, u),
             "base support": positive_support(base_t, u).functional}
-    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
-    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+    monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 4)
     ou, base = order_unit_space(ray_cone(PENTAGON), ou_t.norm.unit), base_space(ray_cone(PENTAGON), base_t.norm.phi)
     assert spaces._form(base).kind == spaces._form(ou).kind == spaces._form(ou, True).kind == spaces.SOLVER
     assert norm(base, scale * u) == pytest.approx(scale * want["base norm"], rel=1e-9)
@@ -638,7 +636,7 @@ def test_crust_probe_above_the_cap_decides_orthogonality_by_norms(lp_calls, monk
     e = np.array([0.0, 0.0, 1.0])
     points = [0.7 * PENTAGON[0] + 0.4 * PENTAGON[1], 0.2 * PENTAGON[2] + 1.3 * PENTAGON[3]]
     tabled = [crust_probe(order_unit_space(ray_cone(PENTAGON), e), u) for u in points]
-    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
+    monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 4)
     for u, want in zip(points, tabled):
         before = len(lp_calls)
         res = crust_probe(order_unit_space(ray_cone(PENTAGON), e), u)
@@ -724,10 +722,9 @@ def _pentagon_calls(lp_calls, kind):
 
 @pytest.mark.parametrize("kind", ["order_unit", "base"])
 def test_a_non_simplicial_cone_still_reaches_the_solver(lp_calls, monkeypatch, kind):
-    # with the caps lowered below the pentagon's 10 subsets and 80 vertex
-    # candidates it keeps no table, so every construction falls back to its LP
-    monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
-    monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+    # with the cap lowered below the pentagon's 5 facets it keeps no table,
+    # so every construction falls back to its LP
+    monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 4)
     assert ray_cone(PENTAGON).facet_normals is None
     calls = _pentagon_calls(lp_calls, kind)
     assert all(n >= 1 for n in calls.values()), calls
@@ -739,3 +736,17 @@ def test_a_tabled_non_simplicial_cone_takes_the_facet_closed_forms(lp_calls):
     for kind in ("order_unit", "base"):
         calls = _pentagon_calls(lp_calls, kind)
         assert calls == {name: 0 for name in calls}, kind
+
+
+@pytest.mark.parametrize("name", ["m8n5", "between_caps"])
+def test_an_order_unit_split_solves_no_lp(lp_calls, name):
+    # the order-unit dual norms of these cones are max-ratio forms over
+    # their 116 and 724 facet vertices, so the norming element, the dual
+    # norms and the exact p = 1 check of a split need no LP
+    G = BETWEEN_CAPS if name == "between_caps" else NON_SIMPLICIAL_CONES[name]
+    space = order_unit_space(ray_cone(G), G.sum(axis=0))
+    for f in _rng("split", name).normal(size=(4, space.dim)):
+        dec = dual_one_orth_decompose(space, f)
+        assert dec.status == "optimal"
+        assert dec.norm_aggregate == pytest.approx(dual_norm(space, f), rel=1e-12)
+    assert lp_calls == []

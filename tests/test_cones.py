@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import NON_SIMPLICIAL_CONES, PENTAGON, lifted_generators, pairing, vertices_by_bases
+from oracles import (
+    BETWEEN_CAPS,
+    NON_SIMPLICIAL_CONES,
+    PENTAGON,
+    facets_by_subsets,
+    lifted_generators,
+    pairing,
+    vertices_by_bases,
+)
 from portho import cones
 from portho.cones import (
-    MAX_TABLE_SUBSETS,
+    ConeReport,
     ConeSpec,
+    _extreme_rays,
     cone_contains,
     cone_proper_generating,
     dual_cone_contains,
@@ -16,7 +25,7 @@ from portho.cones import (
     ray_cone,
 )
 from portho.errors import InputError
-from portho.spaces import MAX_VERTEX_CANDIDATES, _form, _vertices, base_space, order_unit_space
+from portho.spaces import _dual_ball_lp, _form, _vertices, base_space, batch_dual_norms, batch_norms, order_unit_space
 
 
 WEDGE = ray_cone([[1.0, 1.0], [1.0, -1.0]])
@@ -170,11 +179,8 @@ class TestTables:
         # n-subset of its rows, each once: the oracle's loop over its own
         # table of basis inverses finds the same points
         cone = ray_cone(NON_SIMPLICIAL_CONES[name])
-        n = cone.ambient_dim
         G, H = cone.generators, cone.facet_normals
         for V, w in ((G, G @ H.sum(axis=0)), (H, H @ G.sum(axis=0))):
-            if math.comb(len(V), n) << n > MAX_VERTEX_CANDIDATES:  # m8n5's 16 facets
-                continue
             Z, want = _vertices(V, w), vertices_by_bases(V, w)
             scale = np.abs(want).max()
             assert len(np.unique(np.round(Z / scale, 9), axis=0)) == len(Z)
@@ -194,14 +200,96 @@ class TestTables:
     def test_psd_has_no_tables(self):
         assert psd_cone(2).facet_normals is None
 
-    def test_cap_is_decided_by_size(self):
-        # C(k, n - 1) generator subsets above the cap: no facet normals,
-        # whatever the generators are
-        k = next(k for k in range(3, 200) if math.comb(k, 2) > MAX_TABLE_SUBSETS)
-        assert ray_cone(lifted_generators(k, 3, 8)).facet_normals is None
-        assert ray_cone(lifted_generators(k - 1, 3, 8)).facet_normals is not None
+    def test_cap_is_decided_by_size(self, monkeypatch):
+        # the cap counts the rows a table holds, here a k-gon's k facets
+        monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 12)
+        assert len(ray_cone(_polygon(12)).facet_normals) == 12
+        assert ray_cone(_polygon(13)).facet_normals is None
+
+
+def _polygon(k):
+    """Generators over a regular k-gon on the plane x_3 = 1: k facets."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    return np.stack([np.cos(t), np.sin(t), np.ones(k)], axis=1)
+
+
+def _same_rows(A, B, tol=1e-9):
+    """Whether A and B hold the same rows, each within tol of B's largest entry."""
+    scale = np.abs(B).max()
+    return len(A) == len(B) and all(
+        np.abs(Y - x).max(axis=1).min() <= tol * scale for X, Y in ((A, B), (B, A)) for x in X
+    )
+
+
+_RANDOM_CONES = [(n, m, 100 * n + m) for n in range(2, 7) for m in (n + 1, (n + 13) // 2, 12)]
+
+
+class TestDoubleDescription:
+    @pytest.mark.parametrize("n, m, seed", _RANDOM_CONES)
+    def test_random_cones_match_the_subset_oracles(self, n, m, seed):
+        # the facet normals and both vertex tables, against the enumerations
+        # of (n - 1)-subsets of generators and of bases times sign vectors
+        G = lifted_generators(m, n, seed)
+        H = ray_cone(G).facet_normals
+        assert _same_rows(H, facets_by_subsets(G))
+        assert _same_rows(_vertices(G, G[:, -1]), vertices_by_bases(G, G[:, -1]))
+        if math.comb(len(H), n) <= 5000:
+            w = H @ G.sum(axis=0)
+            assert _same_rows(_vertices(H, w), vertices_by_bases(H, w))
+
+    @pytest.mark.parametrize("name", ["m8n5", "between_caps"])
+    def test_tables_above_the_old_caps_match_the_lp(self, name):
+        # m8n5's 116 facet vertices and between-caps' 336 generator and 724
+        # facet vertices: the max-ratio forms give the dual-ball LP's values
+        G = BETWEEN_CAPS if name == "between_caps" else NON_SIMPLICIAL_CONES[name]
+        cone = ray_cone(G)
+        n = cone.ambient_dim
+        ou, base = order_unit_space(cone, G.sum(axis=0)), base_space(cone, np.eye(n)[-1])
+        assert _form(ou, True).kind == _form(base).kind == "max"
+        X = np.random.default_rng(len(G)).normal(size=(8, n)) * np.logspace(-3.0, 3.0, 8)[:, None]
+        for space, values in ((base, batch_norms(base, X)), (ou, batch_dual_norms(ou, X))):
+            dual = space is ou
+            want = [_dual_ball_lp(space, x, dual)[0] for x in X]
+            assert values == pytest.approx(want, rel=1e-9)
+
+    def test_a_half_line_a_line_and_a_half_plane(self):
+        # n = 1: a half-line has one facet, the whole line none; a cone
+        # holding a line keeps the facets of its pointed part
+        cases = [
+            ([[1.0], [3.0]], [[1.0]], ConeReport(True, True)),
+            ([[1.0], [-2.0]], np.empty((0, 1)), ConeReport(False, True)),
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0]], ConeReport(False, True)),
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.empty((0, 2)), ConeReport(False, True)),
+        ]
+        for G, H, report in cases:
+            cone = ray_cone(G)
+            assert np.array_equal(cone.facet_normals, np.array(H).reshape(-1, cone.ambient_dim))
+            assert cone_proper_generating(cone) == report
+        assert cone_contains(ray_cone([[1.0], [-2.0]]), [-5.0])
+        assert not cone_contains(ray_cone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), [4.0, -1e-3])
+
+    def test_rows_spanning_less_than_the_space_give_no_table(self):
+        assert _extreme_rays(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])) is None
+        assert ray_cone([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]).facet_normals is None
+
+    def test_above_a_patched_cap_the_space_takes_the_solver(self, monkeypatch):
+        # the pentagon's 5 facets fit under 11 rows, its 12-vertex tables do not
+        monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 11)
+        cone = ray_cone(PENTAGON)
+        assert len(cone.facet_normals) == 5
+        assert _vertices(PENTAGON, PENTAGON[:, -1]) is None
+        ou, base = order_unit_space(cone, PENTAGON.sum(axis=0)), base_space(cone, np.eye(3)[-1])
+        assert _form(ou).kind == _form(base, True).kind == "max"
+        assert _form(ou, True).kind == _form(base).kind == "solver"
 
 
 def test_zero_generator_rejected():
     with pytest.raises(InputError):
         ray_cone([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_generator_rejected(bad):
+    # before the facet table's engine sees it (a NaN once stopped the SVD)
+    with pytest.raises(InputError, match="generators must be finite"):
+        ray_cone([[bad, 1.0], [1.0, 1.0], [-1.0, 1.0]])

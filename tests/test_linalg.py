@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,27 @@ class TestSolveLp:
             assert np.all(x >= -1e-9)
             for row, rhs in zip(A, b):
                 assert row @ x <= rhs + 1e-9
+
+    def test_a_degenerate_lp_takes_no_tiny_pivot(self):
+        # the order-unit norm LP over the cone on 40 points of the
+        # trigonometric moment curve in R^7: its 8,400 facets (by Gale's
+        # evenness condition, three disjoint pairs of cyclically consecutive
+        # points) hold 6 of the 40 generators each, so most ratio tests tie
+        # at 0. A pivot of 1e-9 among the ties once returned points 2e-3
+        # outside the feasible set, up to 20% below the optimum
+        k = 40
+        t = 2.0 * np.pi * np.arange(k) / k
+        G = np.column_stack([np.ones(k), *[f(j * t) for j in (1, 2, 3) for f in (np.cos, np.sin)]])
+        S = [sorted({a, (a + 1) % k, b, (b + 1) % k, c, (c + 1) % k}) for a, b, c in itertools.combinations(range(k), 3)]
+        H = np.linalg.svd(G[np.array([s for s in S if len(s) == 6])])[2][:, -1]
+        H *= np.sign(H @ G.sum(axis=0))[:, None]
+        assert len(H) == 8400 and np.all(H @ G.T >= -1e-12)
+        e, Z = G.sum(axis=0), np.zeros_like(G)
+        A, b = np.block([[-G, Z], [Z, -G], [e, e]]), np.append(np.zeros(2 * k), 1.0)
+        for x in np.random.default_rng(19).uniform(-1.0, 1.0, size=(4, 7)):
+            out = solve_lp(LpProblem(objective=np.concatenate([x, -x]), ineq=A, ineq_rhs=b, free=np.ones(14, bool)))
+            assert np.all(A @ out.argument <= b + 1e-9)
+            assert out.optimum == pytest.approx(np.max(np.abs(H @ x) / (H @ e)), rel=1e-9)
 
 
 class TestLpProblem:

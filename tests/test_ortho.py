@@ -12,7 +12,7 @@ from oracles import (
     grid_verdict_by_loop,
     identity_residual,
 )
-from portho import ortho, spaces
+from portho import cones, ortho, spaces
 from portho.errors import InputError
 from portho.harness import build_example_46, default_families, run_suite
 from portho.ortho import (
@@ -335,9 +335,9 @@ _EXACT_SPACES = {
     "lp15_ray_5": SpaceSpec(5, ray_cone(np.eye(5) + 0.2), NormKind("lp", p=1.5), 1.5),
 }
 
-# the base norm on a cone between the vertex and table caps is the solver
-# form (its dual norm is a max-ratio form over the generators)
-_SOLVER_SPACES = {"base_between_caps": base_space(ray_cone(BETWEEN_CAPS), np.eye(6)[-1])}
+# the base norm on the between-caps cone: a max-ratio form over its 336
+# vertices (its dual norm is a max-ratio form over the generators)
+_BETWEEN_CAPS_SPACES = {"base_between_caps": base_space(ray_cone(BETWEEN_CAPS), np.eye(6)[-1])}
 
 
 class TestExactDispatcher:
@@ -366,7 +366,7 @@ class TestExactDispatcher:
         # at 1 < p < inf the identity fails for every nonzero pair; the grid
         # agrees, and the exact verdict's residual is the loop's at its
         # witness. The solver form's grid solves an LP per row: fewer pairs
-        sp = _SOLVER_SPACES.get(family) or _FAMILIES[family]
+        sp = _BETWEEN_CAPS_SPACES.get(family) or _FAMILIES[family]
         rng = np.random.default_rng(zlib.crc32(family.encode()))
         for dual in (False, True):
             norm_fn = (lambda w: dual_norm(sp, w)) if dual else (lambda w: norm(sp, w))
@@ -614,15 +614,17 @@ class TestSlopeRule:
          ("base_ray5", False), ("ou_ray5", True), ("base_between_caps", False)],
     )
     def test_power_and_solver_forms_agree_with_the_grid(self, monkeypatch, name, dual):
-        # below its 80 vertex candidates the pentagon's least-l1 forms (the
-        # base norm, the order-unit dual norm) are the solver form; spaces
-        # resolve their forms at first use, so they are built after the patch
-        monkeypatch.setattr(spaces, "MAX_VERTEX_CANDIDATES", 79)
+        # under a table cap between a cone's facet and vertex tables (the
+        # pentagon's 5 and 12 rows, the between-caps cone's 50 and 336) its
+        # least-l1 forms (the base norm, the order-unit dual norm) are the
+        # solver form; spaces resolve their forms at first use, so they are
+        # built after the patch
+        monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 300 if name == "base_between_caps" else 11)
         sp = {
             "weighted_lp3": lambda: lp_space(5, 3.0, weights=[1.0, 2.0, 0.5, 1.5, 3.0]),
             "base_ray5": lambda: base_space(ray_cone(PENTAGON), _E3),
             "ou_ray5": lambda: order_unit_space(ray_cone(PENTAGON), _E3),
-            "base_between_caps": lambda: _SOLVER_SPACES[name],
+            "base_between_caps": lambda: base_space(ray_cone(BETWEEN_CAPS), np.eye(6)[-1]),
         }.get(name, lambda: _FAMILIES[name])()
         kind = _form(sp, dual).kind
         assert kind in ("power", "solver")

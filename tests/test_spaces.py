@@ -337,15 +337,13 @@ class TestPolyhedralClosedForms:
                     assert got == pytest.approx(want_dual, rel=1e-9)
 
     def test_cone_above_the_cap_answers_through_lp(self, monkeypatch):
-        # the pentagon with the caps lowered below its 10 subsets and 80
-        # vertex candidates keeps no table
+        # the pentagon with the cap lowered below its 5 facets keeps no table
         e = phi = [0.0, 0.0, 1.0]
         rng = np.random.default_rng(18)
         X = rng.normal(size=(6, 3))
         tabled = (order_unit_space(ray_cone(PENTAGON), e), base_space(ray_cone(PENTAGON), phi))
         want = [(batch_norms(sp, X), batch_dual_norms(sp, X)) for sp in tabled]
-        monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
-        monkeypatch.setattr("portho.spaces.MAX_VERTEX_CANDIDATES", 79)
+        monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 4)
         capped = ray_cone(PENTAGON)
         assert capped.facet_normals is None
         calls = []
@@ -364,19 +362,23 @@ class TestPolyhedralClosedForms:
         assert len(calls) == 3 * len(X) + 2
 
     def test_cone_above_the_real_cap_answers_through_lp(self):
-        # a regular 92-gon: C(92, 2) facet candidates exceed the cap; its
-        # facets are the planes through adjacent generators
-        k = 92
-        assert math.comb(k, 2) > cones.MAX_TABLE_SUBSETS
-        t = 2.0 * np.pi * np.arange(k) / k
-        G = np.stack([np.cos(t), np.sin(t), np.ones(k)], axis=1)
+        # the cone over 30 points of the moment curve in R^7 (a cyclic
+        # polytope) has 5,200 facets, more than the engine holds. By Gale's
+        # evenness condition each facet holds point 0 or point 29 and three
+        # disjoint pairs of consecutive points
+        t = np.linspace(-1.0, 1.0, 30)
+        G = t[:, None] ** np.arange(8)
         cone = ray_cone(G)
         assert cone.facet_normals is None
-        e = np.array([0.0, 0.0, 1.0])
+        pairs = [(a, b, c) for a in range(1, 30) for b in range(a + 2, 30) for c in range(b + 2, 30)]
+        S = [[0, a, a + 1, b, b + 1, c, c + 1] for a, b, c in pairs if c + 1 < 30]
+        S += [[a - 1, a, b - 1, b, c - 1, c, 29] for a, b, c in pairs if c < 29]
+        H = np.linalg.svd(G[np.array(S)])[2][:, -1]
+        H *= np.sign(H @ G.mean(axis=0))[:, None]
+        assert len(H) == 5200 and np.all(H @ G.T >= -1e-12)
+        e = G.sum(axis=0)
         sp = order_unit_space(cone, e)
-        H = np.cross(G, np.roll(G, -1, axis=0))
-        rng = np.random.default_rng(19)
-        X = rng.normal(size=(3, 3))
+        X = np.random.default_rng(19).normal(size=(3, 8))
         want = np.max(np.abs(X @ H.T) / (H @ e), axis=1)
         assert batch_norms(sp, X) == pytest.approx(want, rel=1e-9)
 
@@ -427,9 +429,8 @@ class TestNorming:
     def test_attains_on_the_unit_ball(self, name, dual, monkeypatch):
         """The maximizer of each form, in both directions, attains the norm
         (or dual norm) and lies in the other direction's unit ball."""
-        if name.endswith("_capped"):  # the pentagon's 10 subsets and 80 candidates exceed 4 and 79
-            monkeypatch.setattr(cones, "MAX_TABLE_SUBSETS", 4)
-            monkeypatch.setattr("portho.spaces.MAX_VERTEX_CANDIDATES", 79)
+        if name.endswith("_capped"):  # the pentagon's 5 facets exceed a cap of 4 rows
+            monkeypatch.setattr(cones, "MAX_TABLE_ROWS", 4)
         if name in _PENTAGON_NAMES:
             cone = ray_cone(PENTAGON)
             sp = (order_unit_space if name.startswith("ou") else base_space)(cone, _PENTAGON_E)
@@ -597,6 +598,20 @@ class TestValidation:
         sp = SpaceSpec(2, line, NormKind("sup"), INF)
         with pytest.raises(SpecError, match="cone not proper"):
             validate_space(sp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_data_rejected_by_field(self, bad):
+        # a non-finite weight, unit or functional once gave nan norms, and a
+        # non-simplicial base space failed inside its vertex table
+        cone = ray_cone(PENTAGON)
+        specs = {
+            "weights": lp_space(3, 2.0, weights=[1.0, bad, 1.0]),
+            "unit": order_unit_space(cone, [0.0, bad, 1.0]),
+            "phi": base_space(cone, [bad, 0.0, 1.0]),
+        }
+        for name, sp in specs.items():
+            with pytest.raises(SpecError, match=f"norm.{name} must be finite"):
+                validate_space(sp)
 
 
 @settings(max_examples=60, deadline=None)
