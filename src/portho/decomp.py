@@ -8,8 +8,9 @@ three are the coefficient split; elsewhere an optimal decomposition is
 "unsupported". On a non-simplicial cone the dual route splits over the
 facets active at a norming vertex, and an LP remains only above the table
 cap (`cones.MAX_TABLE_ROWS`). A symmetric matrix is validated once and
-decomposed once per split. Orthogonality is decided by `ortho.p_orthogonal`.
-"""
+decomposed once per split. Orthogonality is decided by `ortho.p_orthogonal`,
+and a dual split's by its rule at p = 1 (`ortho._end_verdict`) on the dual
+norms of the one pass that checks additivity. Non-finite input raises."""
 
 from __future__ import annotations
 
@@ -21,20 +22,24 @@ import numpy as np
 from . import cones as _c
 from .errors import InputError, UnsupportedError
 from .linalg import LpProblem, SpectralDecomposition, _eigen_checked, solve_lp, symmetric_part, unit_scaled
-from .ortho import OrthoVerdict, orthonormal_set_verify, p_orthogonal
+from .ortho import OrthoVerdict, _end_verdict, orthonormal_set_verify, p_orthogonal
 from .spaces import (
     BASE,
     ORDER_UNIT,
     SPECTRAL,
     SpaceSpec,
     _eigen_norming,
+    _form,
+    _largest,
     batch_dual_norms,
+    batch_norms,
     check_exponent,
     norm,
     norming_element,
 )
 
 INF = math.inf
+_SIGNS = np.array([[1.0], [-1.0]])  # the positive and the negative half
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,8 @@ def _spectral_parts(dec: SpectralDecomposition):
     cut = 1e-10 * max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-300)
     lam = np.where(np.abs(dec.eigenvalues) <= cut, 0.0, dec.eigenvalues)
     Q = dec.eigenvectors
-    v1 = symmetric_part((Q.T * np.clip(lam, 0.0, None)) @ Q)
-    v2 = symmetric_part((Q.T * np.clip(-lam, 0.0, None)) @ Q)
-    return v1.ravel(), v2.ravel()
+    L = np.maximum(_SIGNS * lam, 0.0)  # both halves in one stacked product
+    return symmetric_part((Q.T * L[:, None, :]) @ Q).reshape(2, -1)
 
 
 def coefficient_parts(space: SpaceSpec, x: np.ndarray, dual: bool = False):
@@ -107,17 +111,18 @@ def opt_decompose(space: SpaceSpec, v, p: float) -> Decomposition:
     not be optimal."""
     check_exponent(p)
     v = np.asarray(v, dtype=float)
-    if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + np.abs(v).max())):
+    if _c.cone_contains(space.cone, v, tol=1e-9 * (1.0 + _largest("v", v))):
         return Decomposition(v, np.zeros_like(v), p, norm(space, v), "optimal")
     if not monotone_norm(space):
         return Decomposition(v, np.zeros_like(v), p, math.nan, "unsupported")
     u1, u2 = coefficient_parts(space, v)
-    agg = p_aggregate(norm(space, u1), norm(space, u2), p)
+    agg = p_aggregate(*batch_norms(space, np.array([u1, u2])).tolist(), p)
     return Decomposition(u1, u2, p, agg, "optimal")
 
 
 def infty_orth_decompose(space: SpaceSpec, v) -> Decomposition:
     v = np.asarray(v, dtype=float)
+    _largest("v", v)
     parts = coefficient_parts(space, v)
     if parts is None:
         return Decomposition(v, np.zeros_like(v), INF, math.nan, "unsupported")
@@ -149,6 +154,7 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     facets active at a norming element (`_dual_split`), or an LP's.
     "unsupported" where `has_dual_split` fails."""
     f = np.asarray(f, dtype=float)
+    _largest("f", f)
     if not math.isinf(space.p_class):
         raise InputError("dual decomposition requires an infinity-smooth space")
 
@@ -161,17 +167,22 @@ def dual_one_orth_decompose(space: SpaceSpec, f) -> Decomposition:
     else:
         f1, f2 = _dual_split(space, f)
 
-    n1, n2, nf = batch_dual_norms(space, np.array([f1, f2, f])).tolist()
+    # one pass evaluates the halves, f, and the halves scaled to unit largest entry for `_end_verdict`
+    rows = np.concatenate([f1, f2, f, f1, f2]).reshape(5, -1)
+    m = np.abs(rows[:2]).max(axis=1)
+    rows[3:] /= np.where(m > 0.0, m, 1.0)[:, None]
+    n = batch_dual_norms(space, rows)
+    n1, n2, nf = n[:3].tolist()
     nagg = n1 + n2
     if abs(nagg - nf) > 1e-8 * (1.0 + nf):
         return Decomposition(f1, f2, 1.0, nagg, "failed")
-    verdict = p_orthogonal(space, f1, f2, 1.0, dual=True)
+    verdict = _end_verdict(space, f1, f2, m, rows[3:], n[3:], 1.0, 1e-9, True)
     status = "optimal" if verdict.is_orthogonal else "failed"
 
     # cross-check a coefficient split against the orthogonal (coefficient)
     # split v1 - v2 of a norming element v: each half must vanish on the
     # opposite part (a spectral v, read off f's spectrum, is decomposed anew)
-    if status == "optimal" and coefficients and np.abs(f1).max() > 1e-12 and np.abs(f2).max() > 1e-12:
+    if status == "optimal" and coefficients and min(m.tolist()) > 1e-12:
         v = norming_element(space, f) if dec is None else _eigen_norming(dec, 1.0)
         v1, v2 = coefficient_parts(space, v)
         scale = 1.0 + nf * (1.0 + np.abs(v).max())
@@ -198,7 +209,7 @@ def _dual_split(space: SpaceSpec, f: np.ndarray):
     H = space.cone.facet_normals
     if H is None or not f.any():
         return _dual_split_lp(space, f)
-    r = (H @ norming_element(space, f)) / (H @ space.norm.unit)
+    r = (H @ norming_element(space, f)) / _form(space).w  # w = H e
     active = np.abs(r) >= 1.0 - 1e-9
     s, HA = np.sign(r[active]), H[active]
     d = np.linalg.lstsq((s[:, None] * HA).T, f, rcond=None)[0]

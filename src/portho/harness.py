@@ -24,6 +24,7 @@ restricted dual norm.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
@@ -52,6 +53,7 @@ from .spaces import (
     SpaceSpec,
     _form,
     base_space,
+    batch_norms,
     conjugate,
     dual_norm,
     lp_space,
@@ -67,6 +69,7 @@ from .support import crust_probe, has_positive_support, positive_support
 
 INF = math.inf
 _MAX_DRAWS = 1000  # sampler retries before a space counts as unsampleable
+_sup_space = functools.cache(sup_space)  # `_restrictions`' spaces: one per dimension, resolved once
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ def _orthogonal_positive_pair(space: SpaceSpec, rng: np.random.Generator):
     """An inf-orthogonal positive pair u1, u2 with its norms n1, n2."""
     for _ in range(_MAX_DRAWS):
         u1, u2 = _sample_positive_pair(space, rng)
-        n1, n2 = norm(space, u1), norm(space, u2)
+        n1, n2 = batch_norms(space, np.array([u1, u2])).tolist()
         if n1 == 0.0 or n2 == 0.0:
             continue
         if abs(norm(space, u1 / n1 + u2 / n2) - 1.0) <= 1e-9:
@@ -389,7 +392,7 @@ def _positive_pair_suite(supports: bool):
         @_per_sample
         def run(space, rng, tol):
             u1, u2 = _sample_positive_pair(space, rng)
-            n1, n2 = norm(space, u1), norm(space, u2)
+            n1, n2 = batch_norms(space, np.array([u1, u2])).tolist()
             if n1 < 1e-9 or n2 < 1e-9:
                 return None
             fs = [positive_support(space, u).functional for u in (u1, u2)] if supports else []
@@ -518,7 +521,7 @@ def _restrictions(space, v1, v2, f1, f2):
     V = restricted_dual_norms(space, v1, v2)
     g1 = V @ np.array([f1 @ v1, f1 @ v2])
     g2 = V @ np.array([f2 @ v1, f2 @ v2])
-    return sup_space(len(V)), g1, g2
+    return _sup_space(len(V)), g1, g2
 
 
 @_positive_pair_suite(supports=True)

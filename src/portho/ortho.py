@@ -13,7 +13,9 @@ its tolerance `tol`.
 
 Where the geometry gives an exact answer, `p_orthogonal` takes it instead:
 at p = 1 and p = inf every norm is decided by `_unit_rule`, which reads
-the norms of x/||x|| +- y/||y|| (Theorem 3.3 (1)'s test with both signs);
+the norms of x/||x|| +- y/||y|| (Theorem 3.3 (1)'s test with both signs),
+through `_end_verdict`, which `decomp.dual_one_orth_decompose` calls too
+with the norms of x and y scaled to unit largest entry that it has read;
 at 1 < p < inf no pair of nonzero vectors is orthogonal in a max-ratio, l1
 or solver form, which is piecewise linear; a weighted lp norm at its own
 p, scaled to the plain lp norm, is decided by `p_orthogonal_exact`
@@ -232,21 +234,26 @@ def p_orthogonal(
     mx, my = m.tolist()  # NaN or inf if an entry is
     if not (math.isfinite(mx) and math.isfinite(my)):
         raise InputError("x and y must have finite entries")
-    nxy = None  # the norms of x and y, where the exact test has read them
     if mx == 0.0 or my == 0.0:
         orthogonal = True
-    elif power:
-        orthogonal = p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol)
     elif ends:
         unit = xy / m[:, None]
-        n = _evaluate(space, unit, dual)
-        orthogonal = _unit_rule(space, unit / n[:, None], p, tol, dual)
-        nxy = m * n  # homogeneity: ||x|| = mx ||x / mx||
+        return _end_verdict(space, x, y, m, unit, _evaluate(space, unit, dual), p, tol, dual)
     else:
-        orthogonal = False
+        orthogonal = power and p_orthogonal_exact(xy[0] / mx, xy[1] / my, p, tol)
     if orthogonal:
         return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
-    return _witness(space, x, y, p, dual, nxy)
+    return _witness(space, x, y, p, dual, None)
+
+
+def _end_verdict(space: SpaceSpec, x, y, m, unit, n, p: float, tol: float, dual: bool) -> OrthoVerdict:
+    """`p_orthogonal` at p = 1 or inf of x and y, given m, their largest
+    |entries|, unit, the rows x / m[0] and y / m[1], and n, those rows'
+    (dual) norms: "orthogonal" where x or y is 0 or `_unit_rule` holds, else
+    `_witness` with the norms m * n of x and y (homogeneity)."""
+    if 0.0 in m.tolist() or _unit_rule(space, unit / n[:, None], p, tol, dual):
+        return OrthoVerdict("orthogonal", 0.0, 0.0, (), "exact")
+    return _witness(space, x, y, p, dual, m * n)
 
 
 def _witness(

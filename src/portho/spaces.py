@@ -183,6 +183,14 @@ def _check_vec(space: SpaceSpec, x) -> np.ndarray:
     return x
 
 
+def _largest(name: str, x: np.ndarray) -> float:
+    """max_i |x_i|, or InputError naming the argument x when that is NaN or inf."""
+    top = float(np.abs(x).max())
+    if not math.isfinite(top):
+        raise InputError(f"{name} must have finite entries")
+    return top
+
+
 def _check_rows(space: SpaceSpec, W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != space.dim:
@@ -340,7 +348,7 @@ def norming(space: SpaceSpec, x, dual: bool = False, tiebreak=None) -> np.ndarra
     LP. Of an l1 form it is sum_j w_j sign(v_j . x) v_j (w sign(x) over the
     coordinates); of the solver form, the maximizer of the dual-ball LP."""
     x = _check_vec(space, x)
-    if np.abs(x).max() == 0.0:
+    if _largest("f" if dual else "v", x) == 0.0:
         raise InputError(f"{'norming element' if dual else 'support functional'} undefined at 0")
     form = _form(space, dual)
     V, w = form.V, form.w

@@ -20,7 +20,7 @@ from . import cones as _c
 from .errors import InputError
 from .linalg import LpProblem, solve_lp, unit_scaled
 from .ortho import p_orthogonal
-from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, norm, norming, order_unit
+from .spaces import BASE, LP, MAX, SOLVER, SpaceSpec, _form, _largest, norm, norming, order_unit
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,10 @@ def support_functional(space: SpaceSpec, v) -> SupportResult:
 
 def _check_positive(space: SpaceSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.abs(u).max() == 0.0:
+    top = _largest("u", u)
+    if top == 0.0:
         raise InputError("argument must be a nonzero element of the positive cone")
-    if not _c.cone_contains(space.cone, u, tol=1e-7 * np.abs(u).max()):
+    if not _c.cone_contains(space.cone, u, tol=1e-7 * top):
         raise InputError("argument must lie in the positive cone")
     return u
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pathlib
 import zlib
 
 import numpy as np
@@ -21,7 +23,9 @@ from portho.cli import parse_space_spec
 from portho.errors import InputError
 from portho.harness import default_families
 from portho.linalg import LpProblem, solve_lp
-from portho.ortho import p_orthogonal_exact
+import portho.ortho as ortho_module
+import portho.spaces as spaces_module
+from portho.ortho import p_orthogonal, p_orthogonal_exact
 from portho.spaces import (
     _form,
     base_space,
@@ -35,6 +39,7 @@ from portho.spaces import (
     spectral_space,
     sup_space,
 )
+from portho.support import positive_support, support_functional
 from portho.cones import nonneg_orthant
 
 INF = math.inf
@@ -232,10 +237,10 @@ class TestDualOneOrth:
         import portho.ortho as ortho_module
 
         decisions, grid_calls = [], []
-        decide, grid = decomp_module.p_orthogonal, ortho_module.verdict_from_norm
-        monkeypatch.setattr(
-            decomp_module, "p_orthogonal",
-            lambda *a, **k: decisions.append(k) or decide(*a, **k),
+        decide, grid = decomp_module._end_verdict, ortho_module.verdict_from_norm
+        monkeypatch.setattr(  # the rule the split shares with p_orthogonal at p = 1
+            decomp_module, "_end_verdict",
+            lambda *a: decisions.append({"p": a[6], "dual": a[8]}) or decide(*a),
         )
         monkeypatch.setattr(
             ortho_module, "verdict_from_norm", lambda *a: grid_calls.append(1) or grid(*a)
@@ -247,7 +252,7 @@ class TestDualOneOrth:
             assert f.min() < 0.0 < f.max()  # both halves nonzero: the cross-check runs
             dec = dual_one_orth_decompose(sp, f)
             assert dec.status == "optimal" and dec.ortho_verdict.method == "exact"
-        assert decisions == [{"dual": True}] * 10
+        assert decisions == [{"p": 1.0, "dual": True}] * 10
         assert grid_calls == []
 
     @pytest.mark.parametrize(
@@ -510,3 +515,117 @@ def test_every_default_family_decomposes_optimally(family, p):
         assert d.norm_aggregate <= best + 1e-12 * scale
         if polyhedral and p in (1.0, INF):
             assert d.norm_aggregate == pytest.approx(_lp_least_aggregate(space, v, p), abs=1e-9)
+
+
+# the spaces with a dual split: coefficient splits (sup, a simplicial ray
+# cone, spectral) and facet splits on non-simplicial cones
+_G8 = NON_SIMPLICIAL_CONES["m8n5"]
+_PENTAGON_SPEC = pathlib.Path(__file__).parent / "data" / "ou_pentagon.json"
+_SPLIT_SPACES = {
+    "sup_8": lambda: default_families()["sup_8"],
+    "polyray_4": lambda: default_families()["polyray_4"],
+    "spectral_2": lambda: spectral_space(2),
+    "spectral_4": lambda: spectral_space(4),
+    "spectral_8": lambda: spectral_space(8),
+    "ou_pentagon": lambda: parse_space_spec(_PENTAGON_SPEC.read_text()),
+    "m8n5": lambda: order_unit_space(ray_cone(_G8), _G8.sum(axis=0)),
+}
+
+
+def _functional(space, rng):
+    f = rng.normal(size=space.dim)
+    if space.norm.kind == "spectral":
+        d = space.cone.side
+        f = (f.reshape(d, d) + f.reshape(d, d).T).ravel()
+    return f
+
+
+class TestOneEvaluationPerCertificate:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+    @pytest.mark.parametrize("name", sorted(_SPLIT_SPACES))
+    def test_the_split_verdict_is_p_orthogonal(self, name, scale):
+        # the split decides with the rule of p_orthogonal at p = 1 on norms it
+        # has read itself: the verdicts agree field for field
+        space = _SPLIT_SPACES[name]()
+        rng = np.random.default_rng([26, zlib.crc32(name.encode())])
+        for _ in range(8):
+            dec = dual_one_orth_decompose(space, scale * _functional(space, rng))
+            assert dec.status == "optimal"
+            want = p_orthogonal(space, dec.u1, dec.u2, 1.0, dual=True)
+            assert dataclasses.astuple(dec.ortho_verdict) == dataclasses.astuple(want)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_a_spectral_split_makes_two_eigh_and_two_eigvalsh_calls(self, d, monkeypatch):
+        # eigh: f, and the norming element for the cross-check; eigvalsh: the
+        # one pass over the halves, f and the unit-scaled halves, and the
+        # unit rule (the parent made three eigvalsh calls)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        space, rng, both = spectral_space(d), np.random.default_rng(27), 0
+        for _ in range(8):
+            calls.update(eigh=0, eigvalsh=0)
+            dec = dual_one_orth_decompose(space, _functional(space, rng))
+            assert dec.status == "optimal"
+            if dec.u1.any() and dec.u2.any():
+                both += 1
+                assert calls == {"eigh": 2, "eigvalsh": 2}
+            else:  # a definite f: no unit rule and no cross-check
+                assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert both >= 4
+
+    @pytest.mark.parametrize("name", ["sup_8", "polyray_4", "ou_pentagon", "m8n5"])
+    def test_a_polyhedral_split_makes_two_evaluation_passes(self, name, monkeypatch):
+        # one pass for the additivity check and the unit rule's norms, one for
+        # the unit rule itself (the parent made three)
+        passes = []
+        evaluate = spaces_module._evaluate
+        counted = lambda *a: passes.append(1) or evaluate(*a)  # noqa: E731
+        monkeypatch.setattr(spaces_module, "_evaluate", counted)
+        monkeypatch.setattr(ortho_module, "_evaluate", counted)
+        space, rng, both = _SPLIT_SPACES[name](), np.random.default_rng(28), 0
+        for _ in range(8):
+            passes.clear()
+            dec = dual_one_orth_decompose(space, _functional(space, rng))
+            assert dec.status == "optimal"
+            both += bool(dec.u1.any() and dec.u2.any())
+            assert len(passes) == (2 if dec.u1.any() and dec.u2.any() else 1)  # a zero half: no unit rule
+        assert both >= 4
+
+    @pytest.mark.parametrize("family", ["lp15_8", "lp3_8", "base_8", "sup_8", "spectral_4", "polyray_4"])
+    def test_opt_decompose_evaluates_its_parts_in_one_pass(self, family, monkeypatch):
+        rows = []
+        evaluate = spaces_module._evaluate
+        monkeypatch.setattr(spaces_module, "_evaluate", lambda s, X, dual: rows.append(len(X)) or evaluate(s, X, dual))
+        space, rng = default_families()[family], np.random.default_rng(29)
+        for _ in range(5):
+            rows.clear()
+            v = _functional(space, rng)
+            d = opt_decompose(space, v, 1.5)
+            assert d.status == "optimal" and not cone_contains(space.cone, v)
+            assert rows == [2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family", ["lp15_8", "sup_8", "polyray_4", "spectral_4"])
+def test_non_finite_input_is_an_input_error_naming_the_argument(family, bad):
+    space = default_families()[family]
+    v = np.ones(space.dim)
+    v[0] = bad  # on spectral_4 an asymmetric entry, which must not reach LAPACK
+    entries = [
+        ("v", lambda: opt_decompose(space, v, 1.5)),
+        ("v", lambda: infty_orth_decompose(space, v)),
+        ("f", lambda: dual_one_orth_decompose(space, v)),
+        ("v", lambda: support_functional(space, v)),
+        ("u", lambda: positive_support(space, v)),
+    ]
+    for name, call in entries:
+        with pytest.raises(InputError, match=f"^{name} must have finite entries$"):
+            call()
